@@ -33,6 +33,9 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
+    NEWTON_MAX_ITER,
+    RESIDUAL_TOL,
+    WEISZFELD_MAX_ITER,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
@@ -45,8 +48,8 @@ from .fermat import (
 from .gauss import GaussTree, GaussWeights, residual_absorbing_rate, solve_gauss_tree
 from .geometry import Point, Quadrilateral
 from .plasticity import plasticity_line
-from .svgplot import Scene, level_curve_loops, render_scene
-from .universal import evolve, universal_minimum, weights_for_storage
+from .svgplot import LEVEL_GRID, Scene, level_curve_loops, render_scene
+from .universal import UNIVERSAL_GRID, evolve, universal_minimum, weights_for_storage
 
 _HINTS = {
     InfeasibleWeightsError: "adjust the weights (or x_G / B4) to satisfy the feasibility inequalities",
@@ -88,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
     common.add_argument("--grid", type=int,
                         help="sample count (universal B4 grid / level-curve raster)")
-    common.add_argument("--epsilon", type=float,
-                        help="span value treated as collapsed (default 1e-7)")
     common.add_argument("--xg", type=float, help="Gauss variable override")
     common.add_argument("--b4", type=float, help="B4 value on the plasticity line")
     common.add_argument("--storage", type=float, help="stored quantity at the optimum")
@@ -154,7 +155,6 @@ def _effective_options(doc: ProblemDocument, args) -> SolverOptions:
         tol=args.tol,
         max_iter=args.max_iter,
         grid=args.grid,
-        epsilon=args.epsilon,
         b4=args.b4,
         storage=args.storage,
         spend=args.spend,
@@ -285,8 +285,8 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
     if opts.normalize_weights:
         s = sum(weights)
         weights = tuple(w / s for w in weights)
-    point = weiszfeld(pts, weights, tol=opts.tol or 1e-10,
-                      max_iter=opts.max_iter or 10_000)
+    point = weiszfeld(pts, weights, tol=opts.tol or RESIDUAL_TOL,
+                      max_iter=opts.max_iter or WEISZFELD_MAX_ITER)
     absorbed = any(point.distance_to(p) == 0.0 for p in pts)
     outputs = {
         "point": [point.x, point.y],
@@ -328,9 +328,11 @@ def _cmd_wft_quad(doc, opts, args):
                 "--seed-angles applies to the canonical square (0,0),(a,0),(a,a),(0,a)"
             )
         tree = solve_4wft_square(side, wq.weights, init=opts.seed_angles,
-                                 tol=opts.tol or 1e-10, max_iter=opts.max_iter or 200)
+                                 tol=opts.tol or RESIDUAL_TOL,
+                                 max_iter=opts.max_iter or NEWTON_MAX_ITER)
     else:
-        tree = locate_4wft(wq, tol=opts.tol or 1e-10, max_iter=opts.max_iter or 200)
+        tree = locate_4wft(wq, tol=opts.tol or RESIDUAL_TOL,
+                           max_iter=opts.max_iter or NEWTON_MAX_ITER)
     _print_fermat(tree)
     diagnostics = {
         "iterations": tree.iterations,
@@ -352,7 +354,8 @@ def _cmd_gauss(doc, opts, args):
 
 def _line_for(doc, opts, args):
     wq, _ = _quad_instance(doc, opts, None)
-    tree = locate_4wft(wq, tol=opts.tol or 1e-10, max_iter=opts.max_iter or 200)
+    tree = locate_4wft(wq, tol=opts.tol or RESIDUAL_TOL,
+                       max_iter=opts.max_iter or NEWTON_MAX_ITER)
     return wq, tree, plasticity_line(wq, tree)
 
 
@@ -380,8 +383,7 @@ def _cmd_plasticity(doc, opts, args):
 
 def _cmd_universal(doc, opts, args):
     wq, tree, line = _line_for(doc, opts, args)
-    result = universal_minimum(wq.quad, line, grid=opts.grid or 33,
-                               eps=opts.epsilon or 1e-7)
+    result = universal_minimum(wq.quad, line, grid=opts.grid or UNIVERSAL_GRID)
     _print("  ".join(h.rjust(13) for h in ("B1", "B2", "B3", "B4", "x_G", "f")))
     for s in result.samples:
         b1, b2, b3, b4 = s.weights
@@ -390,13 +392,10 @@ def _cmd_universal(doc, opts, args):
     _print(f"u_FT: {_fmt(result.u_ft)}")
     _print(f"B4*: {_fmt(result.b4_star)}")
     _print(f"universal absorbing rate: {_fmt(result.rate)}")
-    if result.multimodal:
-        _print("warning: absorbing profile is not unimodal on the sampled grid")
     outputs = {
         "u_ft": result.u_ft,
         "b4_star": result.b4_star,
         "rate": result.rate,
-        "multimodal": result.multimodal,
         "samples": [
             {"b4": s.b4, "weights": list(s.weights), "xg_absorbing": s.xg_absorbing,
              "objective": s.objective}
@@ -414,8 +413,7 @@ def _cmd_evolve(doc, opts, args):
     wq, tree, line = _line_for(doc, opts, args)
     b4 = opts.b4
     if b4 is None:
-        candidates = weights_for_storage(wq.quad, line, opts.storage,
-                                         eps=opts.epsilon or 1e-7)
+        candidates = weights_for_storage(wq.quad, line, opts.storage)
         b4 = candidates[0]
         _print("B4 candidates: " + ", ".join(_fmt(v) for v in candidates))
     gtree = evolve(wq.quad, line, opts.storage, opts.spend, b4)
@@ -450,7 +448,7 @@ def _cmd_plot(doc, opts, args):
             )
         levels = [base + d for d in opts.levels]
         curves = level_curve_loops(pts, wq.weights, levels, center,
-                                   grid=opts.grid or 129)
+                                   grid=opts.grid or LEVEL_GRID)
         scene = Scene(
             quad=scene.quad,
             tree_edges=scene.tree_edges,

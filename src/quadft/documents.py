@@ -22,7 +22,6 @@ _OPTION_KEYS = {
     "tol": float,
     "max_iter": int,
     "grid": int,
-    "epsilon": float,
     "seed_angles": list,
     "normalize_weights": bool,
     "b4": float,
@@ -39,7 +38,6 @@ class SolverOptions:
     tol: float | None = None
     max_iter: int | None = None
     grid: int | None = None
-    epsilon: float | None = None
     seed_angles: tuple[float, float] | None = None
     normalize_weights: bool = False
     b4: float | None = None

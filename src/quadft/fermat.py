@@ -584,13 +584,6 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
     return tree
 
 
-def edge_lengths_from_vertex(wq: WeightedQuadrilateral,
-                             tree: FermatTree) -> tuple[float, float]:
-    """(a01, a04): distances from A1 and A4 to the optimum."""
-    v = wq.quad.vertices
-    return tree.point.distance_to(v[0]), tree.point.distance_to(v[3])
-
-
 # ------------------------------------------------------------------ #
 # Facade
 # ------------------------------------------------------------------ #

@@ -109,21 +109,6 @@ def residual_absorbing_rate(w: GaussWeights) -> float:
     return w.total - w.xg
 
 
-def _angles_clamped(w: GaussWeights) -> LocalAngles:
-    """Local angle formulas with unconditional cosine clamping (used by the
-    stationary-branch continuation, which scans past feasibility edges)."""
-    b1, b2, b3, b4, xg = w.b1, w.b2, w.b3, w.b4, w.xg
-    ac = lambda v: math.acos(min(1.0, max(-1.0, v)))
-    return LocalAngles(
-        a_100p=ac((b4 * b4 - b1 * b1 - xg * xg) / (2.0 * b1 * xg)),
-        a_0p04=ac((b1 * b1 - b4 * b4 - xg * xg) / (2.0 * b4 * xg)),
-        a_104=ac((xg * xg - b1 * b1 - b4 * b4) / (2.0 * b1 * b4)),
-        a_00p3=ac((b2 * b2 - b3 * b3 - xg * xg) / (2.0 * b3 * xg)),
-        a_00p2=ac((b3 * b3 - xg * xg - b2 * b2) / (2.0 * xg * b2)),
-        a_20p3=ac((xg * xg - b2 * b2 - b3 * b3) / (2.0 * b2 * b3)),
-    )
-
-
 def local_angles(w: GaussWeights) -> LocalAngles:
     """Angles at A0 and A0' determined by the weights alone.
 
@@ -146,9 +131,8 @@ def local_angles(w: GaussWeights) -> LocalAngles:
 
 
 class _Branch(NamedTuple):
-    """Stationary-branch evaluation, valid or not; the continuation past the
-    absorbing point has l < 0 and is used for root-finding and the
-    objective-maximization cross-check."""
+    """Stationary-branch evaluation, valid or not; past the absorbing point
+    the continuation has l < 0."""
 
     phi: float
     a1: float
@@ -169,7 +153,7 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
     a23 = v[1].distance_to(v[2])
     alpha214 = angle_at(v[0], v[1], v[3])
     alpha123 = angle_at(v[1], v[0], v[2])
-    ang = _angles_clamped(w)
+    ang = local_angles(w)
     num = (
         w.xg * a12
         + w.b4 * a14 * math.cos(alpha214 - ang.a_0p04)
@@ -206,9 +190,6 @@ def tree_span(q: Quadrilateral, w: GaussWeights) -> float:
     Positive for a genuine degree-three tree; zero at the absorbing value of
     x_G; negative once x_G exceeds it (the degenerate signal).
     """
-    report = validate_gauss_weights(w)
-    if not report:
-        raise InfeasibleWeightsError("; ".join(report.violations))
     return _branch(q, w).l
 
 
@@ -220,9 +201,6 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     value, a negative edge, or a node escaping the quadrilateral).  Span values
     in (-1e-9, 0] are clamped to the exact l = 0 degree-four limit.
     """
-    report = validate_gauss_weights(w)
-    if not report:
-        raise InfeasibleWeightsError("; ".join(report.violations))
     br = _branch(q, w)
     l = br.l
     node0, node0p = br.node0, br.node0p

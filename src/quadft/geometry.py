@@ -71,13 +71,6 @@ def angle_at(p: Point, a: Point, b: Point) -> float:
     return clamped_acos(ux * vx + uy * vy)
 
 
-def signed_angle_at(p: Point, a: Point, b: Point) -> float:
-    """Angle of the rotation taking ray p->a onto ray p->b, in (-pi, pi]."""
-    ux, uy = p.unit_toward(a)
-    vx, vy = p.unit_toward(b)
-    return math.atan2(cross2(ux, uy, vx, vy), ux * vx + uy * vy)
-
-
 # ------------------------------------------------------------------ #
 # Quadrilateral
 # ------------------------------------------------------------------ #

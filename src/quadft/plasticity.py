@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DiagonalPointError,
@@ -163,6 +162,22 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
     return line
 
 
+def _bisect(f, a: float, b: float, fa: float, xtol: float) -> float:
+    """Root of f in [a, b], where f(a) = fa and f(b) differ in sign, to
+    xtol or to float resolution."""
+    while True:
+        m = 0.5 * (a + b)
+        if b - a <= xtol or not a < m < b:
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+
+
 def plasticity_system_new(angles, c: float, b4: float,
                           grid: int = 2048) -> list[tuple[float, float, float]]:
     """All positive (B1, B2, B3) making the given optimum angles balance at
@@ -170,9 +185,9 @@ def plasticity_system_new(angles, c: float, b4: float,
 
     B1 is eliminated through the total, the second identity is linear in B3 at
     fixed B2, and the first identity's residual is scanned over a `grid`-point
-    B2 range with every sign change bisected.  All roots found are returned
-    (multiple solutions are expected in general); none are filtered beyond
-    positivity.
+    B2 range with every sign change bisected to 1e-14.  All roots found are
+    returned (multiple solutions are expected in general); none are filtered
+    beyond positivity.
     """
     a102, a203, a304, a401 = angles
     if abs((a102 + a203 + a304 + a401) - TWO_PI) > 1e-8:
@@ -206,7 +221,7 @@ def plasticity_system_new(angles, c: float, b4: float,
         vi, vj = vals[i], vals[i + 1]
         if not (np.isfinite(vi) and np.isfinite(vj)) or vi * vj > 0.0:
             continue
-        b2 = brentq(residual, xs[i], xs[i + 1], xtol=1e-14) if vi != 0.0 else xs[i]
+        b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14) if vi != 0.0 else xs[i]
         b3 = b3_of_b2(b2)
         b1 = c - b2 - b3 - b4
         if b1 > 0.0 and b2 > 0.0 and b3 > 0.0:
@@ -243,7 +258,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         raise QuadFTError("need at least one sample")
     lo, hi = line.b4_interval
     if samples == 1:
-        b4s = [lo]
+        b4s = [0.5 * (lo + hi)]
     else:
         b4s = list(np.linspace(lo, hi, samples))
     tolerance = 1e-6 * q.diameter()

@@ -29,6 +29,7 @@ PALETTE = {
 
 DEFAULT_WIDTH = 640.0
 MARGIN = 16.0
+LEVEL_GRID = 129
 
 
 def _fmt(v: float) -> str:
@@ -136,7 +137,7 @@ def distance_sum_grid(points, weights, xs, ys):
     return total
 
 
-def level_curve_loops(points, weights, levels, center, grid: int = 129):
+def level_curve_loops(points, weights, levels, center, grid: int = LEVEL_GRID):
     """Trace the iso-curves of the weighted distance sum at the given values.
 
     The sampling window is centred so every requested sublevel set closes

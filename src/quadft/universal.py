@@ -1,10 +1,18 @@
 """Universal absorbing set and minimum value, plus steady/evolutionary trees.
 
-For each admissible B4 the plasticity family fixes the vertex weights, and the
-interior edge of the Gauss tree collapses (l -> 0) at one absorbing value of
-x_G.  Collected over B4 these absorbing values form the universal set; its
-minimum u_FT is the storage threshold at which a degree-four tree can start
-growing a degree-three tree by spending part of the stored quantity.
+For each admissible B4 the plasticity family fixes the vertex weights and
+keeps the degree-four optimum P in place.  As x_G rises to its absorbing value
+the interior edge of the Gauss tree collapses (l -> 0) and both interior nodes
+merge at P; the node joined to A1 and A4 then balances the collapsed edge, so
+
+    x_G(B4) = |B1 u1 + B4 u4|,   u_i the unit vector from P toward A_i.
+
+On the family B1 = x1 B4 + y1, hence x_G(B4) = |a + B4 b| with a = y1 u1 and
+b = x1 u1 + u4: the norm of an affine map, convex in B4.  Collected over B4
+these values form the universal set.  Its minimum u_FT is the distance from
+the origin to the line a + B4 b, and every storage level set holds the roots
+of a quadratic.  u_FT is the storage threshold at which a degree-four tree can
+start growing a degree-three tree by spending part of the stored quantity.
 """
 
 from __future__ import annotations
@@ -15,33 +23,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConvergenceError, InfeasibleWeightsError, OverspendError, QuadFTError
-from .gauss import GaussTree, GaussWeights, _branch, feasible_xg_interval, solve_gauss_tree
-from .geometry import Quadrilateral
-from .plasticity import PlasticityLine
+from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
+from .fermat import weighted_distance_sum
+from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
+from .geometry import Quadrilateral, cross2
+from .plasticity import B4_INTERVAL_MARGIN, PlasticityLine
 
-SPAN_EPSILON = 1e-7       # l value defining "collapsed" for the root find
-AGREEMENT_TOL = 1e-4      # required root-find vs maximization agreement
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer for a unimodal f on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
+# values, which rest on that balance, are resolved to the same tolerance.
+BALANCE_RTOL = 1e-9
+UNIVERSAL_GRID = 33
 
 
 @dataclass(frozen=True)
@@ -56,13 +48,12 @@ class UniversalSample:
 
 @dataclass(frozen=True)
 class UniversalResult:
-    """Minimum of the universal set with the sampled profile behind it."""
+    """Minimum of the universal set with a sampled profile beside it."""
 
     u_ft: float
     b4_star: float
     rate: float
     samples: tuple[UniversalSample, ...]
-    multimodal: bool = False
     skipped: tuple[tuple[float, str], ...] = ()
 
 
@@ -106,87 +97,71 @@ def classify_tree(storage: float, u_ft: float) -> TreeKind:
 # Absorbing value of x_G for one weight quadruple
 # ------------------------------------------------------------------ #
 
-def _span_root(q: Quadrilateral, weights, eps: float, scan: int = 64) -> float:
-    """x_G at which the branch span crosses eps, by scan plus bisection.
+def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:
+    """Absorbing Gauss value x_G = |B1 u1 + B4 u4| for the family weights at
+    b4, with the objective sum B_i |P A_i| of the collapsed tree.
 
-    The branch formulas diverge toward the feasibility endpoints, so the
-    crossing is bracketed on an interior scan before brentq runs.
-    """
-    lo, hi = feasible_xg_interval(*weights)
-    if not lo < hi:
-        raise InfeasibleWeightsError(f"empty x_G interval for weights {tuple(weights)}")
-    pad = 1e-9 * (hi - lo)
-    xs = np.linspace(lo + pad, hi - pad, scan)
-
-    def f(xg: float) -> float:
-        return _branch(q, GaussWeights(*weights, xg)).l - eps
-
-    vals = []
-    for x in xs:
-        try:
-            vals.append(f(x))
-        except QuadFTError:
-            vals.append(math.nan)
-    for i in range(scan - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isfinite(a) and math.isfinite(b) and a > 0.0 >= b:
-            return brentq(f, xs[i], xs[i + 1], xtol=1e-13)
-    raise InfeasibleWeightsError(
-        f"span never collapses inside the feasible x_G interval ({lo:.6g}, {hi:.6g})"
-    )
-
-
-def _branch_objective_argmax(q: Quadrilateral, weights) -> float:
-    lo, hi = feasible_xg_interval(*weights)
-    pad = 1e-6 * (hi - lo)
-
-    def neg_obj(xg: float) -> float:
-        return -_branch(q, GaussWeights(*weights, xg)).objective
-
-    return _golden_min(neg_obj, lo + pad, hi - pad, tol=1e-10)
-
-
-def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float,
-                 eps: float = SPAN_EPSILON) -> UniversalSample:
-    """Absorbing Gauss value for the family weights at b4.
-
-    Defined as the root of span(x_G) = eps; cross-checked against the
-    derivative-free maximizer of the branch objective (the two coincide where
-    the span vanishes), which must agree within 1e-4.
+    The closed form holds only where the weights balance at P = line.point;
+    a residual |sum B_i u_i| above BALANCE_RTOL * c (a line that does not
+    belong to q) raises InconsistentCaseError.
     """
     weights = line.weights_at(b4)
-    xg = _span_root(q, weights, eps)
-    xg_max = _branch_objective_argmax(q, weights)
-    if abs(xg - xg_max) > AGREEMENT_TOL:
-        raise ConvergenceError(
-            f"span root {xg:.8f} and objective argmax {xg_max:.8f} disagree "
-            f"beyond {AGREEMENT_TOL}",
-            residual=abs(xg - xg_max),
+    p = line.point
+    units = [p.unit_toward(v) for v in q.vertices]
+    residual = math.hypot(sum(w * u[0] for w, u in zip(weights, units)),
+                          sum(w * u[1] for w, u in zip(weights, units)))
+    if residual > BALANCE_RTOL * line.c:
+        raise InconsistentCaseError(
+            f"weights {weights} do not balance at {p} (residual {residual:.3e}); "
+            "was the plasticity line built on this quadrilateral?"
         )
-    objective = _branch(q, GaussWeights(*weights, xg)).objective
+    b1, (u1x, u1y), (u4x, u4y) = weights[0], units[0], units[3]
+    xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
+    objective = weighted_distance_sum(q.vertices, weights, p)
     return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
 
 
+def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
+    """The B4 interval shrunk by the sampling margin."""
+    lo, hi = line.b4_interval
+    margin = max(1e-6 * (hi - lo), 1e-9)
+    return lo + margin, hi - margin
+
+
+def _profile(q: Quadrilateral, line: PlasticityLine):
+    """(a, b) with x_G(B4) = |a + B4 b| along the family."""
+    x1, y1 = line.coefficients[0]
+    u1x, u1y = line.point.unit_toward(q.vertices[0])
+    u4x, u4y = line.point.unit_toward(q.vertices[3])
+    return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
+
+
+def _minimum(q: Quadrilateral, line: PlasticityLine) -> UniversalSample:
+    """Absorbing sample at B4* = -(a . b) / |b|^2, the foot of the
+    perpendicular from the origin to a + B4 b, clamped to the sampled range."""
+    (ax, ay), (bx, by) = _profile(q, line)
+    lo, hi = _sampled_range(line)
+    b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
+    return absorbing_xg(q, line, b4)
+
+
 def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
-                  eps: float = SPAN_EPSILON,
                   on_skip: Callable[[float, str], None] | None = None
                   ) -> list[UniversalSample]:
     """Absorbing values on a uniform B4 grid over the admissible interval.
 
-    Infeasible grid points are omitted; `on_skip(b4, reason)` hears about each.
+    Failing grid points are omitted; `on_skip(b4, reason)` hears about each.
     """
     if grid < 1:
         raise QuadFTError("grid must be at least 1")
-    lo, hi = line.b4_interval
-    margin = max(1e-6 * (hi - lo), 1e-9)
     if grid == 1:
-        b4s = [0.5 * (lo + hi)]
+        b4s = [0.5 * sum(line.b4_interval)]
     else:
-        b4s = list(np.linspace(lo + margin, hi - margin, grid))
+        b4s = list(np.linspace(*_sampled_range(line), grid))
     samples = []
     for b4 in b4s:
         try:
-            samples.append(absorbing_xg(q, line, b4, eps=eps))
+            samples.append(absorbing_xg(q, line, b4))
         except QuadFTError as exc:
             if on_skip is not None:
                 on_skip(b4, str(exc))
@@ -194,91 +169,51 @@ def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
 
 
 def universal_minimum(q: Quadrilateral, line: PlasticityLine,
-                      tol: float = 1e-9, grid: int = 33,
-                      eps: float = SPAN_EPSILON) -> UniversalResult:
-    """Minimize the absorbing value over B4 by grid sampling plus
-    golden-section refinement of the best cell.
-
-    A profile with several grid-level local minima is flagged multimodal and
-    the refined global grid minimum is returned.
-    """
+                      grid: int = UNIVERSAL_GRID) -> UniversalResult:
+    """Minimum u_FT = |a + B4* b| of the absorbing value over the family, in
+    closed form; `grid` sets only the sampled profile reported beside it."""
     skipped: list[tuple[float, str]] = []
-    samples = universal_set(q, line, grid, eps=eps,
+    samples = universal_set(q, line, grid,
                             on_skip=lambda b4, why: skipped.append((b4, why)))
-    if not samples:
-        reasons = "; ".join(why for _, why in skipped[:3])
-        raise InfeasibleWeightsError(f"no feasible B4 sample on the interval ({reasons})")
-    xs = [s.b4 for s in samples]
-    ys = [s.xg_absorbing for s in samples]
-    i_best = int(np.argmin(ys))
-    minima = sum(
-        1 for i in range(len(ys))
-        if (i == 0 or ys[i] < ys[i - 1]) and (i == len(ys) - 1 or ys[i] < ys[i + 1])
-    )
-    lo = xs[i_best - 1] if i_best > 0 else xs[0]
-    hi = xs[i_best + 1] if i_best < len(xs) - 1 else xs[-1]
-
-    def value(b4: float) -> float:
-        return absorbing_xg(q, line, b4, eps=eps).xg_absorbing
-
-    b4_star = _golden_min(value, lo, hi, tol=tol) if hi > lo else xs[i_best]
-    best = absorbing_xg(q, line, b4_star, eps=eps)
-    if best.xg_absorbing > ys[i_best]:
-        b4_star, best = xs[i_best], samples[i_best]
+    best = _minimum(q, line)
     return UniversalResult(
         u_ft=best.xg_absorbing,
-        b4_star=b4_star,
+        b4_star=best.b4,
         rate=best.xg_absorbing / line.c,
         samples=tuple(samples),
-        multimodal=minima > 1,
         skipped=tuple(skipped),
     )
 
 
 def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
-                        result: UniversalResult | None = None,
-                        eps: float = SPAN_EPSILON) -> list[float]:
-    """All B4 values whose absorbing x_G equals u (the level set at u).
+                        result: UniversalResult | None = None) -> list[float]:
+    """All admissible B4 whose absorbing x_G equals u (the level set at u).
 
-    Needs u >= u_FT; at u = u_FT the set collapses to {b4_star}.  Sign changes
-    of the sampled profile around u are bisected on every cell, so a
-    multimodal profile yields every root the sampling resolves.
+    The roots of |a + B4 b|^2 = u^2 inside the open admissible interval, in
+    increasing order.  Needs u >= u_FT (from `result` when given); at u_FT the
+    set collapses to [B4*].
     """
     if result is None:
-        result = universal_minimum(q, line, eps=eps)
-    level_tol = max(1e-9, 1e-9 * abs(u))
-    if u < result.u_ft - AGREEMENT_TOL:
+        best = _minimum(q, line)
+        u_ft, b4_star = best.xg_absorbing, best.b4
+    else:
+        u_ft, b4_star = result.u_ft, result.b4_star
+    if u < u_ft - BALANCE_RTOL * line.c:
         raise InfeasibleWeightsError(
-            f"storage level {u} lies below the universal minimum {result.u_ft}"
+            f"storage level {u} lies below the universal minimum {u_ft}"
         )
-    knots = sorted(
-        {s.b4: s.xg_absorbing for s in result.samples} | {result.b4_star: result.u_ft}
-    )
-    profile = {s.b4: s.xg_absorbing for s in result.samples}
-    profile[result.b4_star] = result.u_ft
-
-    def f(b4: float) -> float:
-        return absorbing_xg(q, line, b4, eps=eps).xg_absorbing - u
-
-    roots: list[float] = []
-    for a, b in zip(knots, knots[1:]):
-        fa, fb = profile[a] - u, profile[b] - u
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            roots.append(brentq(f, a, b, xtol=1e-12))
-    if profile[knots[-1]] - u == 0.0:
-        roots.append(knots[-1])
-    if abs(u - result.u_ft) <= AGREEMENT_TOL and not roots:
-        roots.append(result.b4_star)
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > level_tol:
-            deduped.append(r)
-    if not deduped:
-        raise InfeasibleWeightsError(f"no B4 on the sampled profile reaches {u}")
-    return deduped
+    if u <= u_ft:
+        return [b4_star]
+    (ax, ay), (bx, by) = _profile(q, line)
+    bb = bx * bx + by * by
+    t0 = -(ax * bx + ay * by) / bb
+    half = math.sqrt(max(u * u - cross2(ax, ay, bx, by) ** 2 / bb, 0.0) / bb)
+    lo, hi = line.b4_interval
+    roots = [t for t in sorted({t0 - half, t0 + half})
+             if lo + B4_INTERVAL_MARGIN <= t <= hi - B4_INTERVAL_MARGIN]
+    if not roots:
+        raise InfeasibleWeightsError(f"no admissible B4 reaches the storage level {u}")
+    return roots
 
 
 def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,

@@ -219,9 +219,14 @@ class TestVerify:
         assert report.max_deviation < 1e-6 * rect_mod.diameter()
 
     def test_endpoint_sample_excluded(self, rect_mod, line_ex2):
-        report = verify_plasticity(rect_mod, line_ex2, 1)  # single sample at lo
-        assert not report.evaluated
-        assert report.excluded and report.excluded[0][0] == line_ex2.b4_interval[0]
+        report = verify_plasticity(rect_mod, line_ex2, 16)
+        lo, hi = line_ex2.b4_interval
+        assert [b4 for b4, _ in report.excluded] == [lo, hi]
+        assert all("outside the open admissible interval" in why
+                   for _, why in report.excluded)
+        single = verify_plasticity(rect_mod, line_ex2, 1)
+        assert len(single.evaluated) == 1 and not single.excluded
+        assert single.passed
 
     def test_random_quadrilateral_line(self):
         rng = np.random.default_rng(23)

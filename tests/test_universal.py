@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import random_convex_quad
 from quadft import (
+    CaseKind,
     GaussWeights,
+    InconsistentCaseError,
     InfeasibleWeightsError,
     OverspendError,
     Quadrilateral,
     TreeKind,
     WeightedQuadrilateral,
     absorbing_xg,
+    classify_case,
     classify_tree,
     evolve,
     locate_4wft,
@@ -69,6 +75,15 @@ class TestAbsorbing:
         with pytest.raises(InfeasibleWeightsError):
             absorbing_xg(rect_mod, line_ex2, 5.0)
 
+    def test_line_of_another_quadrilateral_rejected(self, line_ex2):
+        other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
+        with pytest.raises(InconsistentCaseError, match="do not balance"):
+            absorbing_xg(other, line_ex2, 1.5)
+        skipped = []
+        assert universal_set(other, line_ex2, 4,
+                             on_skip=lambda b4, why: skipped.append(why)) == []
+        assert len(skipped) == 4
+
 
 class TestUniversalSet:
     def test_grid_of_one(self, rect_mod, line_ex2):
@@ -94,7 +109,6 @@ class TestUniversalMinimum:
         assert result_ex2.u_ft == pytest.approx(u, abs=1e-4)
         assert result_ex2.b4_star == pytest.approx(b4, abs=1e-4)
         assert result_ex2.rate == pytest.approx(rate, abs=1e-4)
-        assert not result_ex2.multimodal
 
     def test_second_instance_values(self, rect_mod, line_ex3):
         result = universal_minimum(rect_mod, line_ex3, grid=65)
@@ -113,6 +127,74 @@ class TestUniversalMinimum:
     def test_minimum_bounds_sampled_set(self, result_ex2):
         assert all(result_ex2.u_ft <= s.xg_absorbing + 1e-9 for s in result_ex2.samples)
         assert result_ex2.rate == pytest.approx(result_ex2.u_ft / 8.7, abs=1e-12)
+
+
+def _random_floating_lines(count):
+    """Plasticity lines of the first `count` floating instances drawn from
+    random_convex_quad(default_rng(1)) with weights from U(0.6, 3.0)."""
+    rng = np.random.default_rng(1)
+    lines = []
+    while len(lines) < count:
+        quad = Quadrilateral.from_coords(random_convex_quad(rng))
+        wq = WeightedQuadrilateral(quad, tuple(rng.uniform(0.6, 3.0, 4)))
+        if classify_case(wq).kind is CaseKind.FLOATING:
+            lines.append((quad, plasticity_line(wq, locate_4wft(wq))))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def random_lines():
+    return _random_floating_lines(49)
+
+
+class TestRandomInstances:
+    def test_no_sample_skipped_and_span_collapses(self, random_lines):
+        for quad, line in random_lines:
+            skipped = []
+            samples = universal_set(quad, line, 65,
+                                    on_skip=lambda b4, why: skipped.append((b4, why)))
+            assert not skipped
+            diam = quad.diameter()
+            for s in samples:
+                span = tree_span(quad, GaussWeights(*s.weights, s.xg_absorbing))
+                assert abs(span) <= 1e-6 * diam, (s.b4, span)
+
+    def test_minimum_solves(self, random_lines):
+        for quad, line in random_lines:
+            result = universal_minimum(quad, line)
+            assert all(result.u_ft <= s.xg_absorbing for s in result.samples)
+
+
+def _paper_pipeline(coords, weights, storage):
+    quad = Quadrilateral.from_coords(coords)
+    wq = WeightedQuadrilateral(quad, weights)
+    line = plasticity_line(wq, locate_4wft(wq))
+    result = universal_minimum(quad, line)
+    return result, weights_for_storage(quad, line, storage, result=result)
+
+
+RECT = [(0.0, 0.0), (7.0, 0.0), (7.0, 4.0), (0.0, 4.0)]
+EX2_WEIGHTS = (3.0, 2.5, 1.7, 1.5)
+scales = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+class TestScaleInvariance:
+    @given(s=scales)
+    @settings(max_examples=25, deadline=None)
+    def test_weight_scale(self, s):
+        base, base_levels = _paper_pipeline(RECT, EX2_WEIGHTS, 3.82)
+        result, levels = _paper_pipeline(RECT, tuple(s * w for w in EX2_WEIGHTS), 3.82 * s)
+        assert result.u_ft == pytest.approx(s * base.u_ft, rel=1e-9)
+        assert result.b4_star == pytest.approx(s * base.b4_star, rel=1e-9)
+        assert levels == pytest.approx([s * b for b in base_levels], rel=1e-9)
+
+    @given(s=scales)
+    @settings(max_examples=25, deadline=None)
+    def test_coordinate_scale(self, s):
+        base, _ = _paper_pipeline(RECT, EX2_WEIGHTS, 3.82)
+        result, _ = _paper_pipeline([(s * x, s * y) for x, y in RECT], EX2_WEIGHTS, 3.82)
+        assert result.u_ft == pytest.approx(base.u_ft, rel=1e-9)
+        assert result.b4_star == pytest.approx(base.b4_star, rel=1e-9)
 
 
 class TestClassification:
