@@ -168,14 +168,12 @@ def _quad_instance(doc: ProblemDocument, opts: SolverOptions,
                    xg: float | None) -> tuple[WeightedQuadrilateral, float | None]:
     if len(doc.vertices) != 4:
         raise DocumentError("this command needs 4 vertices", path="$.vertices")
-    quad = Quadrilateral.from_coords(doc.vertices)
-    weights = doc.weights
+    wq = WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), doc.weights)
     if opts.normalize_weights:
-        s = sum(weights)
-        weights = tuple(w / s for w in weights)
         if xg is not None:
-            xg = xg / s
-    return WeightedQuadrilateral(quad, weights), xg
+            xg = xg / wq.total
+        wq = wq.normalized()
+    return wq, xg
 
 
 def _inputs_echo(doc: ProblemDocument, opts: SolverOptions) -> dict:

@@ -4,6 +4,11 @@ Covers case classification (floating / absorbed / diagonal shortcut), the
 triangle closed form, Weiszfeld iteration, the circle system for a square
 boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
+
+A floating degree-four solve makes one Weiszfeld pass, to 1e-8.  That iterate
+seeds the angle system, and a Newton polish of it on the gradient, run in
+coordinates relative to the first vertex, gives the median that cross-checks
+the angle-system optimum and replaces it when Newton fails.
 """
 
 from __future__ import annotations
@@ -184,33 +189,35 @@ def _weiszfeld_full(points, weights, tol, max_iter):
             return points[i], 0, 0.0
     x = sum(w * p.x for w, p in zip(weights, points)) / total
     y = sum(w * p.y for w, p in zip(weights, points)) / total
+    anchors = [(w, q.x, q.y) for w, q in zip(weights, points)]
+    near = 1e-12 * diameter
     restarted = False
     residual = math.inf
     for it in range(1, max_iter + 1):
-        p = Point(x, y)
-        near = [i for i, q in enumerate(points) if p.distance_to(q) < 1e-12 * diameter]
-        if near:
-            # Classical Weiszfeld stalls on vertices; not absorbed here, so nudge
-            # off the centroid and continue.
-            if restarted:
-                raise ConvergenceError("Weiszfeld re-encountered a vertex", last=p)
-            restarted = True
-            x = sum(q.x for q in points) / len(points) + 1e-6 * diameter
-            y = sum(q.y for q in points) / len(points) + 1e-6 * diameter
-            continue
         num_x = num_y = den = 0.0
         rx = ry = 0.0
-        for w, q in zip(weights, points):
-            d = p.distance_to(q)
-            num_x += w * q.x / d
-            num_y += w * q.y / d
+        for w, qx, qy in anchors:
+            d = math.hypot(x - qx, y - qy)
+            if d < near:
+                break
+            num_x += w * qx / d
+            num_y += w * qy / d
             den += w / d
-            rx += w * (q.x - x) / d
-            ry += w * (q.y - y) / d
-        residual = math.hypot(rx, ry)
-        if residual < tol * total:
-            return p, it, residual
-        x, y = num_x / den, num_y / den
+            rx += w * (qx - x) / d
+            ry += w * (qy - y) / d
+        else:
+            residual = math.hypot(rx, ry)
+            if residual < tol * total:
+                return Point(x, y), it, residual
+            x, y = num_x / den, num_y / den
+            continue
+        # Classical Weiszfeld stalls on vertices; not absorbed here, so nudge
+        # off the centroid and continue.
+        if restarted:
+            raise ConvergenceError("Weiszfeld re-encountered a vertex", last=Point(x, y))
+        restarted = True
+        x = sum(q.x for q in points) / len(points) + 1e-6 * diameter
+        y = sum(q.y for q in points) / len(points) + 1e-6 * diameter
     raise ConvergenceError(
         f"Weiszfeld did not reach residual {tol:g} in {max_iter} iterations",
         last=Point(x, y),
@@ -242,77 +249,69 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
 
 def _seed_point(points, weights, tol=1e-8):
     """Best-effort interior point for Newton seeding: a Weiszfeld run whose
-    stall (near-absorbed instances converge only linearly) is not an error."""
+    stall (near-absorbed instances converge only linearly) is not an error.
+    Returns (point, iterations)."""
     try:
-        point, _, _ = _weiszfeld_full(points, weights, tol, WEISZFELD_MAX_ITER)
+        point, iterations, _ = _weiszfeld_full(points, weights, tol, WEISZFELD_MAX_ITER)
     except ConvergenceError as exc:
-        point = exc.last
-    return point
+        point, iterations = exc.last, WEISZFELD_MAX_ITER
+    return point, iterations
 
 
-def _gradient_polish(points, weights, start: Point, tol: float,
-                     max_iter: int = 60):
-    """Damped Newton on the gradient of the weighted distance sum.
+def _median_polish(points, weights, start: Point, tol: float, max_iter: int = 60):
+    """Damped Newton on the gradient of the weighted distance sum, from `start`.
 
-    Quadratic where Weiszfeld is only linear (optimum close to a vertex); the
-    Hessian of sum w_i |x - p_i| is positive definite off the anchor points.
-    Returns (point, residual_norm); the caller judges the residual.
+    Quadratic where Weiszfeld is only linear, so from a Weiszfeld seed it
+    takes a step or two; the Hessian of sum w_i |x - p_i| is positive definite
+    off the anchor points.  Works in coordinates relative to the first point,
+    so a far translation does not swamp the residual in rounding.  Returns
+    (point, residual_norm, steps); the caller judges the residual.
     """
-    total = sum(weights)
-    anchors = [np.array([q.x, q.y]) for q in points]
-    x = np.array([start.x, start.y])
+    ox, oy = points[0].x, points[0].y
+    anchors = [(w, q.x - ox, q.y - oy) for w, q in zip(weights, points)]
 
-    def gradient(z):
-        g = np.zeros(2)
-        h = np.zeros((2, 2))
-        for w, a in zip(weights, anchors):
-            d = a - z
-            r = np.hypot(*d)
+    def gradient(x, y):
+        gx = gy = hxx = hxy = hyy = 0.0
+        for w, qx, qy in anchors:
+            dx, dy = qx - x, qy - y
+            r = math.hypot(dx, dy)
             if r < 1e-300:
-                return None, None
-            u = d / r
-            g -= w * u
-            h += (w / r) * (np.eye(2) - np.outer(u, u))
-        return g, h
+                return None
+            ux, uy = dx / r, dy / r
+            c = w / r
+            gx -= w * ux
+            gy -= w * uy
+            hxx += c * (1.0 - ux * ux)
+            hxy -= c * ux * uy
+            hyy += c * (1.0 - uy * uy)
+        return gx, gy, hxx, hxy, hyy
 
-    g, h = gradient(x)
-    if g is None:
-        return start, math.inf
-    norm = float(np.hypot(*g))
-    for _ in range(max_iter):
-        if norm < tol * total:
+    x, y = start.x - ox, start.y - oy
+    state = gradient(x, y)
+    if state is None:
+        return start, math.inf, 0
+    norm = math.hypot(state[0], state[1])
+    limit = tol * sum(weights)
+    steps = 0
+    while steps < max_iter and norm >= limit:
+        gx, gy, hxx, hxy, hyy = state
+        det = hxx * hyy - hxy * hxy
+        if not det > 0.0:
             break
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
+        sx = (hxy * gy - hyy * gx) / det
+        sy = (hxy * gx - hxx * gy) / det
         t = 1.0
         while t > 1e-12:
-            gn, hn = gradient(x + t * step)
-            if gn is not None and float(np.hypot(*gn)) < norm:
-                x = x + t * step
-                g, h, norm = gn, hn, float(np.hypot(*gn))
+            trial = gradient(x + t * sx, y + t * sy)
+            if trial is not None and math.hypot(trial[0], trial[1]) < norm:
                 break
             t *= 0.5
         else:
             break
-    return Point(float(x[0]), float(x[1])), norm
-
-
-def _robust_median(points, weights, tol):
-    """Weiszfeld followed by a gradient polish; raises only when both stall."""
-    total = sum(weights)
-    try:
-        point, iters, _ = _weiszfeld_full(points, weights, tol, WEISZFELD_MAX_ITER)
-        return point, iters
-    except ConvergenceError as exc:
-        point, norm = _gradient_polish(points, weights, exc.last, tol)
-        if norm < tol * total:
-            return point, WEISZFELD_MAX_ITER
-        raise ConvergenceError(
-            f"median iteration stalled at residual {norm:.3e}",
-            last=point, residual=norm,
-        ) from exc
+        x, y, state = x + t * sx, y + t * sy, trial
+        norm = math.hypot(state[0], state[1])
+        steps += 1
+    return Point(ox + x, oy + y), norm, steps
 
 
 # ------------------------------------------------------------------ #
@@ -473,7 +472,7 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         )
     func, a304_of = _square_system(side, wq.weights)
     if init is None:
-        seed_pt = _seed_point(quad.vertices, wq.weights)
+        seed_pt, _ = _seed_point(quad.vertices, wq.weights)
         v = quad.vertices
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
@@ -534,34 +533,24 @@ def _general_system(wq: WeightedQuadrilateral):
     return residuals, a41, a31, alpha314
 
 
-def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
-                       tol: float = RESIDUAL_TOL,
-                       max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
-    """Interior optimum on a general convex quadrilateral via the residual
-    system in (a102, a401, a304, a013), then reconstruction from vertex A1.
+def _seed_angles(v, seed: Point) -> tuple[float, float, float, float]:
+    """(a102, a401, a304, a013) measured at a seed point, the Newton start."""
+    u13 = v[0].unit_toward(v[2])
+    u10 = v[0].unit_toward(seed)
+    s013 = math.atan2(cross2(*u10, *u13), u10[0] * u13[0] + u10[1] * u13[1])
+    return (
+        angle_at(seed, v[0], v[1]),
+        angle_at(seed, v[3], v[0]),
+        angle_at(seed, v[2], v[3]),
+        s013,
+    )
 
-    a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
-    lies on the A2 side of the diagonal).  The optimum is placed at distance
-    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.
-    """
-    tag = classify_case(wq)
-    if tag.kind is not CaseKind.FLOATING:
-        raise InconsistentCaseError(
-            f"instance is not floating (absorbed at vertex {tag.vertex})"
-        )
+
+def _solve_general(wq: WeightedQuadrilateral, init, tol: float,
+                   max_iter: int) -> FermatTree:
+    """The four-angle system from `init` on an instance known to float."""
     v = wq.quad.vertices
     func, a41, a31, alpha314 = _general_system(wq)
-    if init is None:
-        seed_pt = _seed_point(v, wq.weights)
-        u13 = v[0].unit_toward(v[2])
-        u10 = v[0].unit_toward(seed_pt)
-        s013 = math.atan2(cross2(*u10, *u13), u10[0] * u13[0] + u10[1] * u13[1])
-        init = (
-            angle_at(seed_pt, v[0], v[1]),
-            angle_at(seed_pt, v[3], v[0]),
-            angle_at(seed_pt, v[2], v[3]),
-            s013,
-        )
     sol, residual, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
                                           tol=tol, max_iter=max_iter)
     a102, a401, a304, a013 = (float(t) for t in sol)
@@ -584,6 +573,28 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
     return tree
 
 
+def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
+                       tol: float = RESIDUAL_TOL,
+                       max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
+    """Interior optimum on a general convex quadrilateral via the residual
+    system in (a102, a401, a304, a013), then reconstruction from vertex A1.
+
+    a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
+    lies on the A2 side of the diagonal).  The optimum is placed at distance
+    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  `init` overrides
+    the Newton start; by default it is measured at a 1e-8 Weiszfeld iterate.
+    """
+    tag = classify_case(wq)
+    if tag.kind is not CaseKind.FLOATING:
+        raise InconsistentCaseError(
+            f"instance is not floating (absorbed at vertex {tag.vertex})"
+        )
+    if init is None:
+        seed, _ = _seed_point(wq.quad.vertices, wq.weights)
+        init = _seed_angles(wq.quad.vertices, seed)
+    return _solve_general(wq, init, tol, max_iter)
+
+
 # ------------------------------------------------------------------ #
 # Facade
 # ------------------------------------------------------------------ #
@@ -593,8 +604,13 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     """Locate the degree-four optimum for any valid instance.
 
     Absorbed instances return the vertex tree; equal weights short-circuit to
-    the diagonal intersection; floating instances run the general angle system
-    seeded from Weiszfeld, falling back to plain Weiszfeld if Newton fails.
+    the diagonal intersection.  A floating instance is classified once and
+    runs Weiszfeld once, to 1e-8; that iterate seeds the general angle system
+    and, polished by Newton on the gradient, gives the median at
+    min(tol, 1e-9).  The angle-system tree is returned when it lies within
+    1e-5 of the diameter from the median; otherwise (Newton failed or
+    disagreed) the tree is built at the median.  A median that cannot reach
+    its residual raises ConvergenceError.
     """
     tag = classify_case(wq)
     if tag.kind is CaseKind.ABSORBED:
@@ -603,12 +619,18 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _floating_tree(wq, diagonal_intersection(wq.quad),
                               case=CaseTag(CaseKind.DIAGONAL))
+    v = wq.quad.vertices
+    seed, iters = _seed_point(v, w)
     tree = None
     try:
-        tree = solve_4wft_general(wq, tol=tol, max_iter=max_iter)
+        tree = _solve_general(wq, _seed_angles(v, seed), tol, max_iter)
     except (ConvergenceError, InconsistentCaseError):
         pass
-    point, iters = _robust_median(wq.quad.vertices, w, min(tol, 1e-9))
+    median_tol = min(tol, 1e-9)
+    point, norm, steps = _median_polish(v, w, seed, median_tol)
+    if not norm < median_tol * wq.total:
+        raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
+                               last=point, residual=norm)
     if tree is not None and tree.point.distance_to(point) <= 1e-5 * wq.quad.diameter():
         return tree
-    return _floating_tree(wq, point, iterations=iters)
+    return _floating_tree(wq, point, iterations=iters + steps)

@@ -202,15 +202,18 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     in (-1e-9, 0] are clamped to the exact l = 0 degree-four limit.
     """
     br = _branch(q, w)
-    l = br.l
+    l, a3, objective = br.l, br.a3, br.objective
     node0, node0p = br.node0, br.node0p
     if l <= 0.0:
         if l <= -DEGENERATE_SPAN_CLAMP:
             raise DegenerateTreeError(
                 f"span l = {l:.3e} < 0: x_G = {w.xg} exceeds its absorbing value"
             )
+        # the exact degree-four limit: A0' merges into A0
         l = 0.0
         node0p = node0
+        a3 = node0p.distance_to(q.vertices[2])
+        objective = w.b1 * br.a1 + w.b2 * br.a2 + w.b3 * a3 + w.b4 * br.a4 + w.xg * l
     if br.a1 <= 0.0 or br.a2 <= 0.0:
         raise DegenerateTreeError(
             f"edge lengths (a1={br.a1:.3e}, a2={br.a2:.3e}) are not positive"
@@ -218,16 +221,13 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     for node, name in ((node0, "A0"), (node0p, "A0'")):
         if not q.contains(node, tol=1e-9):
             raise DegenerateTreeError(f"node {name} = {node} lies outside the quadrilateral")
-    a3 = node0p.distance_to(q.vertices[2])
-    a4 = node0.distance_to(q.vertices[3])
-    objective = w.b1 * br.a1 + w.b2 * br.a2 + w.b3 * a3 + w.b4 * a4 + w.xg * l
     return GaussTree(
         node0=node0,
         node0p=node0p,
         a1=br.a1,
         a2=br.a2,
         a3=a3,
-        a4=a4,
+        a4=br.a4,
         l=l,
         phi=br.phi,
         objective=objective,

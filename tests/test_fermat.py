@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadft.fermat as fermat
 from quadft import (
     AbsorbedWeightsError,
     CaseKind,
@@ -247,6 +248,72 @@ class TestLocate:
         xy = [(v.x, v.y) for v in quad.vertices]
         best, _ = refined_grid_min(xy, wq.weights)
         assert tree.point.distance_to(Point(*best)) < 1e-4 * quad.diameter()
+
+    def test_far_translation_floats(self, rect, wq_ex2):
+        # at (1e7, 1e7) absolute coordinates cannot resolve a 1e-10 * total
+        # gradient, so the median must be polished in a local frame
+        base = locate_4wft(wq_ex2)
+        xy = [(v.x, v.y) for v in rect.vertices]
+        moved = WeightedQuadrilateral(
+            Quadrilateral.from_coords(rigid_transform(xy, 0.3, 1e7, 1e7)), wq_ex2.weights
+        )
+        tree = locate_4wft(moved)
+        assert tree.case.kind is CaseKind.FLOATING
+        ex, ey = rigid_transform([(base.point.x, base.point.y)], 0.3, 1e7, 1e7)[0]
+        diam = moved.quad.diameter()
+        assert math.hypot(tree.point.x - ex, tree.point.y - ey) <= 1e-9 * diam
+
+    @pytest.mark.parametrize("instance", ["ex2", "random"])
+    def test_one_classification_and_one_median_run(self, monkeypatch, wq_ex2, instance):
+        if instance == "ex2":
+            wq = wq_ex2
+        else:
+            rng = np.random.default_rng(3)
+            wq = _floating_weights(rng, random_convex_quad(rng))
+        calls = {"classify_case": 0, "_weiszfeld_full": 0}
+
+        def counted(name):
+            original = getattr(fermat, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fermat, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        tree = locate_4wft(wq)
+        assert tree.case.kind is CaseKind.FLOATING
+        assert calls == {"classify_case": 1, "_weiszfeld_full": 1}
+
+    def test_facade_returns_the_general_solution(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            wq = _floating_weights(rng, random_convex_quad(rng))
+            tree = locate_4wft(wq)
+            ref = solve_4wft_general(wq)
+            assert tree.point == ref.point
+            assert tree.angles == ref.angles
+            assert tree.objective == ref.objective
+
+    def test_median_fallback_when_angle_system_fails(self, monkeypatch):
+        # the barely floating instance: Weiszfeld stalls far from 1e-9, so
+        # the fallback median rests on the Newton polish of its iterate
+        quad = Quadrilateral.from_coords(
+            [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759), (-0.1229, -2.2068)]
+        )
+        wq = WeightedQuadrilateral(quad, (0.5959, 0.9887, 0.9059, 2.4538))
+        solved = locate_4wft(wq)
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("angle system disabled")
+
+        monkeypatch.setattr(fermat, "_solve_general", fail)
+        tree = locate_4wft(wq)
+        assert tree.case.kind is CaseKind.FLOATING
+        assert tree.equilibrium_residual < 1e-9 * wq.total
+        assert tree.point.distance_to(solved.point) < 1e-9 * quad.diameter()
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(11)
