@@ -17,8 +17,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AbsorbedWeightsError,
     ConvergenceError,
@@ -33,6 +31,7 @@ from .geometry import (
     cross2,
     diagonal_intersection,
     rotate,
+    solve_linear,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -175,9 +174,25 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 # ------------------------------------------------------------------ #
 
 def _collinear(points) -> bool:
-    xs = np.array([[p.x, p.y] for p in points])
-    xs = xs - xs.mean(axis=0)
-    return np.linalg.matrix_rank(xs, tol=1e-12 * (1.0 + np.abs(xs).max())) < 2
+    """Rank < 2 of the centred coordinates: their smaller singular value is at
+    most 1e-12 * (1 + max |x|).
+
+    That singular value is the norm of the coordinates across the principal
+    axis, taken from the rotated coordinates themselves rather than from the
+    Gram matrix, so it stays accurate far below the square root of machine
+    precision.
+    """
+    n = len(points)
+    cx = sum(p.x for p in points) / n
+    cy = sum(p.y for p in points) / n
+    xs = [(p.x - cx, p.y - cy) for p in points]
+    tol = 1e-12 * (1.0 + max(max(abs(x), abs(y)) for x, y in xs))
+    a = sum(x * x for x, _ in xs)
+    b = sum(x * y for x, y in xs)
+    c = sum(y * y for _, y in xs)
+    theta = 0.5 * math.atan2(2.0 * b, a - c)  # the principal axis
+    cs, sn = math.cos(theta), math.sin(theta)
+    return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
 
 
 def _weiszfeld_full(points, weights, tol, max_iter):
@@ -318,39 +333,45 @@ def _median_polish(points, weights, start: Point, tol: float, max_iter: int = 60
 # Damped Newton on small angle systems
 # ------------------------------------------------------------------ #
 
+def _norm(v) -> float:
+    return math.sqrt(sum(t * t for t in v))
+
+
 def _damped_newton(func, x0, lo, hi, tol, max_iter):
     """Newton with numeric Jacobian and halving line search, boxed to (lo, hi).
 
-    Accepts a stalled line search once the residual is already far below the
-    geometry scale (1e-8), which in practice means machine-precision noise.
+    `func` maps a tuple of floats to a tuple of residuals.  The Jacobian is the
+    central difference (f(x + h e_j) - f(x - h e_j)) / (2h), and the step comes
+    from Gaussian elimination with partial pivoting.  Accepts a stalled line
+    search once the residual is already far below the geometry scale (1e-8),
+    which in practice means machine-precision noise.
     """
-    x = np.asarray(x0, dtype=float)
+    x = tuple(float(t) for t in x0)
     r = func(x)
-    trace = [float(np.linalg.norm(r))]
+    trace = [_norm(r)]
+    n = len(x)
+    h = 1e-7
     for _ in range(max_iter):
-        norm = np.linalg.norm(r)
+        norm = trace[-1]
         if norm < tol:
             return x, norm, trace
-        n = len(x)
-        jac = np.empty((len(r), n))
-        h = 1e-7
+        columns = []
         for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (func(x + e) - func(x - e)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
+            fp = func(x[:j] + (x[j] + h,) + x[j + 1:])
+            fm = func(x[:j] + (x[j] - h,) + x[j + 1:])
+            columns.append([(a - b) / (2.0 * h) for a, b in zip(fp, fm)])
+        step = solve_linear(list(zip(*columns)), [-t for t in r])
+        if step is None:
             raise ConvergenceError("singular Jacobian in Newton step",
-                                   last=x, residual=norm, trace=trace) from exc
+                                   last=x, residual=norm, trace=trace)
         t = 1.0
         while t > 1e-12:
-            xn = x + t * step
-            if np.all(xn > lo) and np.all(xn < hi):
+            xn = tuple(a + t * d for a, d in zip(x, step))
+            if all(lo < v < hi for v in xn):
                 rn = func(xn)
-                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < norm:
+                if all(math.isfinite(v) for v in rn) and _norm(rn) < norm:
                     x, r = xn, rn
-                    trace.append(float(np.linalg.norm(r)))
+                    trace.append(_norm(r))
                     break
             t *= 0.5
         else:
@@ -358,7 +379,7 @@ def _damped_newton(func, x0, lo, hi, tol, max_iter):
                 return x, norm, trace
             raise ConvergenceError("Newton line search stalled",
                                    last=x, residual=norm, trace=trace)
-    norm = float(np.linalg.norm(r))
+    norm = trace[-1]
     if norm < 1e-8:
         return x, norm, trace
     raise ConvergenceError(f"Newton did not converge in {max_iter} iterations",
@@ -435,7 +456,7 @@ def _square_system(side: float, weights):
             - 2.0 * b2 * b4 * math.cos(a102 + a401)
             - b4 * b4
         )
-        return np.array([r1, r2])
+        return r1, r2
 
     return residuals, a304_of
 
@@ -479,7 +500,7 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
     sol, residual, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9,
                                           tol=tol, max_iter=max_iter)
-    a102, a401 = float(sol[0]), float(sol[1])
+    a102, a401 = sol
     a304 = a304_of(a102)
     a203 = TWO_PI - a102 - a304 - a401
     point = _square_point(side, a102, a304, a401)
@@ -528,7 +549,7 @@ def _general_system(wq: WeightedQuadrilateral):
         d71 = math.cos(alpha314) + math.sin(alpha314) / math.tan(a401) - a31 / a41
         r3 = math.cos(a013) * d70 - math.sin(a013) * n70
         r4 = math.cos(a013) * d71 - math.sin(a013) * n71
-        return np.array([r1, r2, r3, r4])
+        return r1, r2, r3, r4
 
     return residuals, a41, a31, alpha314
 
@@ -553,7 +574,7 @@ def _solve_general(wq: WeightedQuadrilateral, init, tol: float,
     func, a41, a31, alpha314 = _general_system(wq)
     sol, residual, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
                                           tol=tol, max_iter=max_iter)
-    a102, a401, a304, a013 = (float(t) for t in sol)
+    a102, a401, a304, a013 = sol
     a203 = TWO_PI - a102 - a304 - a401
     a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
     ux, uy = v[0].unit_toward(v[2])

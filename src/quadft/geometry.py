@@ -1,5 +1,6 @@
 """Planar primitives: points, convex quadrilaterals, cosine-law angles and the
-Cayley-Menger distance machinery.
+Cayley-Menger distance machinery, plus the small dense linear algebra (evenly
+spaced samples, Gaussian elimination) the solvers share.
 
 Angles are radians everywhere; degrees appear only at I/O boundaries.
 """
@@ -8,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InconsistentDistancesError, InfeasibleTriangleError, QuadFTError
 
@@ -152,6 +151,72 @@ def diagonal_intersection(q: Quadrilateral) -> Point:
 
 
 # ------------------------------------------------------------------ #
+# Sampling and small dense linear algebra
+# ------------------------------------------------------------------ #
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from start to stop inclusive.
+
+    Sample i is i * step + start, rounded in that order, and the last sample
+    is stop itself.
+    """
+    if num == 1:
+        return [float(start)]
+    step = (stop - start) / (num - 1)
+    out = [i * step + start for i in range(num)]
+    if out:
+        out[-1] = float(stop)
+    return out
+
+
+def _eliminate(rows) -> float:
+    """Gaussian elimination with partial pivoting, in place, on a list of n row
+    lists.  The first n columns are reduced to upper-triangular form; any
+    further columns (a right-hand side) receive the same row operations.
+
+    Returns the sign of the row permutation, or 0.0 when a pivot is exactly
+    zero (a singular matrix).
+    """
+    n = len(rows)
+    sign = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, len(row)):
+                row[j] -= f * pivot[j]
+    return sign
+
+
+def solve_linear(a, b) -> list[float] | None:
+    """Solution x of the square system a x = b, or None when a is singular."""
+    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    if _eliminate(rows) == 0.0:
+        return None
+    n = len(rows)
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+    return x
+
+
+def determinant(a) -> float:
+    """Determinant of a square matrix given as a sequence of rows."""
+    rows = [list(row) for row in a]
+    det = _eliminate(rows)
+    for k, row in enumerate(rows):
+        det *= row[k]
+    return det
+
+
+# ------------------------------------------------------------------ #
 # Distance geometry
 # ------------------------------------------------------------------ #
 
@@ -212,7 +277,7 @@ def cayley_menger_from_lengths(a12: float, a13: float, a14: float,
                                a23: float, a24: float, a34: float) -> float:
     """Bordered determinant for six raw positive distances (no planarity
     requirement; 288 V^2 of the tetrahedron they span)."""
-    m = np.array(
+    return determinant(
         [
             [0.0, a12 * a12, a13 * a13, a14 * a14, 1.0],
             [a12 * a12, 0.0, a23 * a23, a24 * a24, 1.0],
@@ -221,7 +286,6 @@ def cayley_menger_from_lengths(a12: float, a13: float, a14: float,
             [1.0, 1.0, 1.0, 1.0, 0.0],
         ]
     )
-    return float(np.linalg.det(m))
 
 
 def cayley_menger(d: DistanceSet) -> float:

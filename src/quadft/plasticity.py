@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DiagonalPointError,
     InconsistentCaseError,
@@ -23,7 +21,7 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import CaseKind, FermatTree, WeightedQuadrilateral, locate_4wft
-from .geometry import Point, Quadrilateral, cross2
+from .geometry import Point, Quadrilateral, cross2, linspace
 
 B4_INTERVAL_MARGIN = 1e-9
 DIAGONAL_TOL = 1e-9
@@ -214,12 +212,12 @@ def plasticity_system_new(angles, c: float, b4: float,
         return (b1 * b1 + b2 * b2 + 2.0 * b1 * b2 * c12
                 - (b3 * b3 + b4 * b4 + 2.0 * b3 * b4 * c34))
 
-    xs = np.linspace(1e-9, c - b4 - 1e-9, grid)
-    vals = np.array([residual(x) for x in xs])
+    xs = linspace(1e-9, c - b4 - 1e-9, grid)
+    vals = [residual(x) for x in xs]
     solutions = []
     for i in range(grid - 1):
         vi, vj = vals[i], vals[i + 1]
-        if not (np.isfinite(vi) and np.isfinite(vj)) or vi * vj > 0.0:
+        if not (math.isfinite(vi) and math.isfinite(vj)) or vi * vj > 0.0:
             continue
         b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14) if vi != 0.0 else xs[i]
         b3 = b3_of_b2(b2)
@@ -260,7 +258,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     if samples == 1:
         b4s = [0.5 * (lo + hi)]
     else:
-        b4s = list(np.linspace(lo, hi, samples))
+        b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
     evaluated = []
     excluded = []

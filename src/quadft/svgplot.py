@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .geometry import linspace
 
 PALETTE = {
     "background": "#ffffff",
@@ -43,10 +43,10 @@ def _fmt(v: float) -> str:
 
 def _edge_point(kind, ix, iy, xs, ys, grid, level):
     if kind == "h":
-        va, vb = grid[iy, ix], grid[iy, ix + 1]
+        va, vb = grid[iy][ix], grid[iy][ix + 1]
         t = (level - va) / (vb - va)
         return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-    va, vb = grid[iy, ix], grid[iy + 1, ix]
+    va, vb = grid[iy][ix], grid[iy + 1][ix]
     t = (level - va) / (vb - va)
     return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
 
@@ -54,11 +54,12 @@ def _edge_point(kind, ix, iy, xs, ys, grid, level):
 def marching_squares(xs, ys, grid, level):
     """Closed/open polylines of the iso-contour grid == level.
 
+    `grid` holds one row of values per y sample, indexed grid[iy][ix].
     Returns a list of loops, each a list of (x, y) points; endpoints are keyed
     by grid-edge identity so adjacent cells chain exactly.
     """
-    ny, nx = grid.shape
-    inside = grid < level
+    ny, nx = len(grid), len(grid[0])
+    inside = [[v < level for v in row] for row in grid]
     segments = []  # (edge_id_a, edge_id_b)
     points = {}    # edge_id -> (x, y)
 
@@ -71,10 +72,10 @@ def marching_squares(xs, ys, grid, level):
     for iy in range(ny - 1):
         for ix in range(nx - 1):
             b = (
-                inside[iy, ix],
-                inside[iy, ix + 1],
-                inside[iy + 1, ix + 1],
-                inside[iy + 1, ix],
+                inside[iy][ix],
+                inside[iy][ix + 1],
+                inside[iy + 1][ix + 1],
+                inside[iy + 1][ix],
             )
             if all(b) or not any(b):
                 continue
@@ -92,7 +93,7 @@ def marching_squares(xs, ys, grid, level):
             elif len(crossed) == 4:
                 # Saddle cell: pair by the interpolated center value.
                 center = 0.25 * (
-                    grid[iy, ix] + grid[iy, ix + 1] + grid[iy + 1, ix] + grid[iy + 1, ix + 1]
+                    grid[iy][ix] + grid[iy][ix + 1] + grid[iy + 1][ix] + grid[iy + 1][ix + 1]
                 )
                 if (center < level) == b[0]:
                     segments.append((crossed[0], crossed[1]))
@@ -129,12 +130,18 @@ def marching_squares(xs, ys, grid, level):
 
 
 def distance_sum_grid(points, weights, xs, ys):
-    """Vectorized f(X) = sum w_i |X - P_i| on the xs x ys grid."""
-    xx, yy = np.meshgrid(np.asarray(xs), np.asarray(ys))
-    total = np.zeros_like(xx)
-    for (px, py), w in zip(points, weights):
-        total += w * np.hypot(xx - px, yy - py)
-    return total
+    """f(X) = sum w_i |X - P_i| on the xs x ys grid, one row per y value."""
+    anchors = list(zip(weights, points))
+    rows = []
+    for y in ys:
+        row = []
+        for x in xs:
+            total = 0.0
+            for w, (px, py) in anchors:
+                total += w * math.hypot(x - px, y - py)
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def level_curve_loops(points, weights, levels, center, grid: int = LEVEL_GRID):
@@ -148,8 +155,8 @@ def level_curve_loops(points, weights, levels, center, grid: int = LEVEL_GRID):
     total_w = sum(weights)
     spread = max(math.hypot(px - center[0], py - center[1]) for px, py in points)
     radius = max(levels) / total_w + spread * 1.1 + 1e-9
-    xs = np.linspace(center[0] - radius, center[0] + radius, grid)
-    ys = np.linspace(center[1] - radius, center[1] + radius, grid)
+    xs = linspace(center[0] - radius, center[0] + radius, grid)
+    ys = linspace(center[1] - radius, center[1] + radius, grid)
     field = distance_sum_grid(points, weights, xs, ys)
     return [(lvl, marching_squares(xs, ys, field, lvl)) for lvl in sorted(levels)]
 

@@ -22,12 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
 from .fermat import weighted_distance_sum
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
-from .geometry import Quadrilateral, cross2
+from .geometry import Quadrilateral, cross2, linspace
 from .plasticity import B4_INTERVAL_MARGIN, PlasticityLine
 
 # Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
@@ -157,7 +155,7 @@ def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
     if grid == 1:
         b4s = [0.5 * sum(line.b4_interval)]
     else:
-        b4s = list(np.linspace(*_sampled_range(line), grid))
+        b4s = linspace(*_sampled_range(line), grid)
     samples = []
     for b4 in b4s:
         try:

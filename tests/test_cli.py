@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,15 @@ class TestSvg:
         curves = [ln for ln in text.splitlines()
                   if ln.startswith("<polygon") and "#7c3aed" in ln]
         assert len(curves) == 2
+
+
+def test_runtime_imports_neither_numpy_nor_scipy():
+    # the library and the CLI run on the standard library alone
+    code = (
+        "import quadft, quadft.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from quadft import (
     QuadFTError,
     Quadrilateral,
     WeightedQuadrilateral,
+    angle_at,
     classify_case,
     locate_4wft,
     solve_4wft_general,
@@ -143,6 +144,28 @@ class TestWeiszfeld:
         with pytest.raises(QuadFTError, match="collinear"):
             weiszfeld([Point(0, 0), Point(1, 0), Point(2, 0)], (1.0, 1.0, 1.0))
 
+    def test_collinear_matches_matrix_rank(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(3, 7))
+            origin = rng.uniform(-10.0, 10.0, 2)
+            phi = rng.uniform(0.0, math.pi)
+            along = np.array([math.cos(phi), math.sin(phi)])
+            across = np.array([-along[1], along[0]])
+            ts = rng.uniform(-5.0, 5.0, n)
+            ts -= ts.mean()
+            # unit offsets orthogonal to the constant and to ts, so that the
+            # smaller singular value of the centred points is the offset size
+            basis = np.linalg.qr(np.column_stack([np.ones(n), ts, rng.normal(size=n)]))[0]
+            offsets = basis[:, 2]
+            threshold = 1e-12 * (1.0 + np.abs(np.outer(ts, along)).max())
+            for factor, expected in ((0.0, True), (0.1, True), (10.0, False)):
+                xy = origin + np.outer(ts, along) + factor * threshold * np.outer(offsets, across)
+                pts = [Point(float(x), float(y)) for x, y in xy]
+                xs = xy - xy.mean(axis=0)
+                rank = np.linalg.matrix_rank(xs, tol=1e-12 * (1.0 + np.abs(xs).max()))
+                assert fermat._collinear(pts) == (rank < 2) == expected
+
     def test_nonconvergence_carries_state(self, rect):
         with pytest.raises(ConvergenceError) as err:
             weiszfeld(rect.vertices, (3.0, 2.5, 1.7, 1.5), tol=1e-14, max_iter=2)
@@ -182,6 +205,81 @@ class TestSquareSystem:
 
         with pytest.raises(InconsistentCaseError, match="absorbed"):
             solve_4wft_square(10.0, (100.0, 1.0, 1.0, 1.0))
+
+
+def _numpy_newton(func, x0, lo, hi, tol, max_iter):
+    """Reference damped Newton: the same iteration with numpy arrays and the
+    step from numpy.linalg.solve."""
+    def f(x):
+        return np.array(func(tuple(float(t) for t in x)))
+
+    x = np.asarray(x0, dtype=float)
+    r = f(x)
+    trace = [float(np.linalg.norm(r))]
+    for _ in range(max_iter):
+        norm = np.linalg.norm(r)
+        if norm < tol:
+            return x, trace
+        n = len(x)
+        jac = np.empty((len(r), n))
+        h = 1e-7
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            jac[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
+        step = np.linalg.solve(jac, -r)
+        t = 1.0
+        while t > 1e-12:
+            xn = x + t * step
+            if np.all(xn > lo) and np.all(xn < hi):
+                rn = f(xn)
+                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < norm:
+                    x, r = xn, rn
+                    trace.append(float(np.linalg.norm(r)))
+                    break
+            t *= 0.5
+        else:
+            assert norm < 1e-8
+            return x, trace
+    assert np.linalg.norm(r) < 1e-8
+    return x, trace
+
+
+class TestNewtonAgainstNumpy:
+    def _agree(self, func, init, lo, hi):
+        sol, _, trace = fermat._damped_newton(func, init, lo, hi, fermat.RESIDUAL_TOL,
+                                              fermat.NEWTON_MAX_ITER)
+        ref, ref_trace = _numpy_newton(func, init, lo, hi, fermat.RESIDUAL_TOL,
+                                       fermat.NEWTON_MAX_ITER)
+        assert len(trace) == len(ref_trace)
+        assert all(type(t) is float for t in sol)
+        assert max(abs(a - b) for a, b in zip(sol, ref)) <= 1e-12
+
+    def test_general_system(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            wq = _floating_weights(rng, random_convex_quad(rng))
+            v = wq.quad.vertices
+            seed, _ = fermat._seed_point(v, wq.weights)
+            func = fermat._general_system(wq)[0]
+            self._agree(func, fermat._seed_angles(v, seed), -math.pi, TWO_PI)
+
+    def test_circle_system(self):
+        weights = (3.5, 2.5, 2.0, 1.0)
+        func, _ = fermat._square_system(10.0, weights)
+        sq = Quadrilateral.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+        v = sq.vertices
+        seed, _ = fermat._seed_point(v, weights)
+        for init in ((angle_at(seed, v[0], v[1]), angle_at(seed, v[3], v[0])), (2.7, 1.2)):
+            self._agree(func, init, 1e-9, TWO_PI - 1e-9)
+
+    def test_failure_reports_last_iterate_as_floats(self, wq_ex2):
+        func = fermat._general_system(wq_ex2)[0]
+        with pytest.raises(ConvergenceError) as err:
+            fermat._damped_newton(func, (2.0, 1.0, 2.0, 0.3), -math.pi, TWO_PI,
+                                  tol=1e-300, max_iter=1)
+        assert type(err.value.last) is tuple
+        assert all(type(t) is float for t in err.value.last)
 
 
 class TestGeneralSystem:

@@ -13,10 +13,12 @@ from quadft import (
     QuadFTError,
     Quadrilateral,
     cayley_menger,
+    cayley_menger_from_lengths,
     diagonal_intersection,
     resolve_planar_diagonal,
     triangle_angle,
 )
+from quadft.geometry import linspace
 from oracles import random_convex_quad, rigid_transform
 
 SQRT65 = math.sqrt(65.0)
@@ -121,6 +123,30 @@ class TestDiagonalIntersection:
         assert pt.y == pytest.approx(expected[1], abs=1e-10 * (1 + abs(expected[1])))
 
 
+class TestLinspace:
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        cases = []
+        for num in (1, 2, 17, 65, 129):
+            for _ in range(6):
+                a, b = (float(v) for v in rng.uniform(0.0, 50.0, 2))
+                c = float(rng.uniform(4.0, 12.0))
+                b4 = float(rng.uniform(0.1, 0.9)) * c
+                cases += [
+                    (a, b, num),
+                    (b, a, num),                       # reversed
+                    (-a, -b, num),                     # negative
+                    (-a, b, num),                      # across zero
+                    (1e-9, c - b4 - 1e-9, num),        # plasticity_system_new's scan
+                ]
+        for start, stop, num in cases:
+            got = linspace(start, stop, num)
+            ref = np.linspace(start, stop, num)
+            assert len(got) == num
+            assert all(type(v) is float for v in got)
+            assert all(g == r for g, r in zip(got, ref)), (start, stop, num)
+
+
 class TestCayleyMenger:
     def test_regular_tetrahedron(self):
         # edge 1 tetrahedron: volume 1/(6 sqrt 2), so 288 V^2 = 4
@@ -149,6 +175,28 @@ class TestCayleyMenger:
         d = q.distance_set()
         scale = max(d.a12, d.a13, d.a14, d.a23, d.a24, d.a34)
         assert abs(cayley_menger(d)) <= 1e-9 * scale**4
+
+    def test_matches_numpy_determinant(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            p = rng.uniform(-5.0, 5.0, (4, 3))
+            a12, a13, a14, a23, a24, a34 = (
+                float(np.linalg.norm(p[i] - p[j]))
+                for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            )
+            m = np.array([
+                [0.0, a12**2, a13**2, a14**2, 1.0],
+                [a12**2, 0.0, a23**2, a24**2, 1.0],
+                [a13**2, a23**2, 0.0, a34**2, 1.0],
+                [a14**2, a24**2, a34**2, 0.0, 1.0],
+                [1.0, 1.0, 1.0, 1.0, 0.0],
+            ])
+            ref = float(np.linalg.det(m))
+            got = cayley_menger_from_lengths(a12, a13, a14, a23, a24, a34)
+            # relative to the size of the entries' products: on a flat
+            # tetrahedron neither elimination resolves 288 V^2 relative to itself
+            scale = max(a12, a13, a14, a23, a24, a34) ** 6
+            assert abs(got - ref) <= 1e-12 * scale
 
     def test_distance_set_rejects_nonplanar(self):
         with pytest.raises(InconsistentDistancesError):

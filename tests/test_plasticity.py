@@ -224,6 +224,7 @@ class TestVerify:
         assert [b4 for b4, _ in report.excluded] == [lo, hi]
         assert all("outside the open admissible interval" in why
                    for _, why in report.excluded)
+        assert all(type(b4) is float for b4, _ in report.evaluated + report.excluded)
         single = verify_plasticity(rect_mod, line_ex2, 1)
         assert len(single.evaluated) == 1 and not single.excluded
         assert single.passed

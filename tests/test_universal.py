@@ -94,6 +94,7 @@ class TestUniversalSet:
         samples = universal_set(rect_mod, line_ex2, 16)
         b4s = [s.b4 for s in samples]
         assert b4s == sorted(b4s)
+        assert all(type(b4) is float for b4 in b4s)
         for s in samples:
             assert s.xg_absorbing >= result_ex2.u_ft - 1e-9
 
