@@ -5,10 +5,10 @@ triangle closed form, Weiszfeld iteration, the circle system for a square
 boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
 
-A floating degree-four solve makes one Weiszfeld pass, to 1e-8.  That iterate
-seeds the angle system, and a Newton polish of it on the gradient, run in
-coordinates relative to the first vertex, gives the median that cross-checks
-the angle-system optimum and replaces it when Newton fails.
+A floating degree-four solve has one path: at most 20 Weiszfeld steps seed
+Newton on the gradient, run relative to the first vertex, which converges
+quadratically to the median.  The paper's angle systems stay as independent
+solvers that, given no start, measure it at that median.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ NEWTON_MAX_ITER = 200
 WEISZFELD_MAX_ITER = 10_000
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
+_SEED_TOL = 1e-3       # Weiszfeld seed residual, relative to the total weight
+_SEED_MAX_ITER = 20    # Weiszfeld seed step cap
+_POLISH_TOL = 1e-14    # Newton polish target, relative to the total weight
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,12 +199,11 @@ def _collinear(points) -> bool:
 
 
 def _weiszfeld_full(points, weights, tol, max_iter):
+    """Weiszfeld from the weighted centroid of a floating instance, to a pull
+    below tol * sum(weights) or the cap.  Returns (point, iterations, residual).
+    """
     total = sum(weights)
     diameter = max(p.distance_to(q) for p in points for q in points)
-    # Absorbed case: return the dominating vertex outright.
-    for i in range(len(points)):
-        if _absorption_slack(points, weights, i) <= 0.0:
-            return points[i], 0, 0.0
     x = sum(w * p.x for w, p in zip(weights, points)) / total
     y = sum(w * p.y for w, p in zip(weights, points)) / total
     anchors = [(w, q.x, q.y) for w, q in zip(weights, points)]
@@ -233,11 +235,7 @@ def _weiszfeld_full(points, weights, tol, max_iter):
         restarted = True
         x = sum(q.x for q in points) / len(points) + 1e-6 * diameter
         y = sum(q.y for q in points) / len(points) + 1e-6 * diameter
-    raise ConvergenceError(
-        f"Weiszfeld did not reach residual {tol:g} in {max_iter} iterations",
-        last=Point(x, y),
-        residual=residual,
-    )
+    return Point(x, y), max_iter, residual
 
 
 def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
@@ -258,26 +256,33 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
         raise QuadFTError("points are collinear; the median problem degenerates")
     if tol <= 0.0:
         raise QuadFTError("tol must be positive")
-    point, _, _ = _weiszfeld_full(points, weights, tol, max_iter)
+    for i, p in enumerate(points):
+        if _absorption_slack(points, weights, i) <= 0.0:
+            return p
+    point, _, residual = _weiszfeld_full(points, weights, tol, max_iter)
+    if not residual < tol * sum(weights):
+        raise ConvergenceError(
+            f"Weiszfeld did not reach residual {tol:g} in {max_iter} iterations",
+            last=point,
+            residual=residual,
+        )
     return point
 
 
-def _seed_point(points, weights, tol=1e-8):
-    """Best-effort interior point for Newton seeding: a Weiszfeld run whose
-    stall (near-absorbed instances converge only linearly) is not an error.
-    Returns (point, iterations)."""
-    try:
-        point, iterations, _ = _weiszfeld_full(points, weights, tol, WEISZFELD_MAX_ITER)
-    except ConvergenceError as exc:
-        point, iterations = exc.last, WEISZFELD_MAX_ITER
-    return point, iterations
+def _median(points, weights, tol: float, max_iter: int):
+    """The capped Weiszfeld seed, then at most `max_iter` Newton steps to
+    min(tol, _POLISH_TOL).  Returns (point, residual_norm, steps of both)."""
+    seed, seed_steps, _ = _weiszfeld_full(points, weights, _SEED_TOL, _SEED_MAX_ITER)
+    tol = min(tol, _POLISH_TOL)
+    point, norm, steps = _median_polish(points, weights, seed, tol, max_iter)
+    return point, norm, seed_steps + steps
 
 
-def _median_polish(points, weights, start: Point, tol: float, max_iter: int = 60):
+def _median_polish(points, weights, start: Point, tol: float, max_iter: int):
     """Damped Newton on the gradient of the weighted distance sum, from `start`.
 
-    Quadratic where Weiszfeld is only linear, so from a Weiszfeld seed it
-    takes a step or two; the Hessian of sum w_i |x - p_i| is positive definite
+    Quadratic where Weiszfeld is only linear, so from a rough Weiszfeld seed
+    it takes a few steps; the Hessian of sum w_i |x - p_i| is positive definite
     off the anchor points.  Works in coordinates relative to the first point,
     so a far translation does not swamp the residual in rounding.  Returns
     (point, residual_norm, steps); the caller judges the residual.
@@ -480,7 +485,7 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
     three-circle intersection system in (a102, a401).
 
     `init` overrides the Newton seed (radians, each in (0, pi)); by default the
-    seed comes from the angles measured at the Weiszfeld solution.
+    seed comes from the angles measured at the median.
     """
     if side <= 0.0:
         raise QuadFTError("square side must be positive")
@@ -493,8 +498,8 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         )
     func, a304_of = _square_system(side, wq.weights)
     if init is None:
-        seed_pt, _ = _seed_point(quad.vertices, wq.weights)
         v = quad.vertices
+        seed_pt, _, _ = _median(v, wq.weights, tol, max_iter)
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
@@ -567,10 +572,26 @@ def _seed_angles(v, seed: Point) -> tuple[float, float, float, float]:
     )
 
 
-def _solve_general(wq: WeightedQuadrilateral, init, tol: float,
-                   max_iter: int) -> FermatTree:
-    """The four-angle system from `init` on an instance known to float."""
+def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
+                       tol: float = RESIDUAL_TOL,
+                       max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
+    """Interior optimum on a general convex quadrilateral via the residual
+    system in (a102, a401, a304, a013), then reconstruction from vertex A1.
+
+    a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
+    lies on the A2 side of the diagonal).  The optimum is placed at distance
+    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  `init` overrides
+    the Newton start; by default it is measured at the median.
+    """
+    tag = classify_case(wq)
+    if tag.kind is not CaseKind.FLOATING:
+        raise InconsistentCaseError(
+            f"instance is not floating (absorbed at vertex {tag.vertex})"
+        )
     v = wq.quad.vertices
+    if init is None:
+        seed, _, _ = _median(v, wq.weights, tol, max_iter)
+        init = _seed_angles(v, seed)
     func, a41, a31, alpha314 = _general_system(wq)
     sol, residual, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
                                           tol=tol, max_iter=max_iter)
@@ -594,28 +615,6 @@ def _solve_general(wq: WeightedQuadrilateral, init, tol: float,
     return tree
 
 
-def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
-                       tol: float = RESIDUAL_TOL,
-                       max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
-    """Interior optimum on a general convex quadrilateral via the residual
-    system in (a102, a401, a304, a013), then reconstruction from vertex A1.
-
-    a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
-    lies on the A2 side of the diagonal).  The optimum is placed at distance
-    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  `init` overrides
-    the Newton start; by default it is measured at a 1e-8 Weiszfeld iterate.
-    """
-    tag = classify_case(wq)
-    if tag.kind is not CaseKind.FLOATING:
-        raise InconsistentCaseError(
-            f"instance is not floating (absorbed at vertex {tag.vertex})"
-        )
-    if init is None:
-        seed, _ = _seed_point(wq.quad.vertices, wq.weights)
-        init = _seed_angles(wq.quad.vertices, seed)
-    return _solve_general(wq, init, tol, max_iter)
-
-
 # ------------------------------------------------------------------ #
 # Facade
 # ------------------------------------------------------------------ #
@@ -625,13 +624,12 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     """Locate the degree-four optimum for any valid instance.
 
     Absorbed instances return the vertex tree; equal weights short-circuit to
-    the diagonal intersection.  A floating instance is classified once and
-    runs Weiszfeld once, to 1e-8; that iterate seeds the general angle system
-    and, polished by Newton on the gradient, gives the median at
-    min(tol, 1e-9).  The angle-system tree is returned when it lies within
-    1e-5 of the diameter from the median; otherwise (Newton failed or
-    disagreed) the tree is built at the median.  A median that cannot reach
-    its residual raises ConvergenceError.
+    the diagonal intersection.  A floating instance is classified once; at
+    most 20 Weiszfeld steps, to 1e-3 of the total weight, seed Newton on the
+    gradient, which polishes the median to 1e-14 of it (or `tol`, if smaller)
+    in at most `max_iter` steps.  The tree, with its angles, is measured at
+    that point; `iterations` counts both kinds of step.  A residual that
+    misses `tol` times the total weight raises ConvergenceError.
     """
     tag = classify_case(wq)
     if tag.kind is CaseKind.ABSORBED:
@@ -640,18 +638,8 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _floating_tree(wq, diagonal_intersection(wq.quad),
                               case=CaseTag(CaseKind.DIAGONAL))
-    v = wq.quad.vertices
-    seed, iters = _seed_point(v, w)
-    tree = None
-    try:
-        tree = _solve_general(wq, _seed_angles(v, seed), tol, max_iter)
-    except (ConvergenceError, InconsistentCaseError):
-        pass
-    median_tol = min(tol, 1e-9)
-    point, norm, steps = _median_polish(v, w, seed, median_tol)
-    if not norm < median_tol * wq.total:
+    point, norm, iterations = _median(wq.quad.vertices, w, tol, max_iter)
+    if not norm < tol * wq.total:
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
-    if tree is not None and tree.point.distance_to(point) <= 1e-5 * wq.quad.diameter():
-        return tree
-    return _floating_tree(wq, point, iterations=iters + steps)
+    return _floating_tree(wq, point, iterations=iterations)

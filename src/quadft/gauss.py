@@ -184,13 +184,18 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
     return _Branch(phi, a1, a2, a3, a4, l, node0, node0p, objective, ang)
 
 
+def _span(l: float) -> float:
+    """Read spans in (-DEGENERATE_SPAN_CLAMP, 0] as the exact l = 0 limit."""
+    return 0.0 if -DEGENERATE_SPAN_CLAMP < l <= 0.0 else l
+
+
 def tree_span(q: Quadrilateral, w: GaussWeights) -> float:
     """Signed length of the interior edge along the stationary branch.
 
     Positive for a genuine degree-three tree; zero at the absorbing value of
-    x_G; negative once x_G exceeds it (the degenerate signal).
+    x_G, as in solve_gauss_tree; negative once x_G exceeds it.
     """
-    return _branch(q, w).l
+    return _span(_branch(q, w).l)
 
 
 def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
@@ -202,15 +207,14 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     in (-1e-9, 0] are clamped to the exact l = 0 degree-four limit.
     """
     br = _branch(q, w)
-    l, a3, objective = br.l, br.a3, br.objective
+    l, a3, objective = _span(br.l), br.a3, br.objective
     node0, node0p = br.node0, br.node0p
-    if l <= 0.0:
-        if l <= -DEGENERATE_SPAN_CLAMP:
-            raise DegenerateTreeError(
-                f"span l = {l:.3e} < 0: x_G = {w.xg} exceeds its absorbing value"
-            )
+    if l < 0.0:
+        raise DegenerateTreeError(
+            f"span l = {l:.3e} < 0: x_G = {w.xg} exceeds its absorbing value"
+        )
+    if l == 0.0:
         # the exact degree-four limit: A0' merges into A0
-        l = 0.0
         node0p = node0
         a3 = node0p.distance_to(q.vertices[2])
         objective = w.b1 * br.a1 + w.b2 * br.a2 + w.b3 * a3 + w.b4 * br.a4 + w.xg * l

@@ -234,7 +234,8 @@ class DistanceSet:
 
     Construction enforces positivity, strict triangle inequalities for the four
     triangles of the quadrilateral, and planarity: the Cayley-Menger determinant
-    of the six values must vanish within PLANARITY_TOL * scale**4.
+    of the six values, of order length^6, must vanish within
+    PLANARITY_TOL * scale**6.
     """
 
     a12: float
@@ -256,7 +257,7 @@ class DistanceSet:
                     f"triple ({i}, {j}, {k}) = ({a}, {b}, {c}) violates the triangle inequality"
                 )
         scale = max(values.values())
-        if abs(cayley_menger(self)) > PLANARITY_TOL * scale**4:
+        if abs(cayley_menger(self)) > PLANARITY_TOL * scale**6:
             raise InconsistentDistancesError(
                 "distances do not describe coplanar points (Cayley-Menger != 0)"
             )

@@ -202,6 +202,20 @@ class TestCayleyMenger:
         with pytest.raises(InconsistentDistancesError):
             DistanceSet(a12=7.0, a13=2 * SQRT65, a14=4.0, a23=4.0, a24=SQRT65, a34=7.0)
 
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3, 1e4, 1e5])
+    def test_planar_distance_set_at_any_scale(self, k):
+        # the determinant scales as length^6, so must its bound
+        q = Quadrilateral.from_coords([(0, 0), (7 * k, 0.3 * k), (6.1 * k, 4.2 * k),
+                                       (0.4 * k, 3.9 * k)])
+        d = q.distance_set()
+        assert d.a12 == pytest.approx(math.hypot(7 * k, 0.3 * k), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [1e-5, 1e-3, 1.0, 1e3, 1e4, 1e5])
+    def test_regular_tetrahedron_rejected_at_any_scale(self, k):
+        # Cayley-Menger 4 k^6: never planar
+        with pytest.raises(InconsistentDistancesError, match="coplanar"):
+            DistanceSet(a12=k, a13=k, a14=k, a23=k, a24=k, a34=k)
+
     def test_distance_set_rejects_triangle_violation(self):
         with pytest.raises(InconsistentDistancesError):
             DistanceSet(a12=1.0, a13=10.0, a14=1.0, a23=1.0, a24=1.0, a34=1.0)
