@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InconsistentDistancesError, InfeasibleTriangleError, QuadFTError
 
@@ -106,6 +107,19 @@ class Quadrilateral:
     @classmethod
     def from_coords(cls, coords) -> Quadrilateral:
         return cls(tuple(Point(float(x), float(y)) for x, y in coords))
+
+    @cached_property
+    def unit_vectors(self) -> tuple[tuple[tuple[float, float] | None, ...], ...]:
+        """u[i][j], the unit vector from vertex i toward vertex j (None where
+        i == j), measured once per quadrilateral; u[j][i] is -u[i][j]."""
+        v = self.vertices
+        rows = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                ux, uy = v[i].unit_toward(v[j])
+                rows[i][j] = (ux, uy)
+                rows[j][i] = (-ux, -uy)
+        return tuple(tuple(row) for row in rows)
 
     def side_lengths(self) -> tuple[float, float, float, float]:
         v = self.vertices

@@ -60,8 +60,9 @@ class PlasticityLine:
             raise InfeasibleWeightsError(
                 f"B4 = {b4} outside the open admissible interval ({lo}, {hi})"
             )
-        b = tuple(x * b4 + y for x, y in self.coefficients) + (b4,)
-        if any(v <= 0.0 for v in b):
+        (x1, y1), (x2, y2), (x3, y3) = self.coefficients
+        b = (x1 * b4 + y1, x2 * b4 + y2, x3 * b4 + y3, b4)
+        if b[0] <= 0.0 or b[1] <= 0.0 or b[2] <= 0.0 or b4 <= 0.0:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
 

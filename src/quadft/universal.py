@@ -13,6 +13,10 @@ these values form the universal set.  Its minimum u_FT is the distance from
 the origin to the line a + B4 b, and every storage level set holds the roots
 of a quadratic.  u_FT is the storage threshold at which a degree-four tree can
 start growing a degree-three tree by spending part of the stored quantity.
+
+Since P stays fixed along the family, its geometry (the u_i and the distances
+|P A_i|) is measured once per plasticity line, and every B4 sample, the profile
+(a, b) and B4* are evaluated from that one measurement.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
-from .fermat import weighted_distance_sum
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
 from .geometry import Quadrilateral, cross2, linspace
 from .plasticity import B4_INTERVAL_MARGIN, PlasticityLine
@@ -95,6 +98,50 @@ def classify_tree(storage: float, u_ft: float) -> TreeKind:
 # Absorbing value of x_G for one weight quadruple
 # ------------------------------------------------------------------ #
 
+class _Family:
+    """P's geometry on one plasticity line, measured once: the unit vectors
+    u_i from P = line.point toward A_i and the distances |P A_i|.  Every
+    absorbing value along the line evaluates from this one measurement."""
+
+    def __init__(self, q: Quadrilateral, line: PlasticityLine):
+        p = line.point
+        self.line = line
+        try:
+            self.units = [p.unit_toward(v) for v in q.vertices]
+        except QuadFTError as exc:  # P on a vertex: every use raises this
+            self.units, self.failure = None, str(exc)
+        self.distances = [p.distance_to(v) for v in q.vertices]
+
+    def _measured(self):
+        if self.units is None:
+            raise QuadFTError(self.failure)
+        return self.units
+
+    def profile(self):
+        """(a, b) with x_G(B4) = |a + B4 b| along the family."""
+        (u1x, u1y), _, _, (u4x, u4y) = self._measured()
+        x1, y1 = self.line.coefficients[0]
+        return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
+
+    def sample(self, b4: float) -> UniversalSample:
+        """The absorbing sample at b4; see `absorbing_xg`."""
+        line = self.line
+        weights = line.weights_at(b4)
+        (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = self._measured()
+        b1, b2, b3, _ = weights
+        residual = math.hypot(b1 * u1x + b2 * u2x + b3 * u3x + b4 * u4x,
+                              b1 * u1y + b2 * u2y + b3 * u3y + b4 * u4y)
+        if residual > BALANCE_RTOL * line.c:
+            raise InconsistentCaseError(
+                f"weights {weights} do not balance at {line.point} (residual {residual:.3e}); "
+                "was the plasticity line built on this quadrilateral?"
+            )
+        xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
+        d1, d2, d3, d4 = self.distances
+        objective = b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4
+        return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
+
+
 def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:
     """Absorbing Gauss value x_G = |B1 u1 + B4 u4| for the family weights at
     b4, with the objective sum B_i |P A_i| of the collapsed tree.
@@ -103,20 +150,7 @@ def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> Universal
     a residual |sum B_i u_i| above BALANCE_RTOL * c (a line that does not
     belong to q) raises InconsistentCaseError.
     """
-    weights = line.weights_at(b4)
-    p = line.point
-    units = [p.unit_toward(v) for v in q.vertices]
-    residual = math.hypot(sum(w * u[0] for w, u in zip(weights, units)),
-                          sum(w * u[1] for w, u in zip(weights, units)))
-    if residual > BALANCE_RTOL * line.c:
-        raise InconsistentCaseError(
-            f"weights {weights} do not balance at {p} (residual {residual:.3e}); "
-            "was the plasticity line built on this quadrilateral?"
-        )
-    b1, (u1x, u1y), (u4x, u4y) = weights[0], units[0], units[3]
-    xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
-    objective = weighted_distance_sum(q.vertices, weights, p)
-    return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
+    return _Family(q, line).sample(b4)
 
 
 def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
@@ -126,21 +160,33 @@ def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
     return lo + margin, hi - margin
 
 
-def _profile(q: Quadrilateral, line: PlasticityLine):
-    """(a, b) with x_G(B4) = |a + B4 b| along the family."""
-    x1, y1 = line.coefficients[0]
-    u1x, u1y = line.point.unit_toward(q.vertices[0])
-    u4x, u4y = line.point.unit_toward(q.vertices[3])
-    return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
-
-
-def _minimum(q: Quadrilateral, line: PlasticityLine) -> UniversalSample:
+def _minimum(family: _Family) -> UniversalSample:
     """Absorbing sample at B4* = -(a . b) / |b|^2, the foot of the
     perpendicular from the origin to a + B4 b, clamped to the sampled range."""
-    (ax, ay), (bx, by) = _profile(q, line)
-    lo, hi = _sampled_range(line)
+    (ax, ay), (bx, by) = family.profile()
+    lo, hi = _sampled_range(family.line)
     b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
-    return absorbing_xg(q, line, b4)
+    return family.sample(b4)
+
+
+def _sweep(family: _Family, grid: int,
+           on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
+    """The samples of `universal_set`, from one measurement of P."""
+    if grid < 1:
+        raise QuadFTError("grid must be at least 1")
+    line = family.line
+    if grid == 1:
+        b4s = [0.5 * sum(line.b4_interval)]
+    else:
+        b4s = linspace(*_sampled_range(line), grid)
+    samples = []
+    for b4 in b4s:
+        try:
+            samples.append(family.sample(b4))
+        except QuadFTError as exc:
+            if on_skip is not None:
+                on_skip(b4, str(exc))
+    return samples
 
 
 def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
@@ -150,30 +196,17 @@ def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
 
     Failing grid points are omitted; `on_skip(b4, reason)` hears about each.
     """
-    if grid < 1:
-        raise QuadFTError("grid must be at least 1")
-    if grid == 1:
-        b4s = [0.5 * sum(line.b4_interval)]
-    else:
-        b4s = linspace(*_sampled_range(line), grid)
-    samples = []
-    for b4 in b4s:
-        try:
-            samples.append(absorbing_xg(q, line, b4))
-        except QuadFTError as exc:
-            if on_skip is not None:
-                on_skip(b4, str(exc))
-    return samples
+    return _sweep(_Family(q, line), grid, on_skip)
 
 
 def universal_minimum(q: Quadrilateral, line: PlasticityLine,
                       grid: int = UNIVERSAL_GRID) -> UniversalResult:
     """Minimum u_FT = |a + B4* b| of the absorbing value over the family, in
     closed form; `grid` sets only the sampled profile reported beside it."""
+    family = _Family(q, line)
     skipped: list[tuple[float, str]] = []
-    samples = universal_set(q, line, grid,
-                            on_skip=lambda b4, why: skipped.append((b4, why)))
-    best = _minimum(q, line)
+    samples = _sweep(family, grid, on_skip=lambda b4, why: skipped.append((b4, why)))
+    best = _minimum(family)
     return UniversalResult(
         u_ft=best.xg_absorbing,
         b4_star=best.b4,
@@ -191,8 +224,9 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
     increasing order.  Needs u >= u_FT (from `result` when given); at u_FT the
     set collapses to [B4*].
     """
+    family = _Family(q, line)
     if result is None:
-        best = _minimum(q, line)
+        best = _minimum(family)
         u_ft, b4_star = best.xg_absorbing, best.b4
     else:
         u_ft, b4_star = result.u_ft, result.b4_star
@@ -202,7 +236,7 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
         )
     if u <= u_ft:
         return [b4_star]
-    (ax, ay), (bx, by) = _profile(q, line)
+    (ax, ay), (bx, by) = family.profile()
     bb = bx * bx + by * by
     t0 = -(ax * bx + ay * by) / bb
     half = math.sqrt(max(u * u - cross2(ax, ay, bx, by) ** 2 / bb, 0.0) / bb)

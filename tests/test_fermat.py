@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ EX3_POINT = (2.381487, 1.1855484)
 EX3_ANGLES_DEG = (139.138, 45.7542, 98.8792, 76.2283)
 EX1_ANGLES = {"a102": 2.30886, "a401": 1.57801, "a304": 1.12492, "a203": 1.2714}
 EX1_POINT = (4.0700893, 2.146831)
+# absorption slack ~1e-3 at the heavy fourth vertex
+BARELY_FLOATING_COORDS = [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759),
+                          (-0.1229, -2.2068)]
+BARELY_FLOATING_WEIGHTS = (0.5959, 0.9887, 0.9059, 2.4538)
 
 
 def _floating_weights(rng, pts):
@@ -76,6 +81,48 @@ class TestClassify:
         b1 = 1.0 + slack  # pull of the others equals b1 exactly
         tag = classify_case(WeightedQuadrilateral(rect, (b1, 1.0, 1.0, 1.0)))
         assert tag.kind is CaseKind.ABSORBED and tag.boundary
+
+    def test_matches_direct_slack_evaluation(self):
+        # the cached unit vectors give exactly the tags of a direct evaluation
+        from quadft.fermat import CASE_BOUNDARY_TOL, CaseTag, _absorption_slack
+
+        def direct(wq):
+            margin = CASE_BOUNDARY_TOL * wq.total
+            for i in range(4):
+                slack = _absorption_slack(wq.quad.vertices, wq.weights, i)
+                if slack <= margin:
+                    return CaseTag(CaseKind.ABSORBED, vertex=i + 1,
+                                   boundary=abs(slack) <= margin)
+            return CaseTag(CaseKind.FLOATING)
+
+        rng = np.random.default_rng(41)
+        seen = set()
+        for k in range(500):
+            quad = Quadrilateral.from_coords(random_convex_quad(rng))
+            w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+            if k % 3 == 0:  # raise weight i to the pull of the other three
+                i = k % 4
+                w[i] += _absorption_slack(quad.vertices, w, i)
+            wq = WeightedQuadrilateral(quad, tuple(w))
+            tag = classify_case(wq)
+            assert tag == direct(wq), k
+            seen.add((tag.kind, tag.boundary))
+        assert seen == {(CaseKind.FLOATING, False), (CaseKind.ABSORBED, False),
+                        (CaseKind.ABSORBED, True)}
+
+    def test_unit_vectors_measured_once_per_quadrilateral(self, monkeypatch, rect):
+        quad = Quadrilateral(rect.vertices)  # nothing measured on it yet
+        calls = []
+        original = Point.unit_toward
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Point, "unit_toward", counted)
+        for w in ((3.0, 2.5, 1.7, 1.5), (100.0, 1.0, 1.0, 1.0), (1.0, 1.2, 0.9, 1.1)):
+            classify_case(WeightedQuadrilateral(quad, w))
+        assert len(calls) == 6  # one per vertex pair
 
 
 class TestTriangleAngles:
@@ -342,10 +389,8 @@ class TestLocate:
         # absorption slack at the heavy vertex is ~1e-3, so plain Weiszfeld
         # converges only linearly there; the facade must still deliver the
         # equilibrium invariant
-        quad = Quadrilateral.from_coords(
-            [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759), (-0.1229, -2.2068)]
-        )
-        wq = WeightedQuadrilateral(quad, (0.5959, 0.9887, 0.9059, 2.4538))
+        quad = Quadrilateral.from_coords(BARELY_FLOATING_COORDS)
+        wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
         assert classify_case(wq).kind is CaseKind.FLOATING
         tree = locate_4wft(wq)
         assert tree.equilibrium_residual < 1e-7 * wq.total
@@ -366,6 +411,33 @@ class TestLocate:
         ex, ey = rigid_transform([(base.point.x, base.point.y)], 0.3, 1e7, 1e7)[0]
         diam = moved.quad.diameter()
         assert math.hypot(tree.point.x - ex, tree.point.y - ey) <= 1e-9 * diam
+
+    def test_far_translation_residual_is_the_pull_at_the_point(self):
+        # the solve gates its relative-frame iterate at 1e-10 * total; moved
+        # by (1e7, 1e7) the stored point sits on a grid of 1.9e-9, and the
+        # reported residual is the true pull there, which no neighbouring
+        # float point brings below that gate
+        quad = Quadrilateral.from_coords(
+            [(x + 1e7, y + 1e7) for x, y in BARELY_FLOATING_COORDS])
+        wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
+        tree = locate_4wft(wq)
+
+        def exact_pull(px, py):
+            sx, sy = [], []
+            for w, v in zip(wq.weights, quad.vertices):
+                dx = float(Fraction(v.x) - Fraction(px))
+                dy = float(Fraction(v.y) - Fraction(py))
+                d = math.hypot(dx, dy)
+                sx.append(w * dx / d)
+                sy.append(w * dy / d)
+            return math.hypot(math.fsum(sx), math.fsum(sy))
+
+        p = tree.point
+        assert tree.equilibrium_residual == pytest.approx(exact_pull(p.x, p.y), rel=1e-3)
+        assert tree.equilibrium_residual > 1e-9 * wq.total
+        nearby = [exact_pull(math.nextafter(p.x, p.x + sx), math.nextafter(p.y, p.y + sy))
+                  for sx in (-1.0, 0.0, 1.0) for sy in (-1.0, 0.0, 1.0)]
+        assert min(nearby) > fermat.RESIDUAL_TOL * wq.total
 
     @pytest.mark.parametrize("instance", ["ex2", "random"])
     def test_one_classification_and_one_median_run(self, monkeypatch, wq_ex2, instance):
@@ -434,10 +506,8 @@ class TestSolveCost:
 
     def test_barely_floating_instance_is_cheap(self, monkeypatch):
         # Weiszfeld alone converges only linearly here (absorption slack ~1e-3)
-        quad = Quadrilateral.from_coords(
-            [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759), (-0.1229, -2.2068)]
-        )
-        wq = WeightedQuadrilateral(quad, (0.5959, 0.9887, 0.9059, 2.4538))
+        quad = Quadrilateral.from_coords(BARELY_FLOATING_COORDS)
+        wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
         step_caps = []
         original = fermat._weiszfeld_full
 
@@ -447,7 +517,7 @@ class TestSolveCost:
 
         monkeypatch.setattr(fermat, "_weiszfeld_full", capped)
         tree = locate_4wft(wq)
-        assert step_caps == [20]
+        assert step_caps == [5]
         assert tree.iterations <= 30
         assert tree.equilibrium_residual < 1e-14 * wq.total
 

@@ -10,6 +10,7 @@ from quadft import (
     InconsistentCaseError,
     InfeasibleWeightsError,
     OverspendError,
+    Point,
     Quadrilateral,
     TreeKind,
     WeightedQuadrilateral,
@@ -24,6 +25,8 @@ from quadft import (
     universal_set,
     weights_for_storage,
 )
+from quadft.geometry import linspace
+from quadft.universal import _sampled_range
 
 EX2_TABLE = [
     (1.5, 3.8192408, 34.5746856),
@@ -83,6 +86,54 @@ class TestAbsorbing:
         assert universal_set(other, line_ex2, 4,
                              on_skip=lambda b4, why: skipped.append(why)) == []
         assert len(skipped) == 4
+
+
+class TestSharedGeometry:
+    """P is measured once per line; every sample must equal the one-shot
+    absorbing_xg at the same B4."""
+
+    def _assert_sweep_matches(self, quad, line, grid):
+        b4s = linspace(*_sampled_range(line), grid)
+        assert universal_set(quad, line, grid) == [absorbing_xg(quad, line, b4) for b4 in b4s]
+
+    def test_paper_rectangles(self, rect_mod, line_ex2, line_ex3):
+        for line in (line_ex2, line_ex3):
+            self._assert_sweep_matches(rect_mod, line, 65)
+
+    def test_random_lines(self, random_lines):
+        for quad, line in random_lines[:20]:
+            self._assert_sweep_matches(quad, line, 65)
+
+    def test_minimum_measures_p_once(self, monkeypatch, rect_mod, line_ex2):
+        calls = []
+        original = Point.unit_toward
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Point, "unit_toward", counted)
+        universal_minimum(rect_mod, line_ex2, grid=65)
+        assert len(calls) <= 4
+
+    def test_line_of_another_quadrilateral_skips_every_sample(self, line_ex2):
+        other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
+        skipped = []
+        assert universal_set(other, line_ex2, 65,
+                             on_skip=lambda b4, why: skipped.append(why)) == []
+        assert len(skipped) == 65
+        assert all("do not balance" in why for why in skipped)
+
+    def test_vertex_at_p_skips_every_sample(self, line_ex2):
+        p = line_ex2.point
+        other = Quadrilateral.from_coords(
+            [(p.x, p.y), (p.x + 7, p.y), (p.x + 7, p.y + 4), (p.x, p.y + 4)])
+        skipped = []
+        assert universal_set(other, line_ex2, 9,
+                             on_skip=lambda b4, why: skipped.append(why)) == []
+        assert skipped == ["unit vector undefined between coincident points"] * 9
+        with pytest.raises(InfeasibleWeightsError):
+            absorbing_xg(other, line_ex2, 5.0)
 
 
 class TestUniversalSet:
