@@ -55,7 +55,10 @@ _HINTS = {
     InfeasibleWeightsError: "adjust the weights (or x_G / B4) to satisfy the feasibility inequalities",
     DegenerateTreeError: "x_G is at or past its absorbing value for these weights; lower x_G",
     AbsorbedWeightsError: "a weight dominates; the optimum sits at that vertex",
-    DiagonalPointError: "the optimum lies on a diagonal; use the squared-balance plasticity system",
+    DiagonalPointError: (
+        "the optimum lies on a diagonal, which no subcommand covers; use the "
+        "squared-balance system, the Python function quadft.plasticity_system_new"
+    ),
     OverspendError: "reduce the spending rate so x_G stays inside its feasible interval",
 }
 
@@ -164,16 +167,22 @@ def _effective_options(doc: ProblemDocument, args) -> SolverOptions:
     )
 
 
+def _solved_weights(doc: ProblemDocument, opts: SolverOptions,
+                    xg: float | None) -> tuple[tuple[float, ...], float | None]:
+    """The document's weights and x_G, divided by the weight sum under
+    --normalize-weights."""
+    if not opts.normalize_weights:
+        return doc.weights, xg
+    s = sum(doc.weights)
+    return tuple(w / s for w in doc.weights), (None if xg is None else xg / s)
+
+
 def _quad_instance(doc: ProblemDocument, opts: SolverOptions,
                    xg: float | None) -> tuple[WeightedQuadrilateral, float | None]:
     if len(doc.vertices) != 4:
         raise DocumentError("this command needs 4 vertices", path="$.vertices")
-    wq = WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), doc.weights)
-    if opts.normalize_weights:
-        if xg is not None:
-            xg = xg / wq.total
-        wq = wq.normalized()
-    return wq, xg
+    weights, xg = _solved_weights(doc, opts, xg)
+    return WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), weights), xg
 
 
 def _inputs_echo(doc: ProblemDocument, opts: SolverOptions) -> dict:
@@ -279,10 +288,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
     if len(doc.vertices) != 3:
         raise DocumentError("wft-triangle needs exactly 3 vertices", path="$.vertices")
     pts = [Point(*v) for v in doc.vertices]
-    weights = doc.weights
-    if opts.normalize_weights:
-        s = sum(weights)
-        weights = tuple(w / s for w in weights)
+    weights, _ = _solved_weights(doc, opts, None)
     point = weiszfeld(pts, weights, tol=opts.tol or RESIDUAL_TOL,
                       max_iter=opts.max_iter or WEISZFELD_MAX_ITER)
     absorbed = any(point.distance_to(p) == 0.0 for p in pts)

@@ -11,10 +11,6 @@ class InfeasibleTriangleError(QuadFTError):
     """Side lengths cannot form a triangle (cosine argument out of range)."""
 
 
-class InconsistentDistancesError(QuadFTError):
-    """Distance data admits no planar embedding."""
-
-
 class AbsorbedWeightsError(QuadFTError):
     """Weight triangle inequality fails: the optimum sits at a vertex, not inside."""
 
@@ -42,10 +38,6 @@ class InconsistentCaseError(QuadFTError):
 
 class DegenerateTreeError(QuadFTError):
     """Gauss tree collapsed: the edge weight is at or past its absorbing value."""
-
-
-class InverseUndefinedError(QuadFTError):
-    """Inverse problem undefined here (point on a side of the triangle)."""
 
 
 class DiagonalPointError(QuadFTError):

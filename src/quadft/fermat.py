@@ -27,7 +27,6 @@ from .geometry import (
     Point,
     Quadrilateral,
     angle_at,
-    clamped_acos,
     cross2,
     diagonal_intersection,
     rotate,

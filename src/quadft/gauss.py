@@ -236,10 +236,3 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
         phi=br.phi,
         objective=objective,
     )
-
-
-def gauss_objective(q: Quadrilateral, tree: GaussTree, w: GaussWeights) -> float:
-    """B1 a1 + B2 a2 + B3 a3 + B4 a4 + x_G l for a solved tree."""
-    return (
-        w.b1 * tree.a1 + w.b2 * tree.a2 + w.b3 * tree.a3 + w.b4 * tree.a4 + w.xg * tree.l
-    )

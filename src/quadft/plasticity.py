@@ -17,7 +17,6 @@ from .errors import (
     DiagonalPointError,
     InconsistentCaseError,
     InfeasibleWeightsError,
-    InverseUndefinedError,
     QuadFTError,
 )
 from .fermat import CaseKind, FermatTree, WeightedQuadrilateral, locate_4wft
@@ -65,31 +64,6 @@ class PlasticityLine:
         if b[0] <= 0.0 or b[1] <= 0.0 or b[2] <= 0.0 or b4 <= 0.0:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
-
-
-def inverse_3wft_ratio(a_i0j: float, a_j0k: float, a_k0i: float,
-                       tol: float = 1e-8) -> tuple[float, float, float]:
-    """Weights (Bi, Bj, Bk), normalized to sum 1, whose triangle optimum sees
-    the given angles a_i0j, a_j0k, a_k0i at the interior point.
-
-    Each weight is proportional to the sine of the angle it does not touch.
-    Undefined when the point sits on a side (an angle hits pi) or the angles do
-    not describe an interior point (sum differs from 2 pi).
-    """
-    angles = (a_i0j, a_j0k, a_k0i)
-    if any(not (tol < a < math.pi - tol) for a in angles):
-        raise InverseUndefinedError(
-            f"angles {angles} include a straight or null angle: point on a side"
-        )
-    if abs(sum(angles) - TWO_PI) > tol:
-        raise InverseUndefinedError(
-            f"angles {angles} sum to {sum(angles)}, not 2*pi: not an interior point"
-        )
-    bi = math.sin(a_j0k)
-    bj = math.sin(a_k0i)
-    bk = math.sin(a_i0j)
-    s = bi + bj + bk
-    return (bi / s, bj / s, bk / s)
 
 
 def _signed_ratio(p: Point, a_i: Point, a_j: Point, a_k: Point) -> float:

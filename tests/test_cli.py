@@ -181,6 +181,29 @@ class TestCommands:
         assert "A0: (2.8274518, 1.2787814)" in out
         assert f"objective: {34.5746857 / 8.7:.7f}" in out
 
+    def test_wft_triangle_normalize_weights_flag(self, tmp_path, capsys):
+        path = tmp_path / "tri.doc"
+        path.write_text(TRI_DOC)
+        raw, norm = tmp_path / "raw.ndjson", tmp_path / "norm.ndjson"
+        assert main(["wft-triangle", "--input", str(path), "--records", str(raw)]) == 0
+        assert main(["wft-triangle", "--input", str(path), "--records", str(norm),
+                     "--normalize-weights"]) == 0
+        capsys.readouterr()
+        raw_out = record_from_json(raw.read_text().strip()).outputs
+        norm_out = record_from_json(norm.read_text().strip()).outputs
+        # location is weight-scale invariant; objective shrinks by the total 8
+        assert norm_out["point"] == pytest.approx(raw_out["point"], rel=1e-12)
+        assert norm_out["objective"] == pytest.approx(raw_out["objective"] / 8.0, rel=1e-12)
+
+    def test_diagonal_optimum_hint_names_the_function(self, tmp_path, capsys):
+        # equal weights on the rectangle put the optimum at the diagonals' crossing
+        path = tmp_path / "equal.doc"
+        path.write_text('{"vertices": [[0,0],[7,0],[7,4],[0,4]], "weights": [1,1,1,1]}')
+        assert main(["plasticity", "--input", str(path)]) == 2
+        error, hint = capsys.readouterr().err.splitlines()
+        assert error.startswith("error:") and "diagonal" in error
+        assert hint.startswith("hint:") and "quadft.plasticity_system_new" in hint
+
     def test_flag_overrides_document_option(self, tmp_path, capsys):
         path = tmp_path / "opt.doc"
         path.write_text('{"vertices": [[0,0],[7,0],[7,4],[0,4]], '

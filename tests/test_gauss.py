@@ -13,7 +13,6 @@ from quadft import (
     Quadrilateral,
     angle_at,
     feasible_xg_interval,
-    gauss_objective,
     local_angles,
     residual_absorbing_rate,
     solve_gauss_tree,
@@ -219,20 +218,20 @@ class TestObjectiveAndSpan:
         weights = (3.0, 2.5, 1.7, 1.5)
         w = GaussWeights(*weights, 3.8192408)
         tree = solve_gauss_tree(rect, w)
-        assert gauss_objective(rect, tree, w) == pytest.approx(34.5746856, abs=1e-3)
+        assert tree.objective == pytest.approx(34.5746856, abs=1e-3)
 
     def test_fourth_row_objective_golden(self, rect):
         weights = (2.7773246, 2.8021194, 1.3476592, 1.7728955)
         w = GaussWeights(*weights, 3.8088826)
         tree = solve_gauss_tree(rect, w)
-        assert gauss_objective(rect, tree, w) == pytest.approx(34.5178864, abs=1e-3)
+        assert tree.objective == pytest.approx(34.5178864, abs=1e-3)
 
     def test_zero_span_reduces_to_vertex_sum(self, rect):
         weights, xg, *_ = EX4_TREES[0]
         w = GaussWeights(*weights, xg)
         tree = solve_gauss_tree(rect, w)
         vertex_sum = w.b1 * tree.a1 + w.b2 * tree.a2 + w.b3 * tree.a3 + w.b4 * tree.a4
-        assert gauss_objective(rect, tree, w) == pytest.approx(
+        assert tree.objective == pytest.approx(
             vertex_sum + w.xg * tree.l, rel=1e-12
         )
 

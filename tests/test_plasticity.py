@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 from quadft import (
     DiagonalPointError,
-    InverseUndefinedError,
     Point,
+    QuadFTError,
     Quadrilateral,
     WeightedQuadrilateral,
     angle_at,
     classify_case,
     CaseKind,
-    inverse_3wft_ratio,
     locate_4wft,
     plasticity_line,
     plasticity_system_new,
     verify_plasticity,
     weiszfeld,
 )
+from quadft.plasticity import _signed_ratio
 from oracles import random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
@@ -49,47 +49,51 @@ def wq2_mod(rect_mod):
     return WeightedQuadrilateral(rect_mod, (3.0, 2.5, 1.7, 1.5))
 
 
+def _triangle_weights(p, tri):
+    """(B1, B2, B3) up to scale whose triangle optimum is p: the signed
+    ratios B2/B1 and B3/B1 the affine route takes from triangle A1A2A3."""
+    a1, a2, a3 = tri
+    return (1.0, _signed_ratio(p, a2, a1, a3), _signed_ratio(p, a3, a1, a2))
+
+
 class TestInverseTriangle:
     def test_equilateral_fermat_point(self):
-        # all angles 120 degrees at the unweighted optimum
-        t = 2.0 * math.pi / 3.0
-        assert inverse_3wft_ratio(t, t, t) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        # the unweighted optimum of an equilateral triangle is its centre
+        tri = [Point(0.0, 0.0), Point(2.0, 0.0), Point(1.0, math.sqrt(3.0))]
+        centre = Point(1.0, math.sqrt(3.0) / 3.0)
+        assert _triangle_weights(centre, tri) == pytest.approx((1.0, 1.0, 1.0))
 
     def test_forward_resolve_roundtrip(self, rect_mod, wq2_mod):
-        # measure the angles the optimum sees inside triangle A1A2A3, recover
-        # weights, then re-solve the triangle: the optimum must come back
+        # recover weights at the optimum inside triangle A1A2A3, then re-solve
+        # the triangle: the optimum must come back
         tree = locate_4wft(wq2_mod)
-        v = rect_mod.vertices
-        p = tree.point
-        a12 = angle_at(p, v[0], v[1])
-        a23 = angle_at(p, v[1], v[2])
-        a31 = angle_at(p, v[2], v[0])
-        b1, b2, b3 = inverse_3wft_ratio(a12, a23, a31)
-        recovered = weiszfeld([v[0], v[1], v[2]], (b1, b2, b3), tol=1e-12)
-        assert recovered.distance_to(p) < 1e-8 * rect_mod.diameter()
+        tri = list(rect_mod.vertices[:3])
+        weights = _triangle_weights(tree.point, tri)
+        recovered = weiszfeld(tri, weights, tol=1e-12)
+        assert recovered.distance_to(tree.point) < 1e-8 * rect_mod.diameter()
 
     def test_right_isosceles_incenter(self):
         # incenter of the right isosceles triangle (0,0),(1,0),(0,1); the
-        # subtended angles are measured directly and the weights follow from
-        # their sines
+        # subtended angles are measured directly and each weight is the sine
+        # of the angle it does not touch
         r = 1.0 - math.sin(math.pi / 4)
         inc = Point(r, r)
         tri = [Point(0, 0), Point(1, 0), Point(0, 1)]
         a12 = angle_at(inc, tri[0], tri[1])
         a23 = angle_at(inc, tri[1], tri[2])
         a31 = angle_at(inc, tri[2], tri[0])
-        got = inverse_3wft_ratio(a12, a23, a31)
+        got = _triangle_weights(inc, tri)
         sines = (math.sin(a23), math.sin(a31), math.sin(a12))
-        expected = tuple(s / sum(sines) for s in sines)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert tuple(w / sum(got) for w in got) == pytest.approx(
+            tuple(s / sum(sines) for s in sines), abs=1e-12
+        )
 
     def test_point_on_side_rejected(self):
-        with pytest.raises(InverseUndefinedError):
-            inverse_3wft_ratio(math.pi, math.pi / 2, math.pi / 2)
-
-    def test_non_interior_sum_rejected(self):
-        with pytest.raises(InverseUndefinedError):
-            inverse_3wft_ratio(1.0, 1.0, 1.0)
+        # on side A1A3 the unit vectors toward A1 and A3 are opposite
+        tri = [Point(0.0, 0.0), Point(4.0, 0.5), Point(1.0, 3.0)]
+        mid = Point(0.5, 1.5)
+        with pytest.raises(DiagonalPointError):
+            _signed_ratio(mid, tri[0], tri[1], tri[2])
 
     @given(
         u=st.floats(0.1, 0.9),
@@ -107,12 +111,24 @@ class TestInverseTriangle:
             (w0 * tri[0].x + w1 * tri[1].x + w2 * tri[2].x) / s,
             (w0 * tri[0].y + w1 * tri[1].y + w2 * tri[2].y) / s,
         )
-        a12 = angle_at(p, tri[0], tri[1])
-        a23 = angle_at(p, tri[1], tri[2])
-        a31 = angle_at(p, tri[2], tri[0])
-        weights = inverse_3wft_ratio(a12, a23, a31)
-        recovered = weiszfeld(tri, weights, tol=1e-12)
+        recovered = weiszfeld(tri, _triangle_weights(p, tri), tol=1e-12)
         assert recovered.distance_to(p) < 1e-7
+
+    @given(x=st.floats(-3.0, 6.0), y=st.floats(-3.0, 5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_signed_balance_holds_outside_the_triangle(self, x, y):
+        # inside the triangle or outside it, where a ratio turns negative,
+        # the weighted unit vectors balance
+        tri = [Point(0.0, 0.0), Point(4.0, 0.5), Point(1.0, 3.0)]
+        p = Point(x, y)
+        try:
+            weights = _triangle_weights(p, tri)
+        except QuadFTError:
+            return  # on a line through two vertices, or at a vertex
+        units = [p.unit_toward(a) for a in tri]
+        bx = sum(w * ux for w, (ux, _) in zip(weights, units))
+        by = sum(w * uy for w, (_, uy) in zip(weights, units))
+        assert math.hypot(bx, by) <= 1e-9 * sum(abs(w) for w in weights)
 
 
 class TestPlasticityLine:
