@@ -70,6 +70,17 @@ def angle_at(p: Point, a: Point, b: Point) -> float:
     return clamped_acos(ux * vx + uy * vy)
 
 
+def triangle_angle(a: float, b: float, c: float) -> float:
+    """Angle opposite side c in a triangle with sides a, b, c (cosine law).
+
+    Degenerate triangles are allowed: equality in the triangle inequality gives
+    exactly 0 or pi.
+    """
+    if a <= 0.0 or b <= 0.0 or c < 0.0:
+        raise InfeasibleTriangleError(f"side lengths must be positive, got ({a}, {b}, {c})")
+    return clamped_acos((a * a + b * b - c * c) / (2.0 * a * b))
+
+
 # ------------------------------------------------------------------ #
 # Quadrilateral
 # ------------------------------------------------------------------ #

@@ -5,11 +5,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadft import Point, QuadFTError, Quadrilateral, diagonal_intersection
+from quadft import (
+    InfeasibleTriangleError,
+    Point,
+    QuadFTError,
+    Quadrilateral,
+    diagonal_intersection,
+    triangle_angle,
+)
 from quadft.geometry import linspace, solve_linear
 from oracles import random_convex_quad, rigid_transform
 
 SQRT65 = math.sqrt(65.0)
+
+
+class TestTriangleAngle:
+    def test_rectangle_corner_right_angle(self):
+        assert triangle_angle(7.0, 4.0, SQRT65) == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_equilateral(self):
+        assert triangle_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3, abs=1e-12)
+
+    def test_rectangle_corner_atan(self):
+        # angle opposite the short side of the 7-4 right triangle: atan(4/7)
+        assert triangle_angle(7.0, SQRT65, 4.0) == pytest.approx(
+            math.atan2(4.0, 7.0), abs=1e-12
+        )
+
+    def test_degenerate_equality_gives_flat_angles(self):
+        assert triangle_angle(1.0, 2.0, 3.0) == pytest.approx(math.pi, abs=1e-9)
+        assert triangle_angle(2.0, 3.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_infeasible_raises(self):
+        with pytest.raises(InfeasibleTriangleError):
+            triangle_angle(1.0, 1.0, 3.0)
+        with pytest.raises(InfeasibleTriangleError):
+            triangle_angle(1.0, 1.0, -1.0)
+
+    @given(
+        st.floats(0.1, 50.0),
+        st.floats(0.1, 50.0),
+        st.floats(1e-6, 1.0 - 1e-6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_angle_sum_is_pi(self, a, b, t):
+        # c strictly inside the triangle-inequality interval; at its very edges
+        # arccos conditioning alone exceeds the 1e-10 budget in doubles
+        c = abs(a - b) + t * ((a + b) - abs(a - b))
+        total = (
+            triangle_angle(a, b, c)
+            + triangle_angle(b, c, a)
+            + triangle_angle(c, a, b)
+        )
+        assert total == pytest.approx(math.pi, abs=1e-10)
 
 
 class TestQuadrilateral:
