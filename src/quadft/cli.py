@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .documents import (
+    OPTION_CHECKS,
     ProblemDocument,
     RunRecord,
     SolverOptions,
     parse_problem_document,
+    positive_number,
     record_to_json,
     run_timestamp,
 )
@@ -33,14 +35,10 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
-    NEWTON_MAX_ITER,
-    RESIDUAL_TOL,
-    WEISZFELD_MAX_ITER,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     locate_4wft,
-    solve_4wft_square,
     triangle_wft_angles,
     weighted_distance_sum,
     weiszfeld,
@@ -48,8 +46,8 @@ from .fermat import (
 from .gauss import GaussTree, GaussWeights, residual_absorbing_rate, solve_gauss_tree
 from .geometry import Point, Quadrilateral
 from .plasticity import plasticity_line
-from .svgplot import LEVEL_GRID, Scene, level_curve_loops, render_scene
-from .universal import UNIVERSAL_GRID, evolve, universal_minimum, weights_for_storage
+from .svgplot import Scene, level_curve_loops, render_scene
+from .universal import evolve, universal_minimum, weights_for_storage
 
 _HINTS = {
     InfeasibleWeightsError: "adjust the weights (or x_G / B4) to satisfy the feasibility inequalities",
@@ -79,43 +77,43 @@ def _print(line: str = "") -> None:
 # Argument parsing
 # ------------------------------------------------------------------ #
 
+def _comma_separated(raw: str) -> list[float]:
+    return [float(p) for p in raw.split(",") if p.strip()]
+
+
+# Every flag once; a subcommand takes the ones its _COMMANDS entry names, plus
+# _COMMON_FLAGS.  A flag named after a document option passes that option's
+# check from OPTION_CHECKS.
+_FLAGS = {
+    "--input": dict(required=True, help="problem document path, or - for standard input"),
+    "--records": dict(metavar="PATH", help="write the run record as newline-delimited JSON"),
+    "--svg": dict(metavar="PATH", help="write an SVG rendering"),
+    "--tol": dict(type=float, help="solver residual tolerance"),
+    "--max-iter": dict(type=int, help="iteration cap"),
+    "--grid": dict(type=int, help="sample count (universal B4 grid / level-curve raster)"),
+    "--xg": dict(type=float, help="Gauss variable override"),
+    "--b4": dict(type=float, help="B4 value on the plasticity line"),
+    "--storage": dict(type=float, help="stored quantity at the optimum"),
+    "--spend": dict(type=float, help="spending rate a_G"),
+    "--normalize-weights": dict(action="store_true", default=None,
+                                help="divide the weights by their sum before solving"),
+    "--levels": dict(type=_comma_separated, metavar="D1,D2,...",
+                     help="level-curve offsets above the optimal objective"),
+}
+_COMMON_FLAGS = ("--input", "--records", "--normalize-weights")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadft",
         description="Weighted Fermat-Torricelli and Gauss tree solvers for convex quadrilaterals",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True,
-                        help="problem document path, or - for standard input")
-    common.add_argument("--records", metavar="PATH",
-                        help="write the run record as newline-delimited JSON")
-    common.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
-    common.add_argument("--tol", type=float, help="solver residual tolerance")
-    common.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
-    common.add_argument("--grid", type=int,
-                        help="sample count (universal B4 grid / level-curve raster)")
-    common.add_argument("--xg", type=float, help="Gauss variable override")
-    common.add_argument("--b4", type=float, help="B4 value on the plasticity line")
-    common.add_argument("--storage", type=float, help="stored quantity at the optimum")
-    common.add_argument("--spend", type=float, help="spending rate a_G")
-    common.add_argument("--normalize-weights", action="store_true",
-                        dest="normalize_weights",
-                        help="divide the weights by their sum before solving")
-    common.add_argument("--seed-angles", dest="seed_angles", metavar="R,R",
-                        help="initial (a102, a401) radians for the square system")
-    common.add_argument("--levels", metavar="D1,D2,...",
-                        help="level-curve offsets above the optimal objective (plot)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("wft-triangle", "degree-three optimum of a weighted triangle"),
-        ("wft-quad", "degree-four optimum of a weighted convex quadrilateral"),
-        ("gauss", "degree-three Gauss tree at a given x_G"),
-        ("plasticity", "affine weight family preserving the degree-four optimum"),
-        ("universal", "universal absorbing set and minimum value"),
-        ("evolve", "evolutionary Gauss tree funded by stored quantity"),
-        ("plot", "SVG drawing of the solved tree and optional level curves"),
-    ):
-        sub.add_parser(name, parents=[common], help=desc)
+    for name, (_, desc, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=desc)
+        for flag, spec in _FLAGS.items():
+            if flag in _COMMON_FLAGS or flag in flags:
+                cmd.add_argument(flag, **spec)
     return parser
 
 
@@ -131,40 +129,22 @@ def _read_document(args) -> ProblemDocument:
     return parse_problem_document(text)
 
 
-def _parse_pair_flag(raw: str, flag: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise DocumentError(f"{flag} expects two comma-separated numbers, got {raw!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise DocumentError(f"{flag} expects numbers, got {raw!r}") from exc
+def _apply_flags(doc: ProblemDocument, args) -> ProblemDocument:
+    """The document with every given flag checked and put in its place:
+    flags win over the document's options and its x_G."""
+    flags = {}
+    for key, check in OPTION_CHECKS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            flags[key] = check(value, "--" + key.replace("_", "-"))
+    xg = getattr(args, "xg", None)
+    xg = doc.xg if xg is None else positive_number(xg, "--xg")
+    return replace(doc, xg=xg, options=replace(doc.options, **flags))
 
 
-def _parse_list_flag(raw: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise DocumentError(f"{flag} expects comma-separated numbers, got {raw!r}") from exc
-    if not values:
-        raise DocumentError(f"{flag} expects at least one number")
-    return values
-
-
-def _effective_options(doc: ProblemDocument, args) -> SolverOptions:
-    seed = _parse_pair_flag(args.seed_angles, "--seed-angles") if args.seed_angles else None
-    levels = _parse_list_flag(args.levels, "--levels") if args.levels else None
-    return doc.options.merged_with(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        grid=args.grid,
-        b4=args.b4,
-        storage=args.storage,
-        spend=args.spend,
-        seed_angles=seed,
-        levels=levels,
-        normalize_weights=True if args.normalize_weights else None,
-    )
+def _given(opts: SolverOptions, *keys: str) -> dict:
+    """The options among `keys` that are set; the solvers default the rest."""
+    return {k: getattr(opts, k) for k in keys if getattr(opts, k) is not None}
 
 
 def _solved_weights(doc: ProblemDocument, opts: SolverOptions,
@@ -185,13 +165,13 @@ def _quad_instance(doc: ProblemDocument, opts: SolverOptions,
     return WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), weights), xg
 
 
-def _inputs_echo(doc: ProblemDocument, opts: SolverOptions) -> dict:
+def _inputs_echo(doc: ProblemDocument) -> dict:
     return {
         "vertices": [list(v) for v in doc.vertices],
         "weights": list(doc.weights),
         "xg": doc.xg,
         "options": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in asdict(opts).items() if v not in (None, False)},
+                    for k, v in asdict(doc.options).items() if v is not None and v is not False},
     }
 
 
@@ -289,8 +269,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
         raise DocumentError("wft-triangle needs exactly 3 vertices", path="$.vertices")
     pts = [Point(*v) for v in doc.vertices]
     weights, _ = _solved_weights(doc, opts, None)
-    point = weiszfeld(pts, weights, tol=opts.tol or RESIDUAL_TOL,
-                      max_iter=opts.max_iter or WEISZFELD_MAX_ITER)
+    point = weiszfeld(pts, weights, **_given(opts, "tol", "max_iter"))
     absorbed = any(point.distance_to(p) == 0.0 for p in pts)
     outputs = {
         "point": [point.x, point.y],
@@ -310,33 +289,9 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
     return outputs, {}, None
 
 
-def _canonical_square_side(quad: Quadrilateral) -> float | None:
-    v = quad.vertices
-    side = v[1].x
-    expect = ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side))
-    if side > 0 and all(
-        abs(p.x - ex) < 1e-12 * side and abs(p.y - ey) < 1e-12 * side
-        for p, (ex, ey) in zip(v, expect)
-    ):
-        return side
-    return None
-
-
 def _cmd_wft_quad(doc, opts, args):
     wq, _ = _quad_instance(doc, opts, None)
-    if opts.seed_angles is not None:
-        # explicit (a102, a401) seeds drive the square circle system
-        side = _canonical_square_side(wq.quad)
-        if side is None:
-            raise DocumentError(
-                "--seed-angles applies to the canonical square (0,0),(a,0),(a,a),(0,a)"
-            )
-        tree = solve_4wft_square(side, wq.weights, init=opts.seed_angles,
-                                 tol=opts.tol or RESIDUAL_TOL,
-                                 max_iter=opts.max_iter or NEWTON_MAX_ITER)
-    else:
-        tree = locate_4wft(wq, tol=opts.tol or RESIDUAL_TOL,
-                           max_iter=opts.max_iter or NEWTON_MAX_ITER)
+    tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
     _print_fermat(tree)
     diagnostics = {
         "iterations": tree.iterations,
@@ -346,20 +301,18 @@ def _cmd_wft_quad(doc, opts, args):
 
 
 def _cmd_gauss(doc, opts, args):
-    xg = args.xg if args.xg is not None else doc.xg
-    if xg is None:
+    if doc.xg is None:
         raise DocumentError("gauss needs x_G (document key 'xg' or flag --xg)")
-    wq, xg = _quad_instance(doc, opts, xg)
+    wq, xg = _quad_instance(doc, opts, doc.xg)
     w = GaussWeights(*wq.weights, xg)
     tree = solve_gauss_tree(wq.quad, w)
     _print_gauss(tree, w)
     return _gauss_outputs(tree, w), {}, _gauss_scene(wq.quad, tree)
 
 
-def _line_for(doc, opts, args):
+def _line_for(doc, opts):
     wq, _ = _quad_instance(doc, opts, None)
-    tree = locate_4wft(wq, tol=opts.tol or RESIDUAL_TOL,
-                       max_iter=opts.max_iter or NEWTON_MAX_ITER)
+    tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
     return wq, tree, plasticity_line(wq, tree)
 
 
@@ -373,7 +326,7 @@ def _line_outputs(line) -> dict:
 
 
 def _cmd_plasticity(doc, opts, args):
-    wq, tree, line = _line_for(doc, opts, args)
+    wq, tree, line = _line_for(doc, opts)
     _print(f"A0: ({_fmt(line.point.x)}, {_fmt(line.point.y)})")
     _print(f"c: {_fmt(line.c)}")
     for i, (x, y) in enumerate(line.coefficients, start=1):
@@ -386,8 +339,8 @@ def _cmd_plasticity(doc, opts, args):
 
 
 def _cmd_universal(doc, opts, args):
-    wq, tree, line = _line_for(doc, opts, args)
-    result = universal_minimum(wq.quad, line, grid=opts.grid or UNIVERSAL_GRID)
+    wq, tree, line = _line_for(doc, opts)
+    result = universal_minimum(wq.quad, line, **_given(opts, "grid"))
     _print("  ".join(h.rjust(13) for h in ("B1", "B2", "B3", "B4", "x_G", "f")))
     for s in result.samples:
         b1, b2, b3, b4 = s.weights
@@ -414,7 +367,7 @@ def _cmd_universal(doc, opts, args):
 def _cmd_evolve(doc, opts, args):
     if opts.storage is None or opts.spend is None:
         raise DocumentError("evolve needs --storage and --spend (or document options)")
-    wq, tree, line = _line_for(doc, opts, args)
+    wq, tree, line = _line_for(doc, opts)
     b4 = opts.b4
     if b4 is None:
         candidates = weights_for_storage(wq.quad, line, opts.storage)
@@ -434,8 +387,7 @@ def _cmd_evolve(doc, opts, args):
 def _cmd_plot(doc, opts, args):
     if not args.svg:
         raise DocumentError("plot needs --svg PATH")
-    xg = args.xg if args.xg is not None else doc.xg
-    if xg is not None:
+    if doc.xg is not None:
         outputs, diagnostics, scene = _cmd_gauss(doc, opts, args)
     else:
         outputs, diagnostics, scene = _cmd_wft_quad(doc, opts, args)
@@ -451,8 +403,7 @@ def _cmd_plot(doc, opts, args):
                 wq.quad.vertices, wq.weights, Point(*center)
             )
         levels = [base + d for d in opts.levels]
-        curves = level_curve_loops(pts, wq.weights, levels, center,
-                                   grid=opts.grid or LEVEL_GRID)
+        curves = level_curve_loops(pts, wq.weights, levels, center, **_given(opts, "grid"))
         scene = Scene(
             quad=scene.quad,
             tree_edges=scene.tree_edges,
@@ -464,26 +415,33 @@ def _cmd_plot(doc, opts, args):
     return outputs, diagnostics, scene
 
 
+# Each subcommand: its handler, its help text and the flags it reads beside
+# _COMMON_FLAGS.
 _COMMANDS = {
-    "wft-triangle": _cmd_wft_triangle,
-    "wft-quad": _cmd_wft_quad,
-    "gauss": _cmd_gauss,
-    "plasticity": _cmd_plasticity,
-    "universal": _cmd_universal,
-    "evolve": _cmd_evolve,
-    "plot": _cmd_plot,
+    "wft-triangle": (_cmd_wft_triangle, "degree-three optimum of a weighted triangle",
+                     ("--tol", "--max-iter")),
+    "wft-quad": (_cmd_wft_quad, "degree-four optimum of a weighted convex quadrilateral",
+                 ("--svg", "--tol", "--max-iter")),
+    "gauss": (_cmd_gauss, "degree-three Gauss tree at a given x_G", ("--svg", "--xg")),
+    "plasticity": (_cmd_plasticity, "affine weight family preserving the degree-four optimum",
+                   ("--svg", "--tol", "--max-iter")),
+    "universal": (_cmd_universal, "universal absorbing set and minimum value",
+                  ("--svg", "--tol", "--max-iter", "--grid")),
+    "evolve": (_cmd_evolve, "evolutionary Gauss tree funded by stored quantity",
+               ("--svg", "--tol", "--max-iter", "--b4", "--storage", "--spend")),
+    "plot": (_cmd_plot, "SVG drawing of the solved tree and optional level curves",
+             ("--svg", "--tol", "--max-iter", "--grid", "--xg", "--levels")),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = _read_document(args)
-        opts = _effective_options(doc, args)
-        outputs, diagnostics, scene = _COMMANDS[args.command](doc, opts, args)
+        doc = _apply_flags(_read_document(args), args)
+        outputs, diagnostics, scene = _COMMANDS[args.command][0](doc, doc.options, args)
         record = RunRecord(
             command=args.command,
-            inputs=_inputs_echo(doc, opts),
+            inputs=_inputs_echo(doc),
             outputs=outputs,
             diagnostics=diagnostics,
             timestamp=run_timestamp(),
@@ -491,10 +449,9 @@ def main(argv=None) -> int:
         if args.records:
             with open(args.records, "w", encoding="utf-8") as fh:
                 fh.write(record_to_json(record) + "\n")
-        if args.svg:
-            if scene is None:
-                raise DocumentError(f"{args.command} has nothing to draw")
-            with open(args.svg, "wb") as fh:
+        svg = getattr(args, "svg", None)  # every command but wft-triangle draws
+        if svg:
+            with open(svg, "wb") as fh:
                 fh.write(render_scene(scene).encode("utf-8"))
         return 0
     except DocumentError as exc:

@@ -13,22 +13,11 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import DocumentError
 
 _TOP_LEVEL_KEYS = {"vertices", "weights", "xg", "options"}
-_OPTION_KEYS = {
-    "tol": float,
-    "max_iter": int,
-    "grid": int,
-    "seed_angles": list,
-    "normalize_weights": bool,
-    "b4": float,
-    "storage": float,
-    "spend": float,
-    "levels": list,
-}
 
 
 @dataclass
@@ -38,20 +27,11 @@ class SolverOptions:
     tol: float | None = None
     max_iter: int | None = None
     grid: int | None = None
-    seed_angles: tuple[float, float] | None = None
     normalize_weights: bool = False
     b4: float | None = None
     storage: float | None = None
     spend: float | None = None
     levels: tuple[float, ...] | None = None
-
-    def merged_with(self, **overrides) -> SolverOptions:
-        """New options with non-None overrides applied (CLI flags win)."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
-        return SolverOptions(**values)
 
 
 @dataclass
@@ -71,6 +51,45 @@ def _require_number(value, path: str) -> float:
     return val
 
 
+def positive_number(value, path: str) -> float:
+    val = _require_number(value, path)
+    if val <= 0.0:
+        raise DocumentError(f"expected a positive number, got {value!r}", path=path)
+    return val
+
+
+def _positive_integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DocumentError(f"expected a positive integer, got {value!r}", path=path)
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise DocumentError(f"expected true or false, got {value!r}", path=path)
+    return value
+
+
+def _number_list(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise DocumentError(f"expected a non-empty list of numbers, got {value!r}", path=path)
+    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+# The check each option value passes, whether it comes from a document key or
+# from the CLI flag of the same name; a check returns the value it accepts.
+OPTION_CHECKS = {
+    "tol": positive_number,
+    "max_iter": _positive_integer,
+    "grid": _positive_integer,
+    "normalize_weights": _boolean,
+    "b4": _require_number,
+    "storage": _require_number,
+    "spend": _require_number,
+    "levels": _number_list,
+}
+
+
 def _parse_pair(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise DocumentError(f"expected a [x, y] pair, got {value!r}", path=path)
@@ -81,30 +100,10 @@ def _parse_options(raw, path: str) -> SolverOptions:
     if not isinstance(raw, dict):
         raise DocumentError("options must be an object", path=path)
     for key in raw:
-        if key not in _OPTION_KEYS:
+        if key not in OPTION_CHECKS:
             raise DocumentError(f"unknown key {key!r}", path=f"{path}.{key}")
-    opts = SolverOptions()
-    for key, value in raw.items():
-        kpath = f"{path}.{key}"
-        if key == "normalize_weights":
-            if not isinstance(value, bool):
-                raise DocumentError("normalize_weights must be true/false", path=kpath)
-            opts.normalize_weights = value
-        elif key == "seed_angles":
-            if not isinstance(value, list) or len(value) != 2:
-                raise DocumentError("seed_angles must be [a102, a401]", path=kpath)
-            opts.seed_angles = tuple(_require_number(v, kpath) for v in value)
-        elif key == "levels":
-            if not isinstance(value, list) or not value:
-                raise DocumentError("levels must be a non-empty list", path=kpath)
-            opts.levels = tuple(_require_number(v, kpath) for v in value)
-        elif key in ("max_iter", "grid"):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DocumentError(f"{key} must be a positive integer", path=kpath)
-            setattr(opts, key, value)
-        else:
-            setattr(opts, key, _require_number(value, kpath))
-    return opts
+    return SolverOptions(**{key: OPTION_CHECKS[key](value, f"{path}.{key}")
+                            for key, value in raw.items()})
 
 
 def parse_problem_document(text: str) -> ProblemDocument:
@@ -136,15 +135,10 @@ def parse_problem_document(text: str) -> ProblemDocument:
             f"weights must list {len(vertices)} numbers (one per vertex)",
             path="$.weights",
         )
-    weights = tuple(_require_number(w, f"$.weights[{i}]") for i, w in enumerate(weights_raw))
-    for i, w in enumerate(weights):
-        if w <= 0.0:
-            raise DocumentError(f"weight must be positive, got {w}", path=f"$.weights[{i}]")
+    weights = tuple(positive_number(w, f"$.weights[{i}]") for i, w in enumerate(weights_raw))
     xg = None
-    if "xg" in raw and raw["xg"] is not None:
-        xg = _require_number(raw["xg"], "$.xg")
-        if xg <= 0.0:
-            raise DocumentError(f"xg must be positive, got {xg}", path="$.xg")
+    if raw.get("xg") is not None:
+        xg = positive_number(raw["xg"], "$.xg")
     options = _parse_options(raw.get("options", {}), "$.options")
     return ProblemDocument(vertices=vertices, weights=weights, xg=xg, options=options)
 

@@ -454,6 +454,8 @@ def _square_system(side: float, weights):
     def residuals(v):
         a102, a401 = v
         a304 = a304_of(a102)
+        if a304 == 0.0:  # acos(1): no csc there; the line search rejects NaN
+            return math.nan, math.nan
         csc102, csc304, csc401 = 1.0 / math.sin(a102), 1.0 / math.sin(a304), 1.0 / math.sin(a401)
         r1 = (
             csc102**2 * csc304**2 * csc401**2

@@ -22,7 +22,6 @@ from .errors import (
 from .fermat import CaseKind, FermatTree, WeightedQuadrilateral, locate_4wft
 from .geometry import Point, Quadrilateral, cross2, linspace
 
-B4_INTERVAL_MARGIN = 1e-9
 DIAGONAL_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -53,9 +52,9 @@ class PlasticityLine:
 
     def weights_at(self, b4: float) -> tuple[float, float, float, float]:
         """Weights (B1, B2, B3, B4) on the line; b4 must sit strictly inside
-        the admissible interval (margin 1e-9)."""
+        the admissible interval."""
         lo, hi = self.b4_interval
-        if not (lo + B4_INTERVAL_MARGIN <= b4 <= hi - B4_INTERVAL_MARGIN):
+        if not lo < b4 < hi:
             raise InfeasibleWeightsError(
                 f"B4 = {b4} outside the open admissible interval ({lo}, {hi})"
             )

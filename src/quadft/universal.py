@@ -29,7 +29,7 @@ from typing import Callable
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
 from .geometry import Quadrilateral, cross2, linspace
-from .plasticity import B4_INTERVAL_MARGIN, PlasticityLine
+from .plasticity import PlasticityLine
 
 # Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
 # values, which rest on that balance, are resolved to the same tolerance.
@@ -156,7 +156,7 @@ def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> Universal
 def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
     """The B4 interval shrunk by the sampling margin."""
     lo, hi = line.b4_interval
-    margin = max(1e-6 * (hi - lo), 1e-9)
+    margin = 1e-6 * (hi - lo)
     return lo + margin, hi - margin
 
 
@@ -241,8 +241,7 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
     t0 = -(ax * bx + ay * by) / bb
     half = math.sqrt(max(u * u - cross2(ax, ay, bx, by) ** 2 / bb, 0.0) / bb)
     lo, hi = line.b4_interval
-    roots = [t for t in sorted({t0 - half, t0 + half})
-             if lo + B4_INTERVAL_MARGIN <= t <= hi - B4_INTERVAL_MARGIN]
+    roots = [t for t in sorted({t0 - half, t0 + half}) if lo < t < hi]
     if not roots:
         raise InfeasibleWeightsError(f"no admissible B4 reaches the storage level {u}")
     return roots

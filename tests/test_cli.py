@@ -1,14 +1,19 @@
+import argparse
+import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from quadft.cli import main
+from quadft.cli import build_parser, main
 from quadft.documents import (
+    OPTION_CHECKS,
     DocumentError,
+    SolverOptions,
     RunRecord,
     parse_problem_document,
     record_from_json,
@@ -233,7 +238,76 @@ class TestCommands:
         code = main(["wft-triangle", "--input", str(path),
                      "--tol", "1e-15", "--max-iter", "3"])
         assert code == 3
-        assert "did not" in capsys.readouterr().err.lower() or True
+        assert "did not converge" in capsys.readouterr().err
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wft-triangle", "--storage", "1"],
+            ["wft-triangle", "--svg", "x.svg"],
+            ["wft-quad", "--seed-angles", "2.7,1.2"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, ex2_doc, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", str(ex2_doc)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("universal", "--grid"), ("wft-quad", "--max-iter"), ("wft-quad", "--tol")],
+    )
+    def test_zero_flag_and_zero_option_exit_2(self, tmp_path, capsys, command, flag):
+        # a flag passes the same check as the document option of the same name
+        key = flag[2:].replace("-", "_")
+        path = tmp_path / "zero.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+                                    "weights": [3.0, 2.5, 1.7, 1.5],
+                                    "options": {key: 0}}))
+        assert main([command, "--input", str(path)]) == 2
+        assert f"$.options.{key}" in capsys.readouterr().err
+        path.write_text(EX2_DOC)
+        assert main([command, "--input", str(path), flag, "0"]) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
+
+    def test_nonpositive_xg_flag_exits_2(self, ex2_doc, capsys):
+        assert main(["gauss", "--input", str(ex2_doc), "--xg", "-1"]) == 2
+        assert "(at --xg)" in capsys.readouterr().err
+
+    def test_seed_angles_document_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "seed.doc"
+        path.write_text('{"vertices": [[0,0],[3,0],[3,3],[0,3]], "weights": [2,2.5,1,1.2], '
+                        '"options": {"seed_angles": [2.7, 1.2]}}')
+        assert main(["wft-quad", "--input", str(path)]) == 2
+        assert "$.options.seed_angles" in capsys.readouterr().err
+
+    def test_xg_flag_is_echoed_in_the_record(self, ex2_doc, tmp_path, capsys):
+        records = tmp_path / "g.ndjson"
+        assert main(["gauss", "--input", str(ex2_doc), "--xg", "3.62",
+                     "--records", str(records)]) == 0
+        capsys.readouterr()
+        record = record_from_json(records.read_text().strip())
+        assert record.inputs["xg"] == 3.62
+        assert record.outputs["xg"] == 3.62
+
+    def test_flags_and_document_options_match(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        keys = set(OPTION_CHECKS)
+        assert keys == {f.name for f in fields(SolverOptions)}
+        flagged = set()
+        for name, cmd in sub.choices.items():
+            for action in cmd._actions:
+                for flag in action.option_strings:
+                    if flag in ("-h", "--help", "--input", "--records", "--svg", "--xg"):
+                        continue
+                    key = flag[2:].replace("-", "_")
+                    assert key in keys, f"{name} {flag} is no document option"
+                    flagged.add(key)
+        assert flagged == keys, f"options without a flag: {sorted(keys - flagged)}"
 
 
 class TestNumericFormatting:

@@ -253,6 +253,25 @@ class TestSquareSystem:
         with pytest.raises(InconsistentCaseError, match="absorbed"):
             solve_4wft_square(10.0, (100.0, 1.0, 1.0, 1.0))
 
+    def test_tangent_circles_raise_a_typed_error(self):
+        # from this start a Newton trial lands where acos(1) makes a304 = 0
+        weights = (2.829447403855595, 2.568542091670853, 0.8413249767790596,
+                   1.169574967788782)
+        with pytest.raises(ConvergenceError):
+            solve_4wft_square(3.0, weights, init=(2.0, 1.6))
+
+    def test_random_weights_give_a_tree_or_a_typed_error(self):
+        rng = np.random.default_rng(5)
+        trees = 0
+        for _ in range(300):
+            weights = tuple(float(w) for w in rng.uniform(0.6, 3.0, 4))
+            try:
+                solve_4wft_square(3.0, weights, init=(2.0, 1.6))
+            except QuadFTError:
+                continue
+            trees += 1
+        assert trees > 0
+
 
 def _numpy_newton(func, x0, lo, hi, tol, max_iter):
     """Reference damped Newton: the same iteration with numpy arrays and the

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_convex_quad
@@ -228,10 +228,14 @@ def _paper_pipeline(coords, weights, storage):
 RECT = [(0.0, 0.0), (7.0, 0.0), (7.0, 4.0), (0.0, 4.0)]
 EX2_WEIGHTS = (3.0, 2.5, 1.7, 1.5)
 scales = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+weight_scales = st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e)
 
 
 class TestScaleInvariance:
-    @given(s=scales)
+    @given(s=weight_scales)
+    @example(s=1e-9)
+    @example(s=1e-10)
+    @example(s=1e-12)
     @settings(max_examples=25, deadline=None)
     def test_weight_scale(self, s):
         base, base_levels = _paper_pipeline(RECT, EX2_WEIGHTS, 3.82)
