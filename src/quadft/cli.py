@@ -96,7 +96,8 @@ _FLAGS = {
     "--storage": dict(type=float, help="stored quantity at the optimum"),
     "--spend": dict(type=float, help="spending rate a_G"),
     "--normalize-weights": dict(action="store_true", default=None,
-                                help="divide the weights by their sum before solving"),
+                                help="divide the weights, x_G, B4, storage and spend by the "
+                                     "weight sum before solving"),
     "--levels": dict(type=_comma_separated, metavar="D1,D2,...",
                      help="level-curve offsets above the optimal objective"),
 }
@@ -147,22 +148,25 @@ def _given(opts: SolverOptions, *keys: str) -> dict:
     return {k: getattr(opts, k) for k in keys if getattr(opts, k) is not None}
 
 
-def _solved_weights(doc: ProblemDocument, opts: SolverOptions,
-                    xg: float | None) -> tuple[tuple[float, ...], float | None]:
-    """The document's weights and x_G, divided by the weight sum under
-    --normalize-weights."""
+def _solved(doc: ProblemDocument) -> ProblemDocument:
+    """The document the solvers see.  Under --normalize-weights the weights
+    are divided by their sum, and so are the quantities in the weights' units:
+    x_G and the storage, spend and B4 options."""
+    opts = doc.options
     if not opts.normalize_weights:
-        return doc.weights, xg
+        return doc
     s = sum(doc.weights)
-    return tuple(w / s for w in doc.weights), (None if xg is None else xg / s)
+    scaled = {k: getattr(opts, k) / s for k in ("storage", "spend", "b4")
+              if getattr(opts, k) is not None}
+    return replace(doc, weights=tuple(w / s for w in doc.weights),
+                   xg=None if doc.xg is None else doc.xg / s,
+                   options=replace(opts, **scaled))
 
 
-def _quad_instance(doc: ProblemDocument, opts: SolverOptions,
-                   xg: float | None) -> tuple[WeightedQuadrilateral, float | None]:
+def _quad_instance(doc: ProblemDocument) -> WeightedQuadrilateral:
     if len(doc.vertices) != 4:
         raise DocumentError("this command needs 4 vertices", path="$.vertices")
-    weights, xg = _solved_weights(doc, opts, xg)
-    return WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), weights), xg
+    return WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), doc.weights)
 
 
 def _inputs_echo(doc: ProblemDocument) -> dict:
@@ -268,7 +272,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
     if len(doc.vertices) != 3:
         raise DocumentError("wft-triangle needs exactly 3 vertices", path="$.vertices")
     pts = [Point(*v) for v in doc.vertices]
-    weights, _ = _solved_weights(doc, opts, None)
+    weights = doc.weights
     point = weiszfeld(pts, weights, **_given(opts, "tol", "max_iter"))
     absorbed = any(point.distance_to(p) == 0.0 for p in pts)
     outputs = {
@@ -290,7 +294,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
 
 
 def _cmd_wft_quad(doc, opts, args):
-    wq, _ = _quad_instance(doc, opts, None)
+    wq = _quad_instance(doc)
     tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
     _print_fermat(tree)
     diagnostics = {
@@ -303,15 +307,15 @@ def _cmd_wft_quad(doc, opts, args):
 def _cmd_gauss(doc, opts, args):
     if doc.xg is None:
         raise DocumentError("gauss needs x_G (document key 'xg' or flag --xg)")
-    wq, xg = _quad_instance(doc, opts, doc.xg)
-    w = GaussWeights(*wq.weights, xg)
+    wq = _quad_instance(doc)
+    w = GaussWeights(*wq.weights, doc.xg)
     tree = solve_gauss_tree(wq.quad, w)
     _print_gauss(tree, w)
     return _gauss_outputs(tree, w), {}, _gauss_scene(wq.quad, tree)
 
 
 def _line_for(doc, opts):
-    wq, _ = _quad_instance(doc, opts, None)
+    wq = _quad_instance(doc)
     tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
     return wq, tree, plasticity_line(wq, tree)
 
@@ -392,7 +396,7 @@ def _cmd_plot(doc, opts, args):
     else:
         outputs, diagnostics, scene = _cmd_wft_quad(doc, opts, args)
     if opts.levels:
-        wq, _ = _quad_instance(doc, opts, None)
+        wq = _quad_instance(doc)
         pts = [v.as_tuple() for v in wq.quad.vertices]
         if "point" in outputs:
             center = tuple(outputs["point"])
@@ -438,7 +442,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = _apply_flags(_read_document(args), args)
-        outputs, diagnostics, scene = _COMMANDS[args.command][0](doc, doc.options, args)
+        solved = _solved(doc)
+        outputs, diagnostics, scene = _COMMANDS[args.command][0](solved, solved.options, args)
         record = RunRecord(
             command=args.command,
             inputs=_inputs_echo(doc),

@@ -7,8 +7,12 @@ have no closed form, so everything quadrilateral-shaped is iterative.
 
 A floating degree-four solve has one path: at most 5 Weiszfeld steps seed
 Newton on the gradient, run relative to the first vertex, which converges
-quadratically to the median.  The paper's angle systems stay as independent
-solvers that, given no start, measure it at that median.
+quadratically to the median.  The seed starts at the weighted centroid, or at
+a given start point (the plasticity check starts at the line's anchor).  The
+residual gate is the certificate: the median is unique, and a point is
+accepted only when its pull is below `tol` times the total weight, so an
+accepted point is the optimum whatever the start.  The paper's angle systems
+stay as independent solvers that, given no start, measure it at that median.
 """
 
 from __future__ import annotations
@@ -205,15 +209,22 @@ def _collinear(points) -> bool:
     return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
 
 
-def _weiszfeld_full(points, weights, tol, max_iter):
-    """Weiszfeld from the weighted centroid of a floating instance, to a pull
-    below tol * sum(weights) or the cap.  Returns (point, iterations, residual).
+def _weiszfeld_full(points, weights, tol, max_iter, start=None):
+    """Weiszfeld on a floating instance, from `start` or else the weighted
+    centroid, to a pull below tol * sum(weights) or the cap.  Returns (point,
+    iterations, residual); a start that already pulls below the target comes
+    back after one evaluation.
     """
     total = sum(weights)
-    diameter = max(p.distance_to(q) for p in points for q in points)
-    x = sum(w * p.x for w, p in zip(weights, points)) / total
-    y = sum(w * p.y for w, p in zip(weights, points)) / total
-    anchors = [(w, q.x, q.y) for w, q in zip(weights, points)]
+    xy = [(q.x, q.y) for q in points]
+    diameter = max(math.hypot(ax - bx, ay - by)
+                   for i, (ax, ay) in enumerate(xy) for bx, by in xy[i + 1:])
+    if start is None:
+        x = sum(w * p.x for w, p in zip(weights, points)) / total
+        y = sum(w * p.y for w, p in zip(weights, points)) / total
+    else:
+        x, y = start.x, start.y
+    anchors = [(w, qx, qy) for w, (qx, qy) in zip(weights, xy)]
     near = 1e-12 * diameter
     restarted = False
     residual = math.inf
@@ -276,13 +287,25 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     return point
 
 
-def _median(points, weights, tol: float, max_iter: int):
-    """The capped Weiszfeld seed, then at most `max_iter` Newton steps to
-    min(tol, _POLISH_TOL).  Returns (point, residual_norm, steps of both)."""
-    seed, seed_steps, _ = _weiszfeld_full(points, weights, _SEED_TOL, _SEED_MAX_ITER)
+def _median(points, weights, tol: float, max_iter: int, start=None):
+    """The capped Weiszfeld seed, from `start` or else the weighted centroid,
+    then at most `max_iter` Newton steps to min(tol, _POLISH_TOL).  Returns
+    (point, residual_norm, steps of both)."""
+    seed, seed_steps, _ = _weiszfeld_full(points, weights, _SEED_TOL, _SEED_MAX_ITER,
+                                          start=start)
     tol = min(tol, _POLISH_TOL)
     point, norm, steps = _median_polish(points, weights, seed, tol, max_iter)
     return point, norm, seed_steps + steps
+
+
+def _certified_median(points, weights, tol: float, max_iter: int, start=None):
+    """`_median`, raising ConvergenceError unless its pull is below
+    tol * sum(weights).  Returns (point, steps)."""
+    point, norm, steps = _median(points, weights, tol, max_iter, start)
+    if not norm < tol * sum(weights):
+        raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
+                               last=point, residual=norm)
+    return point, steps
 
 
 def _median_polish(points, weights, start: Point, tol: float, max_iter: int):
@@ -654,8 +677,5 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _floating_tree(wq, diagonal_intersection(wq.quad),
                               case=CaseTag(CaseKind.DIAGONAL))
-    point, norm, iterations = _median(wq.quad.vertices, w, tol, max_iter)
-    if not norm < tol * wq.total:
-        raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
-                               last=point, residual=norm)
+    point, iterations = _certified_median(wq.quad.vertices, w, tol, max_iter)
     return _floating_tree(wq, point, iterations=iterations)

@@ -19,7 +19,15 @@ from .errors import (
     InfeasibleWeightsError,
     QuadFTError,
 )
-from .fermat import CaseKind, FermatTree, WeightedQuadrilateral, locate_4wft
+from .fermat import (
+    NEWTON_MAX_ITER,
+    RESIDUAL_TOL,
+    CaseKind,
+    FermatTree,
+    WeightedQuadrilateral,
+    _certified_median,
+    classify_case,
+)
 from .geometry import Point, Quadrilateral, cross2, linspace
 
 DIAGONAL_TOL = 1e-9
@@ -223,8 +231,15 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     admissible interval and report the worst drift of the optimum.
 
     Samples where a weight leaves positivity or the instance stops floating are
-    excluded with a reason, never counted as drift.  Passes when the maximum
-    deviation stays below 1e-6 times the quadrilateral diameter.
+    excluded with a reason, never counted as drift.  Every other sample
+    re-solves the median by the path of `locate_4wft` (capped Weiszfeld seed,
+    Newton polish, residual gate), with the seed started at the anchor
+    `line.point` rather than the weighted centroid, and builds no tree.  The
+    residual gate is the certificate: the median is unique and only a point
+    pulling below RESIDUAL_TOL times the total weight is accepted, so each
+    deviation is the anchor's distance to the true optimum, whatever the
+    start.  Passes when the maximum deviation stays below 1e-6 times the
+    quadrilateral diameter.
     """
     if samples < 1:
         raise QuadFTError("need at least one sample")
@@ -242,11 +257,14 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        tree = locate_4wft(WeightedQuadrilateral(q, weights))
-        if tree.case.kind is CaseKind.ABSORBED:
-            excluded.append((b4, f"absorbed at vertex {tree.case.vertex}"))
+        wq = WeightedQuadrilateral(q, weights)
+        tag = classify_case(wq)
+        if tag.kind is CaseKind.ABSORBED:
+            excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        evaluated.append((b4, tree.point.distance_to(line.point)))
+        point, _ = _certified_median(q.vertices, wq.weights, RESIDUAL_TOL,
+                                     NEWTON_MAX_ITER, start=line.point)
+        evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
     return PlasticityReport(
         reference=line.point,

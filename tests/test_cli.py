@@ -186,6 +186,17 @@ class TestCommands:
         assert "A0: (2.8274518, 1.2787814)" in out
         assert f"objective: {34.5746857 / 8.7:.7f}" in out
 
+    def test_evolve_normalize_weights_scales_storage_and_spend(self, ex2_doc, capsys):
+        # storage and spend are in the weights' units, so they are divided by
+        # the weight sum 8.7 with the weights; the tree's geometry is unchanged
+        assert main(["evolve", "--input", str(ex2_doc), "--storage", "3.82",
+                     "--spend", "0.2", "--normalize-weights"]) == 0
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines() if ln.startswith("B4 candidates: "))
+        candidates = [float(v) for v in line[len("B4 candidates: "):].split(",")]
+        assert candidates == pytest.approx([1.4901612 / 8.7, 2.0556312 / 8.7], abs=1.5e-7)
+        assert "l: 1.5309333" in out
+
     def test_wft_triangle_normalize_weights_flag(self, tmp_path, capsys):
         path = tmp_path / "tri.doc"
         path.write_text(TRI_DOC)

@@ -530,9 +530,9 @@ class TestSolveCost:
         step_caps = []
         original = fermat._weiszfeld_full
 
-        def capped(points, weights, tol, max_iter):
+        def capped(points, weights, tol, max_iter, start=None):
             step_caps.append(max_iter)
-            return original(points, weights, tol, max_iter)
+            return original(points, weights, tol, max_iter, start=start)
 
         monkeypatch.setattr(fermat, "_weiszfeld_full", capped)
         tree = locate_4wft(wq)

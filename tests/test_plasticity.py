@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from quadft import (
     verify_plasticity,
     weiszfeld,
 )
+import quadft.fermat as fermat
+import quadft.plasticity as plasticity
 from quadft.plasticity import _signed_ratio
 from oracles import random_convex_quad
 
@@ -47,6 +50,18 @@ def rect_mod():
 @pytest.fixture(scope="module")
 def wq2_mod(rect_mod):
     return WeightedQuadrilateral(rect_mod, (3.0, 2.5, 1.7, 1.5))
+
+
+def _random_lines(seed, n):
+    """(quad, plasticity line) of n seeded floating instances, weights U(0.6, 3.0)."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    while len(lines) < n:
+        quad = Quadrilateral.from_coords(random_convex_quad(rng))
+        wq = WeightedQuadrilateral(quad, tuple(rng.uniform(0.6, 3.0, 4)))
+        if classify_case(wq).kind is CaseKind.FLOATING:
+            lines.append((quad, plasticity_line(wq, locate_4wft(wq))))
+    return lines
 
 
 def _triangle_weights(p, tri):
@@ -262,3 +277,57 @@ class TestVerify:
             line = plasticity_line(wq, locate_4wft(wq))
             report = verify_plasticity(quad, line, 16)
             assert report.passed, (pts, w, report)
+
+    def test_samples_resolve_from_the_anchor(self, monkeypatch, rect_mod, line_ex2):
+        # no per-sample locate_4wft or tree; at the true anchor each seed stops
+        # at its first Weiszfeld evaluation and the Newton polish takes no step
+        built = []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        for module in (fermat, plasticity):
+            if hasattr(module, "locate_4wft"):
+                monkeypatch.setattr(module, "locate_4wft",
+                                    counting("locate_4wft", module.locate_4wft))
+        monkeypatch.setattr(fermat, "_floating_tree",
+                            counting("_floating_tree", fermat._floating_tree))
+        seed_steps, polish_steps = [], []
+        seed, polish = fermat._weiszfeld_full, fermat._median_polish
+
+        def counted_seed(*args, **kwargs):
+            out = seed(*args, **kwargs)
+            seed_steps.append(out[1])
+            return out
+
+        def counted_polish(*args, **kwargs):
+            out = polish(*args, **kwargs)
+            polish_steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(fermat, "_weiszfeld_full", counted_seed)
+        monkeypatch.setattr(fermat, "_median_polish", counted_polish)
+        report = verify_plasticity(rect_mod, line_ex2, 16)
+        assert report.passed and len(report.evaluated) == 14
+        assert built == []
+        assert seed_steps == [1] * 14
+        assert polish_steps == [0] * 14
+
+    @pytest.mark.parametrize("shift", [1e-3, 5e-2])
+    def test_moved_anchor_reports_its_offset(self, rect_mod, wq2_mod, shift):
+        # the check is not circular: from a wrong anchor the re-solves still
+        # reach the true optimum, so the deviation is the anchor's offset
+        rng = np.random.default_rng(43)
+        cases = [(rect_mod, plasticity_line(wq2_mod, locate_4wft(wq2_mod)))]
+        for quad, line in cases + _random_lines(47, 20):
+            diameter = quad.diameter()
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            moved = Point(line.point.x + shift * diameter * math.cos(theta),
+                          line.point.y + shift * diameter * math.sin(theta))
+            report = verify_plasticity(quad, dataclasses.replace(line, point=moved), 16)
+            assert not report.passed
+            offset = moved.distance_to(line.point)
+            assert abs(report.max_deviation - offset) <= 1e-9 * diameter
