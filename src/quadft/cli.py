@@ -28,7 +28,6 @@ from .errors import (
     AbsorbedWeightsError,
     ConvergenceError,
     DegenerateTreeError,
-    DiagonalPointError,
     DocumentError,
     InfeasibleWeightsError,
     OverspendError,
@@ -53,10 +52,6 @@ _HINTS = {
     InfeasibleWeightsError: "adjust the weights (or x_G / B4) to satisfy the feasibility inequalities",
     DegenerateTreeError: "x_G is at or past its absorbing value for these weights; lower x_G",
     AbsorbedWeightsError: "a weight dominates; the optimum sits at that vertex",
-    DiagonalPointError: (
-        "the optimum lies on a diagonal, which no subcommand covers; use the "
-        "squared-balance system, the Python function quadft.plasticity_system_new"
-    ),
     OverspendError: "reduce the spending rate so x_G stays inside its feasible interval",
 }
 
@@ -89,7 +84,7 @@ _FLAGS = {
     "--records": dict(metavar="PATH", help="write the run record as newline-delimited JSON"),
     "--svg": dict(metavar="PATH", help="write an SVG rendering"),
     "--tol": dict(type=float, help="solver residual tolerance"),
-    "--max-iter": dict(type=int, help="iteration cap"),
+    "--max-iter": dict(type=int, help="Newton step cap of the median solve"),
     "--grid": dict(type=int, help="sample count (universal B4 grid / level-curve raster)"),
     "--xg": dict(type=float, help="Gauss variable override"),
     "--b4": dict(type=float, help="B4 value on the plasticity line"),

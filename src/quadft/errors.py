@@ -40,11 +40,6 @@ class DegenerateTreeError(QuadFTError):
     """Gauss tree collapsed: the edge weight is at or past its absorbing value."""
 
 
-class DiagonalPointError(QuadFTError):
-    """Optimum lies on a diagonal; the affine plasticity construction does not
-    apply there, use the squared-balance system instead."""
-
-
 class OverspendError(QuadFTError):
     """Spending rate drives the edge weight below its feasible range."""
 

@@ -1,11 +1,12 @@
 """Weighted Fermat-Torricelli solvers of degree three and four.
 
 Covers case classification (floating / absorbed / diagonal shortcut), the
-triangle closed form, Weiszfeld iteration, the circle system for a square
+triangle closed form, the certified median, the circle system for a square
 boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
 
-A floating degree-four solve has one path: at most 5 Weiszfeld steps seed
+A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
+(`locate_4wft`), has one path: at most 5 Weiszfeld steps seed
 Newton on the gradient, run relative to the first vertex, which converges
 quadratically to the median.  The seed starts at the weighted centroid, or at
 a given start point (the plasticity check starts at the line's anchor).  The
@@ -39,7 +40,6 @@ from .geometry import (
 
 RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
-WEISZFELD_MAX_ITER = 10_000
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
 _SEED_TOL = 1e-2       # Weiszfeld seed residual, relative to the total weight
@@ -211,9 +211,9 @@ def _collinear(points) -> bool:
 
 def _weiszfeld_full(points, weights, tol, max_iter, start=None):
     """Weiszfeld on a floating instance, from `start` or else the weighted
-    centroid, to a pull below tol * sum(weights) or the cap.  Returns (point,
-    iterations, residual); a start that already pulls below the target comes
-    back after one evaluation.
+    centroid, to a pull below tol * sum(weights) or the cap: the median's
+    seed.  Returns (point, iterations, residual); a start that already pulls
+    below the target comes back after one evaluation.
     """
     total = sum(weights)
     xy = [(q.x, q.y) for q in points]
@@ -257,12 +257,13 @@ def _weiszfeld_full(points, weights, tol, max_iter, start=None):
 
 
 def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
-              max_iter: int = WEISZFELD_MAX_ITER) -> Point:
+              max_iter: int = NEWTON_MAX_ITER) -> Point:
     """Weighted geometric median of >= 3 non-collinear points.
 
-    Iterates x <- sum(w_i p_i / d_i) / sum(w_i / d_i) until the weighted
-    unit-vector pull has norm below tol * sum(weights).  Absorbed instances
-    return the dominating vertex directly.
+    Absorbed instances return the dominating vertex directly (Kuhn's test:
+    the pull of the others does not exceed its weight).  Otherwise the median
+    of `locate_4wft`: a capped Weiszfeld seed, then at most `max_iter` Newton
+    steps; a pull not below tol * sum(weights) raises ConvergenceError.
     """
     points = list(points)
     weights = [float(w) for w in weights]
@@ -277,14 +278,7 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     for i, p in enumerate(points):
         if _absorption_slack(points, weights, i) <= 0.0:
             return p
-    point, _, residual = _weiszfeld_full(points, weights, tol, max_iter)
-    if not residual < tol * sum(weights):
-        raise ConvergenceError(
-            f"Weiszfeld did not reach residual {tol:g} in {max_iter} iterations",
-            last=point,
-            residual=residual,
-        )
-    return point
+    return _certified_median(points, weights, tol, max_iter)[0]
 
 
 def _median(points, weights, tol: float, max_iter: int, start=None):

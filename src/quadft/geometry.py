@@ -187,7 +187,10 @@ def solve_linear(a, b) -> list[float] | None:
     rows = [[*row, rhs] for row, rhs in zip(a, b)]
     n = len(rows)
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        p = k  # the first row of largest magnitude in column k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
         if rows[p][k] == 0.0:
             return None
         rows[k], rows[p] = rows[p], rows[k]
@@ -199,5 +202,8 @@ def solve_linear(a, b) -> list[float] | None:
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+        acc = 0.0
+        for j in range(k + 1, n):
+            acc += row[j] * x[j]
+        x[k] = (row[n] - acc) / row[k]
     return x

@@ -1,11 +1,13 @@
 """Dynamic plasticity: the one-parameter weight families that keep a
-degree-four optimum fixed, built from inverse triangle solutions.
+degree-four optimum fixed.
 
-Two routes exist.  The affine route expresses B1, B2, B3 as linear functions
-of B4 at fixed total c via inverse-3wFT ratios of the triangles A1A2A3,
-A1A3A4 and A1A2A4.  The squared-balance route solves two quadratic identities
-in the optimum's angles and covers diagonal configurations the affine route
-cannot (there it reduces to B1 = B3, B2 = B4).
+At a fixed optimum P the balance sum B_i u_i = 0, with u_i the unit vector
+from P toward A_i, and the total sum B_i = c are linear in (B1, B2, B3) at a
+given B4.  `plasticity_line` solves that system once for the affine family
+B_i = x_i B4 + y_i; it holds wherever P is interior, on a diagonal too.
+`plasticity_system_new` is the paper's squared-balance route: two quadratic
+identities in the optimum's angles, solved by scan and bisection.  It is kept
+as an independent reference for the line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    DiagonalPointError,
+    AbsorbedWeightsError,
     InconsistentCaseError,
     InfeasibleWeightsError,
     QuadFTError,
@@ -28,9 +30,8 @@ from .fermat import (
     _certified_median,
     classify_case,
 )
-from .geometry import Point, Quadrilateral, cross2, linspace
+from .geometry import Point, Quadrilateral, linspace, solve_linear
 
-DIAGONAL_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
@@ -50,7 +51,7 @@ class PlasticityLine:
     def __post_init__(self):
         xs = sum(co[0] for co in self.coefficients)
         ys = sum(co[1] for co in self.coefficients)
-        if abs(xs + 1.0) > 1e-9 or abs(ys - self.c) > 1e-9 * max(1.0, self.c):
+        if abs(xs + 1.0) > 1e-9 or abs(ys - self.c) > 1e-9 * self.c:
             raise QuadFTError(
                 f"coefficients do not preserve the total: sum x = {xs}, sum y = {ys}"
             )
@@ -73,57 +74,29 @@ class PlasticityLine:
         return b
 
 
-def _signed_ratio(p: Point, a_i: Point, a_j: Point, a_k: Point) -> float:
-    """lambda_i / lambda_j for the unit-vector balance li*ui + lj*uj + lk*uk = 0.
-
-    Reduces to the sine-ratio inverse solution when p is interior to the
-    triangle; continues it with signs when p lies outside (needed because the
-    degree-four optimum is interior to only two of the four sub-triangles).
-    """
-    ui = p.unit_toward(a_i)
-    uj = p.unit_toward(a_j)
-    uk = p.unit_toward(a_k)
-    den = cross2(*ui, *uk)
-    if abs(den) < DIAGONAL_TOL:
-        raise DiagonalPointError(
-            "optimum is collinear with two vertices; use plasticity_system_new"
-        )
-    return -cross2(*uj, *uk) / den
-
-
 def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLine:
-    """Affine weight family through the optimum of `tree` at total c = sum(B).
+    """Affine weight family through the optimum P of `tree` at total c = sum(B).
 
-    Requires a floating optimum off both diagonals; on a diagonal the inverse
-    triangle problems degenerate and `plasticity_system_new` applies instead.
+    With u_i the unit vector from P toward A_i, the balance
+    B1 u1 + B2 u2 + B3 u3 = -B4 u4 and the total B1 + B2 + B3 = c - B4 are
+    linear in (B1, B2, B3), so one matrix gives the slopes (right side
+    (-u4, -1)) and the intercepts (right side (0, 0, c)).  Its determinant is
+    twice the signed area of the triangle on the tips of u1, u2, u3, which is
+    nonzero for every P inside the quadrilateral, on a diagonal too.  An absorbed optimum sits on a vertex and has no family.
     """
-    if tree.case.kind is not CaseKind.FLOATING:
-        raise DiagonalPointError(
-            f"plasticity line needs a floating optimum, got {tree.case.kind.value}; "
-            "diagonal configurations are handled by plasticity_system_new"
+    if tree.case.kind is CaseKind.ABSORBED:
+        raise AbsorbedWeightsError(
+            f"the optimum is absorbed at vertex A{tree.case.vertex}; "
+            "a plasticity line needs an interior optimum"
         )
     p = tree.point
-    v = wq.quad.vertices
-    u = [p.unit_toward(vert) for vert in v]
-    if abs(cross2(*u[0], *u[2])) < DIAGONAL_TOL or abs(cross2(*u[1], *u[3])) < DIAGONAL_TOL:
-        raise DiagonalPointError(
-            "optimum lies on a diagonal; use plasticity_system_new"
-        )
-    r2 = _signed_ratio(p, v[1], v[0], v[2])      # (B2/B1) in triangle A1A2A3
-    r3 = _signed_ratio(p, v[2], v[0], v[1])      # (B3/B1) in triangle A1A2A3
-    rho134 = _signed_ratio(p, v[0], v[3], v[2])  # (B1/B4) in triangle A1A3A4
-    rho124 = _signed_ratio(p, v[0], v[3], v[1])  # (B1/B4) in triangle A1A2A4
-    den = 1.0 + r2 + r3
-    if abs(den) < 1e-12:
-        raise QuadFTError("degenerate ratio sum in the affine construction")
+    u = [p.unit_toward(vert) for vert in wq.quad.vertices]
     c = wq.total
-    x1 = (rho134 * r2 + rho124 * r3 - 1.0) / den
-    y1 = c / den
-    coefficients = (
-        (x1, y1),
-        (x1 * r2 - rho134 * r2, r2 * y1),
-        (x1 * r3 - rho124 * r3, r3 * y1),
-    )
+    matrix = [[u[0][0], u[1][0], u[2][0]], [u[0][1], u[1][1], u[2][1]], [1.0, 1.0, 1.0]]
+    slopes = solve_linear(matrix, [-u[3][0], -u[3][1], -1.0])
+    if slopes is None:
+        raise InconsistentCaseError(f"the optimum {p} is not inside the quadrilateral")
+    coefficients = tuple(zip(slopes, solve_linear(matrix, [0.0, 0.0, c])))
     lo, hi = 0.0, math.inf
     for x, y in coefficients:
         if x < 0.0:
@@ -165,9 +138,10 @@ def plasticity_system_new(angles, c: float, b4: float,
 
     B1 is eliminated through the total, the second identity is linear in B3 at
     fixed B2, and the first identity's residual is scanned over a `grid`-point
-    B2 range with every sign change bisected to 1e-14.  All roots found are
-    returned (multiple solutions are expected in general); none are filtered
-    beyond positivity.
+    B2 range with every sign change bisected to 1e-14 c.  Every margin is
+    relative to c, so scaling c and B4 together scales the roots.  All roots
+    found are returned (multiple solutions are expected in general); none
+    are filtered beyond positivity.
     """
     a102, a203, a304, a401 = angles
     if abs((a102 + a203 + a304 + a401) - TWO_PI) > 1e-8:
@@ -182,7 +156,7 @@ def plasticity_system_new(angles, c: float, b4: float,
     def b3_of_b2(b2: float) -> float | None:
         s = c - b2 - b4
         den = 2.0 * (s + b4 * c14 + b2 * c23)
-        if abs(den) < 1e-14:
+        if abs(den) < 1e-14 * c:
             return None
         return (s * s + b4 * b4 + 2.0 * s * b4 * c14 - b2 * b2) / den
 
@@ -194,14 +168,14 @@ def plasticity_system_new(angles, c: float, b4: float,
         return (b1 * b1 + b2 * b2 + 2.0 * b1 * b2 * c12
                 - (b3 * b3 + b4 * b4 + 2.0 * b3 * b4 * c34))
 
-    xs = linspace(1e-9, c - b4 - 1e-9, grid)
+    xs = linspace(1e-9 * c, c - b4 - 1e-9 * c, grid)
     vals = [residual(x) for x in xs]
     solutions = []
     for i in range(grid - 1):
         vi, vj = vals[i], vals[i + 1]
         if not (math.isfinite(vi) and math.isfinite(vj)) or vi * vj > 0.0:
             continue
-        b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14) if vi != 0.0 else xs[i]
+        b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14 * c) if vi != 0.0 else xs[i]
         b3 = b3_of_b2(b2)
         b1 = c - b2 - b3 - b4
         if b1 > 0.0 and b2 > 0.0 and b3 > 0.0:

@@ -211,14 +211,27 @@ class TestCommands:
         assert norm_out["point"] == pytest.approx(raw_out["point"], rel=1e-12)
         assert norm_out["objective"] == pytest.approx(raw_out["objective"] / 8.0, rel=1e-12)
 
-    def test_diagonal_optimum_hint_names_the_function(self, tmp_path, capsys):
-        # equal weights on the rectangle put the optimum at the diagonals' crossing
+    def test_diagonal_optimum_runs_the_line_commands(self, tmp_path, capsys):
+        # equal weights on the rectangle put the optimum at the diagonals'
+        # crossing, where the line is B1 = B3 = c/2 - B4, B2 = B4
         path = tmp_path / "equal.doc"
-        path.write_text('{"vertices": [[0,0],[7,0],[7,4],[0,4]], "weights": [1,1,1,1]}')
+        for weights in ("[1,1,1,1]", "[2,2,2,2]"):
+            path.write_text('{"vertices": [[0,0],[7,0],[7,4],[0,4]], "weights": %s}' % weights)
+            assert main(["plasticity", "--input", str(path)]) == 0
+        assert "B1 = 4.0000000 - 1.0000000 * B4" in capsys.readouterr().out
+        assert main(["universal", "--input", str(path)]) == 0
+        assert "u_FT: 3.4729726" in capsys.readouterr().out
+        assert main(["evolve", "--input", str(path), "--storage", "3.82",
+                     "--spend", "0.2"]) == 0
+        assert "l: " in capsys.readouterr().out
+
+    def test_absorbed_plasticity_exits_2_with_hint(self, tmp_path, capsys):
+        path = tmp_path / "abs.doc"
+        path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], "weights": [100,1,1,1]}')
         assert main(["plasticity", "--input", str(path)]) == 2
         error, hint = capsys.readouterr().err.splitlines()
-        assert error.startswith("error:") and "diagonal" in error
-        assert hint.startswith("hint:") and "quadft.plasticity_system_new" in hint
+        assert error.startswith("error:") and "absorbed at vertex A1" in error
+        assert hint == "hint: a weight dominates; the optimum sits at that vertex"
 
     def test_flag_overrides_document_option(self, tmp_path, capsys):
         path = tmp_path / "opt.doc"

@@ -213,6 +213,20 @@ class TestWeiszfeld:
                 rank = np.linalg.matrix_rank(xs, tol=1e-12 * (1.0 + np.abs(xs).max()))
                 assert fermat._collinear(pts) == (rank < 2) == expected
 
+    def test_triangle_scaled_and_moved(self):
+        # the median moves with the triangle under scales 1e-4..1e6 and
+        # translations up to 1e7, small triangles far out included
+        tri = ((0.0, 0.0), (6.0, 0.0), (2.0, 5.0))
+        weights = (2.0, 1.5, 1.8)
+        base = weiszfeld([Point(*p) for p in tri], weights)
+        for scale in (1e-4, 1e-2, 1.0, 1e3, 1e6):
+            for offset in (0.0, 1e4, 1e6, 1e7):
+                p = weiszfeld([Point(scale * x + offset, scale * y + offset) for x, y in tri],
+                              weights)
+                want = (scale * base.x + offset, scale * base.y + offset)
+                allowed = 1e-9 * scale * 6.4 + 2.0 * math.ulp(max(abs(p.x), abs(p.y)))
+                assert math.dist(p.as_tuple(), want) <= allowed, (scale, offset)
+
     def test_nonconvergence_carries_state(self, rect):
         with pytest.raises(ConvergenceError) as err:
             weiszfeld(rect.vertices, (3.0, 2.5, 1.7, 1.5), tol=1e-14, max_iter=2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadft import (
-    DiagonalPointError,
+    AbsorbedWeightsError,
     Point,
     QuadFTError,
     Quadrilateral,
@@ -23,12 +23,14 @@ from quadft import (
 )
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
-from quadft.plasticity import _signed_ratio
+from quadft.geometry import cross2
 from oracles import random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
 EX2_COEFFS = ((-0.8159745, 4.2239621), (1.1070888, 0.8393665), (-1.2911143, 3.6366712))
 EX3_COEFFS = ((-0.7731178, 4.1823652), (1.2871855, 0.49794), (-1.5140677, 3.8196947))
+# weights whose optimum is the rectangle's diagonal crossing (3.5, 2)
+DIAGONAL_WEIGHTS = ((2.0, 2.0, 2.0, 2.0), (1.5, 2.5, 1.5, 2.5))
 EX2_TABLE = [
     (1.5, (3.0, 2.5, 1.7)),
     (1.2, (3.2447927, 2.1678731, 2.0873328)),
@@ -65,10 +67,34 @@ def _random_lines(seed, n):
 
 
 def _triangle_weights(p, tri):
-    """(B1, B2, B3) up to scale whose triangle optimum is p: the signed
-    ratios B2/B1 and B3/B1 the affine route takes from triangle A1A2A3."""
-    a1, a2, a3 = tri
-    return (1.0, _signed_ratio(p, a2, a1, a3), _signed_ratio(p, a3, a1, a2))
+    """(B1, B2, B3) with B1 = 1 that balance the unit vectors from p toward
+    the triangle's vertices: the null vector of the 2x3 unit-vector matrix,
+    signed where p lies outside the triangle.  On the line through A2 and A3
+    the balance leaves B1 out, and no such weights exist."""
+    units = np.array([p.unit_toward(a) for a in tri]).T
+    null = np.linalg.svd(units)[2][-1]
+    if abs(null[0]) < 1e-9:
+        raise QuadFTError(f"{p} is on the line through A2 and A3")
+    return tuple(float(t) for t in null / null[0])
+
+
+def _balance(line, quad, b4):
+    """|sum B_i u_i| at the line's anchor for the weights at b4."""
+    units = np.array([line.point.unit_toward(v) for v in quad.vertices])
+    return float(np.linalg.norm(np.array(line.weights_at(b4)) @ units))
+
+
+def _one_diagonal_instance(quad):
+    """The 7x4 rectangle `quad` with weights whose optimum lies on the
+    diagonal A1A3 but off A2A4: u1 = -u3 there, so B2, B4 cancel across the
+    diagonal and B1 - B3 takes up the pull along it."""
+    p = Point(2.8, 1.6)
+    u1, u2, _, u4 = (np.array(p.unit_toward(v)) for v in quad.vertices)
+    b2 = 1.0
+    b4 = -b2 * cross2(*u2, *u1) / cross2(*u4, *u1)
+    b3 = 2.0
+    b1 = b3 - float((b2 * u2 + b4 * u4) @ u1)
+    return WeightedQuadrilateral(quad, (b1, b2, b3, b4)), p
 
 
 class TestInverseTriangle:
@@ -102,13 +128,6 @@ class TestInverseTriangle:
         assert tuple(w / sum(got) for w in got) == pytest.approx(
             tuple(s / sum(sines) for s in sines), abs=1e-12
         )
-
-    def test_point_on_side_rejected(self):
-        # on side A1A3 the unit vectors toward A1 and A3 are opposite
-        tri = [Point(0.0, 0.0), Point(4.0, 0.5), Point(1.0, 3.0)]
-        mid = Point(0.5, 1.5)
-        with pytest.raises(DiagonalPointError):
-            _signed_ratio(mid, tri[0], tri[1], tri[2])
 
     @given(
         u=st.floats(0.1, 0.9),
@@ -177,11 +196,53 @@ class TestPlasticityLine:
         with pytest.raises(InfeasibleWeightsError):
             line_ex2.weights_at(hi + 0.1)
 
-    def test_diagonal_configuration_redirects(self, rect_mod):
-        wq = WeightedQuadrilateral(rect_mod, (2.0, 2.0, 2.0, 2.0))
+    def test_diagonal_optimum_gives_the_symmetric_line(self, rect_mod):
+        # at the diagonals' crossing u1 = -u3 and u2 = -u4, so the balance
+        # holds exactly when B1 = B3 and B2 = B4; the squared-balance route
+        # finds the same weights
+        for weights in DIAGONAL_WEIGHTS:
+            wq = WeightedQuadrilateral(rect_mod, weights)
+            tree = locate_4wft(wq)
+            line = plasticity_line(wq, tree)
+            c = line.c
+            assert line.point.as_tuple() == pytest.approx((3.5, 2.0), abs=1e-12)
+            assert [t for co in line.coefficients for t in co] == pytest.approx(
+                [-1.0, c / 2, 1.0, 0.0, -1.0, c / 2], abs=1e-12)
+            assert line.b4_interval == pytest.approx((0.0, c / 2), abs=1e-12)
+            for b4 in (0.5, 1.0, 2.0, 3.0):
+                b1, b2, b3, _ = line.weights_at(b4)
+                assert (b1, b2, b3) == pytest.approx((c / 2 - b4, b4, c / 2 - b4), abs=1e-12)
+                assert any((b1, b2, b3) == pytest.approx(sol, abs=1e-9)
+                           for sol in plasticity_system_new(tree.angles, c, b4))
+
+    def test_absorbed_optimum_has_no_line(self):
+        q = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        wq = WeightedQuadrilateral(q, (100.0, 1.0, 1.0, 1.0))
+        with pytest.raises(AbsorbedWeightsError, match="vertex A1"):
+            plasticity_line(wq, locate_4wft(wq))
+
+    def test_line_balances_at_its_point(self, rect_mod):
+        # the line's weights balance the unit vectors at its anchor, also
+        # where the anchor sits on one diagonal
+        wq, p = _one_diagonal_instance(rect_mod)
         tree = locate_4wft(wq)
-        with pytest.raises(DiagonalPointError, match="system_new"):
-            plasticity_line(wq, tree)
+        assert tree.point.distance_to(p) < 1e-12 * wq.quad.diameter()
+        cases = [(wq.quad, plasticity_line(wq, tree))] + _random_lines(5, 40)
+        for quad, line in cases:
+            lo, hi = line.b4_interval
+            for b4 in np.linspace(lo, hi, 9)[1:-1]:
+                assert _balance(line, quad, float(b4)) <= 1e-12 * line.c
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_total_check_is_relative(self, rect_mod, scale):
+        # a diagonal line meets the intercept-sum check at 1e-9 c at any
+        # weight scale, and intercepts 1e-8 c off the total fail it
+        wq = WeightedQuadrilateral(rect_mod, tuple(scale * w for w in DIAGONAL_WEIGHTS[1]))
+        line = plasticity_line(wq, locate_4wft(wq))
+        (x1, y1), *rest = line.coefficients
+        moved = ((x1, y1 + 1e-8 * line.c), *rest)
+        with pytest.raises(QuadFTError, match="preserve the total"):
+            dataclasses.replace(line, coefficients=moved)
 
 
 class TestSquaredBalanceSystem:
@@ -199,6 +260,15 @@ class TestSquaredBalanceSystem:
             for b1, b2, b3 in plasticity_system_new(angles, 8.7, b4):
                 assert b1 == pytest.approx(b3, abs=1e-9)
                 assert b2 == pytest.approx(b4, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_weight_scale_scales_the_roots(self, wq2_mod, scale):
+        # the balance is homogeneous in the weights: scaling c and B4 scales
+        # the roots, so the input weights come back at every scale
+        tree = locate_4wft(wq2_mod)
+        sols = plasticity_system_new(tree.angles, 8.7 * scale, 1.5 * scale)
+        assert any(sol == pytest.approx((3.0 * scale, 2.5 * scale, 1.7 * scale),
+                                        rel=1e-9, abs=0.0) for sol in sols)
 
     @pytest.mark.parametrize("b4,expected", EX2_TABLE[:2])
     def test_example_rows_recovered(self, wq2_mod, b4, expected):
@@ -259,6 +329,13 @@ class TestVerify:
         single = verify_plasticity(rect_mod, line_ex2, 1)
         assert len(single.evaluated) == 1 and not single.excluded
         assert single.passed
+
+    def test_diagonal_line_passes(self, rect_mod):
+        for weights in DIAGONAL_WEIGHTS:
+            wq = WeightedQuadrilateral(rect_mod, weights)
+            report = verify_plasticity(rect_mod, plasticity_line(wq, locate_4wft(wq)), 16)
+            assert report.passed and len(report.evaluated) == 14
+            assert report.max_deviation <= 1e-12 * rect_mod.diameter()
 
     def test_random_quadrilateral_line(self):
         rng = np.random.default_rng(23)
