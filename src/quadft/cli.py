@@ -85,7 +85,8 @@ _FLAGS = {
     "--svg": dict(metavar="PATH", help="write an SVG rendering"),
     "--tol": dict(type=float, help="solver residual tolerance"),
     "--max-iter": dict(type=int, help="Newton step cap of the median solve"),
-    "--grid": dict(type=int, help="sample count (universal B4 grid / level-curve raster)"),
+    "--grid": dict(type=int, help="sample count: B4 grid points in universal, "
+                                  "level-curve rays in plot"),
     "--xg": dict(type=float, help="Gauss variable override"),
     "--b4": dict(type=float, help="B4 value on the plasticity line"),
     "--storage": dict(type=float, help="stored quantity at the optimum"),
@@ -123,6 +124,14 @@ def _read_document(args) -> ProblemDocument:
         except OSError as exc:
             raise DocumentError(f"cannot read {args.input}: {exc.strerror}") from exc
     return parse_problem_document(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _apply_flags(doc: ProblemDocument, args) -> ProblemDocument:
@@ -392,17 +401,14 @@ def _cmd_plot(doc, opts, args):
         outputs, diagnostics, scene = _cmd_wft_quad(doc, opts, args)
     if opts.levels:
         wq = _quad_instance(doc)
-        pts = [v.as_tuple() for v in wq.quad.vertices]
         if "point" in outputs:
-            center = tuple(outputs["point"])
             base = outputs["objective"]
         else:
-            center = tuple(outputs["node0"])
-            base = weighted_distance_sum(
-                wq.quad.vertices, wq.weights, Point(*center)
-            )
+            base = weighted_distance_sum(wq.quad.vertices, wq.weights,
+                                         Point(*outputs["node0"]))
         levels = [base + d for d in opts.levels]
-        curves = level_curve_loops(pts, wq.weights, levels, center, **_given(opts, "grid"))
+        curves = level_curve_loops(wq.quad.vertices, wq.weights, levels,
+                                   **_given(opts, "grid"))
         scene = Scene(
             quad=scene.quad,
             tree_edges=scene.tree_edges,
@@ -447,12 +453,10 @@ def main(argv=None) -> int:
             timestamp=run_timestamp(),
         )
         if args.records:
-            with open(args.records, "w", encoding="utf-8") as fh:
-                fh.write(record_to_json(record) + "\n")
+            _write(args.records, record_to_json(record) + "\n")
         svg = getattr(args, "svg", None)  # every command but wft-triangle draws
         if svg:
-            with open(svg, "wb") as fh:
-                fh.write(render_scene(scene).encode("utf-8"))
+            _write(svg, render_scene(scene))
         return 0
     except DocumentError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -261,8 +261,9 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     """Weighted geometric median of >= 3 non-collinear points.
 
     Absorbed instances return the dominating vertex directly (Kuhn's test:
-    the pull of the others does not exceed its weight).  Otherwise the median
-    of `locate_4wft`: a capped Weiszfeld seed, then at most `max_iter` Newton
+    the pull of the others exceeds its weight by at most `CASE_BOUNDARY_TOL`
+    times the total, the margin of `classify_case`).  Otherwise the median of
+    `locate_4wft`: a capped Weiszfeld seed, then at most `max_iter` Newton
     steps; a pull not below tol * sum(weights) raises ConvergenceError.
     """
     points = list(points)
@@ -275,8 +276,9 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
         raise QuadFTError("points are collinear; the median problem degenerates")
     if tol <= 0.0:
         raise QuadFTError("tol must be positive")
+    margin = CASE_BOUNDARY_TOL * sum(weights)
     for i, p in enumerate(points):
-        if _absorption_slack(points, weights, i) <= 0.0:
+        if _absorption_slack(points, weights, i) <= margin:
             return p
     return _certified_median(points, weights, tol, max_iter)[0]
 
@@ -460,7 +462,8 @@ def _absorbed_tree(wq: WeightedQuadrilateral, tag: CaseTag) -> FermatTree:
 # ------------------------------------------------------------------ #
 
 def _square_system(side: float, weights):
-    b1, b2, b3, b4 = weights
+    total = sum(weights)
+    b1, b2, b3, b4 = (w / total for w in weights)  # homogeneous: roots unchanged
 
     def a304_of(a102: float) -> float:
         arg = (b1 * b1 + 2.0 * b1 * b2 * math.cos(a102) + b2 * b2 - b3 * b3 - b4 * b4) / (

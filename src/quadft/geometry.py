@@ -136,12 +136,13 @@ class Quadrilateral:
         return max(v[i].distance_to(v[j]) for i in range(4) for j in range(i + 1, 4))
 
     def contains(self, p: Point, tol: float = 0.0) -> bool:
-        """True if p lies in the closed quadrilateral inflated by `tol`."""
+        """True if p lies in the closed quadrilateral inflated by `tol` times
+        its diameter: no edge has p farther than that on its outer side."""
         v = self.vertices
-        scale = self.diameter()
+        margin = -tol * self.diameter()
         for i in range(4):
             a, b = v[i], v[(i + 1) % 4]
-            if cross2(b.x - a.x, b.y - a.y, p.x - a.x, p.y - a.y) < -tol * scale:
+            if cross2(b.x - a.x, b.y - a.y, p.x - a.x, p.y - a.y) < margin * a.distance_to(b):
                 return False
         return True
 

@@ -5,9 +5,11 @@ world-to-view transform, with a 16-unit margin.  The stroke palette is fixed
 (documented in the README) and floats are written with four decimals, so the
 same scene always produces byte-identical SVG.
 
-Level curves of f(X) = sum w_i |X - P_i| are traced by marching squares on a
-configurable grid; segment endpoints are identified by the grid edge they sit
-on, which makes loop chaining exact.
+Level curves of the weighted distance sum f(X) = sum w_i |X - P_i| are traced
+along `grid` evenly spaced rays from its minimizer, the weighted median c.  f
+is convex, so every ray crosses each level above f(c) exactly once; the
+crossing is bisected on [0, (level + f(c)) / sum w], where the lower bound
+f(c + r d) >= r sum w - f(c) guarantees it, to the last float of the bracket.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fermat import NEWTON_MAX_ITER, RESIDUAL_TOL, _median
 from .geometry import linspace
 
 PALETTE = {
@@ -38,127 +41,43 @@ def _fmt(v: float) -> str:
 
 
 # ------------------------------------------------------------------ #
-# Marching squares
+# Level curves
 # ------------------------------------------------------------------ #
 
-def _edge_point(kind, ix, iy, xs, ys, grid, level):
-    if kind == "h":
-        va, vb = grid[iy][ix], grid[iy][ix + 1]
-        t = (level - va) / (vb - va)
-        return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-    va, vb = grid[iy][ix], grid[iy + 1][ix]
-    t = (level - va) / (vb - va)
-    return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
+def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
+    """The curves f(X) = L of f(X) = sum w_i |X - P_i| over the Points P_i,
+    traced along `grid` rays from the weighted median c.
 
-
-def marching_squares(xs, ys, grid, level):
-    """Closed/open polylines of the iso-contour grid == level.
-
-    `grid` holds one row of values per y sample, indexed grid[iy][ix].
-    Returns a list of loops, each a list of (x, y) points; endpoints are keyed
-    by grid-edge identity so adjacent cells chain exactly.
+    Returns (level, loops) pairs in increasing level order: one closed loop
+    per level above f(c), none for a level at or below it.
     """
-    ny, nx = len(grid), len(grid[0])
-    inside = [[v < level for v in row] for row in grid]
-    segments = []  # (edge_id_a, edge_id_b)
-    points = {}    # edge_id -> (x, y)
+    cx, cy = (points[0] if len(points) == 1
+              else _median(points, weights, RESIDUAL_TOL, NEWTON_MAX_ITER)[0]).as_tuple()
+    anchors = [(w, p.x, p.y) for w, p in zip(weights, points)]
 
-    def edge_id(kind, ix, iy):
-        key = (kind, ix, iy)
-        if key not in points:
-            points[key] = _edge_point(kind, ix, iy, xs, ys, grid, level)
-        return key
+    def f(x, y):
+        return sum(w * math.hypot(x - px, y - py) for w, px, py in anchors)
 
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            b = (
-                inside[iy][ix],
-                inside[iy][ix + 1],
-                inside[iy + 1][ix + 1],
-                inside[iy + 1][ix],
-            )
-            if all(b) or not any(b):
-                continue
-            crossed = []
-            if b[0] != b[1]:
-                crossed.append(edge_id("h", ix, iy))
-            if b[1] != b[2]:
-                crossed.append(edge_id("v", ix + 1, iy))
-            if b[2] != b[3]:
-                crossed.append(edge_id("h", ix, iy + 1))
-            if b[3] != b[0]:
-                crossed.append(edge_id("v", ix, iy))
-            if len(crossed) == 2:
-                segments.append((crossed[0], crossed[1]))
-            elif len(crossed) == 4:
-                # Saddle cell: pair by the interpolated center value.
-                center = 0.25 * (
-                    grid[iy][ix] + grid[iy][ix + 1] + grid[iy + 1][ix] + grid[iy + 1][ix + 1]
-                )
-                if (center < level) == b[0]:
-                    segments.append((crossed[0], crossed[1]))
-                    segments.append((crossed[2], crossed[3]))
-                else:
-                    segments.append((crossed[0], crossed[3]))
-                    segments.append((crossed[1], crossed[2]))
+    def crossing(dx, dy, level, hi):
+        # bisect f(c + r d) < level on [0, hi] until the bracket stops shrinking
+        lo, point = 0.0, (cx + hi * dx, cy + hi * dy)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            x, y = cx + mid * dx, cy + mid * dy
+            if f(x, y) < level:
+                lo = mid
+            else:
+                hi, point = mid, (x, y)
+        return point
 
-    neighbours: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        neighbours.setdefault(a, []).append((b, idx))
-        neighbours.setdefault(b, []).append((a, idx))
-    used = [False] * len(segments)
-    loops = []
-    for start_idx, (a0, b0) in enumerate(segments):
-        if used[start_idx]:
-            continue
-        used[start_idx] = True
-        chain = [a0, b0]
-        # extend forward until the loop closes or dead-ends
-        while True:
-            tail = chain[-1]
-            nxt = next(
-                ((other, idx) for other, idx in neighbours[tail] if not used[idx]), None
-            )
-            if nxt is None:
-                break
-            used[nxt[1]] = True
-            chain.append(nxt[0])
-            if nxt[0] == chain[0]:
-                break
-        loops.append([points[eid] for eid in chain])
-    return loops
-
-
-def distance_sum_grid(points, weights, xs, ys):
-    """f(X) = sum w_i |X - P_i| on the xs x ys grid, one row per y value."""
-    anchors = list(zip(weights, points))
-    rows = []
-    for y in ys:
-        row = []
-        for x in xs:
-            total = 0.0
-            for w, (px, py) in anchors:
-                total += w * math.hypot(x - px, y - py)
-            row.append(total)
-        rows.append(row)
-    return rows
-
-
-def level_curve_loops(points, weights, levels, center, grid: int = LEVEL_GRID):
-    """Trace the iso-curves of the weighted distance sum at the given values.
-
-    The sampling window is centred so every requested sublevel set closes
-    inside it: f exceeds max(levels) once |X - center| > (max_level / sum w)
-    plus the spread of the anchor points.
-    """
-    points = [tuple(p) for p in points]
-    total_w = sum(weights)
-    spread = max(math.hypot(px - center[0], py - center[1]) for px, py in points)
-    radius = max(levels) / total_w + spread * 1.1 + 1e-9
-    xs = linspace(center[0] - radius, center[0] + radius, grid)
-    ys = linspace(center[1] - radius, center[1] + radius, grid)
-    field = distance_sum_grid(points, weights, xs, ys)
-    return [(lvl, marching_squares(xs, ys, field, lvl)) for lvl in sorted(levels)]
+    fc, total = f(cx, cy), sum(weights)
+    rays = [(math.cos(t), math.sin(t)) for t in linspace(0.0, 2.0 * math.pi, grid + 1)[:-1]]
+    curves = []
+    for lvl in sorted(levels):
+        # f(c + r d) >= r * total - f(c), so every ray reaches lvl by this radius
+        hi = (lvl + fc) / total
+        loop = [crossing(dx, dy, lvl, hi) for dx, dy in rays] if lvl > fc else []
+        curves.append((lvl, [loop + loop[:1]] if loop else []))
+    return curves
 
 
 # ------------------------------------------------------------------ #

@@ -19,9 +19,8 @@ from quadft.documents import (
     record_from_json,
     record_to_json,
 )
-from quadft.svgplot import marching_squares
-
-import numpy as np
+from quadft import Point, WeightedQuadrilateral, locate_4wft, weighted_distance_sum
+from quadft.svgplot import level_curve_loops
 
 EX2_DOC = """{
   "vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
@@ -141,6 +140,14 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "l: 1.5309" in out
+
+    @pytest.mark.parametrize("flag", ["--records", "--svg"])
+    def test_unwritable_output_exits_2(self, flag, ex2_doc, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "out"
+        assert main(["wft-quad", "--input", str(ex2_doc), flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}: " in err
+        assert "Traceback" not in err
 
     def test_records_and_svg_written(self, ex2_doc, tmp_path, capsys):
         records = tmp_path / "run.ndjson"
@@ -423,18 +430,6 @@ class TestSvg:
         assert inner[1][0] >= mid[1][0] >= outer[1][0]
         assert inner[1][2] <= mid[1][2] <= outer[1][2]
 
-    def test_marching_squares_circle(self):
-        # the unit-circle level of r^2 closes into a single loop of the right size
-        xs = np.linspace(-2.0, 2.0, 101)
-        ys = np.linspace(-2.0, 2.0, 101)
-        xx, yy = np.meshgrid(xs, ys)
-        loops = marching_squares(xs, ys, xx**2 + yy**2, 1.0)
-        assert len(loops) == 1
-        loop = loops[0]
-        assert loop[0] == loop[-1]
-        for x, y in loop:
-            assert math.hypot(x, y) == pytest.approx(1.0, abs=2e-3)
-
     def test_plot_requires_svg(self, ex2_doc, capsys):
         assert main(["plot", "--input", str(ex2_doc)]) == 2
         assert "svg" in capsys.readouterr().err.lower()
@@ -449,6 +444,47 @@ class TestSvg:
         curves = [ln for ln in text.splitlines()
                   if ln.startswith("<polygon") and "#7c3aed" in ln]
         assert len(curves) == 2
+
+
+class TestLevelCurves:
+    def test_single_anchor_gives_a_circle(self):
+        # f = w r, so the level L is the circle of radius L / w about the anchor
+        ((level, loops),) = level_curve_loops([Point(1.0, -2.0)], [2.5], [7.0])
+        assert level == 7.0 and len(loops) == 1
+        loop = loops[0]
+        assert loop[0] == loop[-1] and len(loop) == 130
+        for x, y in loop:
+            assert math.hypot(x - 1.0, y + 2.0) == pytest.approx(7.0 / 2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("weights", [(3.0, 2.5, 1.7, 1.5),
+                                         (3.2447927, 2.1678731, 2.0873328, 1.2)],
+                             ids=["ex2", "ex4"])
+    def test_loop_vertices_lie_on_their_level(self, rect, weights):
+        base = locate_4wft(WeightedQuadrilateral(rect, weights)).objective
+        levels = [base + d for d in (0.5, 1.0, 2.0)]
+        curves = level_curve_loops(rect.vertices, weights, levels)
+        assert [lvl for lvl, _ in curves] == levels
+        for level, loops in curves:
+            assert len(loops) == 1 and loops[0][0] == loops[0][-1]
+            for x, y in loops[0]:
+                f = weighted_distance_sum(rect.vertices, weights, Point(x, y))
+                assert abs(f - level) <= 1e-12 * level
+
+    def test_levels_at_or_below_the_minimum_have_no_loop(self, wq_ex2):
+        base = locate_4wft(wq_ex2).objective
+        curves = level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [base - 1.0, base])
+        assert [loops for _, loops in curves] == [[], []]
+
+    def test_gauss_level_below_the_first_node(self, ex4_doc, tmp_path, capsys):
+        # f(A0) of the Gauss tree exceeds the minimum of f by about 0.48, so
+        # this level lies between them: one closed loop about the minimizer
+        svg = tmp_path / "g.svg"
+        assert main(["plot", "--input", str(ex4_doc), "--svg", str(svg),
+                     "--levels=-0.3"]) == 0
+        capsys.readouterr()
+        curves = [ln for ln in svg.read_text().splitlines()
+                  if ln.startswith("<polygon") and "#7c3aed" in ln]
+        assert len(curves) == 1
 
 
 def test_runtime_imports_neither_numpy_nor_scipy():

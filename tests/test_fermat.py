@@ -227,6 +227,19 @@ class TestWeiszfeld:
                 allowed = 1e-9 * scale * 6.4 + 2.0 * math.ulp(max(abs(p.x), abs(p.y)))
                 assert math.dist(p.as_tuple(), want) <= allowed, (scale, offset)
 
+    def test_barely_floating_triangle_returns_its_vertex(self):
+        # one weight (1 - s) times the pull of the other two, s = 10^U(-12, -10):
+        # Kuhn's slack s * pull is inside classify_case's margin, so the
+        # triangle is absorbed there, and weiszfeld must agree
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pts = [Point(*(float(t) for t in rng.uniform(-5.0, 5.0, 2))) for _ in range(3)]
+            weights = [float(w) for w in rng.uniform(0.6, 3.0, 3)]
+            i = int(rng.integers(3))
+            pull = math.hypot(*fermat._pull_vector(pts, weights, pts[i], skip=i))
+            weights[i] = (1.0 - 10.0 ** rng.uniform(-12.0, -10.0)) * pull
+            assert weiszfeld(pts, weights) == pts[i]
+
     def test_nonconvergence_carries_state(self, rect):
         with pytest.raises(ConvergenceError) as err:
             weiszfeld(rect.vertices, (3.0, 2.5, 1.7, 1.5), tol=1e-14, max_iter=2)
@@ -273,6 +286,14 @@ class TestSquareSystem:
                    1.169574967788782)
         with pytest.raises(ConvergenceError):
             solve_4wft_square(3.0, weights, init=(2.0, 1.6))
+
+    def test_weight_scale_invariance(self):
+        # the residuals are taken on weights divided by their total
+        weights = (3.5, 2.5, 2.0, 1.0)
+        base = solve_4wft_square(10.0, weights).point
+        for k in range(-12, 13):
+            tree = solve_4wft_square(10.0, tuple(w * 10.0 ** k for w in weights))
+            assert tree.point.distance_to(base) <= 1e-12 * 10.0, k
 
     def test_random_weights_give_a_tree_or_a_typed_error(self):
         rng = np.random.default_rng(5)

@@ -82,6 +82,19 @@ class TestQuadrilateral:
         assert rect.contains(Point(0.0, 0.0))  # closed boundary
         assert not rect.contains(Point(-0.1, 2.0))
 
+    @pytest.mark.parametrize("k", [1e-3, 1e-2, 1.0, 1e3, 1e6])
+    def test_contains_tolerance_is_relative(self, k):
+        # tol is a fraction of the diameter, and each edge measures distance,
+        # so the verdict does not change with the scale of the square
+        q = Quadrilateral.from_coords([(0, 0), (k, 0), (k, k), (0, k)])
+
+        def outside(d):
+            return [Point(0.5 * k, -d), Point(k + d, 0.5 * k),
+                    Point(0.5 * k, k + d), Point(-d, 0.5 * k)]
+
+        assert not any(q.contains(p, tol=1e-9) for p in outside(1e-7 * k))
+        assert all(q.contains(p, tol=1e-9) for p in outside(1e-10 * k))
+
 
 class TestDiagonalIntersection:
     def test_rectangle_center(self, rect):

@@ -7,6 +7,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quadft"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +41,47 @@ def test_detects_unused_imports():
         "print(os.path.sep, dumps)\n"
     )
     assert unused_imports(source) == ["math", "parse"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level names with a single leading underscore that no source
+    reads: no load of the name, no attribute of that name, no import of it."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(name for name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def test_no_unread_private_names():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unread_private_names(sources) == []
+
+
+def test_detects_unread_private_names():
+    sources = [
+        "_LIMIT = 3\n"
+        "_a, _b = 1, 2\n"
+        "__all__ = ['f']\n"
+        "def _dead(): return _b\n"
+        "def _used(): return 0\n"
+        "class _Shape: pass\n",
+        "from .m import _used\n"
+        "import m\n"
+        "print(_used(), m._Shape)\n",
+    ]
+    assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead"]
