@@ -14,6 +14,13 @@ residual gate is the certificate: the median is unique, and a point is
 accepted only when its pull is below `tol` times the total weight, so an
 accepted point is the optimum whatever the start.  The paper's angle systems
 stay as independent solvers that, given no start, measure it at that median.
+
+The median works on a measured frame of its points (`_measure`): their
+absolute coordinates, their diameter and their coordinates relative to the
+first point, taken once per call of a public solver, so a family of weights
+on one point set (the plasticity samples) re-solves without re-measuring it.
+A start whose pull is already below the polish target is certified as it
+stands: it comes back after one gradient evaluation, with no seed and no step.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AbsorbedWeightsError,
@@ -32,6 +40,7 @@ from .geometry import (
     Point,
     Quadrilateral,
     angle_at,
+    clamped_acos,
     cross2,
     diagonal_intersection,
     rotate,
@@ -153,11 +162,14 @@ def classify_case(wq: WeightedQuadrilateral, tol: float = CASE_BOUNDARY_TOL) -> 
     `tol * total` of equality the result is reported absorbed with a boundary
     flag.  The pulls read the quadrilateral's unit vectors, measured once.
     """
-    units = wq.quad.unit_vectors
-    w = wq.weights
-    margin = tol * wq.total
+    return _kuhn_case(wq.quad.unit_vectors, wq.weights, tol * wq.total)
+
+
+def _kuhn_case(units, weights, margin: float) -> CaseTag:
+    """Kuhn's absorption test on unit vectors u[i][j] between the vertices:
+    the first vertex whose slack is at most `margin` absorbs."""
     for i in range(4):
-        slack = math.hypot(*_weighted_sum(w, units[i])) - w[i]
+        slack = math.hypot(*_weighted_sum(weights, units[i])) - weights[i]
         if slack <= margin:
             return CaseTag(CaseKind.ABSORBED, vertex=i + 1, boundary=abs(slack) <= margin)
     return CaseTag(CaseKind.FLOATING)
@@ -209,29 +221,44 @@ def _collinear(points) -> bool:
     return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
 
 
-def _weiszfeld_full(points, weights, tol, max_iter, start=None):
+class _Frame(NamedTuple):
+    """A point set measured for the median: absolute coordinates, their
+    diameter, and coordinates relative to the first point."""
+
+    xy: tuple[tuple[float, float], ...]
+    diameter: float
+    relative: tuple[tuple[float, float], ...]
+
+
+def _measure(points) -> _Frame:
+    """The frame of `points`, measured once for every median on them."""
+    xy = tuple((q.x, q.y) for q in points)
+    diameter = max(math.hypot(ax - bx, ay - by)
+                   for i, (ax, ay) in enumerate(xy) for bx, by in xy[i + 1:])
+    ox, oy = xy[0]
+    return _Frame(xy, diameter, tuple((qx - ox, qy - oy) for qx, qy in xy))
+
+
+def _weiszfeld_full(frame: _Frame, weights, tol, max_iter, start=None):
     """Weiszfeld on a floating instance, from `start` or else the weighted
     centroid, to a pull below tol * sum(weights) or the cap: the median's
     seed.  Returns (point, iterations, residual); a start that already pulls
     below the target comes back after one evaluation.
     """
     total = sum(weights)
-    xy = [(q.x, q.y) for q in points]
-    diameter = max(math.hypot(ax - bx, ay - by)
-                   for i, (ax, ay) in enumerate(xy) for bx, by in xy[i + 1:])
+    xy = frame.xy
     if start is None:
-        x = sum(w * p.x for w, p in zip(weights, points)) / total
-        y = sum(w * p.y for w, p in zip(weights, points)) / total
+        x = sum(w * qx for w, (qx, _) in zip(weights, xy)) / total
+        y = sum(w * qy for w, (_, qy) in zip(weights, xy)) / total
     else:
         x, y = start.x, start.y
-    anchors = [(w, qx, qy) for w, (qx, qy) in zip(weights, xy)]
-    near = 1e-12 * diameter
+    near = 1e-12 * frame.diameter
     restarted = False
     residual = math.inf
     for it in range(1, max_iter + 1):
         num_x = num_y = den = 0.0
         rx = ry = 0.0
-        for w, qx, qy in anchors:
+        for w, (qx, qy) in zip(weights, xy):
             d = math.hypot(x - qx, y - qy)
             if d < near:
                 break
@@ -251,8 +278,8 @@ def _weiszfeld_full(points, weights, tol, max_iter, start=None):
         if restarted:
             raise ConvergenceError("Weiszfeld re-encountered a vertex", last=Point(x, y))
         restarted = True
-        x = sum(q.x for q in points) / len(points) + 1e-6 * diameter
-        y = sum(q.y for q in points) / len(points) + 1e-6 * diameter
+        x = sum(qx for qx, _ in xy) / len(xy) + 1e-6 * frame.diameter
+        y = sum(qy for _, qy in xy) / len(xy) + 1e-6 * frame.diameter
     return Point(x, y), max_iter, residual
 
 
@@ -280,31 +307,36 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     for i, p in enumerate(points):
         if _absorption_slack(points, weights, i) <= margin:
             return p
-    return _certified_median(points, weights, tol, max_iter)[0]
+    return _certified_median(_measure(points), weights, tol, max_iter)[0]
 
 
-def _median(points, weights, tol: float, max_iter: int, start=None):
+def _median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
     """The capped Weiszfeld seed, from `start` or else the weighted centroid,
-    then at most `max_iter` Newton steps to min(tol, _POLISH_TOL).  Returns
-    (point, residual_norm, steps of both)."""
-    seed, seed_steps, _ = _weiszfeld_full(points, weights, _SEED_TOL, _SEED_MAX_ITER,
-                                          start=start)
+    then at most `max_iter` Newton steps to min(tol, _POLISH_TOL).  A start
+    already pulling below that target is returned as it stands, with no seed
+    and no step.  Returns (point, residual_norm, steps of both)."""
     tol = min(tol, _POLISH_TOL)
-    point, norm, steps = _median_polish(points, weights, seed, tol, max_iter)
+    if start is not None:
+        point, norm, _ = _median_polish(frame, weights, start, tol, 0)
+        if norm < tol * sum(weights):
+            return point, norm, 0
+    seed, seed_steps, _ = _weiszfeld_full(frame, weights, _SEED_TOL, _SEED_MAX_ITER,
+                                          start=start)
+    point, norm, steps = _median_polish(frame, weights, seed, tol, max_iter)
     return point, norm, seed_steps + steps
 
 
-def _certified_median(points, weights, tol: float, max_iter: int, start=None):
+def _certified_median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
     """`_median`, raising ConvergenceError unless its pull is below
     tol * sum(weights).  Returns (point, steps)."""
-    point, norm, steps = _median(points, weights, tol, max_iter, start)
+    point, norm, steps = _median(frame, weights, tol, max_iter, start)
     if not norm < tol * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
     return point, steps
 
 
-def _median_polish(points, weights, start: Point, tol: float, max_iter: int):
+def _median_polish(frame: _Frame, weights, start: Point, tol: float, max_iter: int):
     """Damped Newton on the gradient of the weighted distance sum, from `start`.
 
     Quadratic where Weiszfeld is only linear, so from a rough Weiszfeld seed
@@ -313,12 +345,12 @@ def _median_polish(points, weights, start: Point, tol: float, max_iter: int):
     so a far translation does not swamp the residual in rounding.  Returns
     (point, residual_norm, steps); the caller judges the residual.
     """
-    ox, oy = points[0].x, points[0].y
-    anchors = [(w, q.x - ox, q.y - oy) for w, q in zip(weights, points)]
+    ox, oy = frame.xy[0]
+    relative = frame.relative
 
     def gradient(x, y):
         gx = gy = hxx = hxy = hyy = 0.0
-        for w, qx, qy in anchors:
+        for w, (qx, qy) in zip(weights, relative):
             dx, dy = qx - x, qy - y
             r = math.hypot(dx, dy)
             if r < 1e-300:
@@ -420,14 +452,11 @@ def _damped_newton(func, x0, lo, hi, tol, max_iter):
 def _floating_tree(wq: WeightedQuadrilateral, p: Point, angles=None,
                    case: CaseTag | None = None, iterations: int = 0) -> FermatTree:
     pts = wq.quad.vertices
+    units = [p.unit_toward(q) for q in pts]  # measured once: angles and pull
     if angles is None:
-        angles = (
-            angle_at(p, pts[0], pts[1]),
-            angle_at(p, pts[1], pts[2]),
-            angle_at(p, pts[2], pts[3]),
-            angle_at(p, pts[3], pts[0]),
-        )
-    rx, ry = _pull_vector(pts, wq.weights, p)
+        angles = [clamped_acos(ux * vx + uy * vy)
+                  for (ux, uy), (vx, vy) in zip(units, units[1:] + units[:1])]
+    rx, ry = _weighted_sum(wq.weights, units)
     return FermatTree(
         point=p,
         case=case or CaseTag(CaseKind.FLOATING),
@@ -461,7 +490,7 @@ def _absorbed_tree(wq: WeightedQuadrilateral, tag: CaseTag) -> FermatTree:
 # Square boundary: circle system
 # ------------------------------------------------------------------ #
 
-def _square_system(side: float, weights):
+def _square_system(weights):
     total = sum(weights)
     b1, b2, b3, b4 = (w / total for w in weights)  # homogeneous: roots unchanged
 
@@ -525,10 +554,10 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         raise InconsistentCaseError(
             f"square instance is not floating (absorbed at vertex {tag.vertex})"
         )
-    func, a304_of = _square_system(side, wq.weights)
+    func, a304_of = _square_system(wq.weights)
     if init is None:
         v = quad.vertices
-        seed_pt, _, _ = _median(v, wq.weights, tol, max_iter)
+        seed_pt, _, _ = _median(_measure(v), wq.weights, tol, max_iter)
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
@@ -619,7 +648,7 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
         )
     v = wq.quad.vertices
     if init is None:
-        seed, _, _ = _median(v, wq.weights, tol, max_iter)
+        seed, _, _ = _median(_measure(v), wq.weights, tol, max_iter)
         init = _seed_angles(v, seed)
     func, a41, a31, alpha314 = _general_system(wq)
     sol, residual, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
@@ -674,5 +703,5 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _floating_tree(wq, diagonal_intersection(wq.quad),
                               case=CaseTag(CaseKind.DIAGONAL))
-    point, iterations = _certified_median(wq.quad.vertices, w, tol, max_iter)
+    point, iterations = _certified_median(_measure(wq.quad.vertices), w, tol, max_iter)
     return _floating_tree(wq, point, iterations=iterations)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError
-from .geometry import Point, Quadrilateral, angle_at, clamped_acos, rotate
+from .geometry import Point, Quadrilateral, clamped_acos, rotate
 
 DEGENERATE_SPAN_CLAMP = 1e-9
 
@@ -147,12 +147,9 @@ class _Branch(NamedTuple):
 
 
 def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
-    v = q.vertices
-    a12 = v[0].distance_to(v[1])
-    a14 = v[0].distance_to(v[3])
-    a23 = v[1].distance_to(v[2])
-    alpha214 = angle_at(v[0], v[1], v[3])
-    alpha123 = angle_at(v[1], v[0], v[2])
+    v, d = q.vertices, q.distances
+    a12, a14, a23 = d[0][1], d[0][3], d[1][2]
+    alpha214, alpha123 = q.interior_angles[:2]
     ang = local_angles(w)
     num = (
         w.xg * a12
@@ -172,8 +169,7 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
     a1 = a14 * math.sin(alpha214 - phi - ang.a_0p04) / s1
     a2 = a23 * math.sin(alpha123 + phi - ang.a_00p3) / s2
     l = a1 * math.cos(ang.a_100p) + a2 * math.cos(ang.a_00p2) + a12 * math.cos(phi)
-    u12 = v[0].unit_toward(v[1])
-    wx, wy = rotate(*u12, phi)
+    wx, wy = rotate(*q.unit_vectors[0][1], phi)
     d1x, d1y = rotate(wx, wy, -ang.a_100p)
     node0 = Point(v[0].x - a1 * d1x, v[0].y - a1 * d1y)
     d2x, d2y = rotate(wx, wy, ang.a_00p2)

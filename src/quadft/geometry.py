@@ -96,11 +96,12 @@ class Quadrilateral:
         if len(v) != 4:
             raise QuadFTError("a quadrilateral needs exactly 4 vertices")
         object.__setattr__(self, "vertices", v)
-        scale2 = max(p.distance_to(q) for p in v for q in v) ** 2
+        scale2 = self._diameter ** 2
         if scale2 == 0.0:
             raise QuadFTError("all vertices coincide")
+        d = self.distances
         for i in range(4):
-            if v[i].distance_to(v[(i + 1) % 4]) == 0.0:
+            if d[i][(i + 1) % 4] == 0.0:
                 raise QuadFTError("quadrilateral has coincident vertices")
         crosses = []
         for i in range(4):
@@ -131,18 +132,44 @@ class Quadrilateral:
                 rows[j][i] = (-ux, -uy)
         return tuple(tuple(row) for row in rows)
 
-    def diameter(self) -> float:
+    @cached_property
+    def distances(self) -> tuple[tuple[float, ...], ...]:
+        """d[i][j], the distance from vertex i to vertex j, measured once per
+        quadrilateral; d[j][i] is d[i][j]."""
         v = self.vertices
-        return max(v[i].distance_to(v[j]) for i in range(4) for j in range(i + 1, 4))
+        rows = [[0.0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                rows[i][j] = rows[j][i] = v[i].distance_to(v[j])
+        return tuple(tuple(row) for row in rows)
+
+    @cached_property
+    def interior_angles(self) -> tuple[float, float, float, float]:
+        """The angle at each vertex between the rays toward its two
+        neighbours, measured once per quadrilateral."""
+        u = self.unit_vectors
+        angles = []
+        for i in range(4):
+            (ax, ay), (bx, by) = u[i][i - 1], u[i][(i + 1) % 4]
+            angles.append(clamped_acos(ax * bx + ay * by))
+        return tuple(angles)
+
+    @cached_property
+    def _diameter(self) -> float:
+        d = self.distances
+        return max(d[i][j] for i in range(4) for j in range(i + 1, 4))
+
+    def diameter(self) -> float:
+        return self._diameter
 
     def contains(self, p: Point, tol: float = 0.0) -> bool:
         """True if p lies in the closed quadrilateral inflated by `tol` times
         its diameter: no edge has p farther than that on its outer side."""
-        v = self.vertices
-        margin = -tol * self.diameter()
+        v, d = self.vertices, self.distances
+        margin = -tol * self._diameter
         for i in range(4):
             a, b = v[i], v[(i + 1) % 4]
-            if cross2(b.x - a.x, b.y - a.y, p.x - a.x, p.y - a.y) < margin * a.distance_to(b):
+            if cross2(b.x - a.x, b.y - a.y, p.x - a.x, p.y - a.y) < margin * d[i][(i + 1) % 4]:
                 return False
         return True
 

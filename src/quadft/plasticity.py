@@ -22,13 +22,15 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
+    CASE_BOUNDARY_TOL,
     NEWTON_MAX_ITER,
     RESIDUAL_TOL,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     _certified_median,
-    classify_case,
+    _kuhn_case,
+    _measure,
 )
 from .geometry import Point, Quadrilateral, linspace, solve_linear
 
@@ -204,16 +206,19 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     """Re-solve the degree-four problem at `samples` values of B4 across the
     admissible interval and report the worst drift of the optimum.
 
-    Samples where a weight leaves positivity or the instance stops floating are
+    Samples where a weight leaves positivity or the instance stops floating
+    (Kuhn's test of `classify_case` on the quadrilateral's unit vectors) are
     excluded with a reason, never counted as drift.  Every other sample
     re-solves the median by the path of `locate_4wft` (capped Weiszfeld seed,
-    Newton polish, residual gate), with the seed started at the anchor
-    `line.point` rather than the weighted centroid, and builds no tree.  The
+    Newton polish, residual gate), started at the anchor `line.point` rather
+    than the weighted centroid, on the vertices measured once per call, and
+    builds no tree.  An anchor that already pulls below the polish target is
+    certified after one gradient evaluation, with no seed and no step.  The
     residual gate is the certificate: the median is unique and only a point
     pulling below RESIDUAL_TOL times the total weight is accepted, so each
     deviation is the anchor's distance to the true optimum, whatever the
-    start.  Passes when the maximum deviation stays below 1e-6 times the
-    quadrilateral diameter.
+    start; a moved anchor goes through the full seed and polish.  Passes when
+    the maximum deviation stays below 1e-6 times the quadrilateral diameter.
     """
     if samples < 1:
         raise QuadFTError("need at least one sample")
@@ -223,6 +228,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     else:
         b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
+    frame, units = _measure(q.vertices), q.unit_vectors
     evaluated = []
     excluded = []
     for b4 in b4s:
@@ -231,12 +237,11 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        wq = WeightedQuadrilateral(q, weights)
-        tag = classify_case(wq)
+        tag = _kuhn_case(units, weights, CASE_BOUNDARY_TOL * sum(weights))
         if tag.kind is CaseKind.ABSORBED:
             excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        point, _ = _certified_median(q.vertices, wq.weights, RESIDUAL_TOL,
+        point, _ = _certified_median(frame, weights, RESIDUAL_TOL,
                                      NEWTON_MAX_ITER, start=line.point)
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)

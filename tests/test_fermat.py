@@ -361,11 +361,12 @@ class TestNewtonAgainstNumpy:
         for _ in range(50):
             wq = _floating_weights(rng, random_convex_quad(rng))
             v = wq.quad.vertices
-            median, _, _ = fermat._median(v, wq.weights, fermat.RESIDUAL_TOL,
+            frame = fermat._measure(v)
+            median, _, _ = fermat._median(frame, wq.weights, fermat.RESIDUAL_TOL,
                                           fermat.NEWTON_MAX_ITER)
             # the median solves the system at once; the capped Weiszfeld seed
             # the median starts from leaves Newton a few steps to take
-            rough, _, _ = fermat._weiszfeld_full(v, wq.weights, fermat._SEED_TOL,
+            rough, _, _ = fermat._weiszfeld_full(frame, wq.weights, fermat._SEED_TOL,
                                                  fermat._SEED_MAX_ITER)
             func = fermat._general_system(wq)[0]
             for seed in (median, rough):
@@ -373,10 +374,11 @@ class TestNewtonAgainstNumpy:
 
     def test_circle_system(self):
         weights = (3.5, 2.5, 2.0, 1.0)
-        func, _ = fermat._square_system(10.0, weights)
+        func, _ = fermat._square_system(weights)
         sq = Quadrilateral.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         v = sq.vertices
-        seed, _, _ = fermat._median(v, weights, fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER)
+        seed, _, _ = fermat._median(fermat._measure(v), weights, fermat.RESIDUAL_TOL,
+                                    fermat.NEWTON_MAX_ITER)
         for init in ((angle_at(seed, v[0], v[1]), angle_at(seed, v[3], v[0])), (2.7, 1.2)):
             self._agree(func, init, 1e-9, TWO_PI - 1e-9)
 

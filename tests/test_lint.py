@@ -85,3 +85,52 @@ def test_detects_unread_private_names():
         "print(_used(), m._Shape)\n",
     ]
     assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead"]
+
+
+def unread_parameters(sources: list[str]) -> list[str]:
+    """`function.parameter` for every parameter of a private module-level
+    function that its body never reads.  Functions the package also uses as
+    values (stored in a table, passed as a callback) keep a shared signature
+    and are left out."""
+    trees = [ast.parse(source) for source in sources]
+    as_values = set()
+    for tree in trees:
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        as_values.update(node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                         and id(node) not in called)
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__") or name in as_values:
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{name}.{p}" for p in params if p not in read]
+    return sorted(unread)
+
+
+def test_no_unread_parameters():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unread_parameters(sources) == []
+
+
+def test_detects_unread_parameters():
+    sources = [
+        "def _solve(side, weights, *args, tol=0.0, **kw):\n"
+        "    def inner():\n"
+        "        return tol\n"
+        "    return sum(weights), inner\n"
+        "def _handler(args, parser): return args\n"
+        "def public(unused): return 0\n"
+        "def __dunder__(unused): return 0\n",
+        "from .m import _handler\n"
+        "TABLE = {'run': _handler}\n",
+    ]
+    assert unread_parameters(sources) == ["_solve.args", "_solve.kw", "_solve.side"]

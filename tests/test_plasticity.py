@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from quadft import (
     AbsorbedWeightsError,
+    InfeasibleWeightsError,
+    PlasticityLine,
+    PlasticityReport,
     Point,
     QuadFTError,
     Quadrilateral,
@@ -23,7 +26,7 @@ from quadft import (
 )
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
-from quadft.geometry import cross2
+from quadft.geometry import cross2, linspace
 from oracles import random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
@@ -64,6 +67,45 @@ def _random_lines(seed, n):
         if classify_case(wq).kind is CaseKind.FLOATING:
             lines.append((quad, plasticity_line(wq, locate_4wft(wq))))
     return lines
+
+
+def _reference_report(q, line, samples):
+    """`verify_plasticity` as one loop measuring everything per sample: a
+    WeightedQuadrilateral and `classify_case`, then the capped Weiszfeld seed
+    from the anchor and the Newton polish on a frame of the raw vertices,
+    gated on RESIDUAL_TOL."""
+    lo, hi = line.b4_interval
+    b4s = [0.5 * (lo + hi)] if samples == 1 else linspace(lo, hi, samples)
+    evaluated, excluded = [], []
+    for b4 in b4s:
+        try:
+            weights = line.weights_at(b4)
+        except InfeasibleWeightsError as exc:
+            excluded.append((b4, str(exc)))
+            continue
+        wq = WeightedQuadrilateral(q, weights)
+        tag = classify_case(wq)
+        if tag.kind is CaseKind.ABSORBED:
+            excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
+            continue
+        frame = fermat._measure(q.vertices)
+        seed, _, _ = fermat._weiszfeld_full(frame, wq.weights, fermat._SEED_TOL,
+                                            fermat._SEED_MAX_ITER, start=line.point)
+        point, norm, _ = fermat._median_polish(
+            frame, wq.weights, seed, min(fermat.RESIDUAL_TOL, fermat._POLISH_TOL),
+            fermat.NEWTON_MAX_ITER)
+        assert norm < fermat.RESIDUAL_TOL * wq.total
+        evaluated.append((b4, point.distance_to(line.point)))
+    max_dev = max((d for _, d in evaluated), default=math.inf)
+    tolerance = 1e-6 * q.diameter()
+    return PlasticityReport(
+        reference=line.point,
+        tolerance=tolerance,
+        max_deviation=max_dev,
+        passed=bool(evaluated) and max_dev < tolerance,
+        evaluated=tuple(evaluated),
+        excluded=tuple(excluded),
+    )
 
 
 def _triangle_weights(p, tri):
@@ -356,8 +398,9 @@ class TestVerify:
             assert report.passed, (pts, w, report)
 
     def test_samples_resolve_from_the_anchor(self, monkeypatch, rect_mod, line_ex2):
-        # no per-sample locate_4wft or tree; at the true anchor each seed stops
-        # at its first Weiszfeld evaluation and the Newton polish takes no step
+        # no per-sample locate_4wft or tree; at the true anchor the start is
+        # certified by its first gradient evaluation, so no Weiszfeld seed
+        # runs and the Newton polish takes no step
         built = []
 
         def counting(name, original):
@@ -390,8 +433,68 @@ class TestVerify:
         report = verify_plasticity(rect_mod, line_ex2, 16)
         assert report.passed and len(report.evaluated) == 14
         assert built == []
-        assert seed_steps == [1] * 14
+        assert seed_steps == []
         assert polish_steps == [0] * 14
+
+    def test_true_anchor_costs_one_evaluation_per_sample(self, monkeypatch, rect_mod,
+                                                          line_ex2):
+        # one measurement per line: no classify_case (so no WeightedQuadrilateral)
+        # and no Weiszfeld seed per sample, and one polish evaluation taking no
+        # step.  (An anchor left above the polish target by rounding goes
+        # through the full seed and polish instead; once in 1000 seeded lines.)
+        calls = {"classify_case": 0, "_weiszfeld_full": 0}
+        polish_steps = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (fermat, plasticity):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        polish = fermat._median_polish
+
+        def counted_polish(*args, **kwargs):
+            out = polish(*args, **kwargs)
+            polish_steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(fermat, "_median_polish", counted_polish)
+        lines = [(rect_mod, line_ex2)] + _random_lines(47, 20)
+        for weights in DIAGONAL_WEIGHTS:
+            wq = WeightedQuadrilateral(rect_mod, weights)
+            lines.append((rect_mod, plasticity_line(wq, locate_4wft(wq))))
+        for quad, line in lines:
+            calls.update(dict.fromkeys(calls, 0))
+            polish_steps.clear()
+            report = verify_plasticity(quad, line, 16)
+            assert report.passed
+            assert calls == {"classify_case": 0, "_weiszfeld_full": 0}
+            assert polish_steps == [0] * len(report.evaluated)
+            assert len(report.evaluated) == 14
+
+    def test_report_equals_the_per_sample_reference(self, rect_mod):
+        # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, on
+        # 200 seeded lines and a hand-made line whose ends absorb
+        rng = np.random.default_rng(59)
+        absorbing = PlasticityLine(c=4.0, coefficients=((-1.0, 3.0), (0.0, 0.5), (0.0, 0.5)),
+                                   b4_interval=(0.0, 3.0), point=Point(0.5, 0.5))
+        unit_square = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        reasons = set()
+        for quad, line in _random_lines(53, 200) + [(unit_square, absorbing)]:
+            diameter = quad.diameter()
+            for shift in (0.0, 1e-3, 5e-2):
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                moved = Point(line.point.x + shift * diameter * math.cos(theta),
+                              line.point.y + shift * diameter * math.sin(theta))
+                moved_line = dataclasses.replace(line, point=moved)
+                report = verify_plasticity(quad, moved_line, 16)
+                assert report == _reference_report(quad, moved_line, 16)
+                reasons.update(why.split()[0] for _, why in report.excluded)
+        assert reasons == {"B4", "absorbed"}
 
     @pytest.mark.parametrize("shift", [1e-3, 5e-2])
     def test_moved_anchor_reports_its_offset(self, rect_mod, wq2_mod, shift):
