@@ -6,21 +6,23 @@ boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
-(`locate_4wft`), has one path: at most 5 Weiszfeld steps seed
-Newton on the gradient, run relative to the first vertex, which converges
-quadratically to the median.  The seed starts at the weighted centroid, or at
-a given start point (the plasticity check starts at the line's anchor).  The
-residual gate is the certificate: the median is unique, and a point is
-accepted only when its pull is below `tol` times the total weight, so an
-accepted point is the optimum whatever the start.  The paper's angle systems
-stay as independent solvers that, given no start, measure it at that median.
+(`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
+gradient and Hessian of the weighted distance sum, relative to the first
+vertex.  It takes at most 5 Weiszfeld steps, each a gradient step scaled by
+the Hessian's trace, then Newton steps, which converge quadratically to the
+median.  It starts at the weighted centroid, or at a given start point (the
+plasticity check starts at the line's anchor).  The residual gate is the
+certificate: the median is unique, and a point is accepted only when its
+pull is below `tol` times the total weight, so an accepted point is the
+optimum whatever the start.  The paper's angle systems stay as independent
+solvers that, given no start, measure it at that median.
 
-The median works on a measured frame of its points (`_measure`): their
-absolute coordinates, their diameter and their coordinates relative to the
-first point, taken once per call of a public solver, so a family of weights
-on one point set (the plasticity samples) re-solves without re-measuring it.
-A start whose pull is already below the polish target is certified as it
-stands: it comes back after one gradient evaluation, with no seed and no step.
+The median works on a measured frame of its points (`_measure`): the first
+point and every point's coordinates relative to it, taken once per call of a
+public solver, so a family of weights on one point set (the plasticity
+samples) re-solves without re-measuring it.  A start that already passes the
+gate is certified as it stands: it comes back after one gradient evaluation,
+with no step.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
 
 # ------------------------------------------------------------------ #
-# Weiszfeld iteration
+# The weighted median
 # ------------------------------------------------------------------ #
 
 def _collinear(points) -> bool:
@@ -222,65 +224,17 @@ def _collinear(points) -> bool:
 
 
 class _Frame(NamedTuple):
-    """A point set measured for the median: absolute coordinates, their
-    diameter, and coordinates relative to the first point."""
+    """A point set measured for the median: the first point's absolute
+    coordinates and every point's coordinates relative to it."""
 
-    xy: tuple[tuple[float, float], ...]
-    diameter: float
+    origin: tuple[float, float]
     relative: tuple[tuple[float, float], ...]
 
 
 def _measure(points) -> _Frame:
     """The frame of `points`, measured once for every median on them."""
-    xy = tuple((q.x, q.y) for q in points)
-    diameter = max(math.hypot(ax - bx, ay - by)
-                   for i, (ax, ay) in enumerate(xy) for bx, by in xy[i + 1:])
-    ox, oy = xy[0]
-    return _Frame(xy, diameter, tuple((qx - ox, qy - oy) for qx, qy in xy))
-
-
-def _weiszfeld_full(frame: _Frame, weights, tol, max_iter, start=None):
-    """Weiszfeld on a floating instance, from `start` or else the weighted
-    centroid, to a pull below tol * sum(weights) or the cap: the median's
-    seed.  Returns (point, iterations, residual); a start that already pulls
-    below the target comes back after one evaluation.
-    """
-    total = sum(weights)
-    xy = frame.xy
-    if start is None:
-        x = sum(w * qx for w, (qx, _) in zip(weights, xy)) / total
-        y = sum(w * qy for w, (_, qy) in zip(weights, xy)) / total
-    else:
-        x, y = start.x, start.y
-    near = 1e-12 * frame.diameter
-    restarted = False
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        num_x = num_y = den = 0.0
-        rx = ry = 0.0
-        for w, (qx, qy) in zip(weights, xy):
-            d = math.hypot(x - qx, y - qy)
-            if d < near:
-                break
-            num_x += w * qx / d
-            num_y += w * qy / d
-            den += w / d
-            rx += w * (qx - x) / d
-            ry += w * (qy - y) / d
-        else:
-            residual = math.hypot(rx, ry)
-            if residual < tol * total:
-                return Point(x, y), it, residual
-            x, y = num_x / den, num_y / den
-            continue
-        # Classical Weiszfeld stalls on vertices; not absorbed here, so nudge
-        # off the centroid and continue.
-        if restarted:
-            raise ConvergenceError("Weiszfeld re-encountered a vertex", last=Point(x, y))
-        restarted = True
-        x = sum(qx for qx, _ in xy) / len(xy) + 1e-6 * frame.diameter
-        y = sum(qy for _, qy in xy) / len(xy) + 1e-6 * frame.diameter
-    return Point(x, y), max_iter, residual
+    ox, oy = points[0].x, points[0].y
+    return _Frame((ox, oy), tuple((q.x - ox, q.y - oy) for q in points))
 
 
 def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
@@ -290,8 +244,10 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     Absorbed instances return the dominating vertex directly (Kuhn's test:
     the pull of the others exceeds its weight by at most `CASE_BOUNDARY_TOL`
     times the total, the margin of `classify_case`).  Otherwise the median of
-    `locate_4wft`: a capped Weiszfeld seed, then at most `max_iter` Newton
-    steps; a pull not below tol * sum(weights) raises ConvergenceError.
+    `locate_4wft`: at most 5 Weiszfeld steps, then at most `max_iter` Newton
+    steps, on one gradient evaluation per step; a pull not below
+    tol * sum(weights) raises ConvergenceError, and a `tol` that is not
+    positive or a `max_iter` below 1 raises QuadFTError.
     """
     points = list(points)
     weights = [float(w) for w in weights]
@@ -301,8 +257,6 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
         raise QuadFTError("weights must be positive")
     if _collinear(points):
         raise QuadFTError("points are collinear; the median problem degenerates")
-    if tol <= 0.0:
-        raise QuadFTError("tol must be positive")
     margin = CASE_BOUNDARY_TOL * sum(weights)
     for i, p in enumerate(points):
         if _absorption_slack(points, weights, i) <= margin:
@@ -311,42 +265,23 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
 
 
 def _median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
-    """The capped Weiszfeld seed, from `start` or else the weighted centroid,
-    then at most `max_iter` Newton steps to min(tol, _POLISH_TOL).  A start
-    already pulling below that target is returned as it stands, with no seed
-    and no step.  Returns (point, residual_norm, steps of both)."""
-    tol = min(tol, _POLISH_TOL)
-    if start is not None:
-        point, norm, _ = _median_polish(frame, weights, start, tol, 0)
-        if norm < tol * sum(weights):
-            return point, norm, 0
-    seed, seed_steps, _ = _weiszfeld_full(frame, weights, _SEED_TOL, _SEED_MAX_ITER,
-                                          start=start)
-    point, norm, steps = _median_polish(frame, weights, seed, tol, max_iter)
-    return point, norm, seed_steps + steps
+    """The weighted median of the frame's points, by one loop on the gradient
+    of the weighted distance sum, in coordinates relative to the first point
+    (so a far translation does not swamp the pull in rounding).
 
-
-def _certified_median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
-    """`_median`, raising ConvergenceError unless its pull is below
-    tol * sum(weights).  Returns (point, steps)."""
-    point, norm, steps = _median(frame, weights, tol, max_iter, start)
-    if not norm < tol * sum(weights):
-        raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
-                               last=point, residual=norm)
-    return point, steps
-
-
-def _median_polish(frame: _Frame, weights, start: Point, tol: float, max_iter: int):
-    """Damped Newton on the gradient of the weighted distance sum, from `start`.
-
-    Quadratic where Weiszfeld is only linear, so from a rough Weiszfeld seed
-    it takes a few steps; the Hessian of sum w_i |x - p_i| is positive definite
-    off the anchor points.  Works in coordinates relative to the first point,
-    so a far translation does not swamp the residual in rounding.  Returns
-    (point, residual_norm, steps); the caller judges the residual.
+    From `start`, or else the weighted centroid: at most `_SEED_MAX_ITER`
+    Weiszfeld steps while the pull is at least `_SEED_TOL` times the total,
+    then at most `max_iter` damped Newton steps to min(tol, _POLISH_TOL)
+    times it.  The Weiszfeld step x - g / (hxx + hyy) reads the trace of the
+    Hessian, which is sum w_i / r_i; Newton is quadratic where Weiszfeld is
+    only linear, and the Hessian is positive definite off the points.  A
+    start already pulling below tol times the total is returned as it
+    stands.  Returns (point, residual_norm, steps of both kinds); the caller
+    judges the residual.
     """
-    ox, oy = frame.xy[0]
+    ox, oy = frame.origin
     relative = frame.relative
+    total = sum(weights)
 
     def gradient(x, y):
         gx = gy = hxx = hxy = hyy = 0.0
@@ -364,14 +299,30 @@ def _median_polish(frame: _Frame, weights, start: Point, tol: float, max_iter: i
             hyy += c * (1.0 - uy * uy)
         return gx, gy, hxx, hxy, hyy
 
-    x, y = start.x - ox, start.y - oy
+    if start is None:
+        x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
+        y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
+    else:
+        x, y = start.x - ox, start.y - oy
     state = gradient(x, y)
     if state is None:
-        return start, math.inf, 0
+        return Point(ox + x, oy + y), math.inf, 0
     norm = math.hypot(state[0], state[1])
-    limit = tol * sum(weights)
+    if start is not None and norm < tol * total:
+        return start, norm, 0
     steps = 0
-    while steps < max_iter and norm >= limit:
+    while steps < _SEED_MAX_ITER and norm >= _SEED_TOL * total:
+        gx, gy, hxx, _, hyy = state
+        nx, ny = x - gx / (hxx + hyy), y - gy / (hxx + hyy)
+        trial = gradient(nx, ny)
+        if trial is None:
+            break
+        x, y, state = nx, ny, trial
+        norm = math.hypot(state[0], state[1])
+        steps += 1
+    limit = min(tol, _POLISH_TOL) * total
+    newton = 0
+    while newton < max_iter and norm >= limit:
         gx, gy, hxx, hxy, hyy = state
         det = hxx * hyy - hxy * hxy
         if not det > 0.0:
@@ -388,8 +339,23 @@ def _median_polish(frame: _Frame, weights, start: Point, tol: float, max_iter: i
             break
         x, y, state = x + t * sx, y + t * sy, trial
         norm = math.hypot(state[0], state[1])
-        steps += 1
-    return Point(ox + x, oy + y), norm, steps
+        newton += 1
+    return Point(ox + x, oy + y), norm, steps + newton
+
+
+def _certified_median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
+    """`_median`, raising ConvergenceError unless its pull is below
+    tol * sum(weights).  Returns (point, steps).  A `tol` that is not
+    positive or a `max_iter` below 1 raises QuadFTError."""
+    if not tol > 0.0:
+        raise QuadFTError(f"tol must be positive, got {tol!r}")
+    if not max_iter >= 1:
+        raise QuadFTError(f"max_iter must be at least 1, got {max_iter!r}")
+    point, norm, steps = _median(frame, weights, tol, max_iter, start)
+    if not norm < tol * sum(weights):
+        raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
+                               last=point, residual=norm)
+    return point, steps
 
 
 # ------------------------------------------------------------------ #
@@ -682,12 +648,14 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     """Locate the degree-four optimum for any valid instance.
 
     Absorbed instances return the vertex tree; equal weights short-circuit to
-    the diagonal intersection.  A floating instance is classified once; at
-    most 5 Weiszfeld steps, to 1e-2 of the total weight, seed Newton on the
-    gradient, which polishes the median to 1e-14 of it (or `tol`, if smaller)
-    in at most `max_iter` steps.  The tree, with its angles, is measured at
-    that point; `iterations` counts both kinds of step.  A residual that
-    misses `tol` times the total weight raises ConvergenceError.
+    the diagonal intersection.  A floating instance is classified once; its
+    median takes at most 5 Weiszfeld steps, to 1e-2 of the total weight, then
+    Newton steps on the same gradient, which polish it to 1e-14 of it (or
+    `tol`, if smaller) in at most `max_iter` steps.  The tree, with its
+    angles, is measured at that point; `iterations` counts the steps of both
+    kinds.  A residual that misses `tol` times the total weight raises
+    ConvergenceError, and a `tol` that is not positive or a `max_iter` below
+    1 raises QuadFTError.
 
     That gate applies to the Newton iterate in coordinates relative to A1.
     Mapping it back rounds it to the float grid of the absolute coordinates,

@@ -17,7 +17,7 @@ pi + a00'2 and A0'->A3 at pi - a00'3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError
@@ -130,23 +130,9 @@ def local_angles(w: GaussWeights) -> LocalAngles:
     )
 
 
-class _Branch(NamedTuple):
+def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     """Stationary-branch evaluation, valid or not; past the absorbing point
     the continuation has l < 0."""
-
-    phi: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    l: float
-    node0: Point
-    node0p: Point
-    objective: float
-    angles: LocalAngles
-
-
-def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
     v, d = q.vertices, q.distances
     a12, a14, a23 = d[0][1], d[0][3], d[1][2]
     alpha214, alpha123 = q.interior_angles[:2]
@@ -177,7 +163,7 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> _Branch:
     a3 = node0p.distance_to(v[2])
     a4 = node0.distance_to(v[3])
     objective = w.b1 * a1 + w.b2 * a2 + w.b3 * a3 + w.b4 * a4 + w.xg * l
-    return _Branch(phi, a1, a2, a3, a4, l, node0, node0p, objective, ang)
+    return GaussTree(node0, node0p, a1, a2, a3, a4, l, phi, objective)
 
 
 def _span(l: float) -> float:
@@ -202,33 +188,22 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     value, a negative edge, or a node escaping the quadrilateral).  Span values
     in (-1e-9, 0] are clamped to the exact l = 0 degree-four limit.
     """
-    br = _branch(q, w)
-    l, a3, objective = _span(br.l), br.a3, br.objective
-    node0, node0p = br.node0, br.node0p
+    tree = _branch(q, w)
+    l = _span(tree.l)
     if l < 0.0:
         raise DegenerateTreeError(
             f"span l = {l:.3e} < 0: x_G = {w.xg} exceeds its absorbing value"
         )
     if l == 0.0:
         # the exact degree-four limit: A0' merges into A0
-        node0p = node0
-        a3 = node0p.distance_to(q.vertices[2])
-        objective = w.b1 * br.a1 + w.b2 * br.a2 + w.b3 * a3 + w.b4 * br.a4 + w.xg * l
-    if br.a1 <= 0.0 or br.a2 <= 0.0:
+        a3 = tree.node0.distance_to(q.vertices[2])
+        tree = replace(tree, node0p=tree.node0, a3=a3, l=l, objective=(
+            w.b1 * tree.a1 + w.b2 * tree.a2 + w.b3 * a3 + w.b4 * tree.a4))
+    if tree.a1 <= 0.0 or tree.a2 <= 0.0:
         raise DegenerateTreeError(
-            f"edge lengths (a1={br.a1:.3e}, a2={br.a2:.3e}) are not positive"
+            f"edge lengths (a1={tree.a1:.3e}, a2={tree.a2:.3e}) are not positive"
         )
-    for node, name in ((node0, "A0"), (node0p, "A0'")):
+    for node, name in ((tree.node0, "A0"), (tree.node0p, "A0'")):
         if not q.contains(node, tol=1e-9):
             raise DegenerateTreeError(f"node {name} = {node} lies outside the quadrilateral")
-    return GaussTree(
-        node0=node0,
-        node0p=node0p,
-        a1=br.a1,
-        a2=br.a2,
-        a3=a3,
-        a4=br.a4,
-        l=l,
-        phi=br.phi,
-        objective=objective,
-    )
+    return tree

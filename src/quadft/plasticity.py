@@ -209,16 +209,16 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     Samples where a weight leaves positivity or the instance stops floating
     (Kuhn's test of `classify_case` on the quadrilateral's unit vectors) are
     excluded with a reason, never counted as drift.  Every other sample
-    re-solves the median by the path of `locate_4wft` (capped Weiszfeld seed,
-    Newton polish, residual gate), started at the anchor `line.point` rather
-    than the weighted centroid, on the vertices measured once per call, and
-    builds no tree.  An anchor that already pulls below the polish target is
-    certified after one gradient evaluation, with no seed and no step.  The
-    residual gate is the certificate: the median is unique and only a point
-    pulling below RESIDUAL_TOL times the total weight is accepted, so each
-    deviation is the anchor's distance to the true optimum, whatever the
-    start; a moved anchor goes through the full seed and polish.  Passes when
-    the maximum deviation stays below 1e-6 times the quadrilateral diameter.
+    re-solves the median by the path of `locate_4wft` (the one median loop of
+    capped Weiszfeld and Newton steps, then the residual gate), started at the
+    anchor `line.point` rather than the weighted centroid, on the vertices
+    measured once per call, and builds no tree.  The residual gate is the
+    certificate: the median is unique and only a point pulling below
+    RESIDUAL_TOL times the total weight is accepted, so each deviation is the
+    anchor's distance to the true optimum, whatever the start.  An anchor that
+    already passes the gate is returned after one gradient evaluation, with no
+    step; a moved anchor takes Weiszfeld and Newton steps.  Passes when the
+    maximum deviation stays below 1e-6 times the quadrilateral diameter.
     """
     if samples < 1:
         raise QuadFTError("need at least one sample")

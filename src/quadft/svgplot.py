@@ -105,10 +105,8 @@ def render_scene(scene: Scene, width: float = DEFAULT_WIDTH) -> str:
             ys.extend(p[1] for p in loop)
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    dx = max(max_x - min_x, 1e-9)
-    dy = max(max_y - min_y, 1e-9)
-    scale = (width - 2.0 * MARGIN) / dx
-    height = dy * scale + 2.0 * MARGIN
+    scale = (width - 2.0 * MARGIN) / (max_x - min_x)
+    height = (max_y - min_y) * scale + 2.0 * MARGIN
 
     def view(p):
         # y-up world mapped into the y-down SVG frame

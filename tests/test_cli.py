@@ -430,6 +430,21 @@ class TestSvg:
         assert inner[1][0] >= mid[1][0] >= outer[1][0]
         assert inner[1][2] <= mid[1][2] <= outer[1][2]
 
+    def test_scene_is_scale_free(self, tmp_path, capsys):
+        # the canvas maps the quadrilateral's own extents, at every scale
+        blobs = []
+        for scale in (1e-12, 1e-10, 1e-6, 1.0, 1e6):
+            doc = tmp_path / "scaled.doc"
+            doc.write_text(json.dumps({
+                "vertices": [[scale * x, scale * y] for x, y in ((0, 0), (7, 0), (7, 4), (0, 4))],
+                "weights": [3.0, 2.5, 1.7, 1.5],
+            }))
+            svg = tmp_path / "scaled.svg"
+            assert main(["wft-quad", "--input", str(doc), "--svg", str(svg)]) == 0
+            blobs.append(svg.read_bytes())
+        capsys.readouterr()
+        assert all(blob == blobs[0] for blob in blobs)
+
     def test_plot_requires_svg(self, ex2_doc, capsys):
         assert main(["plot", "--input", str(ex2_doc)]) == 2
         assert "svg" in capsys.readouterr().err.lower()

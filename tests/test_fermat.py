@@ -365,9 +365,8 @@ class TestNewtonAgainstNumpy:
             median, _, _ = fermat._median(frame, wq.weights, fermat.RESIDUAL_TOL,
                                           fermat.NEWTON_MAX_ITER)
             # the median solves the system at once; the capped Weiszfeld seed
-            # the median starts from leaves Newton a few steps to take
-            rough, _, _ = fermat._weiszfeld_full(frame, wq.weights, fermat._SEED_TOL,
-                                                 fermat._SEED_MAX_ITER)
+            # alone (no Newton step) leaves Newton a few steps to take
+            rough, _, _ = fermat._median(frame, wq.weights, fermat.RESIDUAL_TOL, 0)
             func = fermat._general_system(wq)[0]
             for seed in (median, rough):
                 self._agree(func, fermat._seed_angles(v, seed), -math.pi, TWO_PI)
@@ -430,6 +429,18 @@ class TestLocate:
         assert math.isfinite(tree.objective)
         recomputed = weighted_distance_sum(wq_ex2.quad.vertices, wq_ex2.weights, tree.point)
         assert tree.objective == pytest.approx(recomputed, rel=1e-10)
+
+    @pytest.mark.parametrize("name, value", [("tol", 0.0), ("tol", -1.0), ("tol", math.nan),
+                                             ("max_iter", 0), ("max_iter", -3)])
+    def test_bad_tol_or_max_iter_names_the_argument(self, wq_ex2, name, value):
+        # checked once, before the median runs, for both entry points; a plain
+        # QuadFTError, not a ConvergenceError after wasted steps
+        triangle = [Point(0, 0), Point(6, 0), Point(2, 5)]
+        for solve in (lambda: locate_4wft(wq_ex2, **{name: value}),
+                      lambda: weiszfeld(triangle, (2.0, 1.5, 1.8), **{name: value})):
+            with pytest.raises(QuadFTError, match=f"^{name} ") as err:
+                solve()
+            assert type(err.value) is QuadFTError
 
     def test_absorbed_objective(self):
         q = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -502,7 +513,7 @@ class TestLocate:
         else:
             rng = np.random.default_rng(3)
             wq = _floating_weights(rng, random_convex_quad(rng))
-        calls = {"classify_case": 0, "_weiszfeld_full": 0}
+        calls = {"classify_case": 0, "_median": 0}
 
         def counted(name):
             original = getattr(fermat, name)
@@ -517,7 +528,7 @@ class TestLocate:
             counted(name)
         tree = locate_4wft(wq)
         assert tree.case.kind is CaseKind.FLOATING
-        assert calls == {"classify_case": 1, "_weiszfeld_full": 1}
+        assert calls == {"classify_case": 1, "_median": 1}
 
     def test_facade_returns_the_general_solution(self):
         rng = np.random.default_rng(5)
@@ -560,20 +571,15 @@ class TestSolveCost:
             assert locate_4wft(wq).case.kind is CaseKind.FLOATING
         assert calls == []
 
-    def test_barely_floating_instance_is_cheap(self, monkeypatch):
-        # Weiszfeld alone converges only linearly here (absorption slack ~1e-3)
+    def test_barely_floating_instance_is_cheap(self):
+        # Weiszfeld alone converges only linearly here (absorption slack ~1e-3),
+        # so the seed runs to its cap of 5 steps and Newton finishes the solve
         quad = Quadrilateral.from_coords(BARELY_FLOATING_COORDS)
         wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
-        step_caps = []
-        original = fermat._weiszfeld_full
-
-        def capped(points, weights, tol, max_iter, start=None):
-            step_caps.append(max_iter)
-            return original(points, weights, tol, max_iter, start=start)
-
-        monkeypatch.setattr(fermat, "_weiszfeld_full", capped)
+        _, _, seed_steps = fermat._median(fermat._measure(quad.vertices), wq.weights,
+                                          fermat.RESIDUAL_TOL, 0)
+        assert seed_steps == 5
         tree = locate_4wft(wq)
-        assert step_caps == [5]
         assert tree.iterations <= 30
         assert tree.equilibrium_residual < 1e-14 * wq.total
 

@@ -69,11 +69,24 @@ def _random_lines(seed, n):
     return lines
 
 
+def _median_steps(monkeypatch):
+    """The steps of every `fermat._median` call from here on, in call order."""
+    steps = []
+    median = fermat._median
+
+    def counted(*args, **kwargs):
+        out = median(*args, **kwargs)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(fermat, "_median", counted)
+    return steps
+
+
 def _reference_report(q, line, samples):
     """`verify_plasticity` as one loop measuring everything per sample: a
-    WeightedQuadrilateral and `classify_case`, then the capped Weiszfeld seed
-    from the anchor and the Newton polish on a frame of the raw vertices,
-    gated on RESIDUAL_TOL."""
+    WeightedQuadrilateral and `classify_case`, then the median from the
+    anchor on a frame of the raw vertices, gated on RESIDUAL_TOL."""
     lo, hi = line.b4_interval
     b4s = [0.5 * (lo + hi)] if samples == 1 else linspace(lo, hi, samples)
     evaluated, excluded = [], []
@@ -88,12 +101,9 @@ def _reference_report(q, line, samples):
         if tag.kind is CaseKind.ABSORBED:
             excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        frame = fermat._measure(q.vertices)
-        seed, _, _ = fermat._weiszfeld_full(frame, wq.weights, fermat._SEED_TOL,
-                                            fermat._SEED_MAX_ITER, start=line.point)
-        point, norm, _ = fermat._median_polish(
-            frame, wq.weights, seed, min(fermat.RESIDUAL_TOL, fermat._POLISH_TOL),
-            fermat.NEWTON_MAX_ITER)
+        point, norm, _ = fermat._median(fermat._measure(q.vertices), wq.weights,
+                                        fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER,
+                                        start=line.point)
         assert norm < fermat.RESIDUAL_TOL * wq.total
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
@@ -399,8 +409,8 @@ class TestVerify:
 
     def test_samples_resolve_from_the_anchor(self, monkeypatch, rect_mod, line_ex2):
         # no per-sample locate_4wft or tree; at the true anchor the start is
-        # certified by its first gradient evaluation, so no Weiszfeld seed
-        # runs and the Newton polish takes no step
+        # certified by its first gradient evaluation, so the median takes no
+        # step, Weiszfeld or Newton
         built = []
 
         def counting(name, original):
@@ -415,35 +425,17 @@ class TestVerify:
                                     counting("locate_4wft", module.locate_4wft))
         monkeypatch.setattr(fermat, "_floating_tree",
                             counting("_floating_tree", fermat._floating_tree))
-        seed_steps, polish_steps = [], []
-        seed, polish = fermat._weiszfeld_full, fermat._median_polish
-
-        def counted_seed(*args, **kwargs):
-            out = seed(*args, **kwargs)
-            seed_steps.append(out[1])
-            return out
-
-        def counted_polish(*args, **kwargs):
-            out = polish(*args, **kwargs)
-            polish_steps.append(out[2])
-            return out
-
-        monkeypatch.setattr(fermat, "_weiszfeld_full", counted_seed)
-        monkeypatch.setattr(fermat, "_median_polish", counted_polish)
+        steps = _median_steps(monkeypatch)
         report = verify_plasticity(rect_mod, line_ex2, 16)
         assert report.passed and len(report.evaluated) == 14
         assert built == []
-        assert seed_steps == []
-        assert polish_steps == [0] * 14
+        assert steps == [0] * 14
 
     def test_true_anchor_costs_one_evaluation_per_sample(self, monkeypatch, rect_mod,
                                                           line_ex2):
         # one measurement per line: no classify_case (so no WeightedQuadrilateral)
-        # and no Weiszfeld seed per sample, and one polish evaluation taking no
-        # step.  (An anchor left above the polish target by rounding goes
-        # through the full seed and polish instead; once in 1000 seeded lines.)
-        calls = {"classify_case": 0, "_weiszfeld_full": 0}
-        polish_steps = []
+        # per sample, and one median evaluation taking no step
+        calls = {"classify_case": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -455,26 +447,28 @@ class TestVerify:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        polish = fermat._median_polish
-
-        def counted_polish(*args, **kwargs):
-            out = polish(*args, **kwargs)
-            polish_steps.append(out[2])
-            return out
-
-        monkeypatch.setattr(fermat, "_median_polish", counted_polish)
+        steps = _median_steps(monkeypatch)
         lines = [(rect_mod, line_ex2)] + _random_lines(47, 20)
         for weights in DIAGONAL_WEIGHTS:
             wq = WeightedQuadrilateral(rect_mod, weights)
             lines.append((rect_mod, plasticity_line(wq, locate_4wft(wq))))
         for quad, line in lines:
             calls.update(dict.fromkeys(calls, 0))
-            polish_steps.clear()
+            steps.clear()
             report = verify_plasticity(quad, line, 16)
             assert report.passed
-            assert calls == {"classify_case": 0, "_weiszfeld_full": 0}
-            assert polish_steps == [0] * len(report.evaluated)
+            assert calls == {"classify_case": 0}
+            assert steps == [0] * len(report.evaluated)
             assert len(report.evaluated) == 14
+
+    def test_anchor_inside_the_gate_is_certified(self, monkeypatch):
+        # the 127th seeded line: its anchor pulls above the 1e-14 Newton target
+        # but below the RESIDUAL_TOL gate, which alone certifies a start
+        quad, line = _random_lines(1, 127)[-1]
+        steps = _median_steps(monkeypatch)
+        report = verify_plasticity(quad, line, 16)
+        assert report.passed and report.max_deviation == 0.0
+        assert steps == [0] * len(report.evaluated) and len(steps) == 14
 
     def test_report_equals_the_per_sample_reference(self, rect_mod):
         # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, on
