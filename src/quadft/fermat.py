@@ -5,6 +5,15 @@ triangle closed form, the certified median, the circle system for a square
 boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
 
+The case is decided in one place, `_kuhn_case`: Kuhn's test (Kuhn 1973, "A
+note on Fermat's problem"), on the unit vectors between the points
+(`geometry.unit_matrix`, cached per quadrilateral).  A point absorbs when the
+weighted pull of the others on it exceeds its own weight by at most
+`CASE_BOUNDARY_TOL` times the total.  `classify_case`, `weiszfeld` and the
+plasticity check all read it.  Every `FermatTree` is built by one function,
+`_tree`, whether at an absorbing vertex, at the diagonal intersection, at the
+median or at an angle system's point.
+
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
 gradient and Hessian of the weighted distance sum, relative to the first
@@ -47,6 +56,7 @@ from .geometry import (
     diagonal_intersection,
     rotate,
     solve_linear,
+    unit_matrix,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -80,6 +90,17 @@ class CaseTag:
     boundary: bool = False
 
 
+_FLOATING = CaseTag(CaseKind.FLOATING)
+
+
+def _positive_weights(weights) -> tuple[float, ...]:
+    """The weights as floats; QuadFTError unless each is positive and finite."""
+    w = tuple(float(v) for v in weights)
+    if not all(v > 0.0 and math.isfinite(v) for v in w):
+        raise QuadFTError(f"weights must be positive and finite, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedQuadrilateral:
     """Convex quadrilateral with one positive weight per vertex."""
@@ -88,12 +109,10 @@ class WeightedQuadrilateral:
     weights: tuple[float, float, float, float]
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(self.weights)
         if len(w) != 4:
             raise QuadFTError("exactly four weights are required")
-        if any(not (v > 0.0 and math.isfinite(v)) for v in w):
-            raise QuadFTError(f"weights must be positive and finite, got {w}")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _positive_weights(w))
 
     @property
     def total(self) -> float:
@@ -144,18 +163,6 @@ def _weighted_sum(weights, units):
     return sx, sy
 
 
-def _pull_vector(points, weights, p: Point, skip: int | None = None):
-    """Sum of weighted unit vectors from p toward each point (skip one index)."""
-    return _weighted_sum(weights, [None if i == skip else p.unit_toward(q)
-                                   for i, q in enumerate(points)])
-
-
-def _absorption_slack(points, weights, i: int) -> float:
-    """Norm of the pull at vertex i minus its own weight (<= 0 means absorbed)."""
-    sx, sy = _pull_vector(points, weights, points[i], skip=i)
-    return math.hypot(sx, sy) - weights[i]
-
-
 def classify_case(wq: WeightedQuadrilateral, tol: float = CASE_BOUNDARY_TOL) -> CaseTag:
     """Absorbed/floating classification of the degree-four problem.
 
@@ -164,14 +171,17 @@ def classify_case(wq: WeightedQuadrilateral, tol: float = CASE_BOUNDARY_TOL) -> 
     `tol * total` of equality the result is reported absorbed with a boundary
     flag.  The pulls read the quadrilateral's unit vectors, measured once.
     """
-    return _kuhn_case(wq.quad.unit_vectors, wq.weights, tol * wq.total)
+    return _kuhn_case(wq.quad.unit_vectors, wq.weights, tol)
 
 
-def _kuhn_case(units, weights, margin: float) -> CaseTag:
-    """Kuhn's absorption test on unit vectors u[i][j] between the vertices:
-    the first vertex whose slack is at most `margin` absorbs."""
-    for i in range(4):
-        slack = math.hypot(*_weighted_sum(weights, units[i])) - weights[i]
+def _kuhn_case(units, weights, tol: float = CASE_BOUNDARY_TOL) -> CaseTag:
+    """Kuhn's absorption test on the unit vectors u[i][j] between the points
+    (`geometry.unit_matrix`): the slack of point i is the norm of the others'
+    weighted pull on it minus its own weight, and the first point whose slack
+    is at most `tol` times the total weight absorbs."""
+    margin = tol * sum(weights)
+    for i, w in enumerate(weights):
+        slack = math.hypot(*_weighted_sum(weights, units[i])) - w
         if slack <= margin:
             return CaseTag(CaseKind.ABSORBED, vertex=i + 1, boundary=abs(slack) <= margin)
     return CaseTag(CaseKind.FLOATING)
@@ -203,7 +213,8 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
 def _collinear(points) -> bool:
     """Rank < 2 of the centred coordinates: their smaller singular value is at
-    most 1e-12 * (1 + max |x|).
+    most 1e-12 * max |x|, so the test is the same at every scale (coincident
+    points, all at 0, are collinear).
 
     That singular value is the norm of the coordinates across the principal
     axis, taken from the rotated coordinates themselves rather than from the
@@ -214,7 +225,7 @@ def _collinear(points) -> bool:
     cx = sum(p.x for p in points) / n
     cy = sum(p.y for p in points) / n
     xs = [(p.x - cx, p.y - cy) for p in points]
-    tol = 1e-12 * (1.0 + max(max(abs(x), abs(y)) for x, y in xs))
+    tol = 1e-12 * max(max(abs(x), abs(y)) for x, y in xs)
     a = sum(x * x for x, _ in xs)
     b = sum(x * y for x, y in xs)
     c = sum(y * y for _, y in xs)
@@ -241,30 +252,29 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
               max_iter: int = NEWTON_MAX_ITER) -> Point:
     """Weighted geometric median of >= 3 non-collinear points.
 
-    Absorbed instances return the dominating vertex directly (Kuhn's test:
-    the pull of the others exceeds its weight by at most `CASE_BOUNDARY_TOL`
-    times the total, the margin of `classify_case`).  Otherwise the median of
+    Weights that are not positive and finite raise QuadFTError.  Absorbed
+    instances return the dominating vertex directly (Kuhn's test of
+    `classify_case`: the pull of the others exceeds its weight by at most
+    `CASE_BOUNDARY_TOL` times the total).  Otherwise the median of
     `locate_4wft`: at most 5 Weiszfeld steps, then at most `max_iter` Newton
     steps, on one gradient evaluation per step; a pull not below
     tol * sum(weights) raises ConvergenceError, and a `tol` that is not
     positive or a `max_iter` below 1 raises QuadFTError.
     """
-    points = list(points)
-    weights = [float(w) for w in weights]
+    points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
         raise QuadFTError("need at least three points with matching weights")
-    if any(w <= 0.0 for w in weights):
-        raise QuadFTError("weights must be positive")
+    weights = _positive_weights(weights)
     if _collinear(points):
         raise QuadFTError("points are collinear; the median problem degenerates")
-    margin = CASE_BOUNDARY_TOL * sum(weights)
-    for i, p in enumerate(points):
-        if _absorption_slack(points, weights, i) <= margin:
-            return p
+    tag = _kuhn_case(unit_matrix(points), weights)
+    if tag.kind is CaseKind.ABSORBED:
+        return points[tag.vertex - 1]
     return _certified_median(_measure(points), weights, tol, max_iter)[0]
 
 
-def _median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
+def _median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
+            max_iter: int = NEWTON_MAX_ITER, start=None):
     """The weighted median of the frame's points, by one loop on the gradient
     of the weighted distance sum, in coordinates relative to the first point
     (so a far translation does not swamp the pull in rounding).
@@ -343,7 +353,8 @@ def _median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
     return Point(ox + x, oy + y), norm, steps + newton
 
 
-def _certified_median(frame: _Frame, weights, tol: float, max_iter: int, start=None):
+def _certified_median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
+                      max_iter: int = NEWTON_MAX_ITER, start=None):
     """`_median`, raising ConvergenceError unless its pull is below
     tol * sum(weights).  Returns (point, steps).  A `tol` that is not
     positive or a `max_iter` below 1 raises QuadFTError."""
@@ -415,40 +426,26 @@ def _damped_newton(func, x0, lo, hi, tol, max_iter):
                            last=x, residual=norm, trace=trace)
 
 
-def _floating_tree(wq: WeightedQuadrilateral, p: Point, angles=None,
-                   case: CaseTag | None = None, iterations: int = 0) -> FermatTree:
-    pts = wq.quad.vertices
-    units = [p.unit_toward(q) for q in pts]  # measured once: angles and pull
+def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
+          angles=None, iterations: int = 0) -> FermatTree:
+    """The tree at p, on unit vectors from p toward every vertex but an
+    absorbing one, measured once for the angles (NaN where they would meet
+    the absorbing vertex) and for the pull.  The residual is that pull, less
+    the absorbing vertex's weight when there is one, floored at 0."""
+    pts, w, i = wq.quad.vertices, wq.weights, case.vertex
+    units = [None if j + 1 == i else p.unit_toward(q) for j, q in enumerate(pts)]
     if angles is None:
-        angles = [clamped_acos(ux * vx + uy * vy)
-                  for (ux, uy), (vx, vy) in zip(units, units[1:] + units[:1])]
-    rx, ry = _weighted_sum(wq.weights, units)
+        angles = [math.nan if u is None or v is None
+                  else clamped_acos(u[0] * v[0] + u[1] * v[1])
+                  for u, v in zip(units, units[1:] + units[:1])]
+    pull = math.hypot(*_weighted_sum(w, units))
     return FermatTree(
         point=p,
-        case=case or CaseTag(CaseKind.FLOATING),
+        case=case,
         angles=tuple(angles),
-        objective=weighted_distance_sum(pts, wq.weights, p),
-        equilibrium_residual=math.hypot(rx, ry),
+        objective=weighted_distance_sum(pts, w, p),
+        equilibrium_residual=pull if i is None else max(0.0, pull - w[i - 1]),
         iterations=iterations,
-    )
-
-
-def _absorbed_tree(wq: WeightedQuadrilateral, tag: CaseTag) -> FermatTree:
-    i = tag.vertex - 1
-    pts = wq.quad.vertices
-    p = pts[i]
-    angles = []
-    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        if i in (a, b):
-            angles.append(math.nan)
-        else:
-            angles.append(angle_at(p, pts[a], pts[b]))
-    return FermatTree(
-        point=p,
-        case=tag,
-        angles=tuple(angles),
-        objective=weighted_distance_sum(pts, wq.weights, p),
-        equilibrium_residual=max(0.0, _absorption_slack(pts, wq.weights, i)),
     )
 
 
@@ -527,14 +524,13 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
-    sol, residual, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9,
-                                          tol=tol, max_iter=max_iter)
+    sol, _, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9,
+                                   tol=tol, max_iter=max_iter)
     a102, a401 = sol
     a304 = a304_of(a102)
     a203 = TWO_PI - a102 - a304 - a401
     point = _square_point(side, a102, a304, a401)
-    tree = _floating_tree(wq, point, angles=(a102, a203, a304, a401),
-                          iterations=len(trace))
+    tree = _tree(wq, point, angles=(a102, a203, a304, a401), iterations=len(trace))
     if tree.equilibrium_residual > 1e-7 * wq.total:
         raise ConvergenceError(
             "circle system converged to a non-equilibrium point",
@@ -580,7 +576,7 @@ def _general_system(wq: WeightedQuadrilateral):
         r4 = math.cos(a013) * d71 - math.sin(a013) * n71
         return r1, r2, r3, r4
 
-    return residuals, a41, a31, alpha314
+    return residuals, a41, alpha314
 
 
 def _seed_angles(v, seed: Point) -> tuple[float, float, float, float]:
@@ -616,9 +612,9 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
     if init is None:
         seed, _, _ = _median(_measure(v), wq.weights, tol, max_iter)
         init = _seed_angles(v, seed)
-    func, a41, a31, alpha314 = _general_system(wq)
-    sol, residual, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
-                                          tol=tol, max_iter=max_iter)
+    func, a41, alpha314 = _general_system(wq)
+    sol, _, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
+                                   tol=tol, max_iter=max_iter)
     a102, a401, a304, a013 = sol
     a203 = TWO_PI - a102 - a304 - a401
     a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
@@ -629,8 +625,7 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
         raise InconsistentCaseError(
             f"angle system placed the optimum outside the quadrilateral: {point}"
         )
-    tree = _floating_tree(wq, point, angles=(a102, a203, a304, a401),
-                          iterations=len(trace))
+    tree = _tree(wq, point, angles=(a102, a203, a304, a401), iterations=len(trace))
     if tree.equilibrium_residual > 1e-7 * wq.total:
         raise ConvergenceError(
             "angle system converged to a non-equilibrium point",
@@ -666,10 +661,9 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     """
     tag = classify_case(wq)
     if tag.kind is CaseKind.ABSORBED:
-        return _absorbed_tree(wq, tag)
+        return _tree(wq, wq.quad.vertices[tag.vertex - 1], tag)
     w = wq.weights
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
-        return _floating_tree(wq, diagonal_intersection(wq.quad),
-                              case=CaseTag(CaseKind.DIAGONAL))
+        return _tree(wq, diagonal_intersection(wq.quad), CaseTag(CaseKind.DIAGONAL))
     point, iterations = _certified_median(_measure(wq.quad.vertices), w, tol, max_iter)
-    return _floating_tree(wq, point, iterations=iterations)
+    return _tree(wq, point, iterations=iterations)

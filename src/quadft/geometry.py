@@ -63,6 +63,19 @@ class Point:
         return (self.x, self.y)
 
 
+def unit_matrix(points) -> tuple[tuple[tuple[float, float] | None, ...], ...]:
+    """u[i][j], the unit vector from point i toward point j (None where
+    i == j); u[j][i] is -u[i][j]."""
+    n = len(points)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ux, uy = points[i].unit_toward(points[j])
+            rows[i][j] = (ux, uy)
+            rows[j][i] = (-ux, -uy)
+    return tuple(tuple(row) for row in rows)
+
+
 def angle_at(p: Point, a: Point, b: Point) -> float:
     """Geometric angle at p between the rays toward a and toward b, in [0, pi]."""
     ux, uy = p.unit_toward(a)
@@ -121,16 +134,8 @@ class Quadrilateral:
 
     @cached_property
     def unit_vectors(self) -> tuple[tuple[tuple[float, float] | None, ...], ...]:
-        """u[i][j], the unit vector from vertex i toward vertex j (None where
-        i == j), measured once per quadrilateral; u[j][i] is -u[i][j]."""
-        v = self.vertices
-        rows = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                ux, uy = v[i].unit_toward(v[j])
-                rows[i][j] = (ux, uy)
-                rows[j][i] = (-ux, -uy)
-        return tuple(tuple(row) for row in rows)
+        """`unit_matrix` of the vertices, measured once per quadrilateral."""
+        return unit_matrix(self.vertices)
 
     @cached_property
     def distances(self) -> tuple[tuple[float, ...], ...]:

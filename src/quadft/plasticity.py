@@ -22,9 +22,6 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
-    CASE_BOUNDARY_TOL,
-    NEWTON_MAX_ITER,
-    RESIDUAL_TOL,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
@@ -237,12 +234,11 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        tag = _kuhn_case(units, weights, CASE_BOUNDARY_TOL * sum(weights))
+        tag = _kuhn_case(units, weights)
         if tag.kind is CaseKind.ABSORBED:
             excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        point, _ = _certified_median(frame, weights, RESIDUAL_TOL,
-                                     NEWTON_MAX_ITER, start=line.point)
+        point, _ = _certified_median(frame, weights, start=line.point)
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
     return PlasticityReport(

@@ -45,6 +45,23 @@ BARELY_FLOATING_COORDS = [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.275
 BARELY_FLOATING_WEIGHTS = (0.5959, 0.9887, 0.9059, 2.4538)
 
 
+def _pull(points, weights, i):
+    """Norm of the weighted pull of the other points on point i, measured
+    directly by `Point.unit_toward`."""
+    sx = sy = 0.0
+    for j, (q, w) in enumerate(zip(points, weights)):
+        if j != i:
+            ux, uy = points[i].unit_toward(q)
+            sx += w * ux
+            sy += w * uy
+    return math.hypot(sx, sy)
+
+
+def _slack(points, weights, i):
+    """Kuhn's slack at point i: the pull of the others minus its own weight."""
+    return _pull(points, weights, i) - weights[i]
+
+
 def _floating_weights(rng, pts):
     quad = Quadrilateral.from_coords(pts)
     for _ in range(100):
@@ -74,22 +91,20 @@ class TestClassify:
 
     def test_boundary_flag(self, rect):
         # push one weight to the exact absorption threshold of vertex 1
-        from quadft.fermat import _absorption_slack
-
         pts = rect.vertices
-        slack = _absorption_slack(pts, (1.0, 1.0, 1.0, 1.0), 0)
+        slack = _slack(pts, (1.0, 1.0, 1.0, 1.0), 0)
         b1 = 1.0 + slack  # pull of the others equals b1 exactly
         tag = classify_case(WeightedQuadrilateral(rect, (b1, 1.0, 1.0, 1.0)))
         assert tag.kind is CaseKind.ABSORBED and tag.boundary
 
     def test_matches_direct_slack_evaluation(self):
         # the cached unit vectors give exactly the tags of a direct evaluation
-        from quadft.fermat import CASE_BOUNDARY_TOL, CaseTag, _absorption_slack
+        from quadft.fermat import CASE_BOUNDARY_TOL, CaseTag
 
         def direct(wq):
             margin = CASE_BOUNDARY_TOL * wq.total
             for i in range(4):
-                slack = _absorption_slack(wq.quad.vertices, wq.weights, i)
+                slack = _slack(wq.quad.vertices, wq.weights, i)
                 if slack <= margin:
                     return CaseTag(CaseKind.ABSORBED, vertex=i + 1,
                                    boundary=abs(slack) <= margin)
@@ -102,7 +117,7 @@ class TestClassify:
             w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
             if k % 3 == 0:  # raise weight i to the pull of the other three
                 i = k % 4
-                w[i] += _absorption_slack(quad.vertices, w, i)
+                w[i] += _slack(quad.vertices, w, i)
             wq = WeightedQuadrilateral(quad, tuple(w))
             tag = classify_case(wq)
             assert tag == direct(wq), k
@@ -205,27 +220,29 @@ class TestWeiszfeld:
             # smaller singular value of the centred points is the offset size
             basis = np.linalg.qr(np.column_stack([np.ones(n), ts, rng.normal(size=n)]))[0]
             offsets = basis[:, 2]
-            threshold = 1e-12 * (1.0 + np.abs(np.outer(ts, along)).max())
+            threshold = 1e-12 * np.abs(np.outer(ts, along)).max()
             for factor, expected in ((0.0, True), (0.1, True), (10.0, False)):
                 xy = origin + np.outer(ts, along) + factor * threshold * np.outer(offsets, across)
                 pts = [Point(float(x), float(y)) for x, y in xy]
                 xs = xy - xy.mean(axis=0)
-                rank = np.linalg.matrix_rank(xs, tol=1e-12 * (1.0 + np.abs(xs).max()))
+                rank = np.linalg.matrix_rank(xs, tol=1e-12 * np.abs(xs).max())
                 assert fermat._collinear(pts) == (rank < 2) == expected
 
     def test_triangle_scaled_and_moved(self):
         # the median moves with the triangle under scales 1e-4..1e6 and
-        # translations up to 1e7, small triangles far out included
+        # translations up to 1e7, small triangles far out included, and at
+        # the origin down to 1e-20 (far out, such points round together)
         tri = ((0.0, 0.0), (6.0, 0.0), (2.0, 5.0))
         weights = (2.0, 1.5, 1.8)
         base = weiszfeld([Point(*p) for p in tri], weights)
-        for scale in (1e-4, 1e-2, 1.0, 1e3, 1e6):
-            for offset in (0.0, 1e4, 1e6, 1e7):
-                p = weiszfeld([Point(scale * x + offset, scale * y + offset) for x, y in tri],
-                              weights)
-                want = (scale * base.x + offset, scale * base.y + offset)
-                allowed = 1e-9 * scale * 6.4 + 2.0 * math.ulp(max(abs(p.x), abs(p.y)))
-                assert math.dist(p.as_tuple(), want) <= allowed, (scale, offset)
+        cases = [(scale, offset) for scale in (1e-4, 1e-2, 1.0, 1e3, 1e6)
+                 for offset in (0.0, 1e4, 1e6, 1e7)] + [(1e-13, 0.0), (1e-20, 0.0)]
+        for scale, offset in cases:
+            p = weiszfeld([Point(scale * x + offset, scale * y + offset) for x, y in tri],
+                          weights)
+            want = (scale * base.x + offset, scale * base.y + offset)
+            allowed = 1e-9 * scale * 6.4 + 2.0 * math.ulp(max(abs(p.x), abs(p.y)))
+            assert math.dist(p.as_tuple(), want) <= allowed, (scale, offset)
 
     def test_barely_floating_triangle_returns_its_vertex(self):
         # one weight (1 - s) times the pull of the other two, s = 10^U(-12, -10):
@@ -236,9 +253,52 @@ class TestWeiszfeld:
             pts = [Point(*(float(t) for t in rng.uniform(-5.0, 5.0, 2))) for _ in range(3)]
             weights = [float(w) for w in rng.uniform(0.6, 3.0, 3)]
             i = int(rng.integers(3))
-            pull = math.hypot(*fermat._pull_vector(pts, weights, pts[i], skip=i))
+            pull = _pull(pts, weights, i)
             weights[i] = (1.0 - 10.0 ** rng.uniform(-12.0, -10.0)) * pull
             assert weiszfeld(pts, weights) == pts[i]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_weights_must_be_positive_and_finite(self, bad):
+        # an infinite weight made the margin infinite, so the first vertex
+        # "absorbed"; a NaN weight failed later on the point it produced
+        tri = [Point(0.0, 0.0), Point(6.0, 0.0), Point(2.0, 5.0)]
+        with pytest.raises(QuadFTError, match="weights must be positive and finite"):
+            weiszfeld(tri, (2.0, 1.5, bad))
+        quad = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(QuadFTError, match="weights must be positive and finite"):
+            WeightedQuadrilateral(quad, (2.0, 1.5, 1.0, bad))
+
+    def test_agrees_with_classify_and_locate(self):
+        # on the same quadrilateral and weights, weiszfeld returns the
+        # absorbing vertex exactly when classify_case absorbs, and otherwise
+        # the median of locate_4wft (weights unequal, so no diagonal
+        # shortcut), a stalled solve included
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except ConvergenceError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(29)
+        seen = set()
+        for k in range(400):
+            quad = Quadrilateral.from_coords(random_convex_quad(rng))
+            w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+            if k % 3 == 0:  # weight i at (1 +- s) times the pull of the others
+                i = k % 4
+                w[i] = (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0)
+                        ) * _pull(quad.vertices, w, i)
+            wq = WeightedQuadrilateral(quad, tuple(w))
+            tag = classify_case(wq)
+            got = outcome(weiszfeld, quad.vertices, w)
+            if tag.kind is CaseKind.ABSORBED:
+                assert got == quad.vertices[tag.vertex - 1], k
+            else:
+                assert got not in quad.vertices, k
+                want = outcome(locate_4wft, wq)
+                assert got == (want if isinstance(want, str) else want.point), k
+            seen.add(tag.kind)
+        assert seen == {CaseKind.ABSORBED, CaseKind.FLOATING}
 
     def test_nonconvergence_carries_state(self, rect):
         with pytest.raises(ConvergenceError) as err:

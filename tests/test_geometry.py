@@ -13,7 +13,7 @@ from quadft import (
     diagonal_intersection,
     triangle_angle,
 )
-from quadft.geometry import linspace, solve_linear
+from quadft.geometry import linspace, solve_linear, unit_matrix
 from oracles import random_convex_quad, rigid_transform
 
 SQRT65 = math.sqrt(65.0)
@@ -94,6 +94,21 @@ class TestQuadrilateral:
 
         assert not any(q.contains(p, tol=1e-9) for p in outside(1e-7 * k))
         assert all(q.contains(p, tol=1e-9) for p in outside(1e-10 * k))
+
+
+class TestUnitMatrix:
+    def test_entries_are_the_direct_unit_vectors(self):
+        # u[j][i] is stored as -u[i][j], which must equal the vector measured
+        # from point j itself bit for bit
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 6):
+            pts = [Point(*(float(t) for t in rng.uniform(-1e3, 1e3, 2))) for _ in range(n)]
+            u = unit_matrix(pts)
+            for i in range(n):
+                for j in range(n):
+                    assert u[i][j] == (None if i == j else pts[i].unit_toward(pts[j]))
+        quad = Quadrilateral.from_coords(random_convex_quad(rng))
+        assert quad.unit_vectors == unit_matrix(quad.vertices)
 
 
 class TestDiagonalIntersection:

@@ -423,8 +423,7 @@ class TestVerify:
             if hasattr(module, "locate_4wft"):
                 monkeypatch.setattr(module, "locate_4wft",
                                     counting("locate_4wft", module.locate_4wft))
-        monkeypatch.setattr(fermat, "_floating_tree",
-                            counting("_floating_tree", fermat._floating_tree))
+        monkeypatch.setattr(fermat, "_tree", counting("_tree", fermat._tree))
         steps = _median_steps(monkeypatch)
         report = verify_plasticity(rect_mod, line_ex2, 16)
         assert report.passed and len(report.evaluated) == 14
