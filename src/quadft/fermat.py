@@ -17,21 +17,13 @@ median or at an angle system's point.
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
 gradient and Hessian of the weighted distance sum, relative to the first
-vertex.  It takes at most 5 Weiszfeld steps, each a gradient step scaled by
-the Hessian's trace, then Newton steps, which converge quadratically to the
-median.  It starts at the weighted centroid, or at a given start point (the
-plasticity check starts at the line's anchor).  The residual gate is the
-certificate: the median is unique, and a point is accepted only when its
-pull is below `tol` times the total weight, so an accepted point is the
-optimum whatever the start.  The paper's angle systems stay as independent
-solvers that, given no start, measure it at that median.
-
-The median works on a measured frame of its points (`_measure`): the first
-point and every point's coordinates relative to it, taken once per call of a
-public solver, so a family of weights on one point set (the plasticity
-samples) re-solves without re-measuring it.  A start that already passes the
-gate is certified as it stands: it comes back after one gradient evaluation,
-with no step.
+point, which `_median` measures itself.  It starts at the weighted centroid,
+takes at most 5 Weiszfeld steps, each a gradient step scaled by the
+Hessian's trace, then Newton steps, which converge quadratically to the
+median.  The residual gate is the certificate: the median is unique, and a
+point is accepted only when its pull is below `tol` times the total weight.
+The paper's angle systems stay as independent solvers that, given no start,
+measure it at that median.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     AbsorbedWeightsError,
@@ -234,25 +225,12 @@ def _collinear(points) -> bool:
     return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
 
 
-class _Frame(NamedTuple):
-    """A point set measured for the median: the first point's absolute
-    coordinates and every point's coordinates relative to it."""
-
-    origin: tuple[float, float]
-    relative: tuple[tuple[float, float], ...]
-
-
-def _measure(points) -> _Frame:
-    """The frame of `points`, measured once for every median on them."""
-    ox, oy = points[0].x, points[0].y
-    return _Frame((ox, oy), tuple((q.x - ox, q.y - oy) for q in points))
-
-
 def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
               max_iter: int = NEWTON_MAX_ITER) -> Point:
-    """Weighted geometric median of >= 3 non-collinear points.
+    """Weighted geometric median of >= 3 points, not all collinear.
 
-    Weights that are not positive and finite raise QuadFTError.  Absorbed
+    Weights that are not positive and finite raise QuadFTError.  Coincident
+    points are one point carrying the sum of their weights.  Absorbed
     instances return the dominating vertex directly (Kuhn's test of
     `classify_case`: the pull of the others exceeds its weight by at most
     `CASE_BOUNDARY_TOL` times the total).  Otherwise the median of
@@ -264,33 +242,34 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
         raise QuadFTError("need at least three points with matching weights")
-    weights = _positive_weights(weights)
+    merged = {}
+    for p, w in zip(points, _positive_weights(weights)):
+        merged[p] = merged.get(p, 0.0) + w
+    points, weights = list(merged), tuple(merged.values())
     if _collinear(points):
         raise QuadFTError("points are collinear; the median problem degenerates")
     tag = _kuhn_case(unit_matrix(points), weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
-    return _certified_median(_measure(points), weights, tol, max_iter)[0]
+    return _certified_median(points, weights, tol, max_iter)[0]
 
 
-def _median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
-            max_iter: int = NEWTON_MAX_ITER, start=None):
-    """The weighted median of the frame's points, by one loop on the gradient
-    of the weighted distance sum, in coordinates relative to the first point
-    (so a far translation does not swamp the pull in rounding).
+def _median(points, weights, tol: float = RESIDUAL_TOL,
+            max_iter: int = NEWTON_MAX_ITER):
+    """The weighted median of `points`, by one loop on the gradient of the
+    weighted distance sum, in coordinates relative to the first point (so a
+    far translation does not swamp the pull in rounding).
 
-    From `start`, or else the weighted centroid: at most `_SEED_MAX_ITER`
-    Weiszfeld steps while the pull is at least `_SEED_TOL` times the total,
-    then at most `max_iter` damped Newton steps to min(tol, _POLISH_TOL)
-    times it.  The Weiszfeld step x - g / (hxx + hyy) reads the trace of the
-    Hessian, which is sum w_i / r_i; Newton is quadratic where Weiszfeld is
-    only linear, and the Hessian is positive definite off the points.  A
-    start already pulling below tol times the total is returned as it
-    stands.  Returns (point, residual_norm, steps of both kinds); the caller
-    judges the residual.
+    From the weighted centroid: at most `_SEED_MAX_ITER` Weiszfeld steps
+    while the pull is at least `_SEED_TOL` times the total, then at most
+    `max_iter` damped Newton steps to min(tol, _POLISH_TOL) times it.  The
+    Weiszfeld step x - g / (hxx + hyy) reads the trace of the Hessian, which
+    is sum w_i / r_i; Newton is quadratic where Weiszfeld is only linear, and
+    the Hessian is positive definite off the points.  Returns (point,
+    residual_norm, steps of both kinds); the caller judges the residual.
     """
-    ox, oy = frame.origin
-    relative = frame.relative
+    ox, oy = points[0].x, points[0].y
+    relative = [(q.x - ox, q.y - oy) for q in points]
     total = sum(weights)
 
     def gradient(x, y):
@@ -309,17 +288,12 @@ def _median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
             hyy += c * (1.0 - uy * uy)
         return gx, gy, hxx, hxy, hyy
 
-    if start is None:
-        x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
-        y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
-    else:
-        x, y = start.x - ox, start.y - oy
+    x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
+    y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
     state = gradient(x, y)
     if state is None:
         return Point(ox + x, oy + y), math.inf, 0
     norm = math.hypot(state[0], state[1])
-    if start is not None and norm < tol * total:
-        return start, norm, 0
     steps = 0
     while steps < _SEED_MAX_ITER and norm >= _SEED_TOL * total:
         gx, gy, hxx, _, hyy = state
@@ -353,8 +327,8 @@ def _median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
     return Point(ox + x, oy + y), norm, steps + newton
 
 
-def _certified_median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
-                      max_iter: int = NEWTON_MAX_ITER, start=None):
+def _certified_median(points, weights, tol: float = RESIDUAL_TOL,
+                      max_iter: int = NEWTON_MAX_ITER):
     """`_median`, raising ConvergenceError unless its pull is below
     tol * sum(weights).  Returns (point, steps).  A `tol` that is not
     positive or a `max_iter` below 1 raises QuadFTError."""
@@ -362,7 +336,7 @@ def _certified_median(frame: _Frame, weights, tol: float = RESIDUAL_TOL,
         raise QuadFTError(f"tol must be positive, got {tol!r}")
     if not max_iter >= 1:
         raise QuadFTError(f"max_iter must be at least 1, got {max_iter!r}")
-    point, norm, steps = _median(frame, weights, tol, max_iter, start)
+    point, norm, steps = _median(points, weights, tol, max_iter)
     if not norm < tol * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
@@ -520,7 +494,7 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
     func, a304_of = _square_system(wq.weights)
     if init is None:
         v = quad.vertices
-        seed_pt, _, _ = _median(_measure(v), wq.weights, tol, max_iter)
+        seed_pt, _, _ = _median(v, wq.weights, tol, max_iter)
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
@@ -610,7 +584,7 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
         )
     v = wq.quad.vertices
     if init is None:
-        seed, _, _ = _median(_measure(v), wq.weights, tol, max_iter)
+        seed, _, _ = _median(v, wq.weights, tol, max_iter)
         init = _seed_angles(v, seed)
     func, a41, alpha314 = _general_system(wq)
     sol, _, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
@@ -665,5 +639,5 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     w = wq.weights
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _tree(wq, diagonal_intersection(wq.quad), CaseTag(CaseKind.DIAGONAL))
-    point, iterations = _certified_median(_measure(wq.quad.vertices), w, tol, max_iter)
+    point, iterations = _certified_median(wq.quad.vertices, w, tol, max_iter)
     return _tree(wq, point, iterations=iterations)

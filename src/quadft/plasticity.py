@@ -22,12 +22,12 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
+    RESIDUAL_TOL,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     _certified_median,
     _kuhn_case,
-    _measure,
 )
 from .geometry import Point, Quadrilateral, linspace, solve_linear
 
@@ -71,6 +71,45 @@ class PlasticityLine:
         if b[0] <= 0.0 or b[1] <= 0.0 or b[2] <= 0.0 or b4 <= 0.0:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
+
+
+class _Family:
+    """The line's anchor P measured once on the quadrilateral: the unit
+    vectors u_i from P = line.point toward A_i and the distances |P A_i|.
+    Along the line only the weights move, so every per-sample quantity at P
+    (the balance, the absorbing values) evaluates from this one measurement."""
+
+    def __init__(self, q: Quadrilateral, line: PlasticityLine):
+        p = line.point
+        self.line = line
+        try:
+            self.units = [p.unit_toward(v) for v in q.vertices]
+        except QuadFTError as exc:  # P on a vertex: no unit vector toward it
+            self.units, self.failure = None, str(exc)
+        self.distances = [p.distance_to(v) for v in q.vertices]
+
+    def measured(self):
+        """The unit vectors u_i; QuadFTError when P sits on a vertex."""
+        if self.units is None:
+            raise QuadFTError(self.failure)
+        return self.units
+
+    def balance(self, weights) -> float:
+        """|sum B_i u_i| at P for the given weights; inf when P sits on a
+        vertex, where the balance cannot be measured.  The four terms are
+        written out: every sample of `universal_set` reads this sum."""
+        if self.units is None:
+            return math.inf
+        (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = self.units
+        b1, b2, b3, b4 = weights
+        return math.hypot(b1 * u1x + b2 * u2x + b3 * u3x + b4 * u4x,
+                          b1 * u1y + b2 * u2y + b3 * u3y + b4 * u4y)
+
+    def profile(self):
+        """(a, b) with |B1 u1 + B4 u4| = |a + B4 b| along the line."""
+        (u1x, u1y), _, _, (u4x, u4y) = self.measured()
+        x1, y1 = self.line.coefficients[0]
+        return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
 
 
 def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLine:
@@ -137,7 +176,8 @@ def plasticity_system_new(angles, c: float, b4: float,
 
     B1 is eliminated through the total, the second identity is linear in B3 at
     fixed B2, and the first identity's residual is scanned over a `grid`-point
-    B2 range with every sign change bisected to 1e-14 c.  Every margin is
+    B2 range with every sign change bisected to 1e-14 c; a sign change that
+    bisects onto the pole of B3(B2) is no root and is skipped.  Every margin is
     relative to c, so scaling c and B4 together scales the roots.  All roots
     found are returned (multiple solutions are expected in general); none
     are filtered beyond positivity.
@@ -176,6 +216,8 @@ def plasticity_system_new(angles, c: float, b4: float,
             continue
         b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14 * c) if vi != 0.0 else xs[i]
         b3 = b3_of_b2(b2)
+        if b3 is None:  # the bisection met the pole of B3(B2): no root there
+            continue
         b1 = c - b2 - b3 - b4
         if b1 > 0.0 and b2 > 0.0 and b3 > 0.0:
             solutions.append((b1, b2, b3))
@@ -200,22 +242,21 @@ class PlasticityReport:
 
 def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
                       samples: int) -> PlasticityReport:
-    """Re-solve the degree-four problem at `samples` values of B4 across the
-    admissible interval and report the worst drift of the optimum.
+    """Check at `samples` values of B4 across the admissible interval that the
+    line's weights keep the degree-four optimum at the anchor `line.point`,
+    and report the worst drift of the optimum.
 
     Samples where a weight leaves positivity or the instance stops floating
     (Kuhn's test of `classify_case` on the quadrilateral's unit vectors) are
-    excluded with a reason, never counted as drift.  Every other sample
-    re-solves the median by the path of `locate_4wft` (the one median loop of
-    capped Weiszfeld and Newton steps, then the residual gate), started at the
-    anchor `line.point` rather than the weighted centroid, on the vertices
-    measured once per call, and builds no tree.  The residual gate is the
-    certificate: the median is unique and only a point pulling below
-    RESIDUAL_TOL times the total weight is accepted, so each deviation is the
-    anchor's distance to the true optimum, whatever the start.  An anchor that
-    already passes the gate is returned after one gradient evaluation, with no
-    step; a moved anchor takes Weiszfeld and Newton steps.  Passes when the
-    maximum deviation stays below 1e-6 times the quadrilateral diameter.
+    excluded with a reason, never counted as drift.  The anchor is measured
+    once per call (`_Family`), and every other sample reads its balance
+    |sum B_i u_i| there.  A balance below RESIDUAL_TOL times the total weight
+    passes the residual gate of `locate_4wft`, and the median is unique, so
+    the anchor is the optimum and the sample drifts by 0.  Any other sample, a moved
+    anchor or one on a vertex where no balance can be measured, re-solves the
+    median by the path of `locate_4wft`, from the weighted centroid, and
+    drifts by the anchor's distance to it.  Passes when the maximum deviation
+    stays below 1e-6 times the quadrilateral diameter.
     """
     if samples < 1:
         raise QuadFTError("need at least one sample")
@@ -225,7 +266,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     else:
         b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
-    frame, units = _measure(q.vertices), q.unit_vectors
+    family, units = _Family(q, line), q.unit_vectors
     evaluated = []
     excluded = []
     for b4 in b4s:
@@ -238,8 +279,11 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         if tag.kind is CaseKind.ABSORBED:
             excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        point, _ = _certified_median(frame, weights, start=line.point)
-        evaluated.append((b4, point.distance_to(line.point)))
+        if family.balance(weights) < RESIDUAL_TOL * line.c:
+            evaluated.append((b4, 0.0))
+        else:
+            point, _ = _certified_median(q.vertices, weights)
+            evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
     return PlasticityReport(
         reference=line.point,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fermat import _measure, _median
+from .fermat import _median
 from .geometry import linspace
 
 PALETTE = {
@@ -51,7 +51,7 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     Returns (level, loops) pairs in increasing level order: one closed loop
     per level above f(c), none for a level at or below it.
     """
-    cx, cy = _median(_measure(points), weights)[0].as_tuple()
+    cx, cy = _median(points, weights)[0].as_tuple()
     anchors = [(w, p.x, p.y) for w, p in zip(weights, points)]
 
     def f(x, y):

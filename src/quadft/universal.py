@@ -15,8 +15,9 @@ of a quadratic.  u_FT is the storage threshold at which a degree-four tree can
 start growing a degree-three tree by spending part of the stored quantity.
 
 Since P stays fixed along the family, its geometry (the u_i and the distances
-|P A_i|) is measured once per plasticity line, and every B4 sample, the profile
-(a, b) and B4* are evaluated from that one measurement.
+|P A_i|) is measured once per plasticity line, by `plasticity._Family`, the
+one measurement `verify_plasticity` reads too.  Every B4 sample, its balance
+check, the profile (a, b) and B4* are evaluated from it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
 from .geometry import Quadrilateral, cross2, linspace
-from .plasticity import PlasticityLine
+from .plasticity import PlasticityLine, _Family
 
 # Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
 # values, which rest on that balance, are resolved to the same tolerance.
@@ -98,48 +99,23 @@ def classify_tree(storage: float, u_ft: float) -> TreeKind:
 # Absorbing value of x_G for one weight quadruple
 # ------------------------------------------------------------------ #
 
-class _Family:
-    """P's geometry on one plasticity line, measured once: the unit vectors
-    u_i from P = line.point toward A_i and the distances |P A_i|.  Every
-    absorbing value along the line evaluates from this one measurement."""
-
-    def __init__(self, q: Quadrilateral, line: PlasticityLine):
-        p = line.point
-        self.line = line
-        try:
-            self.units = [p.unit_toward(v) for v in q.vertices]
-        except QuadFTError as exc:  # P on a vertex: every use raises this
-            self.units, self.failure = None, str(exc)
-        self.distances = [p.distance_to(v) for v in q.vertices]
-
-    def _measured(self):
-        if self.units is None:
-            raise QuadFTError(self.failure)
-        return self.units
-
-    def profile(self):
-        """(a, b) with x_G(B4) = |a + B4 b| along the family."""
-        (u1x, u1y), _, _, (u4x, u4y) = self._measured()
-        x1, y1 = self.line.coefficients[0]
-        return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
-
-    def sample(self, b4: float) -> UniversalSample:
-        """The absorbing sample at b4; see `absorbing_xg`."""
-        line = self.line
-        weights = line.weights_at(b4)
-        (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = self._measured()
-        b1, b2, b3, _ = weights
-        residual = math.hypot(b1 * u1x + b2 * u2x + b3 * u3x + b4 * u4x,
-                              b1 * u1y + b2 * u2y + b3 * u3y + b4 * u4y)
-        if residual > BALANCE_RTOL * line.c:
-            raise InconsistentCaseError(
-                f"weights {weights} do not balance at {line.point} (residual {residual:.3e}); "
-                "was the plasticity line built on this quadrilateral?"
-            )
-        xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
-        d1, d2, d3, d4 = self.distances
-        objective = b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4
-        return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
+def _sample(family: _Family, b4: float) -> UniversalSample:
+    """The absorbing sample at b4 on the family's measurement of P; see
+    `absorbing_xg`."""
+    line = family.line
+    weights = line.weights_at(b4)
+    (u1x, u1y), _, _, (u4x, u4y) = family.measured()
+    residual = family.balance(weights)
+    if residual > BALANCE_RTOL * line.c:
+        raise InconsistentCaseError(
+            f"weights {weights} do not balance at {line.point} (residual {residual:.3e}); "
+            "was the plasticity line built on this quadrilateral?"
+        )
+    b1, b2, b3, _ = weights
+    xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
+    d1, d2, d3, d4 = family.distances
+    objective = b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4
+    return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
 
 
 def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:
@@ -150,7 +126,7 @@ def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> Universal
     a residual |sum B_i u_i| above BALANCE_RTOL * c (a line that does not
     belong to q) raises InconsistentCaseError.
     """
-    return _Family(q, line).sample(b4)
+    return _sample(_Family(q, line), b4)
 
 
 def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
@@ -166,7 +142,7 @@ def _minimum(family: _Family) -> UniversalSample:
     (ax, ay), (bx, by) = family.profile()
     lo, hi = _sampled_range(family.line)
     b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
-    return family.sample(b4)
+    return _sample(family, b4)
 
 
 def _sweep(family: _Family, grid: int,
@@ -182,7 +158,7 @@ def _sweep(family: _Family, grid: int,
     samples = []
     for b4 in b4s:
         try:
-            samples.append(family.sample(b4))
+            samples.append(_sample(family, b4))
         except QuadFTError as exc:
             if on_skip is not None:
                 on_skip(b4, str(exc))

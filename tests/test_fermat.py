@@ -202,6 +202,15 @@ class TestWeiszfeld:
         p = weiszfeld(q.vertices, (100.0, 1.0, 1.0, 1.0))
         assert (p.x, p.y) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("weights,vertex", [((100.0, 1.0, 1.0, 1.0), (0.0, 0.0)),
+                                                ((1.0, 1.0, 1.0, 100.0), (0.0, 1.0)),
+                                                ((1.0, 2.0, 1.0, 1.0), (1.0, 0.0))])
+    def test_coincident_points_merge_their_weights(self, weights, vertex):
+        # (1, 0) twice is one point of weight B2 + B3; in the last case that
+        # weight, 3, outweighs the others' pull on it, 1.85
+        pts = [Point(0, 0), Point(1, 0), Point(1, 0), Point(0, 1)]
+        assert weiszfeld(pts, weights).as_tuple() == vertex
+
     def test_collinear_rejected(self):
         with pytest.raises(QuadFTError, match="collinear"):
             weiszfeld([Point(0, 0), Point(1, 0), Point(2, 0)], (1.0, 1.0, 1.0))
@@ -421,12 +430,11 @@ class TestNewtonAgainstNumpy:
         for _ in range(50):
             wq = _floating_weights(rng, random_convex_quad(rng))
             v = wq.quad.vertices
-            frame = fermat._measure(v)
-            median, _, _ = fermat._median(frame, wq.weights, fermat.RESIDUAL_TOL,
+            median, _, _ = fermat._median(v, wq.weights, fermat.RESIDUAL_TOL,
                                           fermat.NEWTON_MAX_ITER)
             # the median solves the system at once; the capped Weiszfeld seed
             # alone (no Newton step) leaves Newton a few steps to take
-            rough, _, _ = fermat._median(frame, wq.weights, fermat.RESIDUAL_TOL, 0)
+            rough, _, _ = fermat._median(v, wq.weights, fermat.RESIDUAL_TOL, 0)
             func = fermat._general_system(wq)[0]
             for seed in (median, rough):
                 self._agree(func, fermat._seed_angles(v, seed), -math.pi, TWO_PI)
@@ -436,8 +444,7 @@ class TestNewtonAgainstNumpy:
         func, _ = fermat._square_system(weights)
         sq = Quadrilateral.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
         v = sq.vertices
-        seed, _, _ = fermat._median(fermat._measure(v), weights, fermat.RESIDUAL_TOL,
-                                    fermat.NEWTON_MAX_ITER)
+        seed, _, _ = fermat._median(v, weights, fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER)
         for init in ((angle_at(seed, v[0], v[1]), angle_at(seed, v[3], v[0])), (2.7, 1.2)):
             self._agree(func, init, 1e-9, TWO_PI - 1e-9)
 
@@ -636,8 +643,7 @@ class TestSolveCost:
         # so the seed runs to its cap of 5 steps and Newton finishes the solve
         quad = Quadrilateral.from_coords(BARELY_FLOATING_COORDS)
         wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
-        _, _, seed_steps = fermat._median(fermat._measure(quad.vertices), wq.weights,
-                                          fermat.RESIDUAL_TOL, 0)
+        _, _, seed_steps = fermat._median(quad.vertices, wq.weights, fermat.RESIDUAL_TOL, 0)
         assert seed_steps == 5
         tree = locate_4wft(wq)
         assert tree.iterations <= 30

@@ -70,7 +70,8 @@ def _random_lines(seed, n):
 
 
 def _median_steps(monkeypatch):
-    """The steps of every `fermat._median` call from here on, in call order."""
+    """The steps of every `fermat._median` call from here on, in call order:
+    one entry per re-solve."""
     steps = []
     median = fermat._median
 
@@ -85,8 +86,9 @@ def _median_steps(monkeypatch):
 
 def _reference_report(q, line, samples):
     """`verify_plasticity` as one loop measuring everything per sample: a
-    WeightedQuadrilateral and `classify_case`, then the median from the
-    anchor on a frame of the raw vertices, gated on RESIDUAL_TOL."""
+    WeightedQuadrilateral and `classify_case`, then the balance at the anchor
+    (numpy, `_balance`), and where it misses RESIDUAL_TOL the median from the
+    weighted centroid, gated on RESIDUAL_TOL."""
     lo, hi = line.b4_interval
     b4s = [0.5 * (lo + hi)] if samples == 1 else linspace(lo, hi, samples)
     evaluated, excluded = [], []
@@ -101,9 +103,11 @@ def _reference_report(q, line, samples):
         if tag.kind is CaseKind.ABSORBED:
             excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
             continue
-        point, norm, _ = fermat._median(fermat._measure(q.vertices), wq.weights,
-                                        fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER,
-                                        start=line.point)
+        if _balance(line, q, b4) < fermat.RESIDUAL_TOL * line.c:
+            evaluated.append((b4, 0.0))
+            continue
+        point, norm, _ = fermat._median(q.vertices, wq.weights,
+                                        fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER)
         assert norm < fermat.RESIDUAL_TOL * wq.total
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
@@ -298,6 +302,25 @@ class TestPlasticityLine:
 
 
 class TestSquaredBalanceSystem:
+    def test_sign_change_at_the_pole_is_no_root(self):
+        # the scan sees the first identity change sign across the pole of
+        # B3(B2), where the second identity's denominator vanishes, and the
+        # bisection lands on it; the one positive root of the quartic in B2
+        # still comes back
+        angles = (1.5395528764229989, 1.8971284361433125, 1.5840513136487735,
+                  1.2624526809645016)
+        c, b4 = 6.246309229078088, 1.3741880303971792
+        a102, a203, a304, a401 = angles
+        sols = plasticity_system_new(angles, c, b4)
+        assert len(sols) == 1
+        for b1, b2, b3 in sols:
+            assert min(b1, b2, b3) > 0.0
+            first = (b1**2 + b2**2 + 2 * b1 * b2 * math.cos(a102)
+                     - b3**2 - b4**2 - 2 * b3 * b4 * math.cos(a304))
+            second = (b1**2 + b4**2 + 2 * b1 * b4 * math.cos(a401)
+                      - b2**2 - b3**2 - 2 * b2 * b3 * math.cos(a203))
+            assert max(abs(first), abs(second)) <= 1e-12 * c * c
+
     def test_symmetric_angles_force_equal_pairs(self):
         # angles of a diagonal intersection: a102 = a304 and a203 = a401
         o = Point(3.5, 2.0)
@@ -408,9 +431,8 @@ class TestVerify:
             assert report.passed, (pts, w, report)
 
     def test_samples_resolve_from_the_anchor(self, monkeypatch, rect_mod, line_ex2):
-        # no per-sample locate_4wft or tree; at the true anchor the start is
-        # certified by its first gradient evaluation, so the median takes no
-        # step, Weiszfeld or Newton
+        # no per-sample locate_4wft or tree; at the true anchor every sample's
+        # balance certifies it, so no sample re-solves the median
         built = []
 
         def counting(name, original):
@@ -428,12 +450,12 @@ class TestVerify:
         report = verify_plasticity(rect_mod, line_ex2, 16)
         assert report.passed and len(report.evaluated) == 14
         assert built == []
-        assert steps == [0] * 14
+        assert steps == []
 
     def test_true_anchor_costs_one_evaluation_per_sample(self, monkeypatch, rect_mod,
                                                           line_ex2):
         # one measurement per line: no classify_case (so no WeightedQuadrilateral)
-        # per sample, and one median evaluation taking no step
+        # per sample, and the balance at the anchor, with no re-solve
         calls = {"classify_case": 0}
 
         def counted(name, original):
@@ -457,17 +479,17 @@ class TestVerify:
             report = verify_plasticity(quad, line, 16)
             assert report.passed
             assert calls == {"classify_case": 0}
-            assert steps == [0] * len(report.evaluated)
+            assert steps == []
             assert len(report.evaluated) == 14
 
     def test_anchor_inside_the_gate_is_certified(self, monkeypatch):
         # the 127th seeded line: its anchor pulls above the 1e-14 Newton target
-        # but below the RESIDUAL_TOL gate, which alone certifies a start
+        # but below the RESIDUAL_TOL gate, which alone certifies the anchor
         quad, line = _random_lines(1, 127)[-1]
         steps = _median_steps(monkeypatch)
         report = verify_plasticity(quad, line, 16)
         assert report.passed and report.max_deviation == 0.0
-        assert steps == [0] * len(report.evaluated) and len(steps) == 14
+        assert steps == [] and len(report.evaluated) == 14
 
     def test_report_equals_the_per_sample_reference(self, rect_mod):
         # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, on
@@ -488,6 +510,26 @@ class TestVerify:
                 assert report == _reference_report(quad, moved_line, 16)
                 reasons.update(why.split()[0] for _, why in report.excluded)
         assert reasons == {"B4", "absorbed"}
+
+    def test_moved_anchor_resolves_every_evaluated_sample(self, monkeypatch, rect_mod,
+                                                          line_ex2):
+        # a moved anchor misses the balance gate at every sample it evaluates
+        steps = _median_steps(monkeypatch)
+        diameter = rect_mod.diameter()
+        for shift in (1e-3, 5e-2):
+            steps.clear()
+            moved = Point(line_ex2.point.x + shift * diameter, line_ex2.point.y)
+            report = verify_plasticity(rect_mod, dataclasses.replace(line_ex2, point=moved), 16)
+            assert not report.passed
+            assert len(steps) == len(report.evaluated) == 14
+
+    def test_anchor_on_a_vertex_reports_its_offset(self, rect_mod, line_ex2):
+        # no balance is measurable at a vertex, so every sample re-solves
+        vertex = rect_mod.vertices[0]
+        report = verify_plasticity(rect_mod, dataclasses.replace(line_ex2, point=vertex), 16)
+        assert not report.passed and len(report.evaluated) == 14
+        offset = vertex.distance_to(line_ex2.point)
+        assert abs(report.max_deviation - offset) <= 1e-9 * rect_mod.diameter()
 
     @pytest.mark.parametrize("shift", [1e-3, 5e-2])
     def test_moved_anchor_reports_its_offset(self, rect_mod, wq2_mod, shift):
