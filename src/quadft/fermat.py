@@ -185,8 +185,7 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
     a_i0j = arccos((bk^2 - bi^2 - bj^2) / (2 bi bj)).  Raises when the weight
     triangle inequality fails (absorbed case: the optimum sits at a vertex).
     """
-    if min(bi, bj, bk) <= 0.0:
-        raise QuadFTError(f"weights must be positive, got ({bi}, {bj}, {bk})")
+    bi, bj, bk = _positive_weights((bi, bj, bk))
     if not (abs(bi - bj) < bk < bi + bj):
         raise AbsorbedWeightsError(
             f"weights ({bi}, {bj}, {bk}) violate the strict triangle inequality; "

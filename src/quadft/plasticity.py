@@ -6,8 +6,8 @@ from P toward A_i, and the total sum B_i = c are linear in (B1, B2, B3) at a
 given B4.  `plasticity_line` solves that system once for the affine family
 B_i = x_i B4 + y_i; it holds wherever P is interior, on a diagonal too.
 `plasticity_system_new` is the paper's squared-balance route: two quadratic
-identities in the optimum's angles, solved by scan and bisection.  It is kept
-as an independent reference for the line.
+identities in the optimum's angles, solved exactly as one cubic in B2.  It is
+kept as an independent reference for the line.
 """
 
 from __future__ import annotations
@@ -169,62 +169,60 @@ def _bisect(f, a: float, b: float, fa: float, xtol: float) -> float:
             b = m
 
 
-def plasticity_system_new(angles, c: float, b4: float,
-                          grid: int = 2048) -> list[tuple[float, float, float]]:
+def plasticity_system_new(angles, c: float, b4: float) -> list[tuple[float, float, float]]:
     """All positive (B1, B2, B3) making the given optimum angles balance at
     total c with the supplied B4, via the two squared-balance identities.
 
-    B1 is eliminated through the total, the second identity is linear in B3 at
-    fixed B2, and the first identity's residual is scanned over a `grid`-point
-    B2 range with every sign change bisected to 1e-14 c; a sign change that
-    bisects onto the pole of B3(B2) is no root and is skipped.  Every margin is
-    relative to c, so scaling c and B4 together scales the roots.  All roots
-    found are returned (multiple solutions are expected in general); none
-    are filtered beyond positivity.
+    With K = c - B4, B1 = K - B2 - B3.  B3^2 cancels from the first identity,
+    which reads P = 2 Q B3; the second reads D B3 = N.  P is quadratic and N,
+    D, Q are linear in B2, so the B2 roots are those of the cubic
+    R = P D - 2 N Q, which has no pole.  Its leading coefficients are
+    e3 = -4 (1 - cos a102)(1 - cos a203) and e2 = -K e3, so the roots of R'
+    cut (0, K) into at most three monotone pieces; each sign change is
+    bisected to 1e-14 c, B3 = N / D, and a root with D = 0 is dropped.
+    Scaling c and B4 together scales the roots.  All roots are returned
+    (several are expected in general); none are filtered beyond positivity.
     """
     a102, a203, a304, a401 = angles
-    if abs((a102 + a203 + a304 + a401) - TWO_PI) > 1e-8:
+    if not abs((a102 + a203 + a304 + a401) - TWO_PI) <= 1e-8:
         raise QuadFTError(f"angles {tuple(angles)} do not sum to 2*pi")
     if not (c > 0.0 and 0.0 < b4 < c):
         raise InfeasibleWeightsError(f"need 0 < B4 < c, got B4={b4}, c={c}")
-    c12 = math.cos(a102)
-    c23 = math.cos(a203)
-    c34 = math.cos(a304)
-    c14 = math.cos(a401)  # the angle between edges 1 and 4 equals a401
+    # the angle between edges 1 and 4 equals a401
+    c12, c23, c34, c14 = (math.cos(a) for a in (a102, a203, a304, a401))
+    k = c - b4
 
-    def b3_of_b2(b2: float) -> float | None:
-        s = c - b2 - b4
-        den = 2.0 * (s + b4 * c14 + b2 * c23)
-        if abs(den) < 1e-14 * c:
-            return None
-        return (s * s + b4 * b4 + 2.0 * s * b4 * c14 - b2 * b2) / den
+    def second(b2: float) -> tuple[float, float]:  # (N, D)
+        s = k - b2
+        return s * s + b4 * b4 + 2.0 * s * b4 * c14 - b2 * b2, 2.0 * (s + b4 * c14 + b2 * c23)
 
-    def residual(b2: float) -> float:
-        b3 = b3_of_b2(b2)
-        if b3 is None:
-            return math.nan
-        b1 = c - b2 - b3 - b4
-        return (b1 * b1 + b2 * b2 + 2.0 * b1 * b2 * c12
-                - (b3 * b3 + b4 * b4 + 2.0 * b3 * b4 * c34))
+    def cubic(b2: float) -> float:
+        s, (n, d) = k - b2, second(b2)
+        p = s * s + b2 * b2 + 2.0 * s * b2 * c12 - b4 * b4
+        return p * d - 2.0 * (s + b2 * c12 + b4 * c34) * n
 
-    xs = linspace(1e-9 * c, c - b4 - 1e-9 * c, grid)
-    vals = [residual(x) for x in xs]
+    # R' = 3 e3 t^2 + 2 e2 t + e1 is symmetric about K / 3; e3 = 0 leaves R linear
+    e3 = -4.0 * (1.0 - c12) * (1.0 - c23)
+    e1 = 2.0 * (k * k * (c12 + c23) + 2.0 * k * b4 * (c14 + c34)
+                + b4 * b4 * (2.0 + 2.0 * c14 * c34 - c12 - c23))
+    cuts = []
+    if e3 != 0.0 and (disc := k * k / 9.0 - e1 / (3.0 * e3)) > 0.0:
+        cuts = [t for t in (k / 3.0 - math.sqrt(disc), k / 3.0 + math.sqrt(disc)) if 0.0 < t < k]
+    ts = [0.0, *cuts, k]
+    rs = [cubic(t) for t in ts]
+    roots = [t for t, r in zip(ts[1:-1], rs[1:-1]) if r == 0.0]
+    roots += [_bisect(cubic, a, b, ra, xtol=1e-14 * c)
+              for a, b, ra, rb in zip(ts, ts[1:], rs, rs[1:]) if min(ra, rb) < 0.0 < max(ra, rb)]
     solutions = []
-    for i in range(grid - 1):
-        vi, vj = vals[i], vals[i + 1]
-        if not (math.isfinite(vi) and math.isfinite(vj)) or vi * vj > 0.0:
-            continue
-        b2 = _bisect(residual, xs[i], xs[i + 1], vi, xtol=1e-14 * c) if vi != 0.0 else xs[i]
-        b3 = b3_of_b2(b2)
-        if b3 is None:  # the bisection met the pole of B3(B2): no root there
-            continue
+    for b2 in sorted(roots):
+        n, d = second(b2)
+        b3 = n / d if d != 0.0 else 0.0  # a root on D = 0 fails positivity
         b1 = c - b2 - b3 - b4
         if b1 > 0.0 and b2 > 0.0 and b3 > 0.0:
             solutions.append((b1, b2, b3))
     if not solutions:
-        raise InfeasibleWeightsError(
-            f"no positive weight solution at B4 = {b4}, c = {c} for these angles"
-        )
+        raise InfeasibleWeightsError(f"no positive weight solution at B4 = {b4}, c = {c} "
+                                     "for these angles")
     return solutions
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import QuadFTError
 from .fermat import _median
 from .geometry import linspace
 
@@ -51,6 +52,8 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     Returns (level, loops) pairs in increasing level order: one closed loop
     per level above f(c), none for a level at or below it.
     """
+    if grid < 1:
+        raise QuadFTError("grid must be at least 1")
     cx, cy = _median(points, weights)[0].as_tuple()
     anchors = [(w, p.x, p.y) for w, p in zip(weights, points)]
 

@@ -19,7 +19,7 @@ from quadft.documents import (
     record_from_json,
     record_to_json,
 )
-from quadft import Point, WeightedQuadrilateral, locate_4wft, weighted_distance_sum
+from quadft import Point, QuadFTError, WeightedQuadrilateral, locate_4wft, weighted_distance_sum
 from quadft.svgplot import level_curve_loops
 
 EX2_DOC = """{
@@ -489,6 +489,11 @@ class TestLevelCurves:
         base = locate_4wft(wq_ex2).objective
         curves = level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [base - 1.0, base])
         assert [loops for _, loops in curves] == [[], []]
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_raises(self, wq_ex2, grid):
+        with pytest.raises(QuadFTError, match="grid must be at least 1"):
+            level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [30.0], grid=grid)
 
     def test_gauss_level_below_the_first_node(self, ex4_doc, tmp_path, capsys):
         # f(A0) of the Gauss tree exceeds the minimum of f by about 0.48, so

@@ -151,6 +151,11 @@ class TestTriangleAngles:
         with pytest.raises(AbsorbedWeightsError):
             triangle_wft_angles(3.0, 1.5, 4.5)   # bk == bi + bj
 
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (1.0, 1.0, math.inf)])
+    def test_nan_or_infinite_weights_are_no_absorption(self, weights):
+        with pytest.raises(QuadFTError, match="finite"):
+            triangle_wft_angles(*weights)
+
     def test_sum_and_grid_oracle(self):
         weights = (3.5, 2.5, 2.0)
         angles = triangle_wft_angles(*weights)

@@ -160,7 +160,7 @@ class TestLinspace:
                     (b, a, num),                       # reversed
                     (-a, -b, num),                     # negative
                     (-a, b, num),                      # across zero
-                    (1e-9, c - b4 - 1e-9, num),        # plasticity_system_new's scan
+                    (1e-9, c - b4 - 1e-9, num),        # inset 1e-9 from both ends
                 ]
         for start, stop, num in cases:
             got = linspace(start, stop, num)

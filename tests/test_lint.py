@@ -88,31 +88,41 @@ def test_detects_unread_private_names():
 
 
 def unread_parameters(sources: list[str]) -> list[str]:
-    """`function.parameter` for every parameter of a private module-level
-    function that its body never reads.  Functions the package also uses as
-    values (stored in a table, passed as a callback) keep a shared signature
-    and are left out."""
+    """`function.parameter` (`Class.method.parameter` for a method) for every
+    parameter of a module-level function or method that its body never
+    reads, `self` and `cls` aside.  Functions the package also uses as values
+    (stored in a table, passed as a callback, a bound method handed on) keep
+    a shared signature and are left out, as are dunder methods, whose
+    signature the protocol fixes."""
     trees = [ast.parse(source) for source in sources]
     as_values = set()
     for tree in trees:
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        as_values.update(node.id for node in ast.walk(tree)
-                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                         and id(node) not in called)
-    unread = []
+        for node in ast.walk(tree):
+            if id(node) in called:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                as_values.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                as_values.add(node.attr)
+    functions = []
     for tree in trees:
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
-            if not name.startswith("_") or name.startswith("__") or name in as_values:
-                continue
-            args = node.args
-            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            unread += [f"{name}.{p}" for p in params if p not in read]
+            is_class = isinstance(node, ast.ClassDef)
+            prefix = f"{node.name}." if is_class else ""
+            functions += [(prefix + f.name, f) for f in (node.body if is_class else [node])
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unread = []
+    for qualified, node in functions:
+        if node.name.startswith("__") or node.name in as_values:
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{qualified}.{p}" for p in params
+                   if p not in read and p not in ("self", "cls")]
     return sorted(unread)
 
 
@@ -128,9 +138,19 @@ def test_detects_unread_parameters():
         "        return tol\n"
         "    return sum(weights), inner\n"
         "def _handler(args, parser): return args\n"
-        "def public(unused): return 0\n"
-        "def __dunder__(unused): return 0\n",
+        "def public(used, grid=2048): return used\n"
+        "def __dunder__(unused): return 0\n"
+        "class Shape:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def area(self, scale): return self.side\n"
+        "    def hook(self, event): return 0\n"
+        "    @classmethod\n"
+        "    def make(cls, side): return cls()\n",
         "from .m import _handler\n"
-        "TABLE = {'run': _handler}\n",
+        "TABLE = {'run': _handler}\n"
+        "register(Shape().hook)\n",
     ]
-    assert unread_parameters(sources) == ["_solve.args", "_solve.kw", "_solve.side"]
+    assert unread_parameters(sources) == [
+        "Shape.area.scale", "Shape.make.side",
+        "_solve.args", "_solve.kw", "_solve.side", "public.grid",
+    ]

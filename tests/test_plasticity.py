@@ -301,12 +301,54 @@ class TestPlasticityLine:
             dataclasses.replace(line, coefficients=moved)
 
 
+def _cubic_solutions(angles, c, b4):
+    """Positive (B1, B2, B3) from numpy's roots of R = P D - 2 N Q in B2,
+    sorted by B2: B1 = K - B2 - B3 with K = c - B4, the first identity is
+    P = 2 Q B3 and the second D B3 = N."""
+    c12, c23, c34, c14 = (math.cos(a) for a in angles)
+    k = c - b4
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    s = k - t
+    p = s * s + t * t + 2 * c12 * s * t - b4 * b4
+    q = s + c12 * t + b4 * c34
+    d = 2 * (s + b4 * c14 + c23 * t)
+    n = s * s + b4 * b4 + 2 * b4 * c14 * s - t * t
+    out = []
+    for root in (p * d - 2 * n * q).roots():
+        if abs(root.imag) > 1e-9 * c:
+            continue
+        b2 = float(root.real)
+        b3 = n(b2) / d(b2)
+        if min(k - b2 - b3, b2, b3) > 0.0:
+            out.append((k - b2 - b3, b2, b3))
+    return sorted(out, key=lambda sol: sol[1])
+
+
+def _probe_calls(draws):
+    """(angles, c, B4) at six B4 in 0.05..0.9 c for the floating ones of
+    `draws` seeded instances, weights U(0.6, 3.0)."""
+    rng = np.random.default_rng(4)
+    calls = []
+    for _ in range(draws):
+        quad = Quadrilateral.from_coords(random_convex_quad(rng))
+        wq = WeightedQuadrilateral(quad, tuple(rng.uniform(0.6, 3.0, 4)))
+        if classify_case(wq).kind is CaseKind.FLOATING:
+            angles, c = locate_4wft(wq).angles, wq.total
+            calls += [(angles, c, float(f) * c) for f in np.linspace(0.05, 0.9, 6)]
+    return calls
+
+
+# the root B2 = 1.46076 lies 3.7e-4 from the pole D = 0 at 1.46038
+NEAR_POLE = ((0.6457577221481458, 1.8002716366138098, 1.359192358385856, 2.477963590031775),
+             5.9205241434937435, 2.30900441596256)
+
+
 class TestSquaredBalanceSystem:
     def test_sign_change_at_the_pole_is_no_root(self):
-        # the scan sees the first identity change sign across the pole of
-        # B3(B2), where the second identity's denominator vanishes, and the
-        # bisection lands on it; the one positive root of the quartic in B2
-        # still comes back
+        # the first identity's residual changes sign across the pole of
+        # B3(B2), where the second identity's denominator vanishes; the cubic
+        # R = P D - 2 N Q has no pole there, and its one positive root comes
+        # back
         angles = (1.5395528764229989, 1.8971284361433125, 1.5840513136487735,
                   1.2624526809645016)
         c, b4 = 6.246309229078088, 1.3741880303971792
@@ -320,6 +362,43 @@ class TestSquaredBalanceSystem:
             second = (b1**2 + b4**2 + 2 * b1 * b4 * math.cos(a401)
                       - b2**2 - b3**2 - 2 * b2 * b3 * math.cos(a203))
             assert max(abs(first), abs(second)) <= 1e-12 * c * c
+
+    def test_root_next_to_the_pole(self):
+        angles, c, b4 = NEAR_POLE
+        sols = plasticity_system_new(angles, c, b4)
+        assert len(sols) == 1
+        assert sols[0] == pytest.approx((1.3030790306997115, 1.460758788471089,
+                                         0.8476819083603829), abs=1e-9 * c)
+        (b1, b2, b3), (a102, a203, a304, a401) = sols[0], angles
+        first = (b1**2 + b2**2 + 2 * b1 * b2 * math.cos(a102)
+                 - b3**2 - b4**2 - 2 * b3 * b4 * math.cos(a304))
+        second = (b1**2 + b4**2 + 2 * b1 * b4 * math.cos(a401)
+                  - b2**2 - b3**2 - 2 * b2 * b3 * math.cos(a203))
+        assert max(abs(first), abs(second)) <= 1e-12 * c * c
+
+    def test_returns_the_positive_roots_of_the_cubic(self):
+        # every positive solution numpy finds among the cubic's roots, and no
+        # other; the seeded set holds NEAR_POLE
+        calls = _probe_calls(100)
+        assert NEAR_POLE in calls
+        for angles, c, b4 in calls:
+            expected = _cubic_solutions(angles, c, b4)
+            if not expected:
+                with pytest.raises(InfeasibleWeightsError):
+                    plasticity_system_new(angles, c, b4)
+                continue
+            got = plasticity_system_new(angles, c, b4)
+            assert len(got) == len(expected), (angles, c, b4)
+            for sol, ref in zip(got, expected):
+                assert sol == pytest.approx(ref, abs=1e-9 * c), (angles, c, b4)
+
+    def test_nan_angles_fail_the_angle_sum(self):
+        # an absorbed optimum has NaN angles
+        q = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        tree = locate_4wft(WeightedQuadrilateral(q, (100.0, 1.0, 1.0, 1.0)))
+        assert any(math.isnan(a) for a in tree.angles)
+        with pytest.raises(QuadFTError, match=r"do not sum to 2\*pi"):
+            plasticity_system_new(tree.angles, 103.0, 1.0)
 
     def test_symmetric_angles_force_equal_pairs(self):
         # angles of a diagonal intersection: a102 = a304 and a203 = a401
