@@ -157,17 +157,16 @@ class RunRecord:
 
 
 def run_timestamp() -> str:
-    """Deterministic timestamp: SOURCE_DATE_EPOCH seconds, defaulting to 0,
-    so identical runs emit identical records."""
+    """Deterministic timestamp: SOURCE_DATE_EPOCH seconds, so identical runs
+    emit identical records.  Unset, not an integer or outside the dates
+    `datetime` can hold, it falls back to 0."""
+    utc = datetime.timezone.utc
     try:
         epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    except ValueError:
-        epoch = 0
-    return (
-        datetime.datetime.fromtimestamp(epoch, tz=datetime.timezone.utc)
-        .isoformat()
-        .replace("+00:00", "Z")
-    )
+        moment = datetime.datetime.fromtimestamp(epoch, tz=utc)
+    except (ValueError, OverflowError, OSError):
+        moment = datetime.datetime.fromtimestamp(0, tz=utc)
+    return moment.isoformat().replace("+00:00", "Z")
 
 
 def _jsonable(value):

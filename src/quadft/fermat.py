@@ -5,14 +5,15 @@ triangle closed form, the certified median, the circle system for a square
 boundary, and the general quadrilateral angle system.  Degree-four locations
 have no closed form, so everything quadrilateral-shaped is iterative.
 
-The case is decided in one place, `_kuhn_case`: Kuhn's test (Kuhn 1973, "A
-note on Fermat's problem"), on the unit vectors between the points
+The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
+Fermat's problem"), on the unit vectors between the points
 (`geometry.unit_matrix`, cached per quadrilateral).  A point absorbs when the
 weighted pull of the others on it exceeds its own weight by at most
-`CASE_BOUNDARY_TOL` times the total.  `classify_case`, `weiszfeld` and the
-plasticity check all read it.  Every `FermatTree` is built by one function,
-`_tree`, whether at an absorbing vertex, at the diagonal intersection, at the
-median or at an angle system's point.
+`CASE_BOUNDARY_TOL` times the total.  `classify_case` and `weiszfeld` read
+it.  The plasticity check runs the same test on pulls that are affine along
+its weight line (`plasticity._Family.absorbing_vertex`).  Every `FermatTree`
+is built by one function, `_tree`, whether at an absorbing vertex, at the
+diagonal intersection, at the median or at an angle system's point.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
@@ -169,7 +170,9 @@ def _kuhn_case(units, weights, tol: float = CASE_BOUNDARY_TOL) -> CaseTag:
     """Kuhn's absorption test on the unit vectors u[i][j] between the points
     (`geometry.unit_matrix`): the slack of point i is the norm of the others'
     weighted pull on it minus its own weight, and the first point whose slack
-    is at most `tol` times the total weight absorbs."""
+    is at most `tol` times the total weight absorbs.  Along a plasticity line
+    `plasticity._Family.absorbing_vertex` applies this test to affine pulls;
+    the two must decide alike."""
     margin = tol * sum(weights)
     for i, w in enumerate(weights):
         slack = math.hypot(*_weighted_sum(weights, units[i])) - w

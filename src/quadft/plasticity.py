@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AbsorbedWeightsError,
@@ -22,12 +23,12 @@ from .errors import (
     QuadFTError,
 )
 from .fermat import (
+    CASE_BOUNDARY_TOL,
     RESIDUAL_TOL,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     _certified_median,
-    _kuhn_case,
 )
 from .geometry import Point, Quadrilateral, linspace, solve_linear
 
@@ -77,10 +78,13 @@ class _Family:
     """The line's anchor P measured once on the quadrilateral: the unit
     vectors u_i from P = line.point toward A_i and the distances |P A_i|.
     Along the line only the weights move, so every per-sample quantity at P
-    (the balance, the absorbing values) evaluates from this one measurement."""
+    (the balance, the absorbing values) evaluates from this one measurement.
+    Kuhn's pulls on the vertices are affine in B4 too (`pulls`); they are
+    measured on first use, by verification only."""
 
     def __init__(self, q: Quadrilateral, line: PlasticityLine):
         p = line.point
+        self.quad = q
         self.line = line
         try:
             self.units = [p.unit_toward(v) for v in q.vertices]
@@ -110,6 +114,35 @@ class _Family:
         (u1x, u1y), _, _, (u4x, u4y) = self.measured()
         x1, y1 = self.line.coefficients[0]
         return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
+
+    @cached_property
+    def pulls(self):
+        """(p_j, q_j) per vertex A_j, with the others' pull on A_j
+        sum_{i != j} B_i u_ji = p_j + B4 q_j along the line (x4 = 1, y4 = 0),
+        u_ji the unit vector from A_j toward A_i (`Quadrilateral.unit_vectors`)."""
+        (x1, y1), (x2, y2), (x3, y3) = self.line.coefficients
+        xs, ys = (x1, x2, x3, 1.0), (y1, y2, y3, 0.0)
+        pulls = []
+        for row in self.quad.unit_vectors:
+            px = py = qx = qy = 0.0
+            for x, y, u in zip(xs, ys, row):
+                if u is not None:  # u_jj
+                    px += y * u[0]
+                    py += y * u[1]
+                    qx += x * u[0]
+                    qy += x * u[1]
+            pulls.append((px, py, qx, qy))
+        return pulls
+
+    def absorbing_vertex(self, b4: float, weights) -> int | None:
+        """Kuhn's test of `fermat._kuhn_case` at the line's weights for b4:
+        the 1-based index of the first vertex whose slack |p_j + B4 q_j| - B_j
+        is at most CASE_BOUNDARY_TOL times the total, or None (floating)."""
+        margin = CASE_BOUNDARY_TOL * self.line.c
+        for j, (px, py, qx, qy) in enumerate(self.pulls):
+            if math.hypot(px + b4 * qx, py + b4 * qy) - weights[j] <= margin:
+                return j + 1
+        return None
 
 
 def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLine:
@@ -245,16 +278,16 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     and report the worst drift of the optimum.
 
     Samples where a weight leaves positivity or the instance stops floating
-    (Kuhn's test of `classify_case` on the quadrilateral's unit vectors) are
-    excluded with a reason, never counted as drift.  The anchor is measured
-    once per call (`_Family`), and every other sample reads its balance
-    |sum B_i u_i| there.  A balance below RESIDUAL_TOL times the total weight
-    passes the residual gate of `locate_4wft`, and the median is unique, so
-    the anchor is the optimum and the sample drifts by 0.  Any other sample, a moved
-    anchor or one on a vertex where no balance can be measured, re-solves the
-    median by the path of `locate_4wft`, from the weighted centroid, and
-    drifts by the anchor's distance to it.  Passes when the maximum deviation
-    stays below 1e-6 times the quadrilateral diameter.
+    are excluded with a reason, never counted as drift.  The line is measured
+    once per call (`_Family`): Kuhn's test of `classify_case` reads the
+    others' pull on each vertex as p_j + B4 q_j, and every sample reads its
+    balance |sum B_i u_i| at the anchor.  A balance below RESIDUAL_TOL times
+    the total weight passes the residual gate of `locate_4wft`, and the
+    median is unique, so the anchor is the optimum and the sample drifts by 0.
+    Any other sample, a moved anchor or one on a vertex where no balance can
+    be measured, re-solves the median by the path of `locate_4wft`, from the
+    weighted centroid, and drifts by the anchor's distance to it.  Passes when
+    the maximum deviation stays below 1e-6 times the quadrilateral diameter.
     """
     if samples < 1:
         raise QuadFTError("need at least one sample")
@@ -264,7 +297,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     else:
         b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
-    family, units = _Family(q, line), q.unit_vectors
+    family = _Family(q, line)
     evaluated = []
     excluded = []
     for b4 in b4s:
@@ -273,9 +306,9 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        tag = _kuhn_case(units, weights)
-        if tag.kind is CaseKind.ABSORBED:
-            excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
+        vertex = family.absorbing_vertex(b4, weights)
+        if vertex is not None:
+            excluded.append((b4, f"absorbed at vertex {vertex}"))
             continue
         if family.balance(weights) < RESIDUAL_TOL * line.c:
             evaluated.append((b4, 0.0))

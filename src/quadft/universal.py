@@ -73,6 +73,8 @@ class TreeState:
     kind: TreeKind
 
     def __post_init__(self):
+        _finite(self.storage, "storage")
+        _finite(self.a_g, "spending rate")
         if self.storage < 0.0 or self.a_g < 0.0:
             raise QuadFTError("storage and spending rate must be nonnegative")
 
@@ -88,8 +90,17 @@ class TreeState:
         return cls(storage=storage, a_g=a_g, kind=kind)
 
 
+def _finite(value: float, name: str) -> None:
+    """QuadFTError naming `value` unless it is finite: a NaN compares false
+    with every threshold, so range checks alone let it through."""
+    if not math.isfinite(value):
+        raise QuadFTError(f"{name} must be finite, got {value}")
+
+
 def classify_tree(storage: float, u_ft: float) -> TreeKind:
     """Steady below u_FT; evolutionary at or above it."""
+    _finite(storage, "storage")
+    _finite(u_ft, "u_FT")
     if storage < 0.0:
         raise QuadFTError("storage must be nonnegative")
     return TreeKind.STEADY if storage < u_ft else TreeKind.EVOLUTIONARY
@@ -200,6 +211,7 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
     increasing order.  Needs u >= u_FT (from `result` when given); at u_FT the
     set collapses to [B4*].
     """
+    _finite(u, "storage level")
     family = _Family(q, line)
     if result is None:
         best = _minimum(family)

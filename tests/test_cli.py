@@ -161,6 +161,16 @@ class TestCommands:
         assert record_to_json(record) == records.read_text().strip()
         assert svg.read_text().startswith("<?xml")
 
+    @pytest.mark.parametrize("epoch", ["99999999999999", "-99999999999999"])
+    def test_out_of_range_source_date_epoch_falls_back_to_zero(self, epoch, ex2_doc,
+                                                               tmp_path, capsys, monkeypatch):
+        # an integer beyond the years datetime holds is treated like a non-integer
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        records = tmp_path / "r.ndjson"
+        assert main(["wft-quad", "--input", str(ex2_doc), "--records", str(records)]) == 0
+        capsys.readouterr()
+        assert record_from_json(records.read_text().strip()).timestamp == "1970-01-01T00:00:00Z"
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["wft-quad", "--input", str(tmp_path / "nope.doc")]) == 2
         assert "error:" in capsys.readouterr().err

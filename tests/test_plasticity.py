@@ -140,6 +140,22 @@ def _balance(line, quad, b4):
     return float(np.linalg.norm(np.array(line.weights_at(b4)) @ units))
 
 
+def _boundary_line(quad, point):
+    """A hand-made line on `quad` (B1 = y1 - B4, B2 = B3 = 0.5, B4 in (0, 2.5))
+    whose sixth of 16 samples leaves A1 a slack of half CASE_BOUNDARY_TOL * c:
+    absorbed, on the floating side of equality.  Returns (line, that B4)."""
+    b4 = linspace(0.0, 2.5, 16)[5]
+    units = np.array([quad.vertices[0].unit_toward(v) for v in quad.vertices[1:]])
+    pull = float(np.linalg.norm(np.array([0.5, 0.5, b4]) @ units))
+    half_band = 0.5 * fermat.CASE_BOUNDARY_TOL
+    c = (pull + b4 + 1.0) / (1.0 + half_band)  # B1 = c - 1 - B4 = pull - half_band * c
+    line = PlasticityLine(c=c, coefficients=((-1.0, c - 1.0), (0.0, 0.5), (0.0, 0.5)),
+                          b4_interval=(0.0, 2.5), point=point)
+    slack = pull - line.weights_at(b4)[0]
+    assert 0.0 < slack <= fermat.CASE_BOUNDARY_TOL * c
+    return line, b4
+
+
 def _one_diagonal_instance(quad):
     """The 7x4 rectangle `quad` with weights whose optimum lies on the
     diagonal A1A3 but off A2A4: u1 = -u3 there, so B2, B4 cancel across the
@@ -534,8 +550,9 @@ class TestVerify:
     def test_true_anchor_costs_one_evaluation_per_sample(self, monkeypatch, rect_mod,
                                                           line_ex2):
         # one measurement per line: no classify_case (so no WeightedQuadrilateral)
-        # per sample, and the balance at the anchor, with no re-solve
-        calls = {"classify_case": 0}
+        # and no _kuhn_case per sample, whose test reads the line's pulls, and
+        # the balance at the anchor, with no re-solve
+        calls = {"classify_case": 0, "_kuhn_case": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -557,7 +574,7 @@ class TestVerify:
             steps.clear()
             report = verify_plasticity(quad, line, 16)
             assert report.passed
-            assert calls == {"classify_case": 0}
+            assert calls == {"classify_case": 0, "_kuhn_case": 0}
             assert steps == []
             assert len(report.evaluated) == 14
 
@@ -589,6 +606,28 @@ class TestVerify:
                 assert report == _reference_report(quad, moved_line, 16)
                 reasons.update(why.split()[0] for _, why in report.excluded)
         assert reasons == {"B4", "absorbed"}
+
+    def test_absorption_at_every_vertex_equals_the_reference(self):
+        # hand-made lines on the unit square: B_j = 3 - B4 absorbs at A_j for
+        # small B4 and at A4 for large B4, and one sample lies just inside
+        # the boundary band, with slack in (0, CASE_BOUNDARY_TOL * c]
+        unit_square = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        center = Point(0.5, 0.5)
+        lines = []
+        for j in range(3):
+            coefficients = [(0.0, 0.5)] * 3
+            coefficients[j] = (-1.0, 3.0)
+            lines.append(PlasticityLine(c=4.0, coefficients=tuple(coefficients),
+                                        b4_interval=(0.0, 3.0), point=center))
+        boundary_line, boundary_b4 = _boundary_line(unit_square, center)
+        vertices = set()
+        for line in lines + [boundary_line]:
+            report = verify_plasticity(unit_square, line, 16)
+            assert report == _reference_report(unit_square, line, 16)
+            vertices.update(int(why.split()[-1]) for _, why in report.excluded
+                            if why.startswith("absorbed"))
+        assert vertices == {1, 2, 3, 4}
+        assert (boundary_b4, "absorbed at vertex 1") in report.excluded  # the last line's
 
     def test_moved_anchor_resolves_every_evaluated_sample(self, monkeypatch, rect_mod,
                                                           line_ex2):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,10 @@ from quadft import (
     InfeasibleWeightsError,
     OverspendError,
     Point,
+    QuadFTError,
     Quadrilateral,
     TreeKind,
+    TreeState,
     WeightedQuadrilateral,
     absorbing_xg,
     classify_case,
@@ -275,6 +279,21 @@ class TestClassification:
     def test_above_threshold_is_evolutionary(self):
         assert classify_tree(3.8543169, 3.8088826) is TreeKind.EVOLUTIONARY
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_storage_threshold_or_rate_rejected(self, value):
+        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
+            classify_tree(value, 3.8088826)
+        with pytest.raises(QuadFTError, match=f"u_FT must be finite, got {value}"):
+            TreeState.for_storage(3.9, value)
+        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
+            TreeState.for_storage(value, 3.8088826)
+        with pytest.raises(QuadFTError, match="spending rate"):  # +inf: not below u_FT
+            TreeState.for_storage(3.9, 3.8, value)
+        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
+            TreeState(storage=value, a_g=0.0, kind=TreeKind.EVOLUTIONARY)
+        with pytest.raises(QuadFTError, match=f"spending rate must be finite, got {value}"):
+            TreeState(storage=3.9, a_g=value, kind=TreeKind.EVOLUTIONARY)
+
 
 class TestStorageLevels:
     def test_two_candidates_at_382(self, rect_mod, line_ex2, result_ex2):
@@ -295,6 +314,14 @@ class TestStorageLevels:
     def test_below_minimum_rejected(self, rect_mod, line_ex2, result_ex2):
         with pytest.raises(InfeasibleWeightsError):
             weights_for_storage(rect_mod, line_ex2, 3.7, result=result_ex2)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, rect_mod, line_ex2, result_ex2, level):
+        for result in (result_ex2, None):
+            with pytest.raises(QuadFTError, match=f"storage level must be finite, got {level}") \
+                    as caught:
+                weights_for_storage(rect_mod, line_ex2, level, result=result)
+            assert type(caught.value) is QuadFTError
 
 
 class TestEvolve:
