@@ -409,13 +409,7 @@ def _cmd_plot(doc, opts, args):
         levels = [base + d for d in opts.levels]
         curves = level_curve_loops(wq.quad.vertices, wq.weights, levels,
                                    **_given(opts, "grid"))
-        scene = Scene(
-            quad=scene.quad,
-            tree_edges=scene.tree_edges,
-            nodes=scene.nodes,
-            vertex_labels=scene.vertex_labels,
-            level_curves=tuple((lvl, loops) for lvl, loops in curves),
-        )
+        scene = replace(scene, level_curves=tuple((lvl, loops) for lvl, loops in curves))
         outputs["levels"] = levels
     return outputs, diagnostics, scene
 

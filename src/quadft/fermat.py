@@ -23,8 +23,8 @@ takes at most 5 Weiszfeld steps, each a gradient step scaled by the
 Hessian's trace, then Newton steps, which converge quadratically to the
 median.  The residual gate is the certificate: the median is unique, and a
 point is accepted only when its pull is below `tol` times the total weight.
-The paper's angle systems stay as independent solvers that, given no start,
-measure it at that median.
+The paper's angle systems stay as independent solvers: Newton starts from
+the angles measured at that median and runs to `RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
+_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the pull, relative to the total weight
 _SEED_TOL = 1e-2       # Weiszfeld seed residual, relative to the total weight
 _SEED_MAX_ITER = 5     # Weiszfeld seed step cap
 _POLISH_TOL = 1e-14    # Newton polish target, relative to the total weight
@@ -155,25 +156,25 @@ def _weighted_sum(weights, units):
     return sx, sy
 
 
-def classify_case(wq: WeightedQuadrilateral, tol: float = CASE_BOUNDARY_TOL) -> CaseTag:
+def classify_case(wq: WeightedQuadrilateral) -> CaseTag:
     """Absorbed/floating classification of the degree-four problem.
 
     A vertex absorbs when the combined pull of the other three weights does not
     exceed its own weight; the first such vertex in index order wins.  Within
-    `tol * total` of equality the result is reported absorbed with a boundary
-    flag.  The pulls read the quadrilateral's unit vectors, measured once.
+    `CASE_BOUNDARY_TOL` * total of equality it is reported absorbed with a
+    boundary flag.  The pulls read the quadrilateral's unit vectors, measured once.
     """
-    return _kuhn_case(wq.quad.unit_vectors, wq.weights, tol)
+    return _kuhn_case(wq.quad.unit_vectors, wq.weights)
 
 
-def _kuhn_case(units, weights, tol: float = CASE_BOUNDARY_TOL) -> CaseTag:
+def _kuhn_case(units, weights) -> CaseTag:
     """Kuhn's absorption test on the unit vectors u[i][j] between the points
     (`geometry.unit_matrix`): the slack of point i is the norm of the others'
     weighted pull on it minus its own weight, and the first point whose slack
-    is at most `tol` times the total weight absorbs.  Along a plasticity line
-    `plasticity._Family.absorbing_vertex` applies this test to affine pulls;
-    the two must decide alike."""
-    margin = tol * sum(weights)
+    is at most `CASE_BOUNDARY_TOL` times the total weight absorbs.  Along a
+    plasticity line `plasticity._Family.absorbing_vertex` applies this test to
+    affine pulls; the two must decide alike."""
+    margin = CASE_BOUNDARY_TOL * sum(weights)
     for i, w in enumerate(weights):
         slack = math.hypot(*_weighted_sum(weights, units[i])) - w
         if slack <= margin:
@@ -194,9 +195,9 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
             f"weights ({bi}, {bj}, {bk}) violate the strict triangle inequality; "
             "the optimum is absorbed at a vertex"
         )
-    a_i0j = math.acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
-    a_j0k = math.acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
-    a_k0i = math.acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
+    a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
+    a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
+    a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
     return a_i0j, a_j0k, a_k0i
 
 
@@ -425,6 +426,16 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
     )
 
 
+def _system_tree(wq, p: Point, angles, trace, system: str) -> FermatTree:
+    """The tree of an angle system's solution p; ConvergenceError unless its
+    pull is at most `_EQUILIBRIUM_RTOL` times the total weight."""
+    tree = _tree(wq, p, angles=angles, iterations=len(trace))
+    if tree.equilibrium_residual > _EQUILIBRIUM_RTOL * wq.total:
+        raise ConvergenceError(f"{system} converged to a non-equilibrium point",
+                               last=p, residual=tree.equilibrium_residual, trace=trace)
+    return tree
+
+
 # ------------------------------------------------------------------ #
 # Square boundary: circle system
 # ------------------------------------------------------------------ #
@@ -475,9 +486,7 @@ def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
     return Point(x, y)
 
 
-def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = None,
-                      tol: float = RESIDUAL_TOL,
-                      max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
+def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = None) -> FermatTree:
     """Interior optimum on the square (0,0),(a,0),(a,a),(0,a) via the
     three-circle intersection system in (a102, a401).
 
@@ -496,23 +505,17 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
     func, a304_of = _square_system(wq.weights)
     if init is None:
         v = quad.vertices
-        seed_pt, _, _ = _median(v, wq.weights, tol, max_iter)
+        seed_pt, _, _ = _median(v, wq.weights)
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
     sol, _, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9,
-                                   tol=tol, max_iter=max_iter)
+                                   tol=RESIDUAL_TOL, max_iter=NEWTON_MAX_ITER)
     a102, a401 = sol
     a304 = a304_of(a102)
     a203 = TWO_PI - a102 - a304 - a401
     point = _square_point(side, a102, a304, a401)
-    tree = _tree(wq, point, angles=(a102, a203, a304, a401), iterations=len(trace))
-    if tree.equilibrium_residual > 1e-7 * wq.total:
-        raise ConvergenceError(
-            "circle system converged to a non-equilibrium point",
-            last=point, residual=tree.equilibrium_residual, trace=trace,
-        )
-    return tree
+    return _system_tree(wq, point, (a102, a203, a304, a401), trace, "circle system")
 
 
 # ------------------------------------------------------------------ #
@@ -568,16 +571,14 @@ def _seed_angles(v, seed: Point) -> tuple[float, float, float, float]:
     )
 
 
-def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
-                       tol: float = RESIDUAL_TOL,
-                       max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
+def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
     """Interior optimum on a general convex quadrilateral via the residual
     system in (a102, a401, a304, a013), then reconstruction from vertex A1.
 
     a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
     lies on the A2 side of the diagonal).  The optimum is placed at distance
-    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  `init` overrides
-    the Newton start; by default it is measured at the median.
+    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  Newton starts
+    from the angles measured at the median.
     """
     tag = classify_case(wq)
     if tag.kind is not CaseKind.FLOATING:
@@ -585,29 +586,21 @@ def solve_4wft_general(wq: WeightedQuadrilateral, init=None,
             f"instance is not floating (absorbed at vertex {tag.vertex})"
         )
     v = wq.quad.vertices
-    if init is None:
-        seed, _, _ = _median(v, wq.weights, tol, max_iter)
-        init = _seed_angles(v, seed)
+    seed, _, _ = _median(v, wq.weights)
     func, a41, alpha314 = _general_system(wq)
-    sol, _, trace = _damped_newton(func, init, lo=-math.pi, hi=TWO_PI,
-                                   tol=tol, max_iter=max_iter)
+    sol, _, trace = _damped_newton(func, _seed_angles(v, seed), lo=-math.pi, hi=TWO_PI,
+                                   tol=RESIDUAL_TOL, max_iter=NEWTON_MAX_ITER)
     a102, a401, a304, a013 = sol
     a203 = TWO_PI - a102 - a304 - a401
     a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
     ux, uy = v[0].unit_toward(v[2])
     dx, dy = rotate(ux, uy, -a013)
     point = Point(v[0].x + a01 * dx, v[0].y + a01 * dy)
-    if not wq.quad.contains(point, tol=1e-9):
+    if not wq.quad.contains(point):
         raise InconsistentCaseError(
             f"angle system placed the optimum outside the quadrilateral: {point}"
         )
-    tree = _tree(wq, point, angles=(a102, a203, a304, a401), iterations=len(trace))
-    if tree.equilibrium_residual > 1e-7 * wq.total:
-        raise ConvergenceError(
-            "angle system converged to a non-equilibrium point",
-            last=point, residual=tree.equilibrium_residual, trace=trace,
-        )
-    return tree
+    return _system_tree(wq, point, (a102, a203, a304, a401), trace, "angle system")
 
 
 # ------------------------------------------------------------------ #

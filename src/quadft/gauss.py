@@ -204,6 +204,6 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
             f"edge lengths (a1={tree.a1:.3e}, a2={tree.a2:.3e}) are not positive"
         )
     for node, name in ((tree.node0, "A0"), (tree.node0p, "A0'")):
-        if not q.contains(node, tol=1e-9):
+        if not q.contains(node):
             raise DegenerateTreeError(f"node {name} = {node} lies outside the quadrilateral")
     return tree

@@ -8,6 +8,7 @@ Angles are radians everywhere; degrees appear only at I/O boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,11 +31,11 @@ def rotate(vx: float, vy: float, theta: float) -> tuple[float, float]:
     return c * vx - s * vy, s * vx + c * vy
 
 
-def clamped_acos(value: float, tol: float = ACOS_CLAMP_TOL) -> float:
-    """arccos with values within `tol` of +/-1 clamped; beyond that, error."""
-    if value > 1.0 + tol or value < -1.0 - tol:
+def clamped_acos(value: float) -> float:
+    """arccos, clamping values within `ACOS_CLAMP_TOL` of +/-1; beyond that, error."""
+    if value > 1.0 + ACOS_CLAMP_TOL or value < -1.0 - ACOS_CLAMP_TOL:
         raise InfeasibleTriangleError(
-            f"cosine argument {value!r} outside [-1, 1] beyond tolerance {tol}"
+            f"cosine argument {value!r} outside [-1, 1] beyond tolerance {ACOS_CLAMP_TOL}"
         )
     return math.acos(min(1.0, max(-1.0, value)))
 
@@ -167,11 +168,11 @@ class Quadrilateral:
     def diameter(self) -> float:
         return self._diameter
 
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        """True if p lies in the closed quadrilateral inflated by `tol` times
+    def contains(self, p: Point) -> bool:
+        """True if p lies in the closed quadrilateral inflated by 1e-9 times
         its diameter: no edge has p farther than that on its outer side."""
         v, d = self.vertices, self.distances
-        margin = -tol * self._diameter
+        margin = -1e-9 * self._diameter
         for i in range(4):
             a, b = v[i], v[(i + 1) % 4]
             if cross2(b.x - a.x, b.y - a.y, p.x - a.x, p.y - a.y) < margin * d[i][(i + 1) % 4]:
@@ -195,6 +196,14 @@ def diagonal_intersection(q: Quadrilateral) -> Point:
 # ------------------------------------------------------------------ #
 # Sampling and small dense linear algebra
 # ------------------------------------------------------------------ #
+
+def _count(value, name: str) -> int:
+    """`value` as an int (`operator.index`); QuadFTError naming it if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QuadFTError(f"{name} must be an integer, got {value!r}") from None
+
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
     """`num` evenly spaced floats from start to stop inclusive.

@@ -25,14 +25,13 @@ from .errors import (
 from .fermat import (
     CASE_BOUNDARY_TOL,
     RESIDUAL_TOL,
+    TWO_PI,
     CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     _certified_median,
 )
-from .geometry import Point, Quadrilateral, linspace, solve_linear
-
-TWO_PI = 2.0 * math.pi
+from .geometry import Point, Quadrilateral, _count, linspace, solve_linear
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,17 @@ class PlasticityLine:
     point: Point
 
     def __post_init__(self):
-        xs = sum(co[0] for co in self.coefficients)
-        ys = sum(co[1] for co in self.coefficients)
+        (x1, y1), (x2, y2), (x3, y3) = self.coefficients
+        lo, hi = self.b4_interval
+        for name, values in (("c", (self.c,)), ("coefficients", (x1, y1, x2, y2, x3, y3)),
+                             ("b4_interval", (lo, hi))):
+            if not all(map(math.isfinite, values)):
+                raise QuadFTError(f"{name} must be finite, got {getattr(self, name)}")
+        xs, ys = x1 + x2 + x3, y1 + y2 + y3
         if abs(xs + 1.0) > 1e-9 or abs(ys - self.c) > 1e-9 * self.c:
             raise QuadFTError(
                 f"coefficients do not preserve the total: sum x = {xs}, sum y = {ys}"
             )
-        lo, hi = self.b4_interval
         if not lo < hi:
             raise InfeasibleWeightsError(f"empty B4 interval ({lo}, {hi})")
 
@@ -289,7 +292,7 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     weighted centroid, and drifts by the anchor's distance to it.  Passes when
     the maximum deviation stays below 1e-6 times the quadrilateral diameter.
     """
-    if samples < 1:
+    if _count(samples, "samples") < 1:
         raise QuadFTError("need at least one sample")
     lo, hi = line.b4_interval
     if samples == 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import QuadFTError
 from .fermat import _median
-from .geometry import linspace
+from .geometry import _count, linspace
 
 PALETTE = {
     "background": "#ffffff",
@@ -52,7 +52,7 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     Returns (level, loops) pairs in increasing level order: one closed loop
     per level above f(c), none for a level at or below it.
     """
-    if grid < 1:
+    if _count(grid, "grid") < 1:
         raise QuadFTError("grid must be at least 1")
     cx, cy = _median(points, weights)[0].as_tuple()
     anchors = [(w, p.x, p.y) for w, p in zip(weights, points)]
@@ -93,11 +93,11 @@ class Scene:
     quad: tuple[tuple[float, float], ...]
     tree_edges: tuple[tuple[tuple[float, float], tuple[float, float]], ...] = ()
     nodes: tuple[tuple[float, float, str], ...] = ()
-    vertex_labels: tuple[str, ...] = ("A1", "A2", "A3", "A4")
     level_curves: tuple = ()   # ((value, [loop, ...]), ...)
 
 
-def render_scene(scene: Scene, width: float = DEFAULT_WIDTH) -> str:
+def render_scene(scene: Scene) -> str:
+    """The scene as SVG, `DEFAULT_WIDTH` wide, its vertices labelled A1..A4."""
     xs = [p[0] for p in scene.quad] + [n[0] for n in scene.nodes]
     ys = [p[1] for p in scene.quad] + [n[1] for n in scene.nodes]
     for _, loops in scene.level_curves:
@@ -106,7 +106,7 @@ def render_scene(scene: Scene, width: float = DEFAULT_WIDTH) -> str:
             ys.extend(p[1] for p in loop)
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    scale = (width - 2.0 * MARGIN) / (max_x - min_x)
+    scale = (DEFAULT_WIDTH - 2.0 * MARGIN) / (max_x - min_x)
     height = (max_y - min_y) * scale + 2.0 * MARGIN
 
     def view(p):
@@ -120,11 +120,11 @@ def render_scene(scene: Scene, width: float = DEFAULT_WIDTH) -> str:
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'width="{_fmt(DEFAULT_WIDTH)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(DEFAULT_WIDTH)} {_fmt(height)}">'
     )
     out.append(
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'<rect x="0" y="0" width="{_fmt(DEFAULT_WIDTH)}" height="{_fmt(height)}" '
         f'fill="{PALETTE["background"]}"/>'
     )
     for value, loops in scene.level_curves:
@@ -156,7 +156,7 @@ def render_scene(scene: Scene, width: float = DEFAULT_WIDTH) -> str:
             f'<text x="{_fmt(cx + 6.0)}" y="{_fmt(cy - 6.0)}" fill="{PALETTE["label"]}" '
             f'font-family="monospace" font-size="12">{label}</text>'
         )
-    for label, p in zip(scene.vertex_labels, scene.quad):
+    for label, p in zip(("A1", "A2", "A3", "A4"), scene.quad):
         cx, cy = view(p)
         out.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5" fill="{PALETTE["vertex"]}"/>'

@@ -29,7 +29,7 @@ from typing import Callable
 
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
-from .geometry import Quadrilateral, cross2, linspace
+from .geometry import Quadrilateral, _count, cross2, linspace
 from .plasticity import PlasticityLine, _Family
 
 # Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
@@ -159,7 +159,7 @@ def _minimum(family: _Family) -> UniversalSample:
 def _sweep(family: _Family, grid: int,
            on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
     """The samples of `universal_set`, from one measurement of P."""
-    if grid < 1:
+    if _count(grid, "grid") < 1:
         raise QuadFTError("grid must be at least 1")
     line = family.line
     if grid == 1:

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadft.cli import build_parser, main
@@ -504,6 +505,15 @@ class TestLevelCurves:
     def test_grid_below_one_raises(self, wq_ex2, grid):
         with pytest.raises(QuadFTError, match="grid must be at least 1"):
             level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [30.0], grid=grid)
+
+    def test_non_integer_grid_raises(self, wq_ex2):
+        with pytest.raises(QuadFTError, match="grid must be an integer, got 2.5"):
+            level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [30.0], grid=2.5)
+        base = locate_4wft(wq_ex2).objective
+        ints = level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [base + 1.0], grid=8)
+        numpy = level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [base + 1.0],
+                                  grid=np.int64(8))
+        assert numpy == ints
 
     def test_gauss_level_below_the_first_node(self, ex4_doc, tmp_path, capsys):
         # f(A0) of the Gauss tree exceeds the minimum of f by about 0.48, so

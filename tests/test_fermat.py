@@ -151,6 +151,23 @@ class TestTriangleAngles:
         with pytest.raises(AbsorbedWeightsError):
             triangle_wft_angles(3.0, 1.5, 4.5)   # bk == bi + bj
 
+    def test_near_degenerate_weights_give_angles_or_absorb(self):
+        # passes the strict triangle check, yet one cosine rounds past -1
+        angles = triangle_wft_angles(3.941560618086337, 1.3856128984282157, 5.327173516514552)
+        assert sum(angles) == pytest.approx(TWO_PI, abs=1e-6)
+        rng = np.random.default_rng(7)
+        for _ in range(5000):
+            bi, bj = rng.uniform(0.1, 10.0, 2)
+            edge = bi + bj if rng.random() < 0.5 else abs(bi - bj)
+            bk = edge * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17.0, -12.0))
+            weights = [float(bi), float(bj), float(bk)]
+            rng.shuffle(weights)
+            try:
+                angles = triangle_wft_angles(*weights)
+            except AbsorbedWeightsError:
+                continue
+            assert sum(angles) == pytest.approx(TWO_PI, abs=1e-6)
+
     @pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (1.0, 1.0, math.inf)])
     def test_nan_or_infinite_weights_are_no_absorption(self, weights):
         with pytest.raises(QuadFTError, match="finite"):

@@ -92,8 +92,8 @@ class TestQuadrilateral:
             return [Point(0.5 * k, -d), Point(k + d, 0.5 * k),
                     Point(0.5 * k, k + d), Point(-d, 0.5 * k)]
 
-        assert not any(q.contains(p, tol=1e-9) for p in outside(1e-7 * k))
-        assert all(q.contains(p, tol=1e-9) for p in outside(1e-10 * k))
+        assert not any(q.contains(p) for p in outside(1e-7 * k))
+        assert all(q.contains(p) for p in outside(1e-10 * k))
 
 
 class TestUnitMatrix:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quadft"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quadft"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -87,14 +88,12 @@ def test_detects_unread_private_names():
     assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead"]
 
 
-def unread_parameters(sources: list[str]) -> list[str]:
-    """`function.parameter` (`Class.method.parameter` for a method) for every
-    parameter of a module-level function or method that its body never
-    reads, `self` and `cls` aside.  Functions the package also uses as values
-    (stored in a table, passed as a callback, a bound method handed on) keep
-    a shared signature and are left out, as are dunder methods, whose
-    signature the protocol fixes."""
-    trees = [ast.parse(source) for source in sources]
+def _checked_functions(trees) -> list[tuple[str, ast.FunctionDef]]:
+    """(`function` or `Class.method`, node) for every module-level function
+    and method in `trees`.  Functions the sources also use as values (stored
+    in a table, passed as a callback, a bound method handed on) keep a shared
+    signature and are left out, as are dunder methods, whose signature the
+    protocol fixes."""
     as_values = set()
     for tree in trees:
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
@@ -111,11 +110,17 @@ def unread_parameters(sources: list[str]) -> list[str]:
             is_class = isinstance(node, ast.ClassDef)
             prefix = f"{node.name}." if is_class else ""
             functions += [(prefix + f.name, f) for f in (node.body if is_class else [node])
-                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not f.name.startswith("__") and f.name not in as_values]
+    return functions
+
+
+def unread_parameters(sources: list[str]) -> list[str]:
+    """`function.parameter` (`Class.method.parameter` for a method) for every
+    parameter of a function of `_checked_functions` that its body never
+    reads, `self` and `cls` aside."""
     unread = []
-    for qualified, node in functions:
-        if node.name.startswith("__") or node.name in as_values:
-            continue
+    for qualified, node in _checked_functions([ast.parse(source) for source in sources]):
         args = node.args
         params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
         params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
@@ -153,4 +158,69 @@ def test_detects_unread_parameters():
     assert unread_parameters(sources) == [
         "Shape.area.scale", "Shape.make.side",
         "_solve.args", "_solve.kw", "_solve.side", "public.grid",
+    ]
+
+
+def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """`function.parameter` (`Class.method.parameter` for a method) for every
+    parameter with a default, of a function of `_checked_functions` in
+    `sources`, that no call in `sources` or `callers` sets.  A call names the
+    function by name or attribute and sets a parameter by keyword, by passing
+    enough positional arguments (after `self` or `cls`), or through a `*` or
+    `**` splat."""
+    trees = [ast.parse(source) for source in sources]
+    setters = {}  # function name -> [(positional count, keywords, splatted)]
+    for tree in trees + [ast.parse(source) for source in callers]:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            splat = (any(isinstance(a, ast.Starred) for a in call.args)
+                     or any(k.arg is None for k in call.keywords))
+            setters.setdefault(name, []).append(
+                (len(call.args), {k.arg for k in call.keywords}, splat))
+    unset = []
+    for qualified, node in _checked_functions(trees):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = [(i, p) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+        calls = setters.get(node.name, [])
+        unset += [f"{qualified}.{p}" for i, p in defaulted
+                  if not any(splat or p in keywords or (i is not None and count > i - skip)
+                             for count, keywords, splat in calls)]
+    return sorted(unset)
+
+
+def test_no_unset_defaults():
+    callers = [p.read_text(encoding="utf-8")
+               for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))]
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unset_defaults(sources, callers) == []
+
+
+def test_detects_unset_defaults():
+    sources = [
+        "def solve(side, weights, tol=1e-9, max_iter=50, *, init=None, seed=0):\n"
+        "    return side\n"
+        "def spread(a, b=1, c=2): return a\n"
+        "def _handler(args, parser=None): return args\n"
+        "def __dunder__(x=0): return x\n"
+        "class Shape:\n"
+        "    def area(self, scale=1.0, unit='m'): return scale\n"
+        "    @classmethod\n"
+        "    def make(cls, side=1.0, label=''): return cls()\n"
+        "TABLE = {'run': _handler}\n",
+        "solve(1.0, (1, 2), 1e-6)\n"
+        "m.solve(2.0, (1,), init=(0, 0))\n"
+        "spread(*values)\n"
+        "Shape().area(2.0)\n"
+        "Shape.make(**options)\n",
+    ]
+    assert unset_defaults(sources[:1], sources[1:]) == [
+        "Shape.area.unit", "solve.max_iter", "solve.seed",
     ]

@@ -316,6 +316,21 @@ class TestPlasticityLine:
         with pytest.raises(QuadFTError, match="preserve the total"):
             dataclasses.replace(line, coefficients=moved)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, line_ex2, value):
+        (x1, y1), *rest = line_ex2.coefficients
+        lo, hi = line_ex2.b4_interval
+        changes = [
+            ("c", {"c": value}),
+            ("coefficients", {"coefficients": ((value, y1), *rest)}),
+            ("coefficients", {"coefficients": ((x1, value), *rest)}),
+            ("b4_interval", {"b4_interval": (lo, value)}),
+            ("b4_interval", {"b4_interval": (value, hi)}),
+        ]
+        for name, change in changes:
+            with pytest.raises(QuadFTError, match=f"^{name} must be finite"):
+                dataclasses.replace(line_ex2, **change)
+
 
 def _cubic_solutions(angles, c, b4):
     """Positive (B1, B2, B3) from numpy's roots of R = P D - 2 N Q in B2,
@@ -499,6 +514,12 @@ class TestVerify:
         single = verify_plasticity(rect_mod, line_ex2, 1)
         assert len(single.evaluated) == 1 and not single.excluded
         assert single.passed
+
+    def test_non_integer_sample_count_rejected(self, rect_mod, line_ex2):
+        with pytest.raises(QuadFTError, match="samples must be an integer, got 2.5"):
+            verify_plasticity(rect_mod, line_ex2, 2.5)
+        assert (verify_plasticity(rect_mod, line_ex2, np.int64(5))
+                == verify_plasticity(rect_mod, line_ex2, 5))
 
     def test_diagonal_line_passes(self, rect_mod):
         for weights in DIAGONAL_WEIGHTS:

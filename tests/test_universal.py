@@ -158,6 +158,14 @@ class TestUniversalSet:
         universal_set(rect_mod, line_ex2, 8, on_skip=lambda b4, why: skipped.append(b4))
         assert skipped == []  # the whole interval is feasible here
 
+    def test_non_integer_grid_rejected(self, rect_mod, line_ex2):
+        with pytest.raises(QuadFTError, match="grid must be an integer, got 2.5"):
+            universal_set(rect_mod, line_ex2, 2.5)
+        with pytest.raises(QuadFTError, match="grid must be an integer, got 2.5"):
+            universal_minimum(rect_mod, line_ex2, grid=2.5)
+        assert (universal_minimum(rect_mod, line_ex2, grid=np.int64(9))
+                == universal_minimum(rect_mod, line_ex2, grid=9))
+
 
 class TestUniversalMinimum:
     def test_example_values(self, result_ex2):
