@@ -83,8 +83,6 @@ _FLAGS = {
     "--input": dict(required=True, help="problem document path, or - for standard input"),
     "--records": dict(metavar="PATH", help="write the run record as newline-delimited JSON"),
     "--svg": dict(metavar="PATH", help="write an SVG rendering"),
-    "--tol": dict(type=float, help="solver residual tolerance"),
-    "--max-iter": dict(type=int, help="Newton step cap of the median solve"),
     "--grid": dict(type=int, help="sample count: B4 grid points in universal, "
                                   "level-curve rays in plot"),
     "--xg": dict(type=float, help="Gauss variable override"),
@@ -277,7 +275,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
         raise DocumentError("wft-triangle needs exactly 3 vertices", path="$.vertices")
     pts = [Point(*v) for v in doc.vertices]
     weights = doc.weights
-    point = weiszfeld(pts, weights, **_given(opts, "tol", "max_iter"))
+    point = weiszfeld(pts, weights)
     absorbed = any(point.distance_to(p) == 0.0 for p in pts)
     outputs = {
         "point": [point.x, point.y],
@@ -299,7 +297,7 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
 
 def _cmd_wft_quad(doc, opts, args):
     wq = _quad_instance(doc)
-    tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
+    tree = locate_4wft(wq)
     _print_fermat(tree)
     diagnostics = {
         "iterations": tree.iterations,
@@ -318,9 +316,9 @@ def _cmd_gauss(doc, opts, args):
     return _gauss_outputs(tree, w), {}, _gauss_scene(wq.quad, tree)
 
 
-def _line_for(doc, opts):
+def _line_for(doc):
     wq = _quad_instance(doc)
-    tree = locate_4wft(wq, **_given(opts, "tol", "max_iter"))
+    tree = locate_4wft(wq)
     return wq, tree, plasticity_line(wq, tree)
 
 
@@ -334,7 +332,7 @@ def _line_outputs(line) -> dict:
 
 
 def _cmd_plasticity(doc, opts, args):
-    wq, tree, line = _line_for(doc, opts)
+    wq, tree, line = _line_for(doc)
     _print(f"A0: ({_fmt(line.point.x)}, {_fmt(line.point.y)})")
     _print(f"c: {_fmt(line.c)}")
     for i, (x, y) in enumerate(line.coefficients, start=1):
@@ -347,7 +345,7 @@ def _cmd_plasticity(doc, opts, args):
 
 
 def _cmd_universal(doc, opts, args):
-    wq, tree, line = _line_for(doc, opts)
+    wq, tree, line = _line_for(doc)
     result = universal_minimum(wq.quad, line, **_given(opts, "grid"))
     _print("  ".join(h.rjust(13) for h in ("B1", "B2", "B3", "B4", "x_G", "f")))
     for s in result.samples:
@@ -375,7 +373,7 @@ def _cmd_universal(doc, opts, args):
 def _cmd_evolve(doc, opts, args):
     if opts.storage is None or opts.spend is None:
         raise DocumentError("evolve needs --storage and --spend (or document options)")
-    wq, tree, line = _line_for(doc, opts)
+    wq, tree, line = _line_for(doc)
     b4 = opts.b4
     if b4 is None:
         candidates = weights_for_storage(wq.quad, line, opts.storage)
@@ -417,19 +415,18 @@ def _cmd_plot(doc, opts, args):
 # Each subcommand: its handler, its help text and the flags it reads beside
 # _COMMON_FLAGS.
 _COMMANDS = {
-    "wft-triangle": (_cmd_wft_triangle, "degree-three optimum of a weighted triangle",
-                     ("--tol", "--max-iter")),
+    "wft-triangle": (_cmd_wft_triangle, "degree-three optimum of a weighted triangle", ()),
     "wft-quad": (_cmd_wft_quad, "degree-four optimum of a weighted convex quadrilateral",
-                 ("--svg", "--tol", "--max-iter")),
+                 ("--svg",)),
     "gauss": (_cmd_gauss, "degree-three Gauss tree at a given x_G", ("--svg", "--xg")),
     "plasticity": (_cmd_plasticity, "affine weight family preserving the degree-four optimum",
-                   ("--svg", "--tol", "--max-iter")),
+                   ("--svg",)),
     "universal": (_cmd_universal, "universal absorbing set and minimum value",
-                  ("--svg", "--tol", "--max-iter", "--grid")),
+                  ("--svg", "--grid")),
     "evolve": (_cmd_evolve, "evolutionary Gauss tree funded by stored quantity",
-               ("--svg", "--tol", "--max-iter", "--b4", "--storage", "--spend")),
+               ("--svg", "--b4", "--storage", "--spend")),
     "plot": (_cmd_plot, "SVG drawing of the solved tree and optional level curves",
-             ("--svg", "--tol", "--max-iter", "--grid", "--xg", "--levels")),
+             ("--svg", "--grid", "--xg", "--levels")),
 }
 
 

@@ -22,10 +22,9 @@ _TOP_LEVEL_KEYS = {"vertices", "weights", "xg", "options"}
 
 @dataclass
 class SolverOptions:
-    """Optional knobs; None means "use the solver default"."""
+    """Optional run settings, each mirrored by the CLI flag of the same name;
+    None means "use the solver default"."""
 
-    tol: float | None = None
-    max_iter: int | None = None
     grid: int | None = None
     normalize_weights: bool = False
     b4: float | None = None
@@ -79,8 +78,6 @@ def _number_list(value, path: str) -> tuple[float, ...]:
 # The check each option value passes, whether it comes from a document key or
 # from the CLI flag of the same name; a check returns the value it accepts.
 OPTION_CHECKS = {
-    "tol": positive_number,
-    "max_iter": _positive_integer,
     "grid": _positive_integer,
     "normalize_weights": _boolean,
     "b4": _require_number,

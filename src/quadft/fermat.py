@@ -22,9 +22,10 @@ point, which `_median` measures itself.  It starts at the weighted centroid,
 takes at most 5 Weiszfeld steps, each a gradient step scaled by the
 Hessian's trace, then Newton steps, which converge quadratically to the
 median.  The residual gate is the certificate: the median is unique, and a
-point is accepted only when its pull is below `tol` times the total weight.
-The paper's angle systems stay as independent solvers: Newton starts from
-the angles measured at that median and runs to `RESIDUAL_TOL`.
+point is accepted only when its pull is below `RESIDUAL_TOL` times the
+total weight.  The paper's angle systems stay as independent solvers:
+Newton starts from the angles measured at that median and runs to
+`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -228,8 +229,7 @@ def _collinear(points) -> bool:
     return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
 
 
-def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
-              max_iter: int = NEWTON_MAX_ITER) -> Point:
+def weiszfeld(points, weights) -> Point:
     """Weighted geometric median of >= 3 points, not all collinear.
 
     Weights that are not positive and finite raise QuadFTError.  Coincident
@@ -237,10 +237,9 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     instances return the dominating vertex directly (Kuhn's test of
     `classify_case`: the pull of the others exceeds its weight by at most
     `CASE_BOUNDARY_TOL` times the total).  Otherwise the median of
-    `locate_4wft`: at most 5 Weiszfeld steps, then at most `max_iter` Newton
-    steps, on one gradient evaluation per step; a pull not below
-    tol * sum(weights) raises ConvergenceError, and a `tol` that is not
-    positive or a `max_iter` below 1 raises QuadFTError.
+    `locate_4wft`: at most 5 Weiszfeld steps, then at most `NEWTON_MAX_ITER`
+    Newton steps, on one gradient evaluation per step; a pull not below
+    RESIDUAL_TOL * sum(weights) raises ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
@@ -254,18 +253,17 @@ def weiszfeld(points, weights, tol: float = RESIDUAL_TOL,
     tag = _kuhn_case(unit_matrix(points), weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
-    return _certified_median(points, weights, tol, max_iter)[0]
+    return _certified_median(points, weights)[0]
 
 
-def _median(points, weights, tol: float = RESIDUAL_TOL,
-            max_iter: int = NEWTON_MAX_ITER):
+def _median(points, weights):
     """The weighted median of `points`, by one loop on the gradient of the
     weighted distance sum, in coordinates relative to the first point (so a
     far translation does not swamp the pull in rounding).
 
     From the weighted centroid: at most `_SEED_MAX_ITER` Weiszfeld steps
     while the pull is at least `_SEED_TOL` times the total, then at most
-    `max_iter` damped Newton steps to min(tol, _POLISH_TOL) times it.  The
+    `NEWTON_MAX_ITER` damped Newton steps to `_POLISH_TOL` times it.  The
     Weiszfeld step x - g / (hxx + hyy) reads the trace of the Hessian, which
     is sum w_i / r_i; Newton is quadratic where Weiszfeld is only linear, and
     the Hessian is positive definite off the points.  Returns (point,
@@ -307,9 +305,9 @@ def _median(points, weights, tol: float = RESIDUAL_TOL,
         x, y, state = nx, ny, trial
         norm = math.hypot(state[0], state[1])
         steps += 1
-    limit = min(tol, _POLISH_TOL) * total
+    limit = _POLISH_TOL * total
     newton = 0
-    while newton < max_iter and norm >= limit:
+    while newton < NEWTON_MAX_ITER and norm >= limit:
         gx, gy, hxx, hxy, hyy = state
         det = hxx * hyy - hxy * hxy
         if not det > 0.0:
@@ -330,17 +328,11 @@ def _median(points, weights, tol: float = RESIDUAL_TOL,
     return Point(ox + x, oy + y), norm, steps + newton
 
 
-def _certified_median(points, weights, tol: float = RESIDUAL_TOL,
-                      max_iter: int = NEWTON_MAX_ITER):
+def _certified_median(points, weights):
     """`_median`, raising ConvergenceError unless its pull is below
-    tol * sum(weights).  Returns (point, steps).  A `tol` that is not
-    positive or a `max_iter` below 1 raises QuadFTError."""
-    if not tol > 0.0:
-        raise QuadFTError(f"tol must be positive, got {tol!r}")
-    if not max_iter >= 1:
-        raise QuadFTError(f"max_iter must be at least 1, got {max_iter!r}")
-    point, norm, steps = _median(points, weights, tol, max_iter)
-    if not norm < tol * sum(weights):
+    RESIDUAL_TOL * sum(weights).  Returns (point, steps)."""
+    point, norm, steps = _median(points, weights)
+    if not norm < RESIDUAL_TOL * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
     return point, steps
@@ -354,8 +346,9 @@ def _norm(v) -> float:
     return math.sqrt(sum(t * t for t in v))
 
 
-def _damped_newton(func, x0, lo, hi, tol, max_iter):
-    """Newton with numeric Jacobian and halving line search, boxed to (lo, hi).
+def _damped_newton(func, x0, lo, hi):
+    """Newton with numeric Jacobian and halving line search, boxed to (lo, hi),
+    to a residual below `RESIDUAL_TOL` in at most `NEWTON_MAX_ITER` steps.
 
     `func` maps a tuple of floats to a tuple of residuals.  The Jacobian is the
     central difference (f(x + h e_j) - f(x - h e_j)) / (2h), and the step comes
@@ -368,9 +361,9 @@ def _damped_newton(func, x0, lo, hi, tol, max_iter):
     trace = [_norm(r)]
     n = len(x)
     h = 1e-7
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norm = trace[-1]
-        if norm < tol:
+        if norm < RESIDUAL_TOL:
             return x, norm, trace
         columns = []
         for j in range(n):
@@ -399,7 +392,7 @@ def _damped_newton(func, x0, lo, hi, tol, max_iter):
     norm = trace[-1]
     if norm < 1e-8:
         return x, norm, trace
-    raise ConvergenceError(f"Newton did not converge in {max_iter} iterations",
+    raise ConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations",
                            last=x, residual=norm, trace=trace)
 
 
@@ -509,8 +502,7 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
     if not all(0.0 < a < math.pi for a in init):
         raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
-    sol, _, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9,
-                                   tol=RESIDUAL_TOL, max_iter=NEWTON_MAX_ITER)
+    sol, _, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9)
     a102, a401 = sol
     a304 = a304_of(a102)
     a203 = TWO_PI - a102 - a304 - a401
@@ -588,8 +580,7 @@ def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
     v = wq.quad.vertices
     seed, _, _ = _median(v, wq.weights)
     func, a41, alpha314 = _general_system(wq)
-    sol, _, trace = _damped_newton(func, _seed_angles(v, seed), lo=-math.pi, hi=TWO_PI,
-                                   tol=RESIDUAL_TOL, max_iter=NEWTON_MAX_ITER)
+    sol, _, trace = _damped_newton(func, _seed_angles(v, seed), lo=-math.pi, hi=TWO_PI)
     a102, a401, a304, a013 = sol
     a203 = TWO_PI - a102 - a304 - a401
     a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
@@ -607,26 +598,23 @@ def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
 # Facade
 # ------------------------------------------------------------------ #
 
-def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
-                max_iter: int = NEWTON_MAX_ITER) -> FermatTree:
+def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
     """Locate the degree-four optimum for any valid instance.
 
     Absorbed instances return the vertex tree; equal weights short-circuit to
     the diagonal intersection.  A floating instance is classified once; its
     median takes at most 5 Weiszfeld steps, to 1e-2 of the total weight, then
-    Newton steps on the same gradient, which polish it to 1e-14 of it (or
-    `tol`, if smaller) in at most `max_iter` steps.  The tree, with its
-    angles, is measured at that point; `iterations` counts the steps of both
-    kinds.  A residual that misses `tol` times the total weight raises
-    ConvergenceError, and a `tol` that is not positive or a `max_iter` below
-    1 raises QuadFTError.
+    Newton steps on the same gradient, which polish it to 1e-14 of it in at
+    most `NEWTON_MAX_ITER` steps.  The tree, with its angles, is measured at
+    that point; `iterations` counts the steps of both kinds.  A residual that
+    misses `RESIDUAL_TOL` times the total weight raises ConvergenceError.
 
     That gate applies to the Newton iterate in coordinates relative to A1.
     Mapping it back rounds it to the float grid of the absolute coordinates,
     so the tree's `equilibrium_residual`, measured at the returned point, can
-    exceed `tol` times the total: moved by (1e7, 1e7), where the coordinate
-    ulp is 1.9e-9, a barely floating instance reports 1.2e-8 of the total,
-    and no float point next to it pulls below 1e-10 of it.
+    exceed `RESIDUAL_TOL` times the total: moved by (1e7, 1e7), where the
+    coordinate ulp is 1.9e-9, a barely floating instance reports 1.2e-8 of
+    the total, and no float point next to it pulls below 1e-10 of it.
     """
     tag = classify_case(wq)
     if tag.kind is CaseKind.ABSORBED:
@@ -634,5 +622,5 @@ def locate_4wft(wq: WeightedQuadrilateral, tol: float = RESIDUAL_TOL,
     w = wq.weights
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _tree(wq, diagonal_intersection(wq.quad), CaseTag(CaseKind.DIAGONAL))
-    point, iterations = _certified_median(wq.quad.vertices, w, tol, max_iter)
+    point, iterations = _certified_median(wq.quad.vertices, w)
     return _tree(wq, point, iterations=iterations)

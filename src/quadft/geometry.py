@@ -32,8 +32,9 @@ def rotate(vx: float, vy: float, theta: float) -> tuple[float, float]:
 
 
 def clamped_acos(value: float) -> float:
-    """arccos, clamping values within `ACOS_CLAMP_TOL` of +/-1; beyond that, error."""
-    if value > 1.0 + ACOS_CLAMP_TOL or value < -1.0 - ACOS_CLAMP_TOL:
+    """arccos, clamping values within `ACOS_CLAMP_TOL` of +/-1; beyond that,
+    or NaN, error."""
+    if not -1.0 - ACOS_CLAMP_TOL <= value <= 1.0 + ACOS_CLAMP_TOL:
         raise InfeasibleTriangleError(
             f"cosine argument {value!r} outside [-1, 1] beyond tolerance {ACOS_CLAMP_TOL}"
         )
@@ -88,10 +89,11 @@ def triangle_angle(a: float, b: float, c: float) -> float:
     """Angle opposite side c in a triangle with sides a, b, c (cosine law).
 
     Degenerate triangles are allowed: equality in the triangle inequality gives
-    exactly 0 or pi.
+    exactly 0 or pi.  A side that is not finite is an error.
     """
-    if a <= 0.0 or b <= 0.0 or c < 0.0:
-        raise InfeasibleTriangleError(f"side lengths must be positive, got ({a}, {b}, {c})")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 <= c < math.inf):
+        raise InfeasibleTriangleError(
+            f"side lengths must be positive and finite, got ({a}, {b}, {c})")
     return clamped_acos((a * a + b * b - c * c) / (2.0 * a * b))
 
 

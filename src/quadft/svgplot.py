@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import QuadFTError
-from .fermat import _median
+from .fermat import _median, _positive_weights
 from .geometry import _count, linspace
 
 PALETTE = {
@@ -50,10 +50,19 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     traced along `grid` rays from the weighted median c.
 
     Returns (level, loops) pairs in increasing level order: one closed loop
-    per level above f(c), none for a level at or below it.
+    per level above f(c), none for a level at or below it.  QuadFTError
+    unless there is one positive, finite weight per point (at least one)
+    and every level is finite.
     """
     if _count(grid, "grid") < 1:
         raise QuadFTError("grid must be at least 1")
+    points, weights = list(points), _positive_weights(weights)
+    if not points or len(weights) != len(points):
+        raise QuadFTError(f"need one weight per point, got {len(weights)} weights "
+                          f"for {len(points)} points")
+    levels = sorted(levels)
+    if not all(math.isfinite(lvl) for lvl in levels):
+        raise QuadFTError(f"levels must be finite, got {levels}")
     cx, cy = _median(points, weights)[0].as_tuple()
     anchors = [(w, p.x, p.y) for w, p in zip(weights, points)]
 
@@ -74,7 +83,7 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     fc, total = f(cx, cy), sum(weights)
     rays = [(math.cos(t), math.sin(t)) for t in linspace(0.0, 2.0 * math.pi, grid + 1)[:-1]]
     curves = []
-    for lvl in sorted(levels):
+    for lvl in levels:
         # f(c + r d) >= r * total - f(c), so every ray reaches lvl by this radius
         hi = (lvl + fc) / total
         loop = [crossing(dx, dy, lvl, hi) for dx, dy in rays] if lvl > fc else []

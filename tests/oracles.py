@@ -51,6 +51,18 @@ def refined_grid_min(points_xy, weights, n0=400, zooms=6, nz=41):
     return best, value
 
 
+def pull_at(points, weights, p):
+    """Norm of sum w_i (P_i - p) / |P_i - p| over the Points P_i: the
+    gradient of the weighted distance sum at p, which is off every P_i."""
+    sx = sy = 0.0
+    for q, w in zip(points, weights):
+        dx, dy = q.x - p.x, q.y - p.y
+        r = math.hypot(dx, dy)
+        sx += w * dx / r
+        sy += w * dy / r
+    return math.hypot(sx, sy)
+
+
 def _weiszfeld_xy(points_xy, weights, start, iters=2000, tol=1e-13):
     x, y = start
     total = sum(weights)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadft.fermat as fermat
 from quadft.cli import build_parser, main
 from quadft.documents import (
     OPTION_CHECKS,
@@ -274,11 +276,11 @@ class TestCommands:
         assert record.outputs["vertex"] == 1
         assert record.outputs["angles_rad"][0] is None  # NaN -> null
 
-    def test_nonconvergence_exits_3(self, tmp_path, capsys):
+    def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fermat, "NEWTON_MAX_ITER", 0)
         path = tmp_path / "tri.doc"
         path.write_text(TRI_DOC)
-        code = main(["wft-triangle", "--input", str(path),
-                     "--tol", "1e-15", "--max-iter", "3"])
+        code = main(["wft-triangle", "--input", str(path)])
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
 
@@ -290,6 +292,8 @@ class TestOptions:
             ["wft-triangle", "--storage", "1"],
             ["wft-triangle", "--svg", "x.svg"],
             ["wft-quad", "--seed-angles", "2.7,1.2"],
+            ["wft-quad", "--tol", "1e-10"],
+            ["wft-triangle", "--max-iter", "50"],
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, ex2_doc, capsys, argv):
@@ -298,10 +302,7 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, flag",
-        [("universal", "--grid"), ("wft-quad", "--max-iter"), ("wft-quad", "--tol")],
-    )
+    @pytest.mark.parametrize("command, flag", [("universal", "--grid")])
     def test_zero_flag_and_zero_option_exit_2(self, tmp_path, capsys, command, flag):
         # a flag passes the same check as the document option of the same name
         key = flag[2:].replace("-", "_")
@@ -325,6 +326,14 @@ class TestOptions:
                         '"options": {"seed_angles": [2.7, 1.2]}}')
         assert main(["wft-quad", "--input", str(path)]) == 2
         assert "$.options.seed_angles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("tol", 1e-10), ("max_iter", 50)])
+    def test_tol_and_max_iter_document_keys_are_unknown(self, tmp_path, capsys, key, value):
+        path = tmp_path / "tol.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [3, 3], [0, 3]],
+                                    "weights": [2, 2.5, 1, 1.2], "options": {key: value}}))
+        assert main(["wft-quad", "--input", str(path)]) == 2
+        assert f"unknown key '{key}' (at $.options.{key})" in capsys.readouterr().err
 
     def test_xg_flag_is_echoed_in_the_record(self, ex2_doc, tmp_path, capsys):
         records = tmp_path / "g.ndjson"
@@ -350,6 +359,24 @@ class TestOptions:
                     assert key in keys, f"{name} {flag} is no document option"
                     flagged.add(key)
         assert flagged == keys, f"options without a flag: {sorted(keys - flagged)}"
+
+    def test_readme_flag_table_matches_the_parser(self):
+        # the `| command | flags |` table lists each command's flags beyond
+        # --input, --records, --normalize-weights and --svg
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme[readme.index("| command | flags |"):].splitlines()
+        table = {}
+        for line in lines[2:]:
+            if not line.startswith("|"):
+                break
+            command, flags = line.strip("|").split("|")
+            table[command.strip().strip("`")] = set(re.findall(r"`(--[a-z0-9-]+)", flags))
+        common = {"-h", "--help", "--input", "--records", "--normalize-weights", "--svg"}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {f for a in cmd._actions for f in a.option_strings} - common
+                  for name, cmd in sub.choices.items()}
+        assert table == parsed
 
 
 class TestNumericFormatting:
@@ -505,6 +532,22 @@ class TestLevelCurves:
     def test_grid_below_one_raises(self, wq_ex2, grid):
         with pytest.raises(QuadFTError, match="grid must be at least 1"):
             level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [30.0], grid=grid)
+
+    @pytest.mark.parametrize("weights, match", [
+        ((0.0, 0.0, 0.0, 0.0), "weights must be positive and finite"),
+        ((1.0, -1.0, 1.0, 1.0), "weights must be positive and finite"),
+        ((1.0, math.nan, 1.0, 1.0), "weights must be positive and finite"),
+        ((1.0, 1.0, 1.0), "need one weight per point, got 3 weights for 4 points"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0), "need one weight per point, got 5 weights for 4 points"),
+    ])
+    def test_bad_weights_raise(self, rect, weights, match):
+        with pytest.raises(QuadFTError, match=match):
+            level_curve_loops(rect.vertices, weights, [30.0])
+
+    @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_raises(self, rect, level):
+        with pytest.raises(QuadFTError, match="levels must be finite"):
+            level_curve_loops(rect.vertices, (3.0, 2.5, 1.7, 1.5), [30.0, level])
 
     def test_non_integer_grid_raises(self, wq_ex2):
         with pytest.raises(QuadFTError, match="grid must be an integer, got 2.5"):

@@ -20,7 +20,7 @@ from quadft import (
     validate_gauss_weights,
     weiszfeld,
 )
-from oracles import gauss_min_oracle, random_convex_quad
+from oracles import gauss_min_oracle, pull_at, random_convex_quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,7 +114,9 @@ class TestLocalAngles:
             quad, w, tree = _random_feasible(rng)
             v = quad.vertices
             ang = local_angles(w)
-            p = weiszfeld([v[0], v[3], tree.node0p], [w.b1, w.b4, w.xg], tol=1e-12)
+            pts, weights = [v[0], v[3], tree.node0p], [w.b1, w.b4, w.xg]
+            p = weiszfeld(pts, weights)
+            assert pull_at(pts, weights, p) < 1e-12 * sum(weights)
             assert p.distance_to(tree.node0) < 1e-8 * quad.diameter()
             assert angle_at(p, v[0], tree.node0p) == pytest.approx(ang.a_100p, abs=1e-6)
             assert angle_at(p, tree.node0p, v[3]) == pytest.approx(ang.a_0p04, abs=1e-6)

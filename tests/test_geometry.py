@@ -13,7 +13,7 @@ from quadft import (
     diagonal_intersection,
     triangle_angle,
 )
-from quadft.geometry import linspace, solve_linear, unit_matrix
+from quadft.geometry import ACOS_CLAMP_TOL, clamped_acos, linspace, solve_linear, unit_matrix
 from oracles import random_convex_quad, rigid_transform
 
 SQRT65 = math.sqrt(65.0)
@@ -41,6 +41,19 @@ class TestTriangleAngle:
             triangle_angle(1.0, 1.0, 3.0)
         with pytest.raises(InfeasibleTriangleError):
             triangle_angle(1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("sides", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                       (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+                                       (1.0, 1.0, math.inf)])
+    def test_non_finite_side_raises(self, sides):
+        with pytest.raises(InfeasibleTriangleError, match="positive and finite"):
+            triangle_angle(*sides)
+
+    def test_clamped_acos_rejects_nan(self):
+        with pytest.raises(InfeasibleTriangleError, match="nan"):
+            clamped_acos(math.nan)
+        assert clamped_acos(1.0 + 0.5 * ACOS_CLAMP_TOL) == 0.0
+        assert clamped_acos(-1.0 - 0.5 * ACOS_CLAMP_TOL) == math.pi
 
     @given(
         st.floats(0.1, 50.0),
@@ -84,8 +97,9 @@ class TestQuadrilateral:
 
     @pytest.mark.parametrize("k", [1e-3, 1e-2, 1.0, 1e3, 1e6])
     def test_contains_tolerance_is_relative(self, k):
-        # tol is a fraction of the diameter, and each edge measures distance,
-        # so the verdict does not change with the scale of the square
+        # the margin is a fixed fraction of the diameter, and each edge
+        # measures distance, so the verdict does not change with the scale of
+        # the square
         q = Quadrilateral.from_coords([(0, 0), (k, 0), (k, k), (0, k)])
 
         def outside(d):

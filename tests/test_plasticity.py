@@ -27,7 +27,7 @@ from quadft import (
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
 from quadft.geometry import cross2, linspace
-from oracles import random_convex_quad
+from oracles import pull_at, random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
 EX2_COEFFS = ((-0.8159745, 4.2239621), (1.1070888, 0.8393665), (-1.2911143, 3.6366712))
@@ -106,8 +106,7 @@ def _reference_report(q, line, samples):
         if _balance(line, q, b4) < fermat.RESIDUAL_TOL * line.c:
             evaluated.append((b4, 0.0))
             continue
-        point, norm, _ = fermat._median(q.vertices, wq.weights,
-                                        fermat.RESIDUAL_TOL, fermat.NEWTON_MAX_ITER)
+        point, norm, _ = fermat._median(q.vertices, wq.weights)
         assert norm < fermat.RESIDUAL_TOL * wq.total
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
@@ -182,7 +181,8 @@ class TestInverseTriangle:
         tree = locate_4wft(wq2_mod)
         tri = list(rect_mod.vertices[:3])
         weights = _triangle_weights(tree.point, tri)
-        recovered = weiszfeld(tri, weights, tol=1e-12)
+        recovered = weiszfeld(tri, weights)
+        assert pull_at(tri, weights, recovered) < 1e-12 * sum(weights)
         assert recovered.distance_to(tree.point) < 1e-8 * rect_mod.diameter()
 
     def test_right_isosceles_incenter(self):
@@ -217,7 +217,9 @@ class TestInverseTriangle:
             (w0 * tri[0].x + w1 * tri[1].x + w2 * tri[2].x) / s,
             (w0 * tri[0].y + w1 * tri[1].y + w2 * tri[2].y) / s,
         )
-        recovered = weiszfeld(tri, _triangle_weights(p, tri), tol=1e-12)
+        weights = _triangle_weights(p, tri)
+        recovered = weiszfeld(tri, weights)
+        assert pull_at(tri, weights, recovered) < 1e-12 * sum(weights)
         assert recovered.distance_to(p) < 1e-7
 
     @given(x=st.floats(-3.0, 6.0), y=st.floats(-3.0, 5.0))
