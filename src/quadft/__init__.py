@@ -30,21 +30,16 @@ from .fermat import (
 from .gauss import (
     GaussTree,
     GaussWeights,
-    LocalAngles,
-    WeightReport,
     feasible_xg_interval,
-    local_angles,
     residual_absorbing_rate,
     solve_gauss_tree,
     tree_span,
-    validate_gauss_weights,
 )
 from .geometry import (
     Point,
     Quadrilateral,
     angle_at,
     diagonal_intersection,
-    triangle_angle,
 )
 from .plasticity import (
     PlasticityLine,
@@ -81,7 +76,6 @@ __all__ = [
     "InconsistentCaseError",
     "InfeasibleTriangleError",
     "InfeasibleWeightsError",
-    "LocalAngles",
     "OverspendError",
     "PlasticityLine",
     "PlasticityReport",
@@ -92,7 +86,6 @@ __all__ = [
     "TreeState",
     "UniversalResult",
     "UniversalSample",
-    "WeightReport",
     "WeightedQuadrilateral",
     "absorbing_xg",
     "angle_at",
@@ -101,7 +94,6 @@ __all__ = [
     "diagonal_intersection",
     "evolve",
     "feasible_xg_interval",
-    "local_angles",
     "locate_4wft",
     "plasticity_line",
     "plasticity_system_new",
@@ -110,11 +102,9 @@ __all__ = [
     "solve_4wft_square",
     "solve_gauss_tree",
     "tree_span",
-    "triangle_angle",
     "triangle_wft_angles",
     "universal_minimum",
     "universal_set",
-    "validate_gauss_weights",
     "verify_plasticity",
     "weighted_distance_sum",
     "weights_for_storage",

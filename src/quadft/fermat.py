@@ -2,8 +2,10 @@
 
 Covers case classification (floating / absorbed / diagonal shortcut), the
 triangle closed form, the certified median, the circle system for a square
-boundary, and the general quadrilateral angle system.  Degree-four locations
-have no closed form, so everything quadrilateral-shaped is iterative.
+boundary, and the general quadrilateral angle system.  The triangle closed
+form, `triangle_wft_angles`, also gives the angles at both interior nodes of
+a Gauss tree (`gauss._branch`).  Degree-four locations have no closed form,
+so everything quadrilateral-shaped is iterative.
 
 The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
 Fermat's problem"), on the unit vectors between the points

@@ -3,9 +3,12 @@ quadrilateral.
 
 Topology is fixed: node A0 joins A1 and A4, node A0' joins A2 and A3, and the
 interior edge A0-A0' carries the Gauss variable weight x_G.  The solution is
-closed-form: the six local angles follow from the weights alone, the axis
-orientation phi and the first two edge lengths from explicit relations, and
-the rest of the tree from plane geometry.
+closed-form.  Each node is the weighted Fermat-Torricelli point of its three
+neighbours, so its angles are the triangle closed form
+`fermat.triangle_wft_angles` of the weights (B1, B4, x_G) at A0 and
+(B2, B3, x_G) at A0'; `feasible_xg_interval` is the one rule for which x_G
+admits both.  The axis orientation phi and the first two edge lengths follow
+from explicit relations, and the rest of the tree from plane geometry.
 
 Geometry convention (the module's single orientation rule, for a
 counterclockwise quadrilateral): the axis direction w points from A0 to A0'
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError
-from .geometry import Point, Quadrilateral, clamped_acos, rotate
+from .fermat import triangle_wft_angles
+from .geometry import Point, Quadrilateral, rotate
 
 DEGENERATE_SPAN_CLAMP = 1e-9
 
@@ -69,65 +72,15 @@ class GaussTree:
     objective: float
 
 
-class WeightReport(NamedTuple):
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class LocalAngles(NamedTuple):
-    """The six angles at the two interior nodes."""
-
-    a_100p: float
-    a_0p04: float
-    a_104: float
-    a_00p3: float
-    a_00p2: float
-    a_20p3: float
-
-
 def feasible_xg_interval(b1: float, b2: float, b3: float, b4: float) -> tuple[float, float]:
-    """Open interval of x_G values satisfying both weight-triangle conditions."""
+    """Open interval of x_G values satisfying both weight-triangle conditions:
+    |Bi - Bj| < x_G < Bi + Bj for (B1, B4) and for (B2, B3)."""
     return (max(abs(b1 - b4), abs(b2 - b3)), min(b1 + b4, b2 + b3))
-
-
-def validate_gauss_weights(w: GaussWeights) -> WeightReport:
-    """Check |Bi-Bj| < Bk < Bi+Bj for {1,4,xg} and {2,3,xg} strictly."""
-    violations = []
-    for label, (p, q) in (("(B1, B4, x_G)", (w.b1, w.b4)), ("(B2, B3, x_G)", (w.b2, w.b3))):
-        if not abs(p - q) < w.xg:
-            violations.append(f"{label}: x_G={w.xg} <= |{p} - {q}|")
-        if not w.xg < p + q:
-            violations.append(f"{label}: x_G={w.xg} >= {p} + {q}")
-    return WeightReport(not violations, tuple(violations))
 
 
 def residual_absorbing_rate(w: GaussWeights) -> float:
     """Vertex weight total minus the Gauss variable."""
     return w.total - w.xg
-
-
-def local_angles(w: GaussWeights) -> LocalAngles:
-    """Angles at A0 and A0' determined by the weights alone.
-
-    Each node is the weighted Fermat-Torricelli point of its three neighbours,
-    so the triangle closed form applies with the edge weights (B1, B4, x_G) at
-    A0 and (B2, B3, x_G) at A0'.  Each triple sums to 2 pi.
-    """
-    report = validate_gauss_weights(w)
-    if not report:
-        raise InfeasibleWeightsError("; ".join(report.violations))
-    b1, b2, b3, b4, xg = w.b1, w.b2, w.b3, w.b4, w.xg
-    return LocalAngles(
-        a_100p=clamped_acos((b4 * b4 - b1 * b1 - xg * xg) / (2.0 * b1 * xg)),
-        a_0p04=clamped_acos((b1 * b1 - b4 * b4 - xg * xg) / (2.0 * b4 * xg)),
-        a_104=clamped_acos((xg * xg - b1 * b1 - b4 * b4) / (2.0 * b1 * b4)),
-        a_00p3=clamped_acos((b2 * b2 - b3 * b3 - xg * xg) / (2.0 * b3 * xg)),
-        a_00p2=clamped_acos((b3 * b3 - xg * xg - b2 * b2) / (2.0 * xg * b2)),
-        a_20p3=clamped_acos((xg * xg - b2 * b2 - b3 * b3) / (2.0 * b2 * b3)),
-    )
 
 
 def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
@@ -136,29 +89,36 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     v, d = q.vertices, q.distances
     a12, a14, a23 = d[0][1], d[0][3], d[1][2]
     alpha214, alpha123 = q.interior_angles[:2]
-    ang = local_angles(w)
+    lo, hi = feasible_xg_interval(*w.vertex_weights())
+    if not lo < w.xg < hi:
+        raise InfeasibleWeightsError(
+            f"x_G = {w.xg} lies outside the feasible interval ({lo}, {hi})"
+        )
+    # each node is the weighted Fermat-Torricelli point of its three neighbours
+    a_104, a_0p04, a_100p = triangle_wft_angles(w.b1, w.b4, w.xg)
+    a_20p3, a_00p3, a_00p2 = triangle_wft_angles(w.b2, w.b3, w.xg)
     num = (
         w.xg * a12
-        + w.b4 * a14 * math.cos(alpha214 - ang.a_0p04)
-        + w.b3 * a23 * math.cos(alpha123 - ang.a_00p3)
+        + w.b4 * a14 * math.cos(alpha214 - a_0p04)
+        + w.b3 * a23 * math.cos(alpha123 - a_00p3)
     )
     den = (
-        w.b4 * a14 * math.sin(alpha214 - ang.a_0p04)
-        - w.b3 * a23 * math.sin(alpha123 - ang.a_00p3)
+        w.b4 * a14 * math.sin(alpha214 - a_0p04)
+        - w.b3 * a23 * math.sin(alpha123 - a_00p3)
     )
     # cot(phi) = num / den; atan2 picks the branch with interior nodes.
     phi = math.atan2(den, num)
-    s1 = math.sin(ang.a_100p + ang.a_0p04)
-    s2 = math.sin(ang.a_00p2 + ang.a_00p3)
+    s1 = math.sin(a_100p + a_0p04)
+    s2 = math.sin(a_00p2 + a_00p3)
     if s1 == 0.0 or s2 == 0.0:
         raise DegenerateTreeError("local angles degenerate (weight triangle collapsed)")
-    a1 = a14 * math.sin(alpha214 - phi - ang.a_0p04) / s1
-    a2 = a23 * math.sin(alpha123 + phi - ang.a_00p3) / s2
-    l = a1 * math.cos(ang.a_100p) + a2 * math.cos(ang.a_00p2) + a12 * math.cos(phi)
+    a1 = a14 * math.sin(alpha214 - phi - a_0p04) / s1
+    a2 = a23 * math.sin(alpha123 + phi - a_00p3) / s2
+    l = a1 * math.cos(a_100p) + a2 * math.cos(a_00p2) + a12 * math.cos(phi)
     wx, wy = rotate(*q.unit_vectors[0][1], phi)
-    d1x, d1y = rotate(wx, wy, -ang.a_100p)
+    d1x, d1y = rotate(wx, wy, -a_100p)
     node0 = Point(v[0].x - a1 * d1x, v[0].y - a1 * d1y)
-    d2x, d2y = rotate(wx, wy, ang.a_00p2)
+    d2x, d2y = rotate(wx, wy, a_00p2)
     node0p = Point(v[1].x + a2 * d2x, v[1].y + a2 * d2y)
     a3 = node0p.distance_to(v[2])
     a4 = node0.distance_to(v[3])

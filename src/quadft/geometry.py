@@ -1,6 +1,6 @@
-"""Planar primitives: points, convex quadrilaterals and cosine-law angles, plus
-the small dense linear algebra (evenly spaced samples, Gaussian elimination)
-the solvers share.
+"""Planar primitives: points, convex quadrilaterals and the clamped arccos of
+their angles, plus the small dense linear algebra (evenly spaced samples,
+Gaussian elimination) the solvers share.
 
 Angles are radians everywhere; degrees appear only at I/O boundaries.
 """
@@ -83,18 +83,6 @@ def angle_at(p: Point, a: Point, b: Point) -> float:
     ux, uy = p.unit_toward(a)
     vx, vy = p.unit_toward(b)
     return clamped_acos(ux * vx + uy * vy)
-
-
-def triangle_angle(a: float, b: float, c: float) -> float:
-    """Angle opposite side c in a triangle with sides a, b, c (cosine law).
-
-    Degenerate triangles are allowed: equality in the triangle inequality gives
-    exactly 0 or pi.  A side that is not finite is an error.
-    """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 <= c < math.inf):
-        raise InfeasibleTriangleError(
-            f"side lengths must be positive and finite, got ({a}, {b}, {c})")
-    return clamped_acos((a * a + b * b - c * c) / (2.0 * a * b))
 
 
 # ------------------------------------------------------------------ #
@@ -200,11 +188,14 @@ def diagonal_intersection(q: Quadrilateral) -> Point:
 # ------------------------------------------------------------------ #
 
 def _count(value, name: str) -> int:
-    """`value` as an int (`operator.index`); QuadFTError naming it if not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise QuadFTError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int (`operator.index`); QuadFTError naming it if not, or
+    if it is a bool, which `operator.index` would read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise QuadFTError(f"{name} must be an integer, got {value!r}")
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

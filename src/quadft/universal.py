@@ -244,6 +244,10 @@ def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
     Spending below the weight-triangle floor raises OverspendError; callers
     are responsible for storage >= u_FT and b4 from weights_for_storage.
     """
+    _finite(storage, "storage")
+    _finite(a_g, "spending rate")
+    if storage < 0.0:
+        raise QuadFTError(f"storage must be nonnegative, got {storage}")
     if a_g < 0.0:
         raise QuadFTError(f"spending rate must be nonnegative, got {a_g}")
     weights = line.weights_at(b4)

@@ -558,6 +558,10 @@ class TestLevelCurves:
                                   grid=np.int64(8))
         assert numpy == ints
 
+    def test_bool_grid_raises(self, wq_ex2):
+        with pytest.raises(QuadFTError, match="grid must be an integer, got True"):
+            level_curve_loops(wq_ex2.quad.vertices, wq_ex2.weights, [30.0], grid=True)
+
     def test_gauss_level_below_the_first_node(self, ex4_doc, tmp_path, capsys):
         # f(A0) of the Gauss tree exceeds the minimum of f by about 0.48, so
         # this level lies between them: one closed loop about the minimizer

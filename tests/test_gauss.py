@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from quadft import (
+    AbsorbedWeightsError,
     DegenerateTreeError,
     GaussWeights,
     InfeasibleWeightsError,
     Quadrilateral,
     angle_at,
     feasible_xg_interval,
-    local_angles,
     residual_absorbing_rate,
     solve_gauss_tree,
     tree_span,
-    validate_gauss_weights,
+    triangle_wft_angles,
     weiszfeld,
 )
 from oracles import gauss_min_oracle, pull_at, random_convex_quad
@@ -58,52 +58,76 @@ def _random_feasible(rng):
             return quad, w, tree
 
 
+def _feasible(rect, w):
+    """False when solve_gauss_tree and tree_span both raise
+    InfeasibleWeightsError, True when neither does; a degenerate branch still
+    counts as feasible weights.  The two disagreeing is a failure."""
+    outcomes = []
+    for solve in (solve_gauss_tree, tree_span):
+        try:
+            solve(rect, w)
+            outcomes.append(True)
+        except InfeasibleWeightsError:
+            outcomes.append(False)
+        except DegenerateTreeError:
+            outcomes.append(True)
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
 class TestValidation:
-    def test_table_row_is_feasible(self):
-        assert validate_gauss_weights(GaussWeights(3.0, 2.5, 1.7, 1.5, 3.8192408))
+    def test_table_row_is_feasible(self, rect):
+        assert _feasible(rect, GaussWeights(3.0, 2.5, 1.7, 1.5, 3.8192408))
 
-    def test_boundary_sum_is_infeasible(self):
-        report = validate_gauss_weights(GaussWeights(1.0, 1.0, 1.0, 1.0, 2.0))
-        assert not report
-        assert report.violations
+    def test_boundary_sum_is_infeasible(self, rect):
+        w = GaussWeights(1.0, 1.0, 1.0, 1.0, 2.0)
+        assert not _feasible(rect, w)
+        with pytest.raises(InfeasibleWeightsError, match=r"x_G = 2\.0 lies outside"):
+            solve_gauss_tree(rect, w)
 
-    def test_exceeding_sum_is_infeasible(self):
-        report = validate_gauss_weights(GaussWeights(3.0, 2.5, 1.7, 1.5, 4.6))
-        assert not report
-        assert any("4.6" in v for v in report.violations)
+    def test_exceeding_sum_is_infeasible(self, rect):
+        w = GaussWeights(3.0, 2.5, 1.7, 1.5, 4.6)
+        assert not _feasible(rect, w)
+        lo, hi = feasible_xg_interval(*w.vertex_weights())
+        for solve in (solve_gauss_tree, tree_span):
+            with pytest.raises(InfeasibleWeightsError, match="4.6") as caught:
+                solve(rect, w)
+            assert f"({lo}, {hi})" in str(caught.value)
 
     @given(
         b=st.tuples(*[st.floats(0.5, 3.0)] * 4),
         t=st.floats(-0.5, 1.5),
     )
     @settings(max_examples=150, deadline=None)
-    def test_report_matches_interval(self, b, t):
+    def test_report_matches_interval(self, rect, b, t):
         lo, hi = feasible_xg_interval(*b)
         if not lo < hi:
             return
         xg = lo + t * (hi - lo)
         if xg <= 0 or abs(xg - lo) < 1e-12 or abs(xg - hi) < 1e-12:
             return
-        report = validate_gauss_weights(GaussWeights(*b, xg))
-        assert bool(report) == (lo < xg < hi)
+        assert _feasible(rect, GaussWeights(*b, xg)) == (lo < xg < hi)
 
 
 class TestLocalAngles:
     def test_symmetric_weights_give_120(self):
         w = GaussWeights(2.0, 1.5, 1.5, 2.0, 2.0)  # b1 = b4 = xg
-        ang = local_angles(w)
-        for val in (ang.a_100p, ang.a_0p04, ang.a_104):
+        for val in triangle_wft_angles(w.b1, w.b4, w.xg):
             assert val == pytest.approx(TWO_PI / 3, abs=1e-12)
 
     def test_table_row_sums(self):
         w = GaussWeights(3.2447927, 2.1678731, 2.0873328, 1.2, 3.8543169)
-        ang = local_angles(w)
-        assert ang.a_100p + ang.a_0p04 + ang.a_104 == pytest.approx(TWO_PI, abs=1e-10)
-        assert ang.a_00p3 + ang.a_00p2 + ang.a_20p3 == pytest.approx(TWO_PI, abs=1e-10)
+        assert sum(triangle_wft_angles(w.b1, w.b4, w.xg)) == pytest.approx(TWO_PI, abs=1e-10)
+        assert sum(triangle_wft_angles(w.b2, w.b3, w.xg)) == pytest.approx(TWO_PI, abs=1e-10)
 
-    def test_infeasible_raises(self):
+    def test_infeasible_raises(self, rect):
+        # x_G = 4.6 >= B1 + B4: the closed form at A0 rejects the triple, and
+        # the tree rejects x_G before it reaches the closed form
+        w = GaussWeights(3.0, 2.5, 1.7, 1.5, 4.6)
+        with pytest.raises(AbsorbedWeightsError):
+            triangle_wft_angles(w.b1, w.b4, w.xg)
         with pytest.raises(InfeasibleWeightsError):
-            local_angles(GaussWeights(3.0, 2.5, 1.7, 1.5, 4.6))
+            solve_gauss_tree(rect, w)
 
     def test_matches_triangle_median_oracle(self):
         # each node is the geometric median of its three neighbours: solving
@@ -113,14 +137,14 @@ class TestLocalAngles:
         for _ in range(6):
             quad, w, tree = _random_feasible(rng)
             v = quad.vertices
-            ang = local_angles(w)
+            a_104, a_0p04, a_100p = triangle_wft_angles(w.b1, w.b4, w.xg)
             pts, weights = [v[0], v[3], tree.node0p], [w.b1, w.b4, w.xg]
             p = weiszfeld(pts, weights)
             assert pull_at(pts, weights, p) < 1e-12 * sum(weights)
             assert p.distance_to(tree.node0) < 1e-8 * quad.diameter()
-            assert angle_at(p, v[0], tree.node0p) == pytest.approx(ang.a_100p, abs=1e-6)
-            assert angle_at(p, tree.node0p, v[3]) == pytest.approx(ang.a_0p04, abs=1e-6)
-            assert angle_at(p, v[0], v[3]) == pytest.approx(ang.a_104, abs=1e-6)
+            assert angle_at(p, v[0], tree.node0p) == pytest.approx(a_100p, abs=1e-6)
+            assert angle_at(p, tree.node0p, v[3]) == pytest.approx(a_0p04, abs=1e-6)
+            assert angle_at(p, v[0], v[3]) == pytest.approx(a_104, abs=1e-6)
 
 
 class TestSolve:
@@ -260,18 +284,19 @@ class TestObjectiveAndSpan:
             assert tree.a2 == pytest.approx(tree.node0p.distance_to(v[1]), rel=1e-9)
             assert tree.a3 == pytest.approx(tree.node0p.distance_to(v[2]), rel=1e-9)
             assert tree.l == pytest.approx(tree.node0.distance_to(tree.node0p), rel=1e-9)
-            ang = local_angles(w)
+            _, a_0p04, a_100p = triangle_wft_angles(w.b1, w.b4, w.xg)
+            _, a_00p3, a_00p2 = triangle_wft_angles(w.b2, w.b3, w.xg)
             assert angle_at(tree.node0, v[0], tree.node0p) == pytest.approx(
-                ang.a_100p, abs=1e-8
+                a_100p, abs=1e-8
             )
             assert angle_at(tree.node0, tree.node0p, v[3]) == pytest.approx(
-                ang.a_0p04, abs=1e-8
+                a_0p04, abs=1e-8
             )
             assert angle_at(tree.node0p, tree.node0, v[2]) == pytest.approx(
-                ang.a_00p3, abs=1e-8
+                a_00p3, abs=1e-8
             )
             assert angle_at(tree.node0p, tree.node0, v[1]) == pytest.approx(
-                ang.a_00p2, abs=1e-8
+                a_00p2, abs=1e-8
             )
 
     def test_span_root_is_absorbing(self, rect):

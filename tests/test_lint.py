@@ -44,26 +44,33 @@ def test_detects_unused_imports():
     assert unused_imports(source) == ["math", "parse"]
 
 
+def read_names(source: str) -> set[str]:
+    """Every name the source reads: a load of the name, an attribute of that
+    name or an import of it."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """Module-level names with a single leading underscore that no source
-    reads: no load of the name, no attribute of that name, no import of it."""
+    reads (`read_names`)."""
     defined, read = set(), set()
     for source in sources:
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(n.id for t in targets for n in ast.walk(t)
                                if isinstance(n, ast.Name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+        read |= read_names(source)
     return sorted(name for name in defined
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
@@ -86,6 +93,69 @@ def test_detects_unread_private_names():
         "print(_used(), m._Shape)\n",
     ]
     assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead"]
+
+
+def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Names in the `__all__` of `package["__init__"]` that no source reads
+    (`read_names`) outside the module defining them.  `package` maps module
+    names to sources, and the defining module of a name is the one `__init__`
+    imports it from; `__init__` itself is no reader, and every source of
+    `readers`, from outside the package, is."""
+    origin, exported = {}, []
+    for node in ast.parse(package["__init__"]).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            origin.update((alias.asname or alias.name, node.module) for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = ast.literal_eval(node.value)
+    outside = set().union(*map(read_names, readers))
+    inside = {module: read_names(source) for module, source in package.items()
+              if module != "__init__"}
+    return sorted(name for name in exported
+                  if name not in outside
+                  and not any(name in read for module, read in inside.items()
+                              if module != origin.get(name)))
+
+
+# Exports with no reader outside their module, `tests/test_acceptance.py` and
+# `bench/`; each must lose its entry once it gains one.
+UNREAD_EXPORTS = [
+    "CaseTag",                # return type: classify_case and FermatTree.case
+    "PlasticityReport",       # return type: verify_plasticity
+    "TreeKind",               # pending: evolve enforces the storage rules (ROADMAP item 8)
+    "TreeState",              # pending: evolve enforces the storage rules (ROADMAP item 8)
+    "UniversalResult",        # return type: universal_minimum
+    "UniversalSample",        # return type: universal_set and UniversalResult.samples
+    "classify_tree",          # pending: evolve enforces the storage rules (ROADMAP item 8)
+    "plasticity_system_new",  # pending: a recorded cross-check of `plasticity` (item 10)
+    "solve_4wft_general",     # pending: a recorded cross-check of `wft-quad` (item 10)
+]
+
+
+def test_every_export_has_a_reader():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8")
+               for p in [*sorted((ROOT / "bench").glob("*.py")),
+                         ROOT / "tests" / "test_acceptance.py"]]
+    # a name the list lacks has no reader; a listed name the result lacks is
+    # stale: it has a reader now, or it is no longer exported
+    assert unread_exports(package, readers) == UNREAD_EXPORTS
+
+
+def test_detects_unread_exports():
+    package = {
+        "__init__": "from .m import Shape, area, draw, grow, _hidden\n"
+                    "from .n import paint as colour\n"
+                    "__all__ = ['Shape', 'area', 'colour', 'draw', 'grow', 'lost']\n",
+        "m": "class Shape: pass\n"
+             "def area(s: Shape): return 0\n"
+             "def draw(): return area(Shape())\n"
+             "def grow(): return _hidden\n",
+        "n": "from .m import draw\n"
+             "def paint(): return draw()\n",
+    }
+    readers = ["import pkg\npkg.grow()\n"]
+    assert unread_exports(package, readers) == ["Shape", "area", "colour", "lost"]
 
 
 def _checked_functions(trees) -> list[tuple[str, ast.FunctionDef]]:

@@ -523,6 +523,12 @@ class TestVerify:
         assert (verify_plasticity(rect_mod, line_ex2, np.int64(5))
                 == verify_plasticity(rect_mod, line_ex2, 5))
 
+    @pytest.mark.parametrize("samples", [True, False])
+    def test_bool_sample_count_rejected(self, rect_mod, line_ex2, samples):
+        # operator.index reads True as 1 and False as 0
+        with pytest.raises(QuadFTError, match=f"samples must be an integer, got {samples}"):
+            verify_plasticity(rect_mod, line_ex2, samples)
+
     def test_diagonal_line_passes(self, rect_mod):
         for weights in DIAGONAL_WEIGHTS:
             wq = WeightedQuadrilateral(rect_mod, weights)

@@ -166,6 +166,14 @@ class TestUniversalSet:
         assert (universal_minimum(rect_mod, line_ex2, grid=np.int64(9))
                 == universal_minimum(rect_mod, line_ex2, grid=9))
 
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_bool_grid_rejected(self, rect_mod, line_ex2, grid):
+        # operator.index reads True as 1 and False as 0
+        with pytest.raises(QuadFTError, match=f"grid must be an integer, got {grid}"):
+            universal_set(rect_mod, line_ex2, grid)
+        with pytest.raises(QuadFTError, match=f"grid must be an integer, got {grid}"):
+            universal_minimum(rect_mod, line_ex2, grid=grid)
+
 
 class TestUniversalMinimum:
     def test_example_values(self, result_ex2):
@@ -362,6 +370,21 @@ class TestEvolve:
     def test_storage_above_ceiling_rejected(self, rect_mod, line_ex2):
         with pytest.raises(InfeasibleWeightsError, match="ceiling"):
             evolve(rect_mod, line_ex2, storage=9.0, a_g=0.1, b4=1.4901507)
+
+    @pytest.mark.parametrize("storage,a_g,name", [
+        (math.nan, 0.2, "storage"), (math.inf, 0.2, "storage"),
+        (3.82, math.nan, "spending rate"), (3.82, math.inf, "spending rate"),
+    ])
+    def test_non_finite_input_named(self, rect_mod, line_ex2, storage, a_g, name):
+        with pytest.raises(QuadFTError, match=f"{name} must be finite") as caught:
+            evolve(rect_mod, line_ex2, storage=storage, a_g=a_g, b4=1.4901507)
+        assert type(caught.value) is QuadFTError
+
+    def test_negative_storage_rejected(self, rect_mod, line_ex2):
+        with pytest.raises(QuadFTError, match="storage must be nonnegative, got -1.0") \
+                as caught:
+            evolve(rect_mod, line_ex2, storage=-1.0, a_g=0.0, b4=1.4901507)
+        assert type(caught.value) is QuadFTError
 
     def test_negative_spend_rejected(self, rect_mod, line_ex2):
         from quadft import QuadFTError
