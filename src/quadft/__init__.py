@@ -1,7 +1,7 @@
 """Weighted Fermat-Torricelli and generalized Gauss tree solvers for convex
 quadrilaterals: locations, dynamic weight plasticity, absorbing values and the
-universal minimum, steady/evolutionary tree mechanics, plus a CLI with SVG
-output."""
+universal minimum, the storage rule that grows a degree-three tree, plus a
+CLI with SVG output."""
 
 from .errors import (
     AbsorbedWeightsError,
@@ -49,12 +49,9 @@ from .plasticity import (
     verify_plasticity,
 )
 from .universal import (
-    TreeKind,
-    TreeState,
     UniversalResult,
     UniversalSample,
     absorbing_xg,
-    classify_tree,
     evolve,
     universal_minimum,
     universal_set,
@@ -82,15 +79,12 @@ __all__ = [
     "Point",
     "QuadFTError",
     "Quadrilateral",
-    "TreeKind",
-    "TreeState",
     "UniversalResult",
     "UniversalSample",
     "WeightedQuadrilateral",
     "absorbing_xg",
     "angle_at",
     "classify_case",
-    "classify_tree",
     "diagonal_intersection",
     "evolve",
     "feasible_xg_interval",

@@ -90,7 +90,11 @@ _FLOATING = CaseTag(CaseKind.FLOATING)
 
 
 def _positive_weights(weights) -> tuple[float, ...]:
-    """The weights as floats; QuadFTError unless each is positive and finite."""
+    """The weights as floats; QuadFTError unless each is positive and finite,
+    or naming a bool, which `float` would read as 0 or 1."""
+    weights = tuple(weights)
+    if any(isinstance(v, bool) for v in weights):
+        raise QuadFTError(f"weights must be numbers, not bools, got {weights}")
     w = tuple(float(v) for v in weights)
     if not all(v > 0.0 and math.isfinite(v) for v in w):
         raise QuadFTError(f"weights must be positive and finite, got {w}")
@@ -198,6 +202,11 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
             f"weights ({bi}, {bj}, {bk}) violate the strict triangle inequality; "
             "the optimum is absorbed at a vertex"
         )
+    return _wft_angles(bi, bj, bk)
+
+
+def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
+    """The closed form of `triangle_wft_angles` for weights already checked."""
     a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
     a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
     a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError
-from .fermat import triangle_wft_angles
+from .fermat import _wft_angles
 from .geometry import Point, Quadrilateral, rotate
 
 DEGENERATE_SPAN_CLAMP = 1e-9
@@ -41,6 +41,8 @@ class GaussWeights:
 
     def __post_init__(self):
         for name, val in self.__dict__.items():
+            if isinstance(val, bool):
+                raise QuadFTError(f"{name} must be a number, not a bool, got {val!r}")
             if not (val > 0.0 and math.isfinite(val)):
                 raise QuadFTError(f"{name} must be positive and finite, got {val!r}")
 
@@ -94,9 +96,10 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
         raise InfeasibleWeightsError(
             f"x_G = {w.xg} lies outside the feasible interval ({lo}, {hi})"
         )
-    # each node is the weighted Fermat-Torricelli point of its three neighbours
-    a_104, a_0p04, a_100p = triangle_wft_angles(w.b1, w.b4, w.xg)
-    a_20p3, a_00p3, a_00p2 = triangle_wft_angles(w.b2, w.b3, w.xg)
+    # each node is the weighted Fermat-Torricelli point of its three neighbours;
+    # GaussWeights and the interval above have checked the closed form's input
+    a_104, a_0p04, a_100p = _wft_angles(w.b1, w.b4, w.xg)
+    a_20p3, a_00p3, a_00p2 = _wft_angles(w.b2, w.b3, w.xg)
     num = (
         w.xg * a12
         + w.b4 * a14 * math.cos(alpha214 - a_0p04)

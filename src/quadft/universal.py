@@ -1,4 +1,5 @@
-"""Universal absorbing set and minimum value, plus steady/evolutionary trees.
+"""Universal absorbing set and minimum value, storage level sets and the
+evolution of a degree-three tree from a stored quantity.
 
 For each admissible B4 the plasticity family fixes the vertex weights and
 keeps the degree-four optimum P in place.  As x_G rises to its absorbing value
@@ -11,8 +12,10 @@ On the family B1 = x1 B4 + y1, hence x_G(B4) = |a + B4 b| with a = y1 u1 and
 b = x1 u1 + u4: the norm of an affine map, convex in B4.  Collected over B4
 these values form the universal set.  Its minimum u_FT is the distance from
 the origin to the line a + B4 b, and every storage level set holds the roots
-of a quadratic.  u_FT is the storage threshold at which a degree-four tree can
-start growing a degree-three tree by spending part of the stored quantity.
+of a quadratic.  u_FT is the storage threshold: a degree-four tree grows a
+degree-three tree only from a storage of at least u_FT, spending part of it at
+a rate below u_FT.  `weights_for_storage` and `evolve` enforce this one rule;
+below it the tree stays the degree-four tree of `locate_4wft`.
 
 Since P stays fixed along the family, its geometry (the u_i and the distances
 |P A_i|) is measured once per plasticity line, by `plasticity._Family`, the
@@ -22,7 +25,6 @@ check, the profile (a, b) and B4* are evaluated from it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,51 +61,11 @@ class UniversalResult:
     skipped: tuple[tuple[float, str], ...] = ()
 
 
-class TreeKind(enum.Enum):
-    STEADY = "steady"
-    EVOLUTIONARY = "evolutionary"
-
-
-@dataclass(frozen=True)
-class TreeState:
-    """Storage bookkeeping at the degree-four node."""
-
-    storage: float
-    a_g: float
-    kind: TreeKind
-
-    def __post_init__(self):
-        _finite(self.storage, "storage")
-        _finite(self.a_g, "spending rate")
-        if self.storage < 0.0 or self.a_g < 0.0:
-            raise QuadFTError("storage and spending rate must be nonnegative")
-
-    @classmethod
-    def for_storage(cls, storage: float, u_ft: float, a_g: float = 0.0) -> TreeState:
-        """State with the kind implied by the threshold; a steady tree cannot
-        spend, and an evolving one must spend strictly below u_FT."""
-        kind = classify_tree(storage, u_ft)
-        if kind is TreeKind.STEADY and a_g > 0.0:
-            raise QuadFTError(f"steady tree (storage {storage} < {u_ft}) cannot spend")
-        if a_g > 0.0 and not a_g < u_ft:
-            raise QuadFTError(f"spending rate {a_g} must stay below u_FT = {u_ft}")
-        return cls(storage=storage, a_g=a_g, kind=kind)
-
-
 def _finite(value: float, name: str) -> None:
     """QuadFTError naming `value` unless it is finite: a NaN compares false
     with every threshold, so range checks alone let it through."""
     if not math.isfinite(value):
         raise QuadFTError(f"{name} must be finite, got {value}")
-
-
-def classify_tree(storage: float, u_ft: float) -> TreeKind:
-    """Steady below u_FT; evolutionary at or above it."""
-    _finite(storage, "storage")
-    _finite(u_ft, "u_FT")
-    if storage < 0.0:
-        raise QuadFTError("storage must be nonnegative")
-    return TreeKind.STEADY if storage < u_ft else TreeKind.EVOLUTIONARY
 
 
 # ------------------------------------------------------------------ #
@@ -154,6 +116,15 @@ def _minimum(family: _Family) -> UniversalSample:
     lo, hi = _sampled_range(family.line)
     b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
     return _sample(family, b4)
+
+
+def _check_storage(storage: float, u_ft: float, line: PlasticityLine) -> None:
+    """The storage rule: a tree grows only from a storage of at least u_FT,
+    read to BALANCE_RTOL * c like the absorbing values it rests on."""
+    if storage < u_ft - BALANCE_RTOL * line.c:
+        raise InfeasibleWeightsError(
+            f"storage level {storage} lies below the universal minimum {u_ft}"
+        )
 
 
 def _sweep(family: _Family, grid: int,
@@ -208,8 +179,8 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
     """All admissible B4 whose absorbing x_G equals u (the level set at u).
 
     The roots of |a + B4 b|^2 = u^2 inside the open admissible interval, in
-    increasing order.  Needs u >= u_FT (from `result` when given); at u_FT the
-    set collapses to [B4*].
+    increasing order.  A level below u_FT (from `result` when given) raises
+    InfeasibleWeightsError, as in `evolve`; at u_FT the set collapses to [B4*].
     """
     _finite(u, "storage level")
     family = _Family(q, line)
@@ -218,10 +189,7 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
         u_ft, b4_star = best.xg_absorbing, best.b4
     else:
         u_ft, b4_star = result.u_ft, result.b4_star
-    if u < u_ft - BALANCE_RTOL * line.c:
-        raise InfeasibleWeightsError(
-            f"storage level {u} lies below the universal minimum {u_ft}"
-        )
+    _check_storage(u, u_ft, line)
     if u <= u_ft:
         return [b4_star]
     (ax, ay), (bx, by) = family.profile()
@@ -241,8 +209,12 @@ def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
 
     The interior edge weight becomes x_G = storage - a_g with the family
     weights at b4.  a_g = 0 returns the collapsed (degree-four limit) tree.
-    Spending below the weight-triangle floor raises OverspendError; callers
-    are responsible for storage >= u_FT and b4 from weights_for_storage.
+    The storage rule is enforced here, against the u_FT of
+    `universal_minimum`: a storage below u_FT raises InfeasibleWeightsError
+    (the tree stays the degree-four tree of `locate_4wft`), a_g >= u_FT
+    raises OverspendError, and so does spending below the weight-triangle
+    floor.  A line that does not belong to q raises InconsistentCaseError.
+    b4 is taken as given; `weights_for_storage` gives those on the level set.
     """
     _finite(storage, "storage")
     _finite(a_g, "spending rate")
@@ -250,6 +222,10 @@ def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
         raise QuadFTError(f"storage must be nonnegative, got {storage}")
     if a_g < 0.0:
         raise QuadFTError(f"spending rate must be nonnegative, got {a_g}")
+    u_ft = _minimum(_Family(q, line)).xg_absorbing
+    _check_storage(storage, u_ft, line)
+    if a_g >= u_ft:
+        raise OverspendError(f"spending rate {a_g} must stay below u_FT = {u_ft}")
     weights = line.weights_at(b4)
     xg = storage - a_g
     lo, hi = feasible_xg_interval(*weights)

@@ -174,6 +174,14 @@ class TestCommands:
         capsys.readouterr()
         assert record_from_json(records.read_text().strip()).timestamp == "1970-01-01T00:00:00Z"
 
+    def test_storage_below_u_ft_exits_2_with_hint(self, ex2_doc, capsys):
+        assert main(["evolve", "--input", str(ex2_doc), "--storage", "3.0",
+                     "--spend", "0.2", "--b4", "1.2"]) == 2
+        error, hint = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: storage level 3.0 lies below the universal minimum 3.80888")
+        assert hint == ("hint: adjust the weights (or x_G / B4) to satisfy the "
+                        "feasibility inequalities")
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["wft-quad", "--input", str(tmp_path / "nope.doc")]) == 2
         assert "error:" in capsys.readouterr().err

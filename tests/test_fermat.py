@@ -306,6 +306,15 @@ class TestWeiszfeld:
         with pytest.raises(QuadFTError, match="weights must be positive and finite"):
             WeightedQuadrilateral(quad, (2.0, 1.5, 1.0, bad))
 
+    def test_bool_weights_rejected(self):
+        # float(True) is 1.0: the bools ran as unit weights
+        tri = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)]
+        with pytest.raises(QuadFTError, match=r"not bools, got \(True, True, True\)"):
+            weiszfeld(tri, (True, True, True))
+        rect = Quadrilateral.from_coords([(0, 0), (7, 0), (7, 4), (0, 4)])
+        with pytest.raises(QuadFTError, match=r"not bools, got \(True, 2.5, 1.7, 1.5\)"):
+            WeightedQuadrilateral(rect, (True, 2.5, 1.7, 1.5))
+
     def test_agrees_with_classify_and_locate(self):
         # on the same quadrilateral and weights, weiszfeld returns the
         # absorbing vertex exactly when classify_case absorbs, and otherwise

@@ -11,6 +11,7 @@ from quadft import (
     DegenerateTreeError,
     GaussWeights,
     InfeasibleWeightsError,
+    QuadFTError,
     Quadrilateral,
     angle_at,
     feasible_xg_interval,
@@ -78,6 +79,11 @@ def _feasible(rect, w):
 class TestValidation:
     def test_table_row_is_feasible(self, rect):
         assert _feasible(rect, GaussWeights(3.0, 2.5, 1.7, 1.5, 3.8192408))
+
+    def test_bool_weight_rejected(self):
+        # True > 0 and isfinite(True): the bool passed as B1 = 1
+        with pytest.raises(QuadFTError, match="b1 must be a number, not a bool, got True"):
+            GaussWeights(True, 1, 1, 1, 1.5)
 
     def test_boundary_sum_is_infeasible(self, rect):
         w = GaussWeights(1.0, 1.0, 1.0, 1.0, 2.0)

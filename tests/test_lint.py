@@ -122,11 +122,8 @@ def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
 UNREAD_EXPORTS = [
     "CaseTag",                # return type: classify_case and FermatTree.case
     "PlasticityReport",       # return type: verify_plasticity
-    "TreeKind",               # pending: evolve enforces the storage rules (ROADMAP item 8)
-    "TreeState",              # pending: evolve enforces the storage rules (ROADMAP item 8)
     "UniversalResult",        # return type: universal_minimum
     "UniversalSample",        # return type: universal_set and UniversalResult.samples
-    "classify_tree",          # pending: evolve enforces the storage rules (ROADMAP item 8)
     "plasticity_system_new",  # pending: a recorded cross-check of `plasticity` (item 10)
     "solve_4wft_general",     # pending: a recorded cross-check of `wft-quad` (item 10)
 ]

@@ -15,12 +15,9 @@ from quadft import (
     Point,
     QuadFTError,
     Quadrilateral,
-    TreeKind,
-    TreeState,
     WeightedQuadrilateral,
     absorbing_xg,
     classify_case,
-    classify_tree,
     evolve,
     locate_4wft,
     plasticity_line,
@@ -201,22 +198,27 @@ class TestUniversalMinimum:
         assert result_ex2.rate == pytest.approx(result_ex2.u_ft / 8.7, abs=1e-12)
 
 
-def _random_floating_lines(count):
-    """Plasticity lines of the first `count` floating instances drawn from
+def _random_floating_instances(count):
+    """The first `count` floating instances drawn from
     random_convex_quad(default_rng(1)) with weights from U(0.6, 3.0)."""
     rng = np.random.default_rng(1)
-    lines = []
-    while len(lines) < count:
+    instances = []
+    while len(instances) < count:
         quad = Quadrilateral.from_coords(random_convex_quad(rng))
         wq = WeightedQuadrilateral(quad, tuple(rng.uniform(0.6, 3.0, 4)))
         if classify_case(wq).kind is CaseKind.FLOATING:
-            lines.append((quad, plasticity_line(wq, locate_4wft(wq))))
-    return lines
+            instances.append(wq)
+    return instances
 
 
 @pytest.fixture(scope="module")
-def random_lines():
-    return _random_floating_lines(49)
+def floating_instances():
+    return _random_floating_instances(49)
+
+
+@pytest.fixture(scope="module")
+def random_lines(floating_instances):
+    return [(wq.quad, plasticity_line(wq, locate_4wft(wq))) for wq in floating_instances]
 
 
 class TestRandomInstances:
@@ -274,41 +276,60 @@ class TestScaleInvariance:
 
 
 class TestClassification:
-    def test_below_threshold_is_steady(self):
-        assert classify_tree(3.8, 3.8088826) is TreeKind.STEADY
+    """The storage rule: below u_FT the tree stays steady (evolve grows
+    nothing), at or above it the tree evolves, spending below u_FT."""
 
-    def test_state_factory(self):
-        from quadft import QuadFTError, TreeState
+    def test_below_threshold_is_steady(self, rect_mod, line_ex2, result_ex2):
+        # unchecked, this storage grew l = 0.091 at B4* without spend
+        for a_g in (0.0, 0.1):
+            with pytest.raises(InfeasibleWeightsError,
+                               match="storage level 3.8 lies below the universal minimum"):
+                evolve(rect_mod, line_ex2, storage=3.8, a_g=a_g, b4=result_ex2.b4_star)
 
-        steady = TreeState.for_storage(3.8, 3.8088826)
-        assert steady.kind is TreeKind.STEADY
-        evolving = TreeState.for_storage(3.8543169, 3.8088826, a_g=0.5)
-        assert evolving.kind is TreeKind.EVOLUTIONARY
-        with pytest.raises(QuadFTError, match="cannot spend"):
-            TreeState.for_storage(3.8, 3.8088826, a_g=0.1)
-        with pytest.raises(QuadFTError, match="below u_FT"):
-            TreeState.for_storage(4.2, 3.8088826, a_g=3.9)
+    def test_threshold_is_evolutionary(self, rect_mod, line_ex2, result_ex2):
+        tree = evolve(rect_mod, line_ex2, storage=result_ex2.u_ft, a_g=0.01,
+                      b4=result_ex2.b4_star)
+        assert tree.l > 0.0
 
-    def test_threshold_is_evolutionary(self):
-        assert classify_tree(3.8088826, 3.8088826) is TreeKind.EVOLUTIONARY
+    def test_above_threshold_is_evolutionary(self, rect_mod, line_ex2):
+        tree = evolve(rect_mod, line_ex2, storage=3.8543169, a_g=0.5, b4=1.2)
+        assert tree.l > 0.0
 
-    def test_above_threshold_is_evolutionary(self):
-        assert classify_tree(3.8543169, 3.8088826) is TreeKind.EVOLUTIONARY
+    def test_low_storage_with_spend_rejected(self, rect_mod, line_ex2):
+        # unchecked, a storage of 3.0 < u_FT = 3.80888 grew l = 5.505
+        with pytest.raises(InfeasibleWeightsError,
+                           match="storage level 3.0 lies below the universal minimum 3.80888"):
+            evolve(rect_mod, line_ex2, storage=3.0, a_g=0.2, b4=1.2)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_storage_threshold_or_rate_rejected(self, value):
-        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
-            classify_tree(value, 3.8088826)
-        with pytest.raises(QuadFTError, match=f"u_FT must be finite, got {value}"):
-            TreeState.for_storage(3.9, value)
-        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
-            TreeState.for_storage(value, 3.8088826)
-        with pytest.raises(QuadFTError, match="spending rate"):  # +inf: not below u_FT
-            TreeState.for_storage(3.9, 3.8, value)
-        with pytest.raises(QuadFTError, match=f"storage must be finite, got {value}"):
-            TreeState(storage=value, a_g=0.0, kind=TreeKind.EVOLUTIONARY)
-        with pytest.raises(QuadFTError, match=f"spending rate must be finite, got {value}"):
-            TreeState(storage=3.9, a_g=value, kind=TreeKind.EVOLUTIONARY)
+    def test_spend_of_u_ft_or_more_rejected(self, rect_mod, line_ex2, result_ex2):
+        # unchecked, spending 3.9 > u_FT = 3.80888 grew l = 4.630
+        with pytest.raises(OverspendError,
+                           match=r"spending rate 3\.9 must stay below u_FT = 3\.80888"):
+            evolve(rect_mod, line_ex2, storage=6.9, a_g=3.9, b4=1.2)
+        with pytest.raises(OverspendError, match="must stay below u_FT"):
+            evolve(rect_mod, line_ex2, storage=6.9, a_g=result_ex2.u_ft, b4=1.2)
+
+    def test_line_of_another_quadrilateral_rejected(self, line_ex2):
+        # unchecked, this grew l = 2.533, where absorbing_xg rejects the line
+        other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
+        with pytest.raises(InconsistentCaseError, match="do not balance"):
+            evolve(other, line_ex2, storage=3.82, a_g=0.2, b4=1.4901507)
+
+    @given(index=st.integers(0, 48), s_w=weight_scales, s_c=scales)
+    @settings(max_examples=40, deadline=None)
+    def test_rule_holds_at_every_scale(self, floating_instances, index, s_w, s_c):
+        wq = floating_instances[index]
+        quad = Quadrilateral.from_coords([(s_c * v.x, s_c * v.y) for v in wq.quad.vertices])
+        wq = WeightedQuadrilateral(quad, tuple(s_w * w for w in wq.weights))
+        line = plasticity_line(wq, locate_4wft(wq))
+        result = universal_minimum(quad, line, grid=1)
+        u_ft, step = result.u_ft, 1e-6 * line.c
+        with pytest.raises(InfeasibleWeightsError, match="below the universal minimum"):
+            evolve(quad, line, u_ft - step, 0.05 * u_ft, result.b4_star)
+        try:
+            evolve(quad, line, u_ft + step, 0.05 * u_ft, result.b4_star)
+        except QuadFTError as exc:
+            assert "below the universal minimum" not in str(exc)
 
 
 class TestStorageLevels:
@@ -385,6 +406,11 @@ class TestEvolve:
                 as caught:
             evolve(rect_mod, line_ex2, storage=-1.0, a_g=0.0, b4=1.4901507)
         assert type(caught.value) is QuadFTError
+
+    def test_bool_b4_rejected(self, rect_mod, line_ex2):
+        # True passed the B4 interval check and ran as B4 = 1
+        with pytest.raises(QuadFTError, match="b4 must be a number, not a bool, got True"):
+            evolve(rect_mod, line_ex2, storage=3.82, a_g=0.2, b4=True)
 
     def test_negative_spend_rejected(self, rect_mod, line_ex2):
         from quadft import QuadFTError
