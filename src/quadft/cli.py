@@ -46,9 +46,10 @@ from .gauss import GaussTree, GaussWeights, residual_absorbing_rate, solve_gauss
 from .geometry import Point, Quadrilateral
 from .plasticity import plasticity_line
 from .svgplot import Scene, level_curve_loops, render_scene
-from .universal import evolve, universal_minimum, weights_for_storage
+from .universal import _BelowMinimumError, evolve, universal_minimum, weights_for_storage
 
-_HINTS = {
+_HINTS = {  # the first matching type gives the hint
+    _BelowMinimumError: "raise the storage to at least u_FT, the universal minimum",
     InfeasibleWeightsError: "adjust the weights (or x_G / B4) to satisfy the feasibility inequalities",
     DegenerateTreeError: "x_G is at or past its absorbing value for these weights; lower x_G",
     AbsorbedWeightsError: "a weight dominates; the optimum sits at that vertex",

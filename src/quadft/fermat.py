@@ -13,7 +13,7 @@ Fermat's problem"), on the unit vectors between the points
 weighted pull of the others on it exceeds its own weight by at most
 `CASE_BOUNDARY_TOL` times the total.  `classify_case` and `weiszfeld` read
 it.  The plasticity check runs the same test on pulls that are affine along
-its weight line (`plasticity._Family.absorbing_vertex`).  Every `FermatTree`
+its weight line (`plasticity.verify_plasticity`).  Every `FermatTree`
 is built by one function, `_tree`, whether at an absorbing vertex, at the
 diagonal intersection, at the median or at an angle system's point.
 
@@ -179,7 +179,7 @@ def _kuhn_case(units, weights) -> CaseTag:
     (`geometry.unit_matrix`): the slack of point i is the norm of the others'
     weighted pull on it minus its own weight, and the first point whose slack
     is at most `CASE_BOUNDARY_TOL` times the total weight absorbs.  Along a
-    plasticity line `plasticity._Family.absorbing_vertex` applies this test to
+    plasticity line `plasticity.verify_plasticity` applies this test to
     affine pulls; the two must decide alike."""
     margin = CASE_BOUNDARY_TOL * sum(weights)
     for i, w in enumerate(weights):

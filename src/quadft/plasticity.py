@@ -78,39 +78,37 @@ class PlasticityLine:
 
 
 class _Family:
-    """The line's anchor P measured once on the quadrilateral: the unit
-    vectors u_i from P = line.point toward A_i and the distances |P A_i|.
-    Along the line only the weights move, so every per-sample quantity at P
-    (the balance, the absorbing values) evaluates from this one measurement.
-    Kuhn's pulls on the vertices are affine in B4 too (`pulls`); they are
-    measured on first use, by verification only."""
+    """The line's anchor P measured once on the quadrilateral: the distances
+    |P A_i| and the unit vectors u_i from P toward A_i, one hypot per vertex.
+    Along the line only the weights move, and every per-sample quantity at P
+    is affine in B4: the imbalance sum B_i u_i, the absorbing profile and
+    Kuhn's pulls on the vertices (`pulls`, measured on first use, by
+    verification only)."""
 
     def __init__(self, q: Quadrilateral, line: PlasticityLine):
         p = line.point
         self.quad = q
         self.line = line
-        try:
-            self.units = [p.unit_toward(v) for v in q.vertices]
-        except QuadFTError as exc:  # P on a vertex: no unit vector toward it
-            self.units, self.failure = None, str(exc)
         self.distances = [p.distance_to(v) for v in q.vertices]
+        self.units = None if 0.0 in self.distances else [
+            ((v.x - p.x) / d, (v.y - p.y) / d) for v, d in zip(q.vertices, self.distances)]
 
     def measured(self):
         """The unit vectors u_i; QuadFTError when P sits on a vertex."""
-        if self.units is None:
-            raise QuadFTError(self.failure)
+        if self.units is None:  # P on a vertex: `unit_toward` raises why
+            self.line.point.unit_toward(self.quad.vertices[self.distances.index(0.0)])
         return self.units
 
-    def balance(self, weights) -> float:
-        """|sum B_i u_i| at P for the given weights; inf when P sits on a
-        vertex, where the balance cannot be measured.  The four terms are
-        written out: every sample of `universal_set` reads this sum."""
+    def imbalance(self):
+        """sum B_i u_i at P as the affine pair (ax, ay) + B4 (bx, by) along
+        the line, read as (ax, ay, bx, by); inf when P sits on a vertex,
+        where no balance can be measured."""
         if self.units is None:
-            return math.inf
+            return math.inf, math.inf, 0.0, 0.0
         (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = self.units
-        b1, b2, b3, b4 = weights
-        return math.hypot(b1 * u1x + b2 * u2x + b3 * u3x + b4 * u4x,
-                          b1 * u1y + b2 * u2y + b3 * u3y + b4 * u4y)
+        (x1, y1), (x2, y2), (x3, y3) = self.line.coefficients
+        return (y1 * u1x + y2 * u2x + y3 * u3x, y1 * u1y + y2 * u2y + y3 * u3y,
+                x1 * u1x + x2 * u2x + x3 * u3x + u4x, x1 * u1y + x2 * u2y + x3 * u3y + u4y)
 
     def profile(self):
         """(a, b) with |B1 u1 + B4 u4| = |a + B4 b| along the line."""
@@ -136,16 +134,6 @@ class _Family:
                     qy += x * u[1]
             pulls.append((px, py, qx, qy))
         return pulls
-
-    def absorbing_vertex(self, b4: float, weights) -> int | None:
-        """Kuhn's test of `fermat._kuhn_case` at the line's weights for b4:
-        the 1-based index of the first vertex whose slack |p_j + B4 q_j| - B_j
-        is at most CASE_BOUNDARY_TOL times the total, or None (floating)."""
-        margin = CASE_BOUNDARY_TOL * self.line.c
-        for j, (px, py, qx, qy) in enumerate(self.pulls):
-            if math.hypot(px + b4 * qx, py + b4 * qy) - weights[j] <= margin:
-                return j + 1
-        return None
 
 
 def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLine:
@@ -284,13 +272,14 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     are excluded with a reason, never counted as drift.  The line is measured
     once per call (`_Family`): Kuhn's test of `classify_case` reads the
     others' pull on each vertex as p_j + B4 q_j, and every sample reads its
-    balance |sum B_i u_i| at the anchor.  A balance below RESIDUAL_TOL times
-    the total weight passes the residual gate of `locate_4wft`, and the
-    median is unique, so the anchor is the optimum and the sample drifts by 0.
-    Any other sample, a moved anchor or one on a vertex where no balance can
-    be measured, re-solves the median by the path of `locate_4wft`, from the
-    weighted centroid, and drifts by the anchor's distance to it.  Passes when
-    the maximum deviation stays below 1e-6 times the quadrilateral diameter.
+    balance |sum B_i u_i| at the anchor from the affine imbalance, measured
+    once too.  A balance below RESIDUAL_TOL times the total weight passes the
+    residual gate of `locate_4wft`, and the median is unique, so the anchor
+    is the optimum and the sample drifts by 0.  Any other sample, a moved
+    anchor or one on a vertex where no balance can be measured, re-solves the
+    median by the path of `locate_4wft`, from the weighted centroid, and
+    drifts by the anchor's distance to it.  Passes when the maximum deviation
+    stays below 1e-6 times the quadrilateral diameter.
     """
     if _count(samples, "samples") < 1:
         raise QuadFTError("need at least one sample")
@@ -301,6 +290,9 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
     family = _Family(q, line)
+    pulls = family.pulls
+    ax, ay, bx, by = family.imbalance()
+    margin, gate = CASE_BOUNDARY_TOL * line.c, RESIDUAL_TOL * line.c
     evaluated = []
     excluded = []
     for b4 in b4s:
@@ -309,15 +301,18 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        vertex = family.absorbing_vertex(b4, weights)
-        if vertex is not None:
-            excluded.append((b4, f"absorbed at vertex {vertex}"))
-            continue
-        if family.balance(weights) < RESIDUAL_TOL * line.c:
-            evaluated.append((b4, 0.0))
+        # Kuhn's test of `fermat._kuhn_case`: the first vertex whose slack
+        # |p_j + B4 q_j| - B_j is at most the margin absorbs
+        for j, ((px, py, qx, qy), w) in enumerate(zip(pulls, weights)):
+            if math.hypot(px + b4 * qx, py + b4 * qy) - w <= margin:
+                excluded.append((b4, f"absorbed at vertex {j + 1}"))
+                break
         else:
-            point, _ = _certified_median(q.vertices, weights)
-            evaluated.append((b4, point.distance_to(line.point)))
+            if math.hypot(ax + b4 * bx, ay + b4 * by) < gate:
+                evaluated.append((b4, 0.0))
+            else:
+                point, _ = _certified_median(q.vertices, weights)
+                evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
     return PlasticityReport(
         reference=line.point,

@@ -19,8 +19,13 @@ below it the tree stays the degree-four tree of `locate_4wft`.
 
 Since P stays fixed along the family, its geometry (the u_i and the distances
 |P A_i|) is measured once per plasticity line, by `plasticity._Family`, the
-one measurement `verify_plasticity` reads too.  Every B4 sample, its balance
-check, the profile (a, b) and B4* are evaluated from it.
+one measurement `verify_plasticity` reads too.  The imbalance sum B_i u_i is
+affine in B4 as well, alpha + B4 beta, so a sample's balance check is one
+hypot.  One loop, `_samples`, reads these constants once and evaluates every
+B4 it is given: the grid of `universal_set` and `universal_minimum`, or the
+single B4 of `absorbing_xg` and of B4*.  Each sample takes its weights from
+`PlasticityLine.weights_at`; a sample that fails is skipped with its reason,
+or raised when the caller takes one B4.
 """
 
 from __future__ import annotations
@@ -72,23 +77,41 @@ def _finite(value: float, name: str) -> None:
 # Absorbing value of x_G for one weight quadruple
 # ------------------------------------------------------------------ #
 
-def _sample(family: _Family, b4: float) -> UniversalSample:
-    """The absorbing sample at b4 on the family's measurement of P; see
-    `absorbing_xg`."""
+def _samples(family: _Family, b4s,
+             on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
+    """The absorbing sample at every b4 of `b4s`, from the family's one
+    measurement of P; see `absorbing_xg`.  A b4 that fails is reported to
+    `on_skip(b4, reason)` and left out; with on_skip None it raises."""
     line = family.line
-    weights = line.weights_at(b4)
-    (u1x, u1y), _, _, (u4x, u4y) = family.measured()
-    residual = family.balance(weights)
-    if residual > BALANCE_RTOL * line.c:
-        raise InconsistentCaseError(
-            f"weights {weights} do not balance at {line.point} (residual {residual:.3e}); "
-            "was the plasticity line built on this quadrilateral?"
-        )
-    b1, b2, b3, _ = weights
-    xg = math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y)
+    units = family.units
+    if units is not None:  # else every sample raises before reading them
+        (u1x, u1y), _, _, (u4x, u4y) = units
+    ax, ay, bx, by = family.imbalance()
     d1, d2, d3, d4 = family.distances
-    objective = b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4
-    return UniversalSample(b4=b4, weights=weights, xg_absorbing=xg, objective=objective)
+    gate = BALANCE_RTOL * line.c
+    samples = []
+    for b4 in b4s:
+        try:
+            weights = line.weights_at(b4)
+            if units is None:
+                family.measured()  # raises: P sits on a vertex
+            residual = math.hypot(ax + b4 * bx, ay + b4 * by)
+            if residual > gate:
+                raise InconsistentCaseError(
+                    f"weights {weights} do not balance at {line.point} "
+                    f"(residual {residual:.3e}); "
+                    "was the plasticity line built on this quadrilateral?"
+                )
+        except QuadFTError as exc:
+            if on_skip is None:
+                raise
+            on_skip(b4, str(exc))
+            continue
+        b1, b2, b3, _ = weights
+        samples.append(UniversalSample(  # positional: keywords cost a third more
+            b4, weights, math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y),
+            b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4))
+    return samples
 
 
 def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:
@@ -99,7 +122,7 @@ def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> Universal
     a residual |sum B_i u_i| above BALANCE_RTOL * c (a line that does not
     belong to q) raises InconsistentCaseError.
     """
-    return _sample(_Family(q, line), b4)
+    return _samples(_Family(q, line), [b4], None)[0]
 
 
 def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
@@ -115,36 +138,31 @@ def _minimum(family: _Family) -> UniversalSample:
     (ax, ay), (bx, by) = family.profile()
     lo, hi = _sampled_range(family.line)
     b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
-    return _sample(family, b4)
+    return _samples(family, [b4], None)[0]
+
+
+class _BelowMinimumError(InfeasibleWeightsError):
+    """A storage below u_FT; the CLI hints at raising it."""
 
 
 def _check_storage(storage: float, u_ft: float, line: PlasticityLine) -> None:
     """The storage rule: a tree grows only from a storage of at least u_FT,
     read to BALANCE_RTOL * c like the absorbing values it rests on."""
     if storage < u_ft - BALANCE_RTOL * line.c:
-        raise InfeasibleWeightsError(
+        raise _BelowMinimumError(
             f"storage level {storage} lies below the universal minimum {u_ft}"
         )
 
 
 def _sweep(family: _Family, grid: int,
-           on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
+           on_skip: Callable[[float, str], None]) -> list[UniversalSample]:
     """The samples of `universal_set`, from one measurement of P."""
     if _count(grid, "grid") < 1:
         raise QuadFTError("grid must be at least 1")
     line = family.line
-    if grid == 1:
-        b4s = [0.5 * sum(line.b4_interval)]
-    else:
-        b4s = linspace(*_sampled_range(line), grid)
-    samples = []
-    for b4 in b4s:
-        try:
-            samples.append(_sample(family, b4))
-        except QuadFTError as exc:
-            if on_skip is not None:
-                on_skip(b4, str(exc))
-    return samples
+    b4s = ([0.5 * sum(line.b4_interval)] if grid == 1
+           else linspace(*_sampled_range(line), grid))
+    return _samples(family, b4s, on_skip)
 
 
 def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
@@ -154,7 +172,7 @@ def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,
 
     Failing grid points are omitted; `on_skip(b4, reason)` hears about each.
     """
-    return _sweep(_Family(q, line), grid, on_skip)
+    return _sweep(_Family(q, line), grid, on_skip or (lambda b4, why: None))
 
 
 def universal_minimum(q: Quadrilateral, line: PlasticityLine,

@@ -175,12 +175,14 @@ class TestCommands:
         assert record_from_json(records.read_text().strip()).timestamp == "1970-01-01T00:00:00Z"
 
     def test_storage_below_u_ft_exits_2_with_hint(self, ex2_doc, capsys):
-        assert main(["evolve", "--input", str(ex2_doc), "--storage", "3.0",
-                     "--spend", "0.2", "--b4", "1.2"]) == 2
-        error, hint = capsys.readouterr().err.splitlines()
-        assert error.startswith("error: storage level 3.0 lies below the universal minimum 3.80888")
-        assert hint == ("hint: adjust the weights (or x_G / B4) to satisfy the "
-                        "feasibility inequalities")
+        # with --b4 evolve checks the storage rule, without it weights_for_storage
+        for b4 in (["--b4", "1.2"], []):
+            assert main(["evolve", "--input", str(ex2_doc), "--storage", "3.0",
+                         "--spend", "0.2", *b4]) == 2
+            error, hint = capsys.readouterr().err.splitlines()
+            assert error.startswith(
+                "error: storage level 3.0 lies below the universal minimum 3.80888")
+            assert hint == "hint: raise the storage to at least u_FT, the universal minimum"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["wft-quad", "--input", str(tmp_path / "nope.doc")]) == 2

@@ -27,6 +27,7 @@ from quadft import (
     weights_for_storage,
 )
 from quadft.geometry import linspace
+from quadft.plasticity import _Family
 from quadft.universal import _sampled_range
 
 EX2_TABLE = [
@@ -106,16 +107,22 @@ class TestSharedGeometry:
             self._assert_sweep_matches(quad, line, 65)
 
     def test_minimum_measures_p_once(self, monkeypatch, rect_mod, line_ex2):
+        # one measurement of P per call, one hypot (distance) per vertex
         calls = []
-        original = Point.unit_toward
 
-        def counted(self, other):
-            calls.append(1)
-            return original(self, other)
+        def count(cls, name):
+            original = getattr(cls, name)
 
-        monkeypatch.setattr(Point, "unit_toward", counted)
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(_Family, "__init__")
+        count(Point, "distance_to")
         universal_minimum(rect_mod, line_ex2, grid=65)
-        assert len(calls) <= 4
+        assert calls == ["__init__"] + ["distance_to"] * 4
 
     def test_line_of_another_quadrilateral_skips_every_sample(self, line_ex2):
         other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
@@ -273,6 +280,76 @@ class TestScaleInvariance:
         result, _ = _paper_pipeline([(s * x, s * y) for x, y in RECT], EX2_WEIGHTS, 3.82)
         assert result.u_ft == pytest.approx(base.u_ft, rel=1e-9)
         assert result.b4_star == pytest.approx(base.b4_star, rel=1e-9)
+
+
+def _similar(quad, angle, scale, shift):
+    """quad rotated by `angle`, scaled by `scale` and moved by `shift` times
+    its scaled diameter."""
+    cos, sin, diam = math.cos(angle), math.sin(angle), scale * quad.diameter()
+    return Quadrilateral.from_coords(
+        [(scale * (cos * v.x - sin * v.y) + shift[0] * diam,
+          scale * (sin * v.x + cos * v.y) + shift[1] * diam) for v in quad.vertices])
+
+
+def _assert_skips_match(quad, line, grid):
+    """universal_set keeps what absorbing_xg returns and skips, with its
+    message, what absorbing_xg raises, B4 by B4."""
+    skipped = []
+    samples = universal_set(quad, line, grid, on_skip=lambda b4, why: skipped.append((b4, why)))
+    assert sorted([s.b4 for s in samples] + [b4 for b4, _ in skipped]) \
+        == linspace(*_sampled_range(line), grid)
+    assert samples == [absorbing_xg(quad, line, s.b4) for s in samples]
+    for b4, why in skipped:
+        with pytest.raises(QuadFTError) as caught:
+            absorbing_xg(quad, line, b4)
+        assert str(caught.value) == why
+    return skipped
+
+
+class TestOneSampleLoop:
+    """`universal_set`, `universal_minimum` and `absorbing_xg` evaluate every
+    B4 in one loop: the same samples and the same skip reasons under
+    similarity transforms and weight scales."""
+
+    @given(index=st.integers(0, 48), angle=st.floats(0.0, 2.0 * math.pi),
+           s_c=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           s_w=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+    @settings(max_examples=40, deadline=None)
+    def test_samples_minimum_and_skips(self, floating_instances, index, angle, s_c, shift,
+                                       s_w):
+        wq = floating_instances[index]
+        quad = _similar(wq.quad, angle, s_c, shift)
+        wq = WeightedQuadrilateral(quad, tuple(s_w * w for w in wq.weights))
+        line = plasticity_line(wq, locate_4wft(wq))
+        for grid in (1, 2, 65):
+            b4s = ([0.5 * sum(line.b4_interval)] if grid == 1
+                   else linspace(*_sampled_range(line), grid))
+            assert universal_set(quad, line, grid) == [absorbing_xg(quad, line, b4)
+                                                       for b4 in b4s]
+
+        # u_FT = |a x b| / |b| for a + B4 b, a = y1 u1, b = x1 u1 + u4
+        p = np.array(line.point.as_tuple())
+        u1, _, _, u4 = (r / np.linalg.norm(r) for r in np.array(
+            [v.as_tuple() for v in quad.vertices]) - p)
+        x1, y1 = line.coefficients[0]
+        a, b = y1 * u1, x1 * u1 + u4
+        lo, hi = _sampled_range(line)
+        t = -(a @ b) / (b @ b)
+        if lo <= t <= hi:
+            expected = abs(a[0] * b[1] - a[1] * b[0]) / np.linalg.norm(b)
+        else:
+            expected = np.linalg.norm(a + min(max(t, lo), hi) * b)
+        assert abs(universal_minimum(quad, line, grid=1).u_ft - expected) <= 1e-12 * line.c
+
+        other = _similar(floating_instances[(index + 1) % 49].quad, angle, s_c, shift)
+        skipped = _assert_skips_match(other, line, 9)
+        assert len(skipped) == 9 and all("do not balance" in why for _, why in skipped)
+        first = quad.vertices[0]
+        on_p = Quadrilateral.from_coords(
+            [((v.x - first.x) + p[0], (v.y - first.y) + p[1]) for v in quad.vertices])
+        assert [why for _, why in _assert_skips_match(on_p, line, 9)] \
+            == ["unit vector undefined between coincident points"] * 9
 
 
 class TestClassification:
