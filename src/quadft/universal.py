@@ -25,14 +25,15 @@ hypot.  One loop, `_samples`, reads these constants once and evaluates every
 B4 it is given: the grid of `universal_set` and `universal_minimum`, or the
 single B4 of `absorbing_xg` and of B4*.  Each sample takes its weights from
 `PlasticityLine.weights_at`; a sample that fails is skipped with its reason,
-or raised when the caller takes one B4.
+or raised when the caller takes one B4.  Samples are NamedTuples, built at
+the cost of a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
@@ -45,8 +46,7 @@ BALANCE_RTOL = 1e-9
 UNIVERSAL_GRID = 33
 
 
-@dataclass(frozen=True)
-class UniversalSample:
+class UniversalSample(NamedTuple):
     """One absorbing point of the universal set."""
 
     b4: float
@@ -89,6 +89,7 @@ def _samples(family: _Family, b4s,
     ax, ay, bx, by = family.imbalance()
     d1, d2, d3, d4 = family.distances
     gate = BALANCE_RTOL * line.c
+    new = tuple.__new__  # UniversalSample(...) parses its arguments first
     samples = []
     for b4 in b4s:
         try:
@@ -108,9 +109,9 @@ def _samples(family: _Family, b4s,
             on_skip(b4, str(exc))
             continue
         b1, b2, b3, _ = weights
-        samples.append(UniversalSample(  # positional: keywords cost a third more
+        samples.append(new(UniversalSample, (
             b4, weights, math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y),
-            b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4))
+            b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4)))
     return samples
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from quadft import (
     Point,
     QuadFTError,
     Quadrilateral,
+    UniversalSample,
     WeightedQuadrilateral,
     absorbing_xg,
     classify_case,
@@ -142,6 +145,25 @@ class TestSharedGeometry:
         assert skipped == ["unit vector undefined between coincident points"] * 9
         with pytest.raises(InfeasibleWeightsError):
             absorbing_xg(other, line_ex2, 5.0)
+
+
+class TestUniversalSample:
+    """A sample is an immutable NamedTuple whose repr names its four fields."""
+
+    def test_sample_is_a_named_tuple(self):
+        sample = UniversalSample(1.5, (3.0, 2.5, 1.7, 1.5), 3.8, 34.5)
+        assert repr(sample) == ("UniversalSample(b4=1.5, weights=(3.0, 2.5, 1.7, 1.5), "
+                                "xg_absorbing=3.8, objective=34.5)")
+        assert UniversalSample._fields == ("b4", "weights", "xg_absorbing", "objective")
+        with pytest.raises(AttributeError):
+            sample.b4 = 2.0
+
+    def test_asdict_of_a_result_keeps_its_samples(self, rect_mod, line_ex2):
+        # dataclasses.asdict rebuilds a NamedTuple field by field: no dict
+        result = universal_minimum(rect_mod, line_ex2, grid=9)
+        samples = asdict(result)["samples"]
+        assert samples == result.samples
+        assert all(type(s) is UniversalSample for s in samples)
 
 
 class TestUniversalSet:
@@ -350,6 +372,40 @@ class TestOneSampleLoop:
             [((v.x - first.x) + p[0], (v.y - first.y) + p[1]) for v in quad.vertices])
         assert [why for _, why in _assert_skips_match(on_p, line, 9)] \
             == ["unit vector undefined between coincident points"] * 9
+
+
+class TestNoCyclicGarbage:
+    """The pipeline leaves nothing for the cycle collector: a cache that
+    referred back to its owner would."""
+
+    def test_no_cyclic_garbage(self):
+        other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
+
+        def run():
+            quad = Quadrilateral.from_coords(RECT)
+            wq = WeightedQuadrilateral(quad, EX2_WEIGHTS)
+            line = plasticity_line(wq, locate_4wft(wq))
+            result = universal_minimum(quad, line, grid=65)
+            for b4 in weights_for_storage(quad, line, 3.82, result=result):
+                evolve(quad, line, 3.82, 0.2, b4)
+            universal_set(other, line, 9)
+            for call in (lambda: universal_minimum(other, line, 9),
+                         lambda: weights_for_storage(other, line, 3.82),
+                         lambda: evolve(other, line, 3.82, 0.2, 1.5),
+                         lambda: absorbing_xg(other, line, 1.5)):
+                with pytest.raises(InconsistentCaseError):
+                    call()
+
+        run()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestClassification:
