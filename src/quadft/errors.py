@@ -22,14 +22,14 @@ class InfeasibleWeightsError(QuadFTError):
 class ConvergenceError(QuadFTError):
     """Iterative solver failed to converge.
 
-    Carries the last iterate and residual so callers can inspect or reseed.
+    Carries the last point and its residual, so callers can report how far
+    the solve got.
     """
 
-    def __init__(self, message, last=None, residual=None, trace=None):
+    def __init__(self, message, last=None, residual=None):
         super().__init__(message)
         self.last = last
         self.residual = residual
-        self.trace = trace or []
 
 
 class InconsistentCaseError(QuadFTError):

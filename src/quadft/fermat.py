@@ -25,9 +25,12 @@ takes at most 5 Weiszfeld steps, each a gradient step scaled by the
 Hessian's trace, then Newton steps, which converge quadratically to the
 median.  The residual gate is the certificate: the median is unique, and a
 point is accepted only when its pull is below `RESIDUAL_TOL` times the
-total weight.  The paper's angle systems stay as independent solvers:
-Newton starts from the angles measured at that median and runs to
-`RESIDUAL_TOL`.
+total weight.  The paper's angle systems are read at the same point: each
+measures its unknown angles at `_median`'s iterate in A1's frame, evaluates
+its residuals there and rebuilds the optimum by the paper's reconstruction
+(`_system_tree` gates both), so they cross-check the median and solve
+nothing again.  They take the iterate whether or not it meets `RESIDUAL_TOL`:
+their own gates decide, the pull gate among them at `_EQUILIBRIUM_RTOL`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .geometry import (
     cross2,
     diagonal_intersection,
     rotate,
-    solve_linear,
     unit_matrix,
 )
 
@@ -58,7 +60,8 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
-_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the pull, relative to the total weight
+_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the pull over the total weight, and on the residual
+_REBUILD_RTOL = 1e-10     # angle-system gate on the rebuilt point's gap, relative to the diameter
 _SEED_TOL = 1e-2       # Weiszfeld seed residual, relative to the total weight
 _SEED_MAX_ITER = 5     # Weiszfeld seed step cap
 _POLISH_TOL = 1e-14    # Newton polish target, relative to the total weight
@@ -349,64 +352,6 @@ def _certified_median(points, weights):
     return point, steps
 
 
-# ------------------------------------------------------------------ #
-# Damped Newton on small angle systems
-# ------------------------------------------------------------------ #
-
-def _norm(v) -> float:
-    return math.sqrt(sum(t * t for t in v))
-
-
-def _damped_newton(func, x0, lo, hi):
-    """Newton with numeric Jacobian and halving line search, boxed to (lo, hi),
-    to a residual below `RESIDUAL_TOL` in at most `NEWTON_MAX_ITER` steps.
-
-    `func` maps a tuple of floats to a tuple of residuals.  The Jacobian is the
-    central difference (f(x + h e_j) - f(x - h e_j)) / (2h), and the step comes
-    from Gaussian elimination with partial pivoting.  Accepts a stalled line
-    search once the residual is already far below the geometry scale (1e-8),
-    which in practice means machine-precision noise.
-    """
-    x = tuple(float(t) for t in x0)
-    r = func(x)
-    trace = [_norm(r)]
-    n = len(x)
-    h = 1e-7
-    for _ in range(NEWTON_MAX_ITER):
-        norm = trace[-1]
-        if norm < RESIDUAL_TOL:
-            return x, norm, trace
-        columns = []
-        for j in range(n):
-            fp = func(x[:j] + (x[j] + h,) + x[j + 1:])
-            fm = func(x[:j] + (x[j] - h,) + x[j + 1:])
-            columns.append([(a - b) / (2.0 * h) for a, b in zip(fp, fm)])
-        step = solve_linear(list(zip(*columns)), [-t for t in r])
-        if step is None:
-            raise ConvergenceError("singular Jacobian in Newton step",
-                                   last=x, residual=norm, trace=trace)
-        t = 1.0
-        while t > 1e-12:
-            xn = tuple(a + t * d for a, d in zip(x, step))
-            if all(lo < v < hi for v in xn):
-                rn = func(xn)
-                if all(math.isfinite(v) for v in rn) and _norm(rn) < norm:
-                    x, r = xn, rn
-                    trace.append(_norm(r))
-                    break
-            t *= 0.5
-        else:
-            if norm < 1e-8:
-                return x, norm, trace
-            raise ConvergenceError("Newton line search stalled",
-                                   last=x, residual=norm, trace=trace)
-    norm = trace[-1]
-    if norm < 1e-8:
-        return x, norm, trace
-    raise ConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations",
-                           last=x, residual=norm, trace=trace)
-
-
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           angles=None, iterations: int = 0) -> FermatTree:
     """The tree at p, on unit vectors from p toward every vertex but an
@@ -430,52 +375,74 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
     )
 
 
-def _system_tree(wq, p: Point, angles, trace, system: str) -> FermatTree:
-    """The tree of an angle system's solution p; ConvergenceError unless its
-    pull is at most `_EQUILIBRIUM_RTOL` times the total weight."""
-    tree = _tree(wq, p, angles=angles, iterations=len(trace))
-    if tree.equilibrium_residual > _EQUILIBRIUM_RTOL * wq.total:
-        raise ConvergenceError(f"{system} converged to a non-equilibrium point",
-                               last=p, residual=tree.equilibrium_residual, trace=trace)
-    return tree
+# ------------------------------------------------------------------ #
+# The paper's angle systems, read at the median
+# ------------------------------------------------------------------ #
+
+def _system_tree(wq: WeightedQuadrilateral, v, system, name: str) -> FermatTree:
+    """The tree at the point an angle system rebuilds from the median.
+
+    `v` holds the vertices relative to A1, the frame `_median` solves in;
+    `system(v, weights, median)` reads the system at `_median`'s point among
+    them and returns (angles, residual, rebuilt point).  A residual above
+    `_EQUILIBRIUM_RTOL`, or a rebuilt point more than `_REBUILD_RTOL` times
+    the diameter from the median, raises InconsistentCaseError; a pull at
+    the rebuilt point, in that frame, above `_EQUILIBRIUM_RTOL` times the
+    total weight raises ConvergenceError.  The tree is at the rebuilt point
+    moved back by A1; `iterations` counts the median's steps.
+    """
+    median, _, iterations = _median(v, wq.weights)
+    angles, residual, rebuilt = system(v, wq.weights, median)
+    gap = rebuilt.distance_to(median) / wq.quad.diameter()
+    if not (residual <= _EQUILIBRIUM_RTOL and gap <= _REBUILD_RTOL):
+        raise InconsistentCaseError(
+            f"the {name} does not hold at the median: residual {residual:.3e}, "
+            f"rebuilt point {gap:.3e} of the diameter from it")
+    a1 = wq.quad.vertices[0]
+    point = Point(a1.x + rebuilt.x, a1.y + rebuilt.y)
+    pull = math.hypot(*_weighted_sum(wq.weights, [rebuilt.unit_toward(q) for q in v]))
+    if pull > _EQUILIBRIUM_RTOL * wq.total:
+        raise ConvergenceError(f"the {name} rebuilt a point off equilibrium: pull "
+                               f"{pull / wq.total:.3e} of the total weight",
+                               last=point, residual=pull)
+    return _tree(wq, point, angles=angles, iterations=iterations)
 
 
 # ------------------------------------------------------------------ #
 # Square boundary: circle system
 # ------------------------------------------------------------------ #
 
-def _square_system(weights):
+def _square_system(v, weights, median: Point):
+    """The circle system of the square v, A1 at the origin and A2 at
+    (side, 0), read at the median: (angles, residual, rebuilt point).
+
+    Its unknowns a102 and a401 are measured there; a304 follows from a102 by
+    the first squared balance, a203 closes the turn, and `_square_point`
+    rebuilds the optimum from the three.
+    """
     total = sum(weights)
-    b1, b2, b3, b4 = (w / total for w in weights)  # homogeneous: roots unchanged
-
-    def a304_of(a102: float) -> float:
-        arg = (b1 * b1 + 2.0 * b1 * b2 * math.cos(a102) + b2 * b2 - b3 * b3 - b4 * b4) / (
-            2.0 * b3 * b4
-        )
-        return math.acos(min(1.0, max(-1.0, arg)))
-
-    def residuals(v):
-        a102, a401 = v
-        a304 = a304_of(a102)
-        if a304 == 0.0:  # acos(1): no csc there; the line search rejects NaN
-            return math.nan, math.nan
-        csc102, csc304, csc401 = 1.0 / math.sin(a102), 1.0 / math.sin(a304), 1.0 / math.sin(a401)
-        r1 = (
-            csc102**2 * csc304**2 * csc401**2
-            * (math.cos(a102) - math.sin(a102))
-            * (math.cos(a304) - math.sin(a304))
-            * (math.cos(a102 - a304) - math.cos(a102 + a304 + 2.0 * a401)
-               - 2.0 * math.sin(a102 + a304))
-        )
-        r2 = (
-            -b1 * b1 - 2.0 * b1 * b2 * math.cos(a102) - b2 * b2 + b3 * b3
-            - 2.0 * b1 * b4 * math.cos(a401)
-            - 2.0 * b2 * b4 * math.cos(a102 + a401)
-            - b4 * b4
-        )
-        return r1, r2
-
-    return residuals, a304_of
+    b1, b2, b3, b4 = (w / total for w in weights)  # the weights' scale drops out
+    a102 = angle_at(median, v[0], v[1])
+    a401 = angle_at(median, v[3], v[0])
+    a304 = clamped_acos(
+        (b1 * b1 + 2.0 * b1 * b2 * math.cos(a102) + b2 * b2 - b3 * b3 - b4 * b4) / (2.0 * b3 * b4)
+    )
+    csc102, csc304, csc401 = 1.0 / math.sin(a102), 1.0 / math.sin(a304), 1.0 / math.sin(a401)
+    r1 = (
+        csc102**2 * csc304**2 * csc401**2
+        * (math.cos(a102) - math.sin(a102))
+        * (math.cos(a304) - math.sin(a304))
+        * (math.cos(a102 - a304) - math.cos(a102 + a304 + 2.0 * a401)
+           - 2.0 * math.sin(a102 + a304))
+    )
+    r2 = (
+        -b1 * b1 - 2.0 * b1 * b2 * math.cos(a102) - b2 * b2 + b3 * b3
+        - 2.0 * b1 * b4 * math.cos(a401)
+        - 2.0 * b2 * b4 * math.cos(a102 + a401)
+        - b4 * b4
+    )
+    angles = (a102, TWO_PI - a102 - a304 - a401, a304, a401)
+    return angles, math.hypot(r1, r2), _square_point(v[1].x, a102, a304, a401)
 
 
 def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
@@ -490,12 +457,15 @@ def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
     return Point(x, y)
 
 
-def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = None) -> FermatTree:
-    """Interior optimum on the square (0,0),(a,0),(a,a),(0,a) via the
-    three-circle intersection system in (a102, a401).
+def solve_4wft_square(side: float, weights) -> FermatTree:
+    """Interior optimum on the square (0,0),(a,0),(a,a),(0,a), read from the
+    paper's three-circle system in (a102, a401) at the median.
 
-    `init` overrides the Newton seed (radians, each in (0, pi)); by default the
-    seed comes from the angles measured at the median.
+    The square's A1 is the origin, so `_median` solves in the square's own
+    coordinates, and its iterate is the point `_certified_median` certifies.
+    `_system_tree` reads `_square_system` there, which rebuilds the
+    optimum, and gates both.  A weight set that is not floating raises
+    InconsistentCaseError.
     """
     if side <= 0.0:
         raise QuadFTError("square side must be positive")
@@ -506,103 +476,79 @@ def solve_4wft_square(side: float, weights, init: tuple[float, float] | None = N
         raise InconsistentCaseError(
             f"square instance is not floating (absorbed at vertex {tag.vertex})"
         )
-    func, a304_of = _square_system(wq.weights)
-    if init is None:
-        v = quad.vertices
-        seed_pt, _, _ = _median(v, wq.weights)
-        init = (angle_at(seed_pt, v[0], v[1]), angle_at(seed_pt, v[3], v[0]))
-    if not all(0.0 < a < math.pi for a in init):
-        raise QuadFTError(f"initial angles must lie in (0, pi), got {init}")
-    sol, _, trace = _damped_newton(func, init, lo=1e-9, hi=TWO_PI - 1e-9)
-    a102, a401 = sol
-    a304 = a304_of(a102)
-    a203 = TWO_PI - a102 - a304 - a401
-    point = _square_point(side, a102, a304, a401)
-    return _system_tree(wq, point, (a102, a203, a304, a401), trace, "circle system")
+    return _system_tree(wq, quad.vertices, _square_system, "circle system")
 
 
 # ------------------------------------------------------------------ #
 # General quadrilateral: four-angle system
 # ------------------------------------------------------------------ #
 
-def _general_system(wq: WeightedQuadrilateral):
-    v = wq.quad.vertices
+def _general_system(v, weights, median: Point):
+    """The four-angle system of the quadrilateral v, A1 at the origin, read
+    at the median: (angles, residual, rebuilt point).
+
+    Its unknowns (a102, a401, a304, a013) are measured there; a013 is the
+    signed angle from ray A1->A0 to ray A1->A3 (positive when A0 lies on the
+    A2 side of the diagonal).  The optimum is rebuilt on the ray A1->A0 at
+    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.
+    """
+    total = sum(weights)
+    b1, b2, b3, b4 = (w / total for w in weights)  # the weights' scale drops out
     a12 = v[0].distance_to(v[1])
     a41 = v[3].distance_to(v[0])
     a31 = v[2].distance_to(v[0])
     alpha213 = angle_at(v[0], v[1], v[2])
     alpha314 = angle_at(v[0], v[2], v[3])
-    total = wq.total
-    b1, b2, b3, b4 = (w / total for w in wq.weights)  # homogeneous: roots unchanged
-
-    def residuals(vec):
-        a102, a401, a304, a013 = vec
-        s = a304 + a401
-        cot102 = math.cos(a102) / math.sin(a102)
-        cot_s = math.cos(s) / math.sin(s)
-        r1 = b3 * b3 - (
-            b1 * b1 + b2 * b2 + b4 * b4
-            + 2.0 * b2 * b4 * math.cos(a401 + a102)
-            + 2.0 * b1 * b2 * math.cos(a102)
-            + 2.0 * b1 * b4 * math.cos(a401)
-        )
-        r2 = (
-            math.cos(s) * (b4 * math.sin(a401) - b2 * math.sin(a102))
-            - math.sin(s) * (b1 + b2 * math.cos(a102) + b4 * math.cos(a401))
-        )
-        n70 = math.sin(alpha213) - math.cos(alpha213) * cot102 - (a31 / a12) * cot_s
-        d70 = -math.cos(alpha213) - math.sin(alpha213) * cot102 + a31 / a12
-        n71 = math.sin(alpha314) - math.cos(alpha314) / math.tan(a401) + (a31 / a41) * cot_s
-        d71 = math.cos(alpha314) + math.sin(alpha314) / math.tan(a401) - a31 / a41
-        r3 = math.cos(a013) * d70 - math.sin(a013) * n70
-        r4 = math.cos(a013) * d71 - math.sin(a013) * n71
-        return r1, r2, r3, r4
-
-    return residuals, a41, alpha314
-
-
-def _seed_angles(v, seed: Point) -> tuple[float, float, float, float]:
-    """(a102, a401, a304, a013) measured at a seed point, the Newton start."""
+    a102 = angle_at(median, v[0], v[1])
+    a401 = angle_at(median, v[3], v[0])
+    a304 = angle_at(median, v[2], v[3])
     u13 = v[0].unit_toward(v[2])
-    u10 = v[0].unit_toward(seed)
-    s013 = math.atan2(cross2(*u10, *u13), u10[0] * u13[0] + u10[1] * u13[1])
-    return (
-        angle_at(seed, v[0], v[1]),
-        angle_at(seed, v[3], v[0]),
-        angle_at(seed, v[2], v[3]),
-        s013,
+    u10 = v[0].unit_toward(median)
+    a013 = math.atan2(cross2(*u10, *u13), u10[0] * u13[0] + u10[1] * u13[1])
+    s = a304 + a401
+    cot102 = math.cos(a102) / math.sin(a102)
+    cot_s = math.cos(s) / math.sin(s)
+    r1 = b3 * b3 - (
+        b1 * b1 + b2 * b2 + b4 * b4
+        + 2.0 * b2 * b4 * math.cos(a401 + a102)
+        + 2.0 * b1 * b2 * math.cos(a102)
+        + 2.0 * b1 * b4 * math.cos(a401)
     )
+    r2 = (
+        math.cos(s) * (b4 * math.sin(a401) - b2 * math.sin(a102))
+        - math.sin(s) * (b1 + b2 * math.cos(a102) + b4 * math.cos(a401))
+    )
+    n70 = math.sin(alpha213) - math.cos(alpha213) * cot102 - (a31 / a12) * cot_s
+    d70 = -math.cos(alpha213) - math.sin(alpha213) * cot102 + a31 / a12
+    n71 = math.sin(alpha314) - math.cos(alpha314) / math.tan(a401) + (a31 / a41) * cot_s
+    d71 = math.cos(alpha314) + math.sin(alpha314) / math.tan(a401) - a31 / a41
+    r3 = math.cos(a013) * d70 - math.sin(a013) * n70
+    r4 = math.cos(a013) * d71 - math.sin(a013) * n71
+    a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
+    dx, dy = rotate(*u13, -a013)
+    angles = (a102, TWO_PI - a102 - a304 - a401, a304, a401)
+    return angles, math.hypot(r1, r2, r3, r4), Point(a01 * dx, a01 * dy)
 
 
 def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
-    """Interior optimum on a general convex quadrilateral via the residual
-    system in (a102, a401, a304, a013), then reconstruction from vertex A1.
+    """Interior optimum on a general convex quadrilateral, read from the
+    paper's four-angle system in (a102, a401, a304, a013) at the median,
+    then rebuilt from vertex A1.
 
-    a013 is the signed angle from ray A1->A0 to ray A1->A3 (positive when A0
-    lies on the A2 side of the diagonal).  The optimum is placed at distance
-    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.  Newton starts
-    from the angles measured at the median.
+    `_median` runs on the vertices minus A1, the frame it solves in anyway,
+    so its iterate is the one `_certified_median` certifies and a translation
+    does not enter the angles.  `_system_tree` reads `_general_system` there,
+    which rebuilds the optimum, and gates both.  A weight set
+    that is not floating raises InconsistentCaseError.
     """
     tag = classify_case(wq)
     if tag.kind is not CaseKind.FLOATING:
         raise InconsistentCaseError(
             f"instance is not floating (absorbed at vertex {tag.vertex})"
         )
-    v = wq.quad.vertices
-    seed, _, _ = _median(v, wq.weights)
-    func, a41, alpha314 = _general_system(wq)
-    sol, _, trace = _damped_newton(func, _seed_angles(v, seed), lo=-math.pi, hi=TWO_PI)
-    a102, a401, a304, a013 = sol
-    a203 = TWO_PI - a102 - a304 - a401
-    a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
-    ux, uy = v[0].unit_toward(v[2])
-    dx, dy = rotate(ux, uy, -a013)
-    point = Point(v[0].x + a01 * dx, v[0].y + a01 * dy)
-    if not wq.quad.contains(point):
-        raise InconsistentCaseError(
-            f"angle system placed the optimum outside the quadrilateral: {point}"
-        )
-    return _system_tree(wq, point, (a102, a203, a304, a401), trace, "angle system")
+    a1 = wq.quad.vertices[0]
+    v = [Point(p.x - a1.x, p.y - a1.y) for p in wq.quad.vertices]
+    return _system_tree(wq, v, _general_system, "angle system")
 
 
 # ------------------------------------------------------------------ #

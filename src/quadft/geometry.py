@@ -1,6 +1,5 @@
 """Planar primitives: points, convex quadrilaterals and the clamped arccos of
-their angles, plus the small dense linear algebra (evenly spaced samples,
-Gaussian elimination) the solvers share.
+their angles, plus the evenly spaced samples the solvers share.
 
 Angles are radians everywhere; degrees appear only at I/O boundaries.
 """
@@ -184,7 +183,7 @@ def diagonal_intersection(q: Quadrilateral) -> Point:
 
 
 # ------------------------------------------------------------------ #
-# Sampling and small dense linear algebra
+# Counts and sampling
 # ------------------------------------------------------------------ #
 
 def _count(value, name: str) -> int:
@@ -211,34 +210,3 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     if out:
         out[-1] = float(stop)
     return out
-
-
-def solve_linear(a, b) -> list[float] | None:
-    """Solution x of the square system a x = b, or None when a is singular.
-
-    Gaussian elimination with partial pivoting on the augmented rows, then
-    back substitution; a pivot that is exactly zero means a singular matrix.
-    """
-    rows = [[*row, rhs] for row, rhs in zip(a, b)]
-    n = len(rows)
-    for k in range(n):
-        p = k  # the first row of largest magnitude in column k
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > abs(rows[p][k]):
-                p = i
-        if rows[p][k] == 0.0:
-            return None
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            f = row[k] / pivot[k]
-            for j in range(k + 1, n + 1):
-                row[j] -= f * pivot[j]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        row = rows[k]
-        acc = 0.0
-        for j in range(k + 1, n):
-            acc += row[j] * x[j]
-        x[k] = (row[n] - acc) / row[k]
-    return x

@@ -31,7 +31,7 @@ from .fermat import (
     WeightedQuadrilateral,
     _certified_median,
 )
-from .geometry import Point, Quadrilateral, _count, linspace, solve_linear
+from .geometry import Point, Quadrilateral, _count, cross2, linspace
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,14 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
     """Affine weight family through the optimum P of `tree` at total c = sum(B).
 
     With u_i the unit vector from P toward A_i, the balance
-    B1 u1 + B2 u2 + B3 u3 = -B4 u4 and the total B1 + B2 + B3 = c - B4 are
-    linear in (B1, B2, B3), so one matrix gives the slopes (right side
-    (-u4, -1)) and the intercepts (right side (0, 0, c)).  Its determinant is
-    twice the signed area of the triangle on the tips of u1, u2, u3, which is
-    nonzero for every P inside the quadrilateral, on a diagonal too.  An absorbed optimum sits on a vertex and has no family.
+    B1 u1 + B2 u2 + B3 u3 = -B4 u4 and the total B1 + B2 + B3 = c - B4 make
+    (B1, B2, B3) / (c - B4) the barycentric coordinates of
+    -B4 u4 / (c - B4) on the triangle of the tips of u1, u2, u3.  So the
+    slopes are minus the barycentric coordinates of u4 and the intercepts c
+    times those of the origin, each a signed area (`cross2`) over twice the
+    triangle's area, which is nonzero for every P inside the quadrilateral,
+    on a diagonal too.  An absorbed optimum sits on a vertex and has no
+    family.
     """
     if tree.case.kind is CaseKind.ABSORBED:
         raise AbsorbedWeightsError(
@@ -152,13 +155,19 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
             "a plasticity line needs an interior optimum"
         )
     p = tree.point
-    u = [p.unit_toward(vert) for vert in wq.quad.vertices]
+    u1, u2, u3, (x4, y4) = [p.unit_toward(vert) for vert in wq.quad.vertices]
     c = wq.total
-    matrix = [[u[0][0], u[1][0], u[2][0]], [u[0][1], u[1][1], u[2][1]], [1.0, 1.0, 1.0]]
-    slopes = solve_linear(matrix, [-u[3][0], -u[3][1], -1.0])
-    if slopes is None:
+
+    def areas(qx, qy):
+        """Twice the signed areas of (q, u2, u3), (q, u3, u1), (q, u1, u2)."""
+        return [cross2(jx - qx, jy - qy, kx - qx, ky - qy)
+                for (jx, jy), (kx, ky) in ((u2, u3), (u3, u1), (u1, u2))]
+
+    origin = areas(0.0, 0.0)
+    det = sum(origin)
+    if det == 0.0:
         raise InconsistentCaseError(f"the optimum {p} is not inside the quadrilateral")
-    coefficients = tuple(zip(slopes, solve_linear(matrix, [0.0, 0.0, c])))
+    coefficients = tuple((-a / det, c * b / det) for a, b in zip(areas(x4, y4), origin))
     lo, hi = 0.0, math.inf
     for x, y in coefficients:
         if x < 0.0:

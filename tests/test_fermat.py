@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quadft.fermat as fermat
@@ -11,6 +11,7 @@ from quadft import (
     AbsorbedWeightsError,
     CaseKind,
     ConvergenceError,
+    InconsistentCaseError,
     Point,
     QuadFTError,
     Quadrilateral,
@@ -44,6 +45,14 @@ EX1_POINT = (4.0700893, 2.146831)
 BARELY_FLOATING_COORDS = [(-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759),
                           (-0.1229, -2.2068)]
 BARELY_FLOATING_WEIGHTS = (0.5959, 0.9887, 0.9059, 2.4538)
+# draw 361 of `_floating_weights(default_rng(8), random_convex_quad(rng))`: its
+# median lies 1.6e-4 of the diameter from A4
+NEAR_A4_COORDS = [(1.1996388047129205, 0.47666720834292237),
+                  (0.5014304303984316, 1.7498986751744614),
+                  (-0.459092381549631, -3.396219215514096),
+                  (0.664951534524167, -0.8212883404488002)]
+NEAR_A4_WEIGHTS = (0.8985418352107047, 1.9187092476146819, 2.7500581523176226,
+                   0.9062002470219848)
 
 
 def _pull(points, weights, i):
@@ -61,6 +70,13 @@ def _pull(points, weights, i):
 def _slack(points, weights, i):
     """Kuhn's slack at point i: the pull of the others minus its own weight."""
     return _pull(points, weights, i) - weights[i]
+
+
+def _system_tolerance(wq, p):
+    """How far an angle system's point may lie from the median's point p:
+    `_REBUILD_RTOL` times the diameter, plus the rounding of both points
+    moved back by A1 into the absolute coordinates."""
+    return fermat._REBUILD_RTOL * wq.quad.diameter() + 4.0 * math.ulp(max(abs(p.x), abs(p.y)))
 
 
 def _floating_weights(rng, pts):
@@ -357,7 +373,7 @@ class TestWeiszfeld:
 
 class TestSquareSystem:
     def test_example_square(self):
-        tree = solve_4wft_square(10.0, (3.5, 2.5, 2.0, 1.0), init=(2.7, 1.2))
+        tree = solve_4wft_square(10.0, (3.5, 2.5, 2.0, 1.0))
         a102, a203, a304, a401 = tree.angles
         assert a102 == pytest.approx(EX1_ANGLES["a102"], abs=1e-4)
         assert a401 == pytest.approx(EX1_ANGLES["a401"], abs=1e-4)
@@ -365,13 +381,8 @@ class TestSquareSystem:
         assert a203 == pytest.approx(EX1_ANGLES["a203"], abs=1e-4)
         assert (tree.point.x, tree.point.y) == pytest.approx(EX1_POINT, abs=1e-4)
 
-    def test_default_seed_matches_explicit(self):
-        seeded = solve_4wft_square(10.0, (3.5, 2.5, 2.0, 1.0), init=(2.7, 1.2))
-        auto = solve_4wft_square(10.0, (3.5, 2.5, 2.0, 1.0))
-        assert auto.point.distance_to(seeded.point) < 1e-8
-
     def test_equal_weights_center(self):
-        tree = solve_4wft_square(10.0, (1.0, 1.0, 1.0, 1.0), init=(1.5, 1.6))
+        tree = solve_4wft_square(10.0, (1.0, 1.0, 1.0, 1.0))
         assert (tree.point.x, tree.point.y) == pytest.approx((5.0, 5.0), abs=1e-8)
         for a in tree.angles:
             assert a == pytest.approx(math.pi / 2, abs=1e-8)
@@ -390,13 +401,6 @@ class TestSquareSystem:
         with pytest.raises(InconsistentCaseError, match="absorbed"):
             solve_4wft_square(10.0, (100.0, 1.0, 1.0, 1.0))
 
-    def test_tangent_circles_raise_a_typed_error(self):
-        # from this start a Newton trial lands where acos(1) makes a304 = 0
-        weights = (2.829447403855595, 2.568542091670853, 0.8413249767790596,
-                   1.169574967788782)
-        with pytest.raises(ConvergenceError):
-            solve_4wft_square(3.0, weights, init=(2.0, 1.6))
-
     def test_weight_scale_invariance(self):
         # the residuals are taken on weights divided by their total
         weights = (3.5, 2.5, 2.0, 1.0)
@@ -411,91 +415,25 @@ class TestSquareSystem:
         for _ in range(300):
             weights = tuple(float(w) for w in rng.uniform(0.6, 3.0, 4))
             try:
-                solve_4wft_square(3.0, weights, init=(2.0, 1.6))
+                solve_4wft_square(3.0, weights)
             except QuadFTError:
                 continue
             trees += 1
         assert trees > 0
 
-
-def _numpy_newton(func, x0, lo, hi, tol, max_iter):
-    """Reference damped Newton: the same iteration with numpy arrays and the
-    step from numpy.linalg.solve."""
-    def f(x):
-        return np.array(func(tuple(float(t) for t in x)))
-
-    x = np.asarray(x0, dtype=float)
-    r = f(x)
-    trace = [float(np.linalg.norm(r))]
-    for _ in range(max_iter):
-        norm = np.linalg.norm(r)
-        if norm < tol:
-            return x, trace
-        n = len(x)
-        jac = np.empty((len(r), n))
-        h = 1e-7
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
-        step = np.linalg.solve(jac, -r)
-        t = 1.0
-        while t > 1e-12:
-            xn = x + t * step
-            if np.all(xn > lo) and np.all(xn < hi):
-                rn = f(xn)
-                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < norm:
-                    x, r = xn, rn
-                    trace.append(float(np.linalg.norm(r)))
-                    break
-            t *= 0.5
-        else:
-            assert norm < 1e-8
-            return x, trace
-    assert np.linalg.norm(r) < 1e-8
-    return x, trace
-
-
-class TestNewtonAgainstNumpy:
-    def _agree(self, func, init, lo, hi):
-        sol, _, trace = fermat._damped_newton(func, init, lo, hi)
-        ref, ref_trace = _numpy_newton(func, init, lo, hi, fermat.RESIDUAL_TOL,
-                                       fermat.NEWTON_MAX_ITER)
-        assert len(trace) == len(ref_trace)
-        assert all(type(t) is float for t in sol)
-        assert max(abs(a - b) for a, b in zip(sol, ref)) <= 1e-12
-
-    def test_general_system(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            wq = _floating_weights(rng, random_convex_quad(rng))
-            v = wq.quad.vertices
-            median, _, _ = fermat._median(v, wq.weights)
-            # the median solves the system at once; the capped Weiszfeld seed
-            # alone (no Newton step) leaves Newton a few steps to take
-            with monkeypatch.context() as m:
-                m.setattr(fermat, "NEWTON_MAX_ITER", 0)
-                rough, _, _ = fermat._median(v, wq.weights)
-            func = fermat._general_system(wq)[0]
-            for seed in (median, rough):
-                self._agree(func, fermat._seed_angles(v, seed), -math.pi, TWO_PI)
-
-    def test_circle_system(self):
-        weights = (3.5, 2.5, 2.0, 1.0)
-        func, _ = fermat._square_system(weights)
-        sq = Quadrilateral.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
-        v = sq.vertices
-        seed, _, _ = fermat._median(v, weights)
-        for init in ((angle_at(seed, v[0], v[1]), angle_at(seed, v[3], v[0])), (2.7, 1.2)):
-            self._agree(func, init, 1e-9, TWO_PI - 1e-9)
-
-    def test_failure_reports_last_iterate_as_floats(self, wq_ex2, monkeypatch):
-        monkeypatch.setattr(fermat, "NEWTON_MAX_ITER", 1)
-        func = fermat._general_system(wq_ex2)[0]
-        with pytest.raises(ConvergenceError) as err:
-            fermat._damped_newton(func, (2.0, 1.0, 2.0, 0.3), -math.pi, TWO_PI)
-        assert type(err.value.last) is tuple
-        assert all(type(t) is float for t in err.value.last)
+    @given(seed=st.integers(0, 2**32 - 1), side=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+           lam=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
+    @settings(max_examples=30, deadline=None)
+    def test_residual_at_the_median_under_weight_scaling(self, seed, side, lam):
+        # the circle system reads the weights over their total
+        weights = tuple(lam * float(w) for w in np.random.default_rng(seed).uniform(0.6, 3.0, 4))
+        quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
+        assume(classify_case(WeightedQuadrilateral(quad, weights)).kind is CaseKind.FLOATING)
+        median, _, _ = fermat._median(quad.vertices, weights)
+        _, residual, _ = fermat._square_system(quad.vertices, weights, median)
+        assert residual <= fermat._EQUILIBRIUM_RTOL
+        tree = solve_4wft_square(side, weights)
+        assert tree.point.distance_to(median) <= fermat._REBUILD_RTOL * quad.diameter()
 
 
 class TestGeneralSystem:
@@ -523,11 +461,96 @@ class TestGeneralSystem:
             assert tree.point.distance_to(ref) < 1e-6 * wq.quad.diameter()
 
     def test_absorbed_input_rejected(self):
-        from quadft import InconsistentCaseError
-
         q = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
         with pytest.raises(InconsistentCaseError, match="absorbed"):
             solve_4wft_general(WeightedQuadrilateral(q, (100.0, 1.0, 1.0, 1.0)))
+
+    def test_iterations_count_the_median_steps(self, wq_ex2, wq_ex3):
+        near_a4 = WeightedQuadrilateral(Quadrilateral.from_coords(NEAR_A4_COORDS),
+                                        NEAR_A4_WEIGHTS)
+        for wq in (wq_ex2, wq_ex3, near_a4):
+            steps = locate_4wft(wq).iterations
+            assert steps > 1
+            assert solve_4wft_general(wq).iterations == steps
+        square = Quadrilateral.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+        weights = (3.5, 2.5, 2.0, 1.0)
+        assert (solve_4wft_square(10.0, weights).iterations
+                == locate_4wft(WeightedQuadrilateral(square, weights)).iterations)
+
+    def test_far_translation_near_a_vertex_solves(self):
+        # moved by (1e7, 1e7), the pull at the float point next to the median
+        # is 1.25e-7 of the total; in A1's frame the rebuilt point pulls
+        # 1.6e-13 of it
+        quad = Quadrilateral.from_coords([(x + 1e7, y + 1e7) for x, y in NEAR_A4_COORDS])
+        wq = WeightedQuadrilateral(quad, NEAR_A4_WEIGHTS)
+        tree = solve_4wft_general(wq)
+        ref = locate_4wft(wq)
+        assert tree.point.distance_to(ref.point) <= _system_tolerance(wq, ref.point)
+        assert tree.iterations == ref.iterations
+
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-math.pi, math.pi),
+           scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+           tx=st.floats(-1e7, 1e7), ty=st.floats(-1e7, 1e7),
+           lam=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
+    @settings(max_examples=40, deadline=None)
+    def test_similarity_transforms(self, seed, theta, scale, tx, ty, lam):
+        # the systems are read at the median, so they solve wherever the
+        # median does, and agree with it
+        rng = np.random.default_rng(seed)
+        wq = _floating_weights(rng, random_convex_quad(rng))
+        xy = rigid_transform([(scale * v.x, scale * v.y) for v in wq.quad.vertices],
+                             theta, tx, ty)
+        moved = WeightedQuadrilateral(Quadrilateral.from_coords(xy),
+                                      tuple(lam * w for w in wq.weights))
+        assume(classify_case(moved).kind is CaseKind.FLOATING)
+        try:
+            ref = locate_4wft(moved)
+        except QuadFTError:
+            assume(False)
+        tree = solve_4wft_general(moved)
+        assert tree.point.distance_to(ref.point) <= _system_tolerance(moved, ref.point)
+
+    def test_residual_above_the_median_gate_still_solves(self):
+        # draw 781 of the barely floating recipe on `default_rng(17)`: one
+        # weight at (1 - s) times the pull of the others on its vertex.  The
+        # system's residual at the median misses `RESIDUAL_TOL`, and its
+        # rebuilt point pulls 2.4e-8 of the total, inside the pull gate
+        quad = Quadrilateral.from_coords([
+            (-3.0480143367239627, 0.01633196320897659), (1.0142671667619307, -3.20343038079016),
+            (3.3647495513273182, -1.553276426019535), (1.3996082213105905, 0.163954300383793)])
+        wq = WeightedQuadrilateral(quad, (1.4080242029205707, 4.659129340734657,
+                                          1.8759218897543053, 2.665604307509298))
+        a1 = quad.vertices[0]
+        v = [Point(p.x - a1.x, p.y - a1.y) for p in quad.vertices]
+        median, _, _ = fermat._median(v, wq.weights)
+        _, residual, _ = fermat._general_system(v, wq.weights, median)
+        assert residual > fermat.RESIDUAL_TOL
+        tree = solve_4wft_general(wq)
+        assert tree.case.kind is CaseKind.FLOATING
+        assert tree.equilibrium_residual <= fermat._EQUILIBRIUM_RTOL * wq.total
+
+    def test_gates_raise_typed_errors(self, monkeypatch, wq_ex2):
+        original = fermat._general_system
+        diameter = wq_ex2.quad.diameter()
+
+        def reading(extra_residual, shift):
+            def system(v, weights, median):
+                angles, residual, p = original(v, weights, median)
+                return angles, residual + extra_residual, Point(p.x + shift * diameter, p.y)
+            return system
+
+        monkeypatch.setattr(fermat, "_general_system", reading(1e-6, 0.0))
+        with pytest.raises(InconsistentCaseError, match=r"residual 1\.0\d*e-06"):
+            solve_4wft_general(wq_ex2)
+        monkeypatch.setattr(fermat, "_general_system", reading(0.0, 1e-9))
+        with pytest.raises(InconsistentCaseError, match=r"rebuilt point 1\.0\d*e-09"):
+            solve_4wft_general(wq_ex2)
+        monkeypatch.setattr(fermat, "_REBUILD_RTOL", 1.0)
+        monkeypatch.setattr(fermat, "_general_system", reading(0.0, 1e-3))
+        with pytest.raises(ConvergenceError, match="off equilibrium") as err:
+            solve_4wft_general(wq_ex2)
+        assert err.value.residual > fermat._EQUILIBRIUM_RTOL * wq_ex2.total
+        assert isinstance(err.value.last, Point)
 
 
 class TestLocate:
@@ -657,16 +680,24 @@ class TestSolveCost:
 
     def test_floating_solve_runs_no_angle_system(self, monkeypatch, wq_ex2):
         calls = []
-        original = fermat._damped_newton
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(fermat, name)
 
-        monkeypatch.setattr(fermat, "_damped_newton", counted)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fermat, name, wrapper)
+
+        counted("_general_system")
+        counted("_square_system")
         for wq in [wq_ex2] + self._floating_instances(23, 20):
             assert locate_4wft(wq).case.kind is CaseKind.FLOATING
         assert calls == []
+        solve_4wft_general(wq_ex2)
+        solve_4wft_square(10.0, (3.5, 2.5, 2.0, 1.0))
+        assert calls == ["_general_system", "_square_system"]
 
     def test_barely_floating_instance_is_cheap(self, monkeypatch):
         # Weiszfeld alone converges only linearly here (absorption slack ~1e-3),

@@ -12,7 +12,7 @@ from quadft import (
     Quadrilateral,
     diagonal_intersection,
 )
-from quadft.geometry import ACOS_CLAMP_TOL, clamped_acos, linspace, solve_linear, unit_matrix
+from quadft.geometry import ACOS_CLAMP_TOL, clamped_acos, linspace, unit_matrix
 from oracles import random_convex_quad, rigid_transform
 
 
@@ -136,32 +136,3 @@ class TestLinspace:
             assert len(got) == num
             assert all(type(v) is float for v in got)
             assert all(g == r for g, r in zip(got, ref)), (start, stop, num)
-
-
-class TestSolveLinear:
-    def test_matches_numpy_solve(self):
-        # diagonally dominant systems with their rows shuffled, so partial
-        # pivoting swaps rows
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            a = rng.uniform(-1.0, 1.0, (n, n))
-            a += np.diag(rng.choice((-1.0, 1.0), n) * (np.abs(a).sum(axis=1) + 1.0))
-            b = rng.uniform(-5.0, 5.0, n)
-            order = rng.permutation(n)
-            a, b = a[order], b[order]
-            got = solve_linear(a.tolist(), b.tolist())
-            ref = np.linalg.solve(a, b)
-            assert all(type(v) is float for v in got)
-            assert np.linalg.norm(np.array(got) - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_zero_leading_entry_takes_a_row_swap(self):
-        assert solve_linear([[0.0, 1.0], [1.0, 1.0]], [2.0, 3.0]) == [1.0, 2.0]
-
-    def test_zero_pivot_column_is_singular(self):
-        a = [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]]
-        assert solve_linear(a, [1.0, 2.0, 3.0]) is None
-
-    def test_dependent_rows_are_singular(self):
-        # the second row is twice the first: elimination leaves an exact zero
-        assert solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None

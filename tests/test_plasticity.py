@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadft import (
     AbsorbedWeightsError,
+    InconsistentCaseError,
     InfeasibleWeightsError,
     PlasticityLine,
     PlasticityReport,
@@ -294,6 +295,29 @@ class TestPlasticityLine:
         wq = WeightedQuadrilateral(q, (100.0, 1.0, 1.0, 1.0))
         with pytest.raises(AbsorbedWeightsError, match="vertex A1"):
             plasticity_line(wq, locate_4wft(wq))
+
+    def test_coefficients_match_numpy_solve(self):
+        # the barycentric coordinates solve the balance and total equations
+        # in (B1, B2, B3): slopes for the right side (-u4, -1), intercepts
+        # for (0, 0, c)
+        for quad, line in _random_lines(29, 100):
+            u = np.array([line.point.unit_toward(v) for v in quad.vertices])
+            matrix = np.vstack([u[:3].T, np.ones(3)])
+            slopes = np.linalg.solve(matrix, np.append(-u[3], -1.0))
+            intercepts = np.linalg.solve(matrix, [0.0, 0.0, line.c])
+            got = np.array(line.coefficients)
+            assert all(type(t) is float for co in line.coefficients for t in co)
+            assert np.max(np.abs(got[:, 0] - slopes)) <= 1e-11
+            assert np.max(np.abs(got[:, 1] - intercepts)) <= 1e-11 * line.c
+
+    def test_zero_determinant_is_an_inconsistent_case(self):
+        # seen from (-1, 0), A1 = (0, 0) and A2 = (1, 0) lie on one ray, so
+        # u1 = u2 and the triangle of u1, u2, u3 has zero area exactly
+        quad = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        wq = WeightedQuadrilateral(quad, (1.0, 1.0, 1.0, 1.0))
+        tree = dataclasses.replace(locate_4wft(wq), point=Point(-1.0, 0.0))
+        with pytest.raises(InconsistentCaseError, match="not inside the quadrilateral"):
+            plasticity_line(wq, tree)
 
     def test_line_balances_at_its_point(self, rect_mod):
         # the line's weights balance the unit vectors at its anchor, also
