@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, replace
+from typing import TYPE_CHECKING
 
 from .documents import (
     OPTION_CHECKS,
@@ -32,21 +33,15 @@ from .errors import (
     InfeasibleWeightsError,
     OverspendError,
     QuadFTError,
+    _BelowMinimumError,
 )
-from .fermat import (
-    CaseKind,
-    FermatTree,
-    WeightedQuadrilateral,
-    locate_4wft,
-    triangle_wft_angles,
-    weighted_distance_sum,
-    weiszfeld,
-)
-from .gauss import GaussTree, GaussWeights, residual_absorbing_rate, solve_gauss_tree
 from .geometry import Point, Quadrilateral
-from .plasticity import plasticity_line
-from .svgplot import Scene, level_curve_loops, render_scene
-from .universal import _BelowMinimumError, evolve, universal_minimum, weights_for_storage
+
+# Each handler imports the solvers it runs, and main imports svgplot only to
+# write an SVG, so a process loads no module its subcommand leaves unused.
+if TYPE_CHECKING:
+    from .fermat import FermatTree, WeightedQuadrilateral
+    from .gauss import GaussTree, GaussWeights
 
 _HINTS = {  # the first matching type gives the hint
     _BelowMinimumError: "raise the storage to at least u_FT, the universal minimum",
@@ -167,6 +162,8 @@ def _solved(doc: ProblemDocument) -> ProblemDocument:
 
 
 def _quad_instance(doc: ProblemDocument) -> WeightedQuadrilateral:
+    from .fermat import WeightedQuadrilateral
+
     if len(doc.vertices) != 4:
         raise DocumentError("this command needs 4 vertices", path="$.vertices")
     return WeightedQuadrilateral(Quadrilateral.from_coords(doc.vertices), doc.weights)
@@ -190,6 +187,8 @@ _ANGLE_NAMES = ("a102", "a203", "a304", "a401")
 
 
 def _print_fermat(tree: FermatTree) -> None:
+    from .fermat import CaseKind
+
     if tree.case.kind is CaseKind.ABSORBED:
         label = f"absorbed at vertex A{tree.case.vertex}"
         if tree.case.boundary:
@@ -217,6 +216,8 @@ def _fermat_outputs(tree: FermatTree) -> dict:
 
 
 def _print_gauss(tree: GaussTree, w: GaussWeights) -> None:
+    from .gauss import residual_absorbing_rate
+
     _print(f"A0:  ({_fmt(tree.node0.x)}, {_fmt(tree.node0.y)})")
     _print(f"A0': ({_fmt(tree.node0p.x)}, {_fmt(tree.node0p.y)})")
     for name, val in (("a1", tree.a1), ("a2", tree.a2), ("a3", tree.a3),
@@ -228,6 +229,8 @@ def _print_gauss(tree: GaussTree, w: GaussWeights) -> None:
 
 
 def _gauss_outputs(tree: GaussTree, w: GaussWeights) -> dict:
+    from .gauss import residual_absorbing_rate
+
     return {
         "node0": [tree.node0.x, tree.node0.y],
         "node0p": [tree.node0p.x, tree.node0p.y],
@@ -245,21 +248,24 @@ def _gauss_outputs(tree: GaussTree, w: GaussWeights) -> dict:
     }
 
 
-def _fermat_scene(wq: WeightedQuadrilateral, tree: FermatTree) -> Scene:
+# A handler hands back the fields of its svgplot.Scene; main builds the scene
+# only when it writes an SVG.
+
+def _fermat_scene(wq: WeightedQuadrilateral, tree: FermatTree) -> dict:
     p = tree.point.as_tuple()
     verts = [v.as_tuple() for v in wq.quad.vertices]
-    return Scene(
+    return dict(
         quad=tuple(verts),
         tree_edges=tuple((p, v) for v in verts),
         nodes=((p[0], p[1], "A0"),),
     )
 
 
-def _gauss_scene(quad: Quadrilateral, tree: GaussTree) -> Scene:
+def _gauss_scene(quad: Quadrilateral, tree: GaussTree) -> dict:
     verts = [v.as_tuple() for v in quad.vertices]
     n0 = tree.node0.as_tuple()
     n0p = tree.node0p.as_tuple()
-    return Scene(
+    return dict(
         quad=tuple(verts),
         tree_edges=((n0, verts[0]), (n0, verts[3]), (n0p, verts[1]), (n0p, verts[2]),
                     (n0, n0p)),
@@ -272,6 +278,8 @@ def _gauss_scene(quad: Quadrilateral, tree: GaussTree) -> Scene:
 # ------------------------------------------------------------------ #
 
 def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
+    from .fermat import triangle_wft_angles, weighted_distance_sum, weiszfeld
+
     if len(doc.vertices) != 3:
         raise DocumentError("wft-triangle needs exactly 3 vertices", path="$.vertices")
     pts = [Point(*v) for v in doc.vertices]
@@ -297,6 +305,8 @@ def _cmd_wft_triangle(doc: ProblemDocument, opts: SolverOptions, args):
 
 
 def _cmd_wft_quad(doc, opts, args):
+    from .fermat import locate_4wft
+
     wq = _quad_instance(doc)
     tree = locate_4wft(wq)
     _print_fermat(tree)
@@ -308,6 +318,8 @@ def _cmd_wft_quad(doc, opts, args):
 
 
 def _cmd_gauss(doc, opts, args):
+    from .gauss import GaussWeights, solve_gauss_tree
+
     if doc.xg is None:
         raise DocumentError("gauss needs x_G (document key 'xg' or flag --xg)")
     wq = _quad_instance(doc)
@@ -318,6 +330,9 @@ def _cmd_gauss(doc, opts, args):
 
 
 def _line_for(doc):
+    from .fermat import locate_4wft
+    from .plasticity import plasticity_line
+
     wq = _quad_instance(doc)
     tree = locate_4wft(wq)
     return wq, tree, plasticity_line(wq, tree)
@@ -346,6 +361,8 @@ def _cmd_plasticity(doc, opts, args):
 
 
 def _cmd_universal(doc, opts, args):
+    from .universal import universal_minimum
+
     wq, tree, line = _line_for(doc)
     result = universal_minimum(wq.quad, line, **_given(opts, "grid"))
     _print("  ".join(h.rjust(13) for h in ("B1", "B2", "B3", "B4", "x_G", "f")))
@@ -372,6 +389,9 @@ def _cmd_universal(doc, opts, args):
 
 
 def _cmd_evolve(doc, opts, args):
+    from .gauss import GaussWeights
+    from .universal import evolve, weights_for_storage
+
     if opts.storage is None or opts.spend is None:
         raise DocumentError("evolve needs --storage and --spend (or document options)")
     wq, tree, line = _line_for(doc)
@@ -392,6 +412,9 @@ def _cmd_evolve(doc, opts, args):
 
 
 def _cmd_plot(doc, opts, args):
+    from .fermat import weighted_distance_sum
+    from .svgplot import level_curve_loops
+
     if not args.svg:
         raise DocumentError("plot needs --svg PATH")
     if doc.xg is not None:
@@ -408,7 +431,7 @@ def _cmd_plot(doc, opts, args):
         levels = [base + d for d in opts.levels]
         curves = level_curve_loops(wq.quad.vertices, wq.weights, levels,
                                    **_given(opts, "grid"))
-        scene = replace(scene, level_curves=tuple((lvl, loops) for lvl, loops in curves))
+        scene["level_curves"] = tuple((lvl, loops) for lvl, loops in curves)
         outputs["levels"] = levels
     return outputs, diagnostics, scene
 
@@ -448,7 +471,9 @@ def main(argv=None) -> int:
             _write(args.records, record_to_json(record) + "\n")
         svg = getattr(args, "svg", None)  # every command but wft-triangle draws
         if svg:
-            _write(svg, render_scene(scene))
+            from .svgplot import Scene, render_scene
+
+            _write(svg, render_scene(Scene(**scene)))
         return 0
     except DocumentError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,6 +19,10 @@ class InfeasibleWeightsError(QuadFTError):
     """Weights violate a feasibility condition of the requested solve."""
 
 
+class _BelowMinimumError(InfeasibleWeightsError):
+    """A storage below u_FT; the CLI hints at raising it."""
+
+
 class ConvergenceError(QuadFTError):
     """Iterative solver failed to converge.
 

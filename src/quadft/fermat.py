@@ -228,13 +228,17 @@ def _collinear(points) -> bool:
     That singular value is the norm of the coordinates across the principal
     axis, taken from the rotated coordinates themselves rather than from the
     Gram matrix, so it stays accurate far below the square root of machine
-    precision.
+    precision.  The centred coordinates are first scaled by the power of two
+    that brings max |x| into [0.5, 1): the scaling is exact, and no square
+    of a coordinate overflows or underflows.
     """
     n = len(points)
     cx = sum(p.x for p in points) / n
     cy = sum(p.y for p in points) / n
-    xs = [(p.x - cx, p.y - cy) for p in points]
-    tol = 1e-12 * max(max(abs(x), abs(y)) for x, y in xs)
+    spread = max(max(abs(p.x - cx), abs(p.y - cy)) for p in points)
+    e = -math.frexp(spread)[1]
+    xs = [(math.ldexp(p.x - cx, e), math.ldexp(p.y - cy, e)) for p in points]
+    tol = 1e-12 * math.ldexp(spread, e)
     a = sum(x * x for x, _ in xs)
     b = sum(x * y for x, y in xs)
     c = sum(y * y for _, y in xs)

@@ -99,10 +99,18 @@ class Quadrilateral:
         if len(v) != 4:
             raise QuadFTError("a quadrilateral needs exactly 4 vertices")
         object.__setattr__(self, "vertices", v)
-        scale2 = self._diameter ** 2
+        d = self.distances
+        scale2 = self._diameter * self._diameter  # inf, where ** 2 would raise
         if scale2 == 0.0:
             raise QuadFTError("all vertices coincide")
-        d = self.distances
+        if scale2 == math.inf:
+            i, j = next((i, j) for i in range(4) for j in range(i + 1, 4)
+                        if d[i][j] == self._diameter)
+            raise QuadFTError(
+                f"vertices A{i + 1} {v[i].as_tuple()} and A{j + 1} {v[j].as_tuple()} lie "
+                f"{d[i][j]:.7g} apart; lengths are squared, so no two vertices may lie "
+                "more than about 1.34e154 apart"
+            )
         for i in range(4):
             if d[i][(i + 1) % 4] == 0.0:
                 raise QuadFTError("quadrilateral has coincident vertices")

@@ -7,9 +7,12 @@ same scene always produces byte-identical SVG.
 
 Level curves of the weighted distance sum f(X) = sum w_i |X - P_i| are traced
 along `grid` evenly spaced rays from its minimizer, the weighted median c.  f
-is convex, so every ray crosses each level above f(c) exactly once; the
-crossing is bisected on [0, (level + f(c)) / sum w], where the lower bound
-f(c + r d) >= r sum w - f(c) guarantees it, to the last float of the bracket.
+is convex, so every ray crosses each level above f(c) exactly once, at a
+radius below (level + f(c)) / sum w, where the lower bound
+f(c + r d) >= r sum w - f(c) guarantees it.  The crossing is found by Newton's
+method on g(r) = f(c + r d) - level from that radius: g is convex and
+increasing along the ray, so the steps fall monotonically onto the crossing
+without passing it, and stop where a step no longer lowers r.
 """
 
 from __future__ import annotations
@@ -69,16 +72,26 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
     def f(x, y):
         return sum(w * math.hypot(x - px, y - py) for w, px, py in anchors)
 
-    def crossing(dx, dy, level, hi):
-        # bisect f(c + r d) < level on [0, hi] until the bracket stops shrinking
-        lo, point = 0.0, (cx + hi * dx, cy + hi * dy)
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            x, y = cx + mid * dx, cy + mid * dy
-            if f(x, y) < level:
-                lo = mid
-            else:
-                hi, point = mid, (x, y)
-        return point
+    def crossing(dx, dy, level, r):
+        # Newton on g(r) = f(c + r d) - level from a radius where g >= 0: g is
+        # convex and increasing, so no step passes the crossing, and r falls
+        # until a step no longer lowers it
+        while True:
+            x, y = cx + r * dx, cy + r * dy
+            value = slope = 0.0
+            for w, px, py in anchors:
+                ex, ey = x - px, y - py
+                dist = math.hypot(ex, ey)
+                value += w * dist
+                if dist > 0.0:
+                    slope += w * (ex * dx + ey * dy) / dist
+            g = value - level
+            if g <= 0.0 or slope <= 0.0:
+                return x, y
+            below = r - g / slope
+            if below >= r:
+                return x, y
+            r = below
 
     fc, total = f(cx, cy), sum(weights)
     rays = [(math.cos(t), math.sin(t)) for t in linspace(0.0, 2.0 * math.pi, grid + 1)[:-1]]

@@ -35,7 +35,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InconsistentCaseError, InfeasibleWeightsError, OverspendError, QuadFTError
+from .errors import (
+    InconsistentCaseError,
+    InfeasibleWeightsError,
+    OverspendError,
+    QuadFTError,
+    _BelowMinimumError,
+)
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
 from .geometry import Quadrilateral, _count, cross2, linspace
 from .plasticity import PlasticityLine, _Family
@@ -140,10 +146,6 @@ def _minimum(family: _Family) -> UniversalSample:
     lo, hi = _sampled_range(family.line)
     b4 = min(max(-(ax * bx + ay * by) / (bx * bx + by * by), lo), hi)
     return _samples(family, [b4], None)[0]
-
-
-class _BelowMinimumError(InfeasibleWeightsError):
-    """A storage below u_FT; the CLI hints at raising it."""
 
 
 def _check_storage(storage: float, u_ft: float, line: PlasticityLine) -> None:

@@ -195,6 +195,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["wft-quad"], ["gauss", "--xg", "3.62"], ["plasticity"], ["universal"],
+        ["evolve", "--storage", "3.82", "--spend", "0.2"], ["plot", "--svg", "huge.svg"],
+    ], ids=lambda argv: argv[0])
+    def test_coordinates_too_large_to_square_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                    argv):
+        # the diameter squared overflowed: an OverflowError traceback, exit 1
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "huge.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]],
+                                    "weights": [3.0, 2.5, 1.7, 1.5]}))
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertices A1 (0.0, 0.0) and A3 (1e+308, 1e+308) lie ")
+        assert not (tmp_path / "huge.svg").exists()
+
     def test_infeasible_gauss_exits_2_with_hint(self, tmp_path, capsys):
         path = tmp_path / "bad.doc"
         path.write_text(EX2_DOC)
@@ -584,13 +600,80 @@ class TestLevelCurves:
         assert len(curves) == 1
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(*argv, cwd=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+                          text=True, check=True, timeout=60)
+
+
 def test_runtime_imports_neither_numpy_nor_scipy():
-    # the library and the CLI run on the standard library alone
+    # the library and the CLI run on the standard library alone: every
+    # submodule imported and every export resolved, as the exports are lazy
     code = (
-        "import quadft, quadft.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "import importlib, pkgutil, sys, quadft\n"
+        "for m in pkgutil.iter_modules(quadft.__path__, 'quadft.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "for name in quadft.__all__:\n"
+        "    getattr(quadft, name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('quadft.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    loaded, heavy = _fresh("-c", code).stdout.splitlines()
+    assert loaded == repr(sorted(f"quadft.{p.stem}" for p in (SRC / "quadft").glob("*.py")
+                                 if p.stem != "__init__"))
+    assert heavy == "[]"
+
+
+class TestLazyImports:
+    """`import quadft` loads no solver module, and a `quadft` process loads
+    only the modules its subcommand runs."""
+
+    FRONT = {"quadft", "quadft.errors", "quadft.documents", "quadft.geometry"}
+    TREE = {"quadft.fermat"}
+    LINE = TREE | {"quadft.plasticity"}
+    ALL_BUT_SVG = LINE | {"quadft.gauss", "quadft.universal"}
+    SVG = {"quadft.svgplot"}
+
+    def test_import_quadft_loads_no_submodule(self):
+        out = _fresh("-c", "import sys, quadft; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'quadft'))").stdout
+        assert out.strip() == "['quadft']"
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["wft-triangle", "--input", "tri.doc"], TREE),
+        (["wft-quad", "--input", "rect.doc"], TREE),
+        (["wft-quad", "--input", "rect.doc", "--svg", "out.svg"], TREE | SVG),
+        (["gauss", "--input", "rect.doc", "--xg", "3.62"], TREE | {"quadft.gauss"}),
+        (["plasticity", "--input", "rect.doc"], LINE),
+        (["universal", "--input", "rect.doc", "--grid", "5"], ALL_BUT_SVG),
+        (["universal", "--input", "rect.doc", "--grid", "5", "--svg", "out.svg"],
+         ALL_BUT_SVG | SVG),
+        (["evolve", "--input", "rect.doc", "--storage", "3.82", "--spend", "0.2"], ALL_BUT_SVG),
+        (["plot", "--input", "rect.doc", "--svg", "out.svg", "--levels", "1"], TREE | SVG),
+        (["plot", "--input", "rect.doc", "--svg", "out.svg", "--xg", "3.62"],
+         TREE | {"quadft.gauss"} | SVG),
+    ], ids=["wft-triangle", "wft-quad", "wft-quad-svg", "gauss", "plasticity", "universal",
+            "universal-svg", "evolve", "plot", "plot-gauss"])
+    def test_a_subcommand_loads_its_own_modules(self, tmp_path, argv, modules):
+        (tmp_path / "rect.doc").write_text(EX2_DOC)
+        (tmp_path / "tri.doc").write_text(TRI_DOC)
+        err = _fresh("-X", "importtime", "-m", "quadft.cli", *argv, cwd=tmp_path).stderr
+        names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                 if line.startswith("import time:")}
+        assert {n for n in names if n.split(".")[0] == "quadft"} == self.FRONT | modules
+
+    def test_every_export_is_its_module_attribute(self):
+        import importlib
+
+        import quadft
+
+        assert len(quadft.__all__) == 42 and set(quadft.__all__) <= set(dir(quadft))
+        for name in quadft.__all__:
+            value = getattr(quadft, name)
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+            assert vars(quadft)[name] is value, name
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            quadft.no_such_name

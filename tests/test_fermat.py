@@ -298,6 +298,18 @@ class TestWeiszfeld:
             allowed = 1e-9 * scale * 6.4 + 2.0 * math.ulp(max(abs(p.x), abs(p.y)))
             assert math.dist(p.as_tuple(), want) <= allowed, (scale, offset)
 
+    def test_triangle_near_the_square_root_of_the_float_maximum(self):
+        # _collinear squared this triangle's coordinate across its principal
+        # axis and raised OverflowError; scaled by 2^514, the median scales too
+        tri = ((-0.48714806948814804, 0.22147089286444355),
+               (-0.1811652583572092, -0.7560744475095753),
+               (-0.22610829282081113, 0.46440308497133387))
+        base = weiszfeld([Point(*p) for p in tri], (1.0, 1.0, 1.0))
+        p = weiszfeld([Point(math.ldexp(x, 514), math.ldexp(y, 514)) for x, y in tri],
+                      (1.0, 1.0, 1.0))
+        assert p.as_tuple() == pytest.approx(
+            (math.ldexp(base.x, 514), math.ldexp(base.y, 514)), rel=1e-12)
+
     def test_barely_floating_triangle_returns_its_vertex(self):
         # one weight (1 - s) times the pull of the other two, s = 10^U(-12, -10):
         # Kuhn's slack s * pull is inside classify_case's margin, so the

@@ -96,25 +96,23 @@ def test_detects_unread_private_names():
 
 
 def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:
-    """Names in the `__all__` of `package["__init__"]` that no source reads
-    (`read_names`) outside the module defining them.  `package` maps module
-    names to sources, and the defining module of a name is the one `__init__`
-    imports it from; `__init__` itself is no reader, and every source of
-    `readers`, from outside the package, is."""
-    origin, exported = {}, []
+    """Names in the `_EXPORTS` table of `package["__init__"]` that no source
+    reads (`read_names`) outside the module defining them.  `package` maps
+    module names to sources, and the table maps each exported name to its
+    defining module (`__all__` is the table's names); `__init__` itself is no
+    reader, and every source of `readers`, from outside the package, is."""
+    origin = {}
     for node in ast.parse(package["__init__"]).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            origin.update((alias.asname or alias.name, node.module) for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = ast.literal_eval(node.value)
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
+            origin = ast.literal_eval(node.value)
     outside = set().union(*map(read_names, readers))
     inside = {module: read_names(source) for module, source in package.items()
               if module != "__init__"}
-    return sorted(name for name in exported
+    return sorted(name for name in origin
                   if name not in outside
                   and not any(name in read for module, read in inside.items()
-                              if module != origin.get(name)))
+                              if module != origin[name]))
 
 
 # Exports with no reader outside their module, `tests/test_acceptance.py` and
@@ -141,15 +139,15 @@ def test_every_export_has_a_reader():
 
 def test_detects_unread_exports():
     package = {
-        "__init__": "from .m import Shape, area, draw, grow, _hidden\n"
-                    "from .n import paint as colour\n"
-                    "__all__ = ['Shape', 'area', 'colour', 'draw', 'grow', 'lost']\n",
+        "__init__": "_EXPORTS = {'Shape': 'm', 'area': 'm', 'colour': 'n', 'draw': 'm',\n"
+                    "            'grow': 'm', 'lost': 'm'}\n"
+                    "__all__ = sorted(_EXPORTS)\n",
         "m": "class Shape: pass\n"
              "def area(s: Shape): return 0\n"
              "def draw(): return area(Shape())\n"
              "def grow(): return _hidden\n",
         "n": "from .m import draw\n"
-             "def paint(): return draw()\n",
+             "def colour(): return draw()\n",
     }
     readers = ["import pkg\npkg.grow()\n"]
     assert unread_exports(package, readers) == ["Shape", "area", "colour", "lost"]
