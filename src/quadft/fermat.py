@@ -9,18 +9,22 @@ so everything quadrilateral-shaped is iterative.
 
 The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
 Fermat's problem"), on the unit vectors between the points
-(`geometry.unit_matrix`, cached per quadrilateral).  A point absorbs when the
-weighted pull of the others on it exceeds its own weight by at most
-`CASE_BOUNDARY_TOL` times the total.  `classify_case` and `weiszfeld` read
-it.  The plasticity check runs the same test on pulls that are affine along
-its weight line (`plasticity.verify_plasticity`).  Every `FermatTree`
-is built by one function, `_tree`, whether at an absorbing vertex, at the
-diagonal intersection, at the median or at an angle system's point.
+(`geometry.measure_pairs`, which a quadrilateral runs once, at
+construction).  A point absorbs when the weighted pull of the others on it
+exceeds its own weight by at most `CASE_BOUNDARY_TOL` times the total.
+`classify_case` and `weiszfeld` read it.  The plasticity check decides the
+same test on a whole weight line at once, from the interval where each
+vertex absorbs (`plasticity.verify_plasticity`).  Every `FermatTree` is
+built by one function, `_tree`, whether at an absorbing vertex, at the
+diagonal intersection, at the median or at an angle system's point; it
+measures each vertex from the point by one hypot.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
 gradient and Hessian of the weighted distance sum, relative to the first
-point, which `_median` measures itself.  It starts at the weighted centroid,
+point, which `_median` measures itself, scaled by the power of two that
+brings the points' spread into [0.5, 1) so that no Hessian entry overflows
+however close the points lie.  It starts at the weighted centroid,
 takes at most 5 Weiszfeld steps, each a gradient step scaled by the
 Hessian's trace, then Newton steps, which converge quadratically to the
 median.  The residual gate is the certificate: the median is unique, and a
@@ -52,8 +56,8 @@ from .geometry import (
     clamped_acos,
     cross2,
     diagonal_intersection,
+    measure_pairs,
     rotate,
-    unit_matrix,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -172,18 +176,21 @@ def classify_case(wq: WeightedQuadrilateral) -> CaseTag:
     A vertex absorbs when the combined pull of the other three weights does not
     exceed its own weight; the first such vertex in index order wins.  Within
     `CASE_BOUNDARY_TOL` * total of equality it is reported absorbed with a
-    boundary flag.  The pulls read the quadrilateral's unit vectors, measured once.
+    boundary flag.  The pulls read the unit vectors the quadrilateral measured
+    at construction.
     """
     return _kuhn_case(wq.quad.unit_vectors, wq.weights)
 
 
 def _kuhn_case(units, weights) -> CaseTag:
     """Kuhn's absorption test on the unit vectors u[i][j] between the points
-    (`geometry.unit_matrix`): the slack of point i is the norm of the others'
-    weighted pull on it minus its own weight, and the first point whose slack
-    is at most `CASE_BOUNDARY_TOL` times the total weight absorbs.  Along a
-    plasticity line `plasticity.verify_plasticity` applies this test to
-    affine pulls; the two must decide alike."""
+    (`geometry.measure_pairs`): the slack of point i is the norm of the
+    others' weighted pull on it minus its own weight, and the first point
+    whose slack is at most `CASE_BOUNDARY_TOL` times the total weight
+    absorbs.  Along a plasticity line the pulls are affine in B4 and the
+    slack convex, so `plasticity.verify_plasticity` decides this test on the
+    whole line from the one interval where each vertex absorbs; the two
+    decide alike except within rounding of an interval end."""
     margin = CASE_BOUNDARY_TOL * sum(weights)
     for i, w in enumerate(weights):
         slack = math.hypot(*_weighted_sum(weights, units[i])) - w
@@ -250,14 +257,15 @@ def _collinear(points) -> bool:
 def weiszfeld(points, weights) -> Point:
     """Weighted geometric median of >= 3 points, not all collinear.
 
-    Weights that are not positive and finite raise QuadFTError.  Coincident
-    points are one point carrying the sum of their weights.  Absorbed
-    instances return the dominating vertex directly (Kuhn's test of
-    `classify_case`: the pull of the others exceeds its weight by at most
-    `CASE_BOUNDARY_TOL` times the total).  Otherwise the median of
-    `locate_4wft`: at most 5 Weiszfeld steps, then at most `NEWTON_MAX_ITER`
-    Newton steps, on one gradient evaluation per step; a pull not below
-    RESIDUAL_TOL * sum(weights) raises ConvergenceError.
+    Weights that are not positive and finite raise QuadFTError, and so do
+    two points whose distance overflows, named as `Quadrilateral` names
+    them.  Coincident points are one point carrying the sum of their
+    weights.  Absorbed instances return the dominating vertex directly
+    (Kuhn's test of `classify_case`: the pull of the others exceeds its
+    weight by at most `CASE_BOUNDARY_TOL` times the total).  Otherwise the
+    median of `locate_4wft`: at most 5 Weiszfeld steps, then at most
+    `NEWTON_MAX_ITER` Newton steps, on one gradient evaluation per step; a
+    pull not below RESIDUAL_TOL * sum(weights) raises ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
@@ -266,9 +274,10 @@ def weiszfeld(points, weights) -> Point:
     for p, w in zip(points, _positive_weights(weights)):
         merged[p] = merged.get(p, 0.0) + w
     points, weights = list(merged), tuple(merged.values())
+    units = measure_pairs(points)[1]
     if _collinear(points):
         raise QuadFTError("points are collinear; the median problem degenerates")
-    tag = _kuhn_case(unit_matrix(points), weights)
+    tag = _kuhn_case(units, weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
     return _certified_median(points, weights)[0]
@@ -277,7 +286,11 @@ def weiszfeld(points, weights) -> Point:
 def _median(points, weights):
     """The weighted median of `points`, by one loop on the gradient of the
     weighted distance sum, in coordinates relative to the first point (so a
-    far translation does not swamp the pull in rounding).
+    far translation does not swamp the pull in rounding) and scaled by the
+    power of two that brings their largest magnitude into [0.5, 1), as
+    `_collinear` scales: the scaling and its inverse on the result are
+    exact, and the Hessian determinant, of order 1 / r^2, overflows for no
+    points however close.
 
     From the weighted centroid: at most `_SEED_MAX_ITER` Weiszfeld steps
     while the pull is at least `_SEED_TOL` times the total, then at most
@@ -288,7 +301,9 @@ def _median(points, weights):
     residual_norm, steps of both kinds); the caller judges the residual.
     """
     ox, oy = points[0].x, points[0].y
-    relative = [(q.x - ox, q.y - oy) for q in points]
+    e = math.frexp(max(max(abs(q.x - ox), abs(q.y - oy)) for q in points))[1]
+    scale, unscale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    relative = [((q.x - ox) * scale, (q.y - oy) * scale) for q in points]
     total = sum(weights)
 
     def gradient(x, y):
@@ -311,7 +326,7 @@ def _median(points, weights):
     y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
     state = gradient(x, y)
     if state is None:
-        return Point(ox + x, oy + y), math.inf, 0
+        return Point(ox + x * unscale, oy + y * unscale), math.inf, 0
     norm = math.hypot(state[0], state[1])
     steps = 0
     while steps < _SEED_MAX_ITER and norm >= _SEED_TOL * total:
@@ -343,7 +358,7 @@ def _median(points, weights):
         x, y, state = x + t * sx, y + t * sy, trial
         norm = math.hypot(state[0], state[1])
         newton += 1
-    return Point(ox + x, oy + y), norm, steps + newton
+    return Point(ox + x * unscale, oy + y * unscale), norm, steps + newton
 
 
 def _certified_median(points, weights):
@@ -358,12 +373,23 @@ def _certified_median(points, weights):
 
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           angles=None, iterations: int = 0) -> FermatTree:
-    """The tree at p, on unit vectors from p toward every vertex but an
-    absorbing one, measured once for the angles (NaN where they would meet
-    the absorbing vertex) and for the pull.  The residual is that pull, less
-    the absorbing vertex's weight when there is one, floored at 0."""
-    pts, w, i = wq.quad.vertices, wq.weights, case.vertex
-    units = [None if j + 1 == i else p.unit_toward(q) for j, q in enumerate(pts)]
+    """The tree at p, on its star measured once, one hypot per vertex: the
+    distances to the vertices for the objective, and the unit vectors toward
+    every vertex but an absorbing one for the angles (NaN where they would
+    meet the absorbing vertex) and for the pull.  The residual is that pull,
+    less the absorbing vertex's weight when there is one, floored at 0."""
+    w, i, px, py = wq.weights, case.vertex, p.x, p.y
+    units, objective = [], 0.0
+    for j, (wj, q) in enumerate(zip(w, wq.quad.vertices), 1):
+        dx, dy = q.x - px, q.y - py
+        d = math.hypot(dx, dy)
+        objective += wj * d  # the order and rounding of `weighted_distance_sum`
+        if j == i:
+            units.append(None)
+        elif d:
+            units.append((dx / d, dy / d))
+        else:
+            raise QuadFTError("unit vector undefined between coincident points")
     if angles is None:
         angles = [math.nan if u is None or v is None
                   else clamped_acos(u[0] * v[0] + u[1] * v[1])
@@ -373,7 +399,7 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
         point=p,
         case=case,
         angles=tuple(angles),
-        objective=weighted_distance_sum(pts, w, p),
+        objective=objective,
         equilibrium_residual=pull if i is None else max(0.0, pull - w[i - 1]),
         iterations=iterations,
     )

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InfeasibleTriangleError, QuadFTError
 
 ACOS_CLAMP_TOL = 1e-9
 CONVEXITY_TOL = 1e-12
+SQUARABLE_LENGTH = math.sqrt(sys.float_info.max)  # about 1.34e154: longer squares to inf
 
 
 # ------------------------------------------------------------------ #
@@ -64,17 +65,38 @@ class Point:
         return (self.x, self.y)
 
 
-def unit_matrix(points) -> tuple[tuple[tuple[float, float] | None, ...], ...]:
-    """u[i][j], the unit vector from point i toward point j (None where
-    i == j); u[j][i] is -u[i][j]."""
+def measure_pairs(points, limit: float = sys.float_info.max):
+    """Every pair of points measured once, by one hypot: (d, u, diameter).
+
+    d[i][j] is the distance from point i to point j and u[i][j] the unit
+    vector from i toward j, the values of `Point.distance_to` and
+    `Point.unit_toward` bit for bit; d[j][i] is d[i][j], u[j][i] is
+    -u[i][j], and u[i][j] is None where the points coincide (i == j too).
+    Two points farther apart than `limit` raise QuadFTError naming the first
+    farthest pair; by default, points whose distance overflows.
+    """
     n = len(points)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
+    d = [[0.0] * n for _ in range(n)]
+    u = [[None] * n for _ in range(n)]
+    diameter, far = 0.0, None
+    for i, a in enumerate(points):
         for j in range(i + 1, n):
-            ux, uy = points[i].unit_toward(points[j])
-            rows[i][j] = (ux, uy)
-            rows[j][i] = (-ux, -uy)
-    return tuple(tuple(row) for row in rows)
+            b = points[j]
+            dx, dy = b.x - a.x, b.y - a.y
+            r = d[i][j] = d[j][i] = math.hypot(dx, dy)
+            if r > diameter:
+                diameter, far = r, (i, j)
+            if r:
+                ux, uy = dx / r, dy / r
+                u[i][j], u[j][i] = (ux, uy), (-ux, -uy)
+    if not diameter <= limit:
+        i, j = far
+        raise QuadFTError(
+            f"vertices A{i + 1} {points[i].as_tuple()} and A{j + 1} {points[j].as_tuple()} "
+            f"lie {diameter:.7g} apart; no two vertices may lie more than about "
+            f"{limit:.3g} apart"
+        )
+    return tuple(map(tuple, d)), tuple(map(tuple, u)), diameter
 
 
 def angle_at(p: Point, a: Point, b: Point) -> float:
@@ -90,7 +112,16 @@ def angle_at(p: Point, a: Point, b: Point) -> float:
 
 @dataclass(frozen=True)
 class Quadrilateral:
-    """Strictly convex quadrilateral with vertices in counterclockwise order."""
+    """Strictly convex quadrilateral with vertices in counterclockwise order.
+
+    Construction measures it once (`measure_pairs`, one hypot per vertex
+    pair): `distances` d[i][j], `unit_vectors` u[i][j] (None where i == j),
+    the diameter and `interior_angles`, the angle at each vertex between the
+    rays toward its two neighbours.  Repr and equality read the vertices
+    alone.  Lengths are squared (the convexity margin, the solvers), so two
+    vertices more than `SQUARABLE_LENGTH` apart raise QuadFTError naming
+    them, and so do vertices so close that every square underflows to 0.
+    """
 
     vertices: tuple[Point, Point, Point, Point]
 
@@ -98,69 +129,37 @@ class Quadrilateral:
         v = tuple(self.vertices)
         if len(v) != 4:
             raise QuadFTError("a quadrilateral needs exactly 4 vertices")
-        object.__setattr__(self, "vertices", v)
-        d = self.distances
-        scale2 = self._diameter * self._diameter  # inf, where ** 2 would raise
+        d, u, diameter = measure_pairs(v, SQUARABLE_LENGTH)
+        scale2 = diameter * diameter
         if scale2 == 0.0:
-            raise QuadFTError("all vertices coincide")
-        if scale2 == math.inf:
-            i, j = next((i, j) for i in range(4) for j in range(i + 1, 4)
-                        if d[i][j] == self._diameter)
+            if diameter == 0.0:
+                raise QuadFTError("all vertices coincide")
             raise QuadFTError(
-                f"vertices A{i + 1} {v[i].as_tuple()} and A{j + 1} {v[j].as_tuple()} lie "
-                f"{d[i][j]:.7g} apart; lengths are squared, so no two vertices may lie "
-                "more than about 1.34e154 apart"
+                f"the vertices lie at most {diameter:.7g} apart; lengths are squared, "
+                "and their squares underflow to 0 below about 1.5e-162"
             )
-        for i in range(4):
-            if d[i][(i + 1) % 4] == 0.0:
-                raise QuadFTError("quadrilateral has coincident vertices")
-        crosses = []
-        for i in range(4):
-            a, b, c = v[i], v[(i + 1) % 4], v[(i + 2) % 4]
-            crosses.append(cross2(b.x - a.x, b.y - a.y, c.x - b.x, c.y - b.y))
+        if 0.0 in (d[0][1], d[1][2], d[2][3], d[3][0]):
+            raise QuadFTError("quadrilateral has coincident vertices")
+        crosses = [cross2(b.x - a.x, b.y - a.y, c.x - b.x, c.y - b.y)
+                   for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2])]
         tol = CONVEXITY_TOL * scale2
-        if any(cr <= tol for cr in crosses):
-            if all(cr < -tol for cr in crosses):
+        if min(crosses) <= tol:
+            if max(crosses) < -tol:
                 raise QuadFTError(
                     "vertices are clockwise; supply them in counterclockwise order"
                 )
             raise QuadFTError("quadrilateral is not strictly convex")
+        angles = []
+        for i in range(4):
+            (ax, ay), (bx, by) = u[i][i - 1], u[i][i - 3]  # toward both neighbours
+            angles.append(clamped_acos(ax * bx + ay * by))
+        # frozen: set through the instance dict, in one call
+        self.__dict__.update(vertices=v, distances=d, unit_vectors=u, _diameter=diameter,
+                             interior_angles=tuple(angles))
 
     @classmethod
     def from_coords(cls, coords) -> Quadrilateral:
         return cls(tuple(Point(float(x), float(y)) for x, y in coords))
-
-    @cached_property
-    def unit_vectors(self) -> tuple[tuple[tuple[float, float] | None, ...], ...]:
-        """`unit_matrix` of the vertices, measured once per quadrilateral."""
-        return unit_matrix(self.vertices)
-
-    @cached_property
-    def distances(self) -> tuple[tuple[float, ...], ...]:
-        """d[i][j], the distance from vertex i to vertex j, measured once per
-        quadrilateral; d[j][i] is d[i][j]."""
-        v = self.vertices
-        rows = [[0.0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                rows[i][j] = rows[j][i] = v[i].distance_to(v[j])
-        return tuple(tuple(row) for row in rows)
-
-    @cached_property
-    def interior_angles(self) -> tuple[float, float, float, float]:
-        """The angle at each vertex between the rays toward its two
-        neighbours, measured once per quadrilateral."""
-        u = self.unit_vectors
-        angles = []
-        for i in range(4):
-            (ax, ay), (bx, by) = u[i][i - 1], u[i][(i + 1) % 4]
-            angles.append(clamped_acos(ax * bx + ay * by))
-        return tuple(angles)
-
-    @cached_property
-    def _diameter(self) -> float:
-        d = self.distances
-        return max(d[i][j] for i in range(4) for j in range(i + 1, 4))
 
     def diameter(self) -> float:
         return self._diameter

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     AbsorbedWeightsError,
@@ -77,13 +76,50 @@ class PlasticityLine:
         return b
 
 
+def _sublevel(px: float, py: float, qx: float, qy: float,
+              x: float, y: float) -> tuple[float, float]:
+    """The closed interval of t on which |p + t q| <= x t + y, as (lo, hi),
+    with lo > hi when it is empty.
+
+    The left side is convex in t and the right side affine, so the set is
+    one interval.  It is the half-line where x t + y >= 0, cut by the roots
+    of g(t) = |p + t q|^2 - (x t + y)^2 = a t^2 + 2 b t + c: g <= 0 between
+    them when a > 0, and on the ray beyond them that the half-line keeps
+    when a < 0.  The roots are the numerically stable pair k / a and c / k.
+    """
+    a = qx * qx + qy * qy - x * x
+    b = px * qx + py * qy - x * y
+    c = px * px + py * py - y * y
+    if x > 0.0:
+        lo, hi = -y / x, math.inf
+    elif x < 0.0:
+        lo, hi = -math.inf, -y / x
+    elif y >= 0.0:
+        lo, hi = -math.inf, math.inf
+    else:
+        return math.inf, -math.inf
+    if a == 0.0:  # g is 2 b t + c
+        if b:
+            root = -0.5 * c / b
+            return (lo, min(hi, root)) if b > 0.0 else (max(lo, root), hi)
+        return (lo, hi) if c <= 0.0 else (math.inf, -math.inf)
+    disc = b * b - a * c
+    if disc < 0.0:  # g has the sign of a everywhere
+        return (lo, hi) if a < 0.0 else (math.inf, -math.inf)
+    k = -(b + math.copysign(math.sqrt(disc), b))
+    r1, r2 = sorted((k / a, c / k if k else 0.0))
+    if a > 0.0:
+        return max(lo, r1), min(hi, r2)
+    return (max(lo, r2), hi) if x > 0.0 else (lo, min(hi, r1))
+
+
 class _Family:
     """The line's anchor P measured once on the quadrilateral: the distances
     |P A_i| and the unit vectors u_i from P toward A_i, one hypot per vertex.
     Along the line only the weights move, and every per-sample quantity at P
     is affine in B4: the imbalance sum B_i u_i, the absorbing profile and
-    Kuhn's pulls on the vertices (`pulls`, measured on first use, by
-    verification only)."""
+    Kuhn's pulls on the vertices.  So verification decides Kuhn's test and
+    the balance gate on the whole line at once (`intervals`)."""
 
     def __init__(self, q: Quadrilateral, line: PlasticityLine):
         p = line.point
@@ -116,15 +152,35 @@ class _Family:
         x1, y1 = self.line.coefficients[0]
         return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
 
-    @cached_property
-    def pulls(self):
-        """(p_j, q_j) per vertex A_j, with the others' pull on A_j
-        sum_{i != j} B_i u_ji = p_j + B4 q_j along the line (x4 = 1, y4 = 0),
-        u_ji the unit vector from A_j toward A_i (`Quadrilateral.unit_vectors`)."""
+    def intervals(self, b4: float):
+        """Where verification decides along the line, in B4: per vertex A_j,
+        the interval on which Kuhn's test of `fermat._kuhn_case` absorbs A_j,
+        and the interval on which the imbalance |sum B_i u_i| at P is at
+        most RESIDUAL_TOL c, the residual gate of `locate_4wft` (empty when P
+        sits on a vertex, where no balance can be measured).
+
+        The others' pull on A_j is sum_{i != j} B_i u_ji = p_j + B4 q_j
+        (x4 = 1, y4 = 0, u_ji from `Quadrilateral.unit_vectors`), and A_j
+        absorbs where |p_j + B4 q_j| - B_j <= CASE_BOUNDARY_TOL c.  Each
+        interval is solved about `b4`, where the caller samples: pulls and
+        weights there are of the size of c, while the intercepts p_j and y_j
+        can be far larger and would cancel in the quadratic.  The values are
+        scaled by the power of two nearest 1 / c, which is exact and keeps
+        their squares from overflowing or underflowing.
+        """
+        c = self.line.c
+        s = math.ldexp(1.0, -math.frexp(c)[1])
+
+        def about(px, py, qx, qy, x, y):
+            lo, hi = _sublevel(s * (px + b4 * qx), s * (py + b4 * qy), qx, qy, x,
+                               s * (y + x * b4))
+            return b4 + lo / s, b4 + hi / s
+
         (x1, y1), (x2, y2), (x3, y3) = self.line.coefficients
         xs, ys = (x1, x2, x3, 1.0), (y1, y2, y3, 0.0)
-        pulls = []
-        for row in self.quad.unit_vectors:
+        margin = CASE_BOUNDARY_TOL * c
+        absorbed = []
+        for xj, yj, row in zip(xs, ys, self.quad.unit_vectors):
             px = py = qx = qy = 0.0
             for x, y, u in zip(xs, ys, row):
                 if u is not None:  # u_jj
@@ -132,8 +188,11 @@ class _Family:
                     py += y * u[1]
                     qx += x * u[0]
                     qy += x * u[1]
-            pulls.append((px, py, qx, qy))
-        return pulls
+            absorbed.append(about(px, py, qx, qy, xj, yj + margin))
+        if self.units is None:
+            return absorbed, (math.inf, -math.inf)
+        ax, ay, bx, by = self.imbalance()
+        return absorbed, about(ax, ay, bx, by, 0.0, RESIDUAL_TOL * c)
 
 
 def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLine:
@@ -279,16 +338,21 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
 
     Samples where a weight leaves positivity or the instance stops floating
     are excluded with a reason, never counted as drift.  The line is measured
-    once per call (`_Family`): Kuhn's test of `classify_case` reads the
-    others' pull on each vertex as p_j + B4 q_j, and every sample reads its
-    balance |sum B_i u_i| at the anchor from the affine imbalance, measured
-    once too.  A balance below RESIDUAL_TOL times the total weight passes the
-    residual gate of `locate_4wft`, and the median is unique, so the anchor
-    is the optimum and the sample drifts by 0.  Any other sample, a moved
-    anchor or one on a vertex where no balance can be measured, re-solves the
-    median by the path of `locate_4wft`, from the weighted centroid, and
-    drifts by the anchor's distance to it.  Passes when the maximum deviation
-    stays below 1e-6 times the quadrilateral diameter.
+    once per call (`_Family`) and decided on its whole interval: along it the
+    others' pull on each vertex, p_j + B4 q_j, and the imbalance
+    sum B_i u_i at the anchor are affine in B4, so Kuhn's slack of
+    `classify_case` and the balance are convex.  Vertex A_j absorbs on one
+    interval of B4, whose ends are the roots of a quadratic, and the balance
+    meets the gate on one interval too; each sample is decided by membership,
+    vertices in index order, and its verdict differs from a per-sample test
+    only within rounding of an interval end.  A balance at most RESIDUAL_TOL
+    times the total weight passes the residual gate of `locate_4wft`, and the
+    median is unique, so the anchor is the optimum and the sample drifts by
+    0.  Any other sample, a moved anchor or one on a vertex where no balance
+    can be measured, re-solves the median by the path of `locate_4wft`, from
+    the weighted centroid, and drifts by the anchor's distance to it.  Passes
+    when the maximum deviation stays below 1e-6 times the quadrilateral
+    diameter.
     """
     if _count(samples, "samples") < 1:
         raise QuadFTError("need at least one sample")
@@ -298,10 +362,10 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     else:
         b4s = linspace(lo, hi, samples)
     tolerance = 1e-6 * q.diameter()
-    family = _Family(q, line)
-    pulls = family.pulls
-    ax, ay, bx, by = family.imbalance()
-    margin, gate = CASE_BOUNDARY_TOL * line.c, RESIDUAL_TOL * line.c
+    absorbed, (gate_lo, gate_hi) = _Family(q, line).intervals(0.5 * (lo + hi))
+    # the vertices, in index order, whose absorbed interval meets the samples
+    absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
+                if a <= b4s[-1] and b4s[0] <= b]
     evaluated = []
     excluded = []
     for b4 in b4s:
@@ -310,14 +374,12 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
             continue
-        # Kuhn's test of `fermat._kuhn_case`: the first vertex whose slack
-        # |p_j + B4 q_j| - B_j is at most the margin absorbs
-        for j, ((px, py, qx, qy), w) in enumerate(zip(pulls, weights)):
-            if math.hypot(px + b4 * qx, py + b4 * qy) - w <= margin:
-                excluded.append((b4, f"absorbed at vertex {j + 1}"))
+        for j, a, b in absorbed:  # the first absorbing vertex
+            if a <= b4 <= b:
+                excluded.append((b4, f"absorbed at vertex {j}"))
                 break
         else:
-            if math.hypot(ax + b4 * bx, ay + b4 * by) < gate:
+            if gate_lo <= b4 <= gate_hi:
                 evaluated.append((b4, 0.0))
             else:
                 point, _ = _certified_median(q.vertices, weights)

@@ -211,6 +211,23 @@ class TestCommands:
         assert err.startswith("error: vertices A1 (0.0, 0.0) and A3 (1e+308, 1e+308) lie ")
         assert not (tmp_path / "huge.svg").exists()
 
+    def test_triangle_whose_difference_overflows_exits_2(self, tmp_path, capsys):
+        # the median came back as (inf, inf), and the error named no input
+        path = tmp_path / "far.doc"
+        path.write_text(json.dumps({"vertices": [[-1e308, 0], [1e308, 0], [0, 1e308]],
+                                    "weights": [1.0, 1.0, 1.0]}))
+        assert main(["wft-triangle", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertices A1 (-1e+308, 0.0) and A2 (1e+308, 0.0) lie inf ")
+
+    def test_tiny_triangle_solves(self, tmp_path, capsys):
+        # below about 1e-154 the median stalled, and the command exited 3
+        path = tmp_path / "tiny.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [6e-160, 0], [2e-160, 5e-160]],
+                                    "weights": [2.0, 1.5, 1.8]}))
+        assert main(["wft-triangle", "--input", str(path)]) == 0
+        assert "A0: (" in capsys.readouterr().out
+
     def test_infeasible_gauss_exits_2_with_hint(self, tmp_path, capsys):
         path = tmp_path / "bad.doc"
         path.write_text(EX2_DOC)

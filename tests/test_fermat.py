@@ -115,7 +115,8 @@ class TestClassify:
         assert tag.kind is CaseKind.ABSORBED and tag.boundary
 
     def test_matches_direct_slack_evaluation(self):
-        # the cached unit vectors give exactly the tags of a direct evaluation
+        # the unit vectors measured at construction give exactly the tags of
+        # a direct evaluation
         from quadft.fermat import CASE_BOUNDARY_TOL, CaseTag
 
         def direct(wq):
@@ -143,18 +144,30 @@ class TestClassify:
                         (CaseKind.ABSORBED, True)}
 
     def test_unit_vectors_measured_once_per_quadrilateral(self, monkeypatch, rect):
-        quad = Quadrilateral(rect.vertices)  # nothing measured on it yet
+        # construction measures the 6 vertex pairs by one hypot each, and
+        # classify_case measures no length: it reads those unit vectors
         calls = []
-        original = Point.unit_toward
 
-        def counted(self, other):
-            calls.append(1)
-            return original(self, other)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(Point, "unit_toward", counted)
+        monkeypatch.setattr(math, "hypot", counting("hypot", math.hypot))
+        for name in ("distance_to", "unit_toward"):
+            monkeypatch.setattr(Point, name, counting(name, getattr(Point, name)))
+        quad = Quadrilateral(rect.vertices)
+        assert calls == ["hypot"] * 6
+        calls.clear()
+        measured = (quad.distances, quad.unit_vectors, quad.interior_angles)
         for w in ((3.0, 2.5, 1.7, 1.5), (100.0, 1.0, 1.0, 1.0), (1.0, 1.2, 0.9, 1.1)):
-            classify_case(WeightedQuadrilateral(quad, w))
-        assert len(calls) == 6  # one per vertex pair
+            wq = WeightedQuadrilateral(quad, w)
+            calls.clear()
+            tag = classify_case(wq)
+            # one norm per pull Kuhn's test reads, up to the absorbing vertex
+            assert calls == ["hypot"] * (tag.vertex or 4)
+        assert (quad.distances, quad.unit_vectors, quad.interior_angles) == measured
 
 
 class TestTriangleAngles:
@@ -309,6 +322,38 @@ class TestWeiszfeld:
                       (1.0, 1.0, 1.0))
         assert p.as_tuple() == pytest.approx(
             (math.ldexp(base.x, 514), math.ldexp(base.y, 514)), rel=1e-12)
+
+    def test_tiny_triangle_solves(self):
+        # _median's Newton determinant, of order 1 / r^2, overflowed below
+        # about 1e-154 and the median stalled at the Weiszfeld seed (residual
+        # 0.0376 of the total); its frame is now scaled by a power of two
+        tri = ((0.0, 0.0), (6.0, 0.0), (2.0, 5.0))
+        weights = (2.0, 1.5, 1.8)
+        base = weiszfeld([Point(*p) for p in tri], weights)
+        for scale in (1e-155, 1e-160, 1e-200, 1e-300):
+            p = weiszfeld([Point(x * scale, y * scale) for x, y in tri], weights)
+            assert p.as_tuple() == pytest.approx((base.x * scale, base.y * scale), rel=1e-12)
+        for e in (-520, -1000):  # a power of two scales the solve exactly
+            p = weiszfeld([Point(math.ldexp(x, e), math.ldexp(y, e)) for x, y in tri], weights)
+            assert p.as_tuple() == (math.ldexp(base.x, e), math.ldexp(base.y, e))
+
+    def test_tiny_rectangle_solves(self, wq_ex2):
+        base = locate_4wft(wq_ex2)
+        scale = 1e-155
+        quad = Quadrilateral.from_coords([(v.x * scale, v.y * scale)
+                                          for v in wq_ex2.quad.vertices])
+        tree = locate_4wft(WeightedQuadrilateral(quad, wq_ex2.weights))
+        assert tree.point.as_tuple() == pytest.approx(
+            (base.point.x * scale, base.point.y * scale), rel=1e-12)
+        assert tree.angles == pytest.approx(base.angles, rel=1e-12)
+
+    def test_points_whose_difference_overflows_are_named(self):
+        # the difference overflowed, and the median came back as the point
+        # (inf, inf): "point coordinates must be finite, got (inf, inf)"
+        pts = [Point(-1e308, 0.0), Point(1e308, 0.0), Point(0.0, 1e308)]
+        with pytest.raises(QuadFTError, match=r"^vertices A1 \(-1e\+308, 0.0\) and "
+                                              r"A2 \(1e\+308, 0.0\) lie inf apart"):
+            weiszfeld(pts, (1.0, 1.0, 1.0))
 
     def test_barely_floating_triangle_returns_its_vertex(self):
         # one weight (1 - s) times the pull of the other two, s = 10^U(-12, -10):

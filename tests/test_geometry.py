@@ -10,9 +10,16 @@ from quadft import (
     Point,
     QuadFTError,
     Quadrilateral,
+    angle_at,
     diagonal_intersection,
 )
-from quadft.geometry import ACOS_CLAMP_TOL, clamped_acos, linspace, unit_matrix
+from quadft.geometry import (
+    ACOS_CLAMP_TOL,
+    SQUARABLE_LENGTH,
+    clamped_acos,
+    linspace,
+    measure_pairs,
+)
 from oracles import random_convex_quad, rigid_transform
 
 
@@ -67,16 +74,60 @@ class TestQuadrilateral:
 class TestUnitMatrix:
     def test_entries_are_the_direct_unit_vectors(self):
         # u[j][i] is stored as -u[i][j], which must equal the vector measured
-        # from point j itself bit for bit
+        # from point j itself bit for bit; so must the distances
         rng = np.random.default_rng(31)
         for n in (3, 4, 6):
             pts = [Point(*(float(t) for t in rng.uniform(-1e3, 1e3, 2))) for _ in range(n)]
-            u = unit_matrix(pts)
+            d, u, diameter = measure_pairs(pts)
             for i in range(n):
                 for j in range(n):
                     assert u[i][j] == (None if i == j else pts[i].unit_toward(pts[j]))
+                    assert d[i][j] == pts[i].distance_to(pts[j])
+            assert diameter == max(map(max, d))
         quad = Quadrilateral.from_coords(random_convex_quad(rng))
-        assert quad.unit_vectors == unit_matrix(quad.vertices)
+        assert (quad.distances, quad.unit_vectors, quad.diameter()) == measure_pairs(quad.vertices)
+
+    def test_construction_measures_every_angle_once(self, rect):
+        # the interior angles read the unit vectors measured at construction,
+        # by the formula of `angle_at`
+        v = rect.vertices
+        assert rect.interior_angles == tuple(
+            angle_at(v[i], v[i - 1], v[(i + 1) % 4]) for i in range(4))
+        assert repr(rect) == f"Quadrilateral(vertices={v!r})"
+        assert rect == Quadrilateral(v) and hash(rect) == hash(Quadrilateral(v))
+
+    def test_coincident_points_have_no_unit_vector(self):
+        d, u, diameter = measure_pairs([Point(1.0, 2.0), Point(1.0, 2.0), Point(4.0, 6.0)])
+        assert d[0][1] == 0.0 and u[0][1] is None and u[1][0] is None
+        assert diameter == 5.0 and u[0][2] == (0.6, 0.8)
+
+
+class TestCoordinateRange:
+    def test_points_too_far_apart_are_named(self):
+        # by default a distance that overflows; a quadrilateral squares its
+        # lengths, so its limit is the square root of the float maximum
+        pts = [Point(-1e308, 0.0), Point(1e308, 0.0), Point(0.0, 1e308)]
+        with pytest.raises(QuadFTError, match=r"^vertices A1 \(-1e\+308, 0.0\) and "
+                                              r"A2 \(1e\+308, 0.0\) lie inf apart"):
+            measure_pairs(pts)
+        pts = [Point(0.0, 0.0), Point(1e155, 0.0), Point(0.0, 1.0)]
+        assert measure_pairs(pts)[2] == 1e155
+        with pytest.raises(QuadFTError, match=r"^vertices A1 .* and A2 .* lie 1e\+155 apart; "
+                                              r"no two vertices may lie more than about "
+                                              r"1.34e\+154 apart$"):
+            measure_pairs(pts, SQUARABLE_LENGTH)
+        with pytest.raises(QuadFTError, match=r"^vertices A1 \(0.0, 0.0\) and A3 "):
+            Quadrilateral.from_coords([(0, 0), (1e308, 0), (1e308, 1e308), (0, 1e308)])
+
+    def test_squares_that_underflow_are_named(self):
+        for k in (1e-170, 1e-200, 1e-300):
+            with pytest.raises(QuadFTError, match="squares underflow to 0"):
+                Quadrilateral.from_coords([(0, 0), (7 * k, 0), (7 * k, 4 * k), (0, 4 * k)])
+        with pytest.raises(QuadFTError, match="^all vertices coincide$"):
+            Quadrilateral.from_coords([(1e-300, 0)] * 4)
+        # above the underflow, a tiny quadrilateral is measured as usual
+        q = Quadrilateral.from_coords([(0, 0), (7e-155, 0), (7e-155, 4e-155), (0, 4e-155)])
+        assert q.interior_angles == (0.5 * math.pi,) * 4
 
 
 class TestDiagonalIntersection:

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadft import (
     AbsorbedWeightsError,
+    ConvergenceError,
     InconsistentCaseError,
     InfeasibleWeightsError,
     PlasticityLine,
@@ -120,6 +122,18 @@ def _reference_report(q, line, samples):
         evaluated=tuple(evaluated),
         excluded=tuple(excluded),
     )
+
+
+def _verdicts(report):
+    """Each sample's verdict by its B4: the exclusion reason, or the drift."""
+    return {**dict(report.excluded), **dict(report.evaluated)}
+
+
+def _absorbing_vertex(verdict):
+    """The vertex a verdict reports absorbing, or 5 for any other verdict."""
+    if isinstance(verdict, str) and verdict.startswith("absorbed at vertex "):
+        return int(verdict.split()[-1])
+    return 5
 
 
 def _triangle_weights(p, tri):
@@ -516,6 +530,26 @@ class TestSquaredBalanceSystem:
             assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
+coordinate = st.floats(-3.0, 3.0)
+
+
+@given(px=coordinate, py=coordinate, qx=coordinate, qy=coordinate, x=coordinate,
+       y=coordinate, ts=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16))
+@example(px=0.0, py=0.0, qx=1.0, qy=0.0, x=1.0, y=0.0, ts=[-1.0, 1.0])   # |t| <= t
+@example(px=0.0, py=1.0, qx=1.0, qy=0.0, x=1.0, y=0.0, ts=[-1.0, 9.0])   # never
+@example(px=1.0, py=0.0, qx=0.0, qy=0.0, x=0.0, y=-1.0, ts=[0.0])        # y < 0 = x
+@example(px=2.0, py=0.0, qx=0.5, qy=0.0, x=-1.0, y=1.0, ts=[-9.0, 0.0])  # a < 0
+@settings(max_examples=300, deadline=None)
+def test_sublevel_is_where_the_norm_stays_below_the_line(px, py, qx, qy, x, y, ts):
+    # the interval agrees with |p + t q| <= x t + y wherever the two sides
+    # differ by more than rounding
+    lo, hi = plasticity._sublevel(px, py, qx, qy, x, y)
+    for t in ts:
+        excess = math.hypot(px + t * qx, py + t * qy) - (x * t + y)
+        if abs(excess) > 1e-9:
+            assert (lo <= t <= hi) == (excess < 0.0), (t, excess, lo, hi)
+
+
 class TestVerify:
     def test_table_rows_fix_the_optimum(self, rect_mod, line_ex2):
         reference = (2.8274502, 1.2787811)
@@ -630,6 +664,86 @@ class TestVerify:
             assert calls == {"classify_case": 0, "_kuhn_case": 0}
             assert steps == []
             assert len(report.evaluated) == 14
+
+    def test_hypot_calls_do_not_grow_with_the_samples(self, monkeypatch, rect_mod, line_ex2):
+        # a true anchor: the line's star costs one hypot per vertex, and the
+        # samples none, since Kuhn's test and the balance gate are decided
+        # on the whole interval
+        calls = []
+        hypot = math.hypot
+
+        def counted(*args):
+            calls.append(args)
+            return hypot(*args)
+
+        monkeypatch.setattr(math, "hypot", counted)
+        for quad, line in [(rect_mod, line_ex2)] + _random_lines(47, 5):
+            counts = []
+            for samples in (16, 64):
+                calls.clear()
+                report = verify_plasticity(quad, line, samples)
+                assert report.passed and len(report.evaluated) == samples - 2
+                counts.append(len(calls))
+            assert counts == [4, 4]
+
+    @given(seed=st.integers(0, 2**32 - 1), vertex=st.integers(0, 3),
+           log_margins=st.floats(0.0, 2.0), moved=st.booleans(),
+           theta=st.floats(0.0, 2.0 * math.pi), samples=st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_interval_verdicts_equal_the_per_sample_reference(
+            self, seed, vertex, log_margins, moved, theta, samples):
+        # one weight at (1 - s) times the others' pull on its vertex, its
+        # slack s * pull 1 to 100 times the CASE_BOUNDARY_TOL margin: the
+        # instance barely floats, and in about one draw in eight Kuhn's slack
+        # at some vertex crosses the margin inside the sampled range
+        rng = np.random.default_rng(seed)
+        quad = Quadrilateral.from_coords(random_convex_quad(rng))
+        w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+        others = [j for j in range(4) if j != vertex]
+        pull = pull_at([quad.vertices[j] for j in others], [w[j] for j in others],
+                       quad.vertices[vertex])
+        total = pull + sum(w[j] for j in others)
+        s = 10.0 ** log_margins * fermat.CASE_BOUNDARY_TOL * total / pull
+        w[vertex] = (1.0 - s) * pull
+        wq = WeightedQuadrilateral(quad, tuple(w))
+        try:
+            line = plasticity_line(wq, locate_4wft(wq))
+        except (AbsorbedWeightsError, ConvergenceError):
+            return  # absorbed: no line; or a median that stalls near a vertex (item 1)
+        if moved:
+            shift = 1e-3 * quad.diameter()
+            line = dataclasses.replace(line, point=Point(line.point.x + shift * math.cos(theta),
+                                                         line.point.y + shift * math.sin(theta)))
+        try:
+            report = verify_plasticity(quad, line, samples)
+        except ConvergenceError:
+            # a re-solve from a moved anchor stalls near a vertex (item 1),
+            # and the reference's re-solve of that sample stalls alike
+            with pytest.raises(AssertionError):
+                _reference_report(quad, line, samples)
+            return
+        reference = _reference_report(quad, line, samples)
+        if report == reference:
+            return
+        # Kuhn's test reads the pulls as p_j + B4 q_j, the reference as
+        # sum B_i u_ji: a verdict may differ only where the slack is within
+        # the rounding of those sums, whose terms grow with the coefficients
+        got, want = _verdicts(report), _verdicts(reference)
+        assert got.keys() == want.keys()
+        for b4, verdict in got.items():
+            if verdict == want[b4]:
+                continue
+            j = min(_absorbing_vertex(verdict), _absorbing_vertex(want[b4]))
+            assert j <= 4, (b4, verdict, want[b4])
+            weights = line.weights_at(b4)
+            slack = pull_at([quad.vertices[i] for i in range(4) if i != j - 1],
+                            [weights[i] for i in range(4) if i != j - 1],
+                            quad.vertices[j - 1]) - weights[j - 1]
+            xs = [x for x, _ in line.coefficients] + [1.0]
+            ys = [y for _, y in line.coefficients] + [0.0]
+            rounding = 16.0 * sys.float_info.epsilon * sum(
+                abs(x) * b4 + abs(y) for x, y in zip(xs, ys))
+            assert abs(slack - fermat.CASE_BOUNDARY_TOL * line.c) <= rounding, (b4, slack)
 
     def test_anchor_inside_the_gate_is_certified(self, monkeypatch):
         # the 127th seeded line: its anchor pulls above the 1e-14 Newton target
