@@ -17,7 +17,8 @@ same test on a whole weight line at once, from the interval where each
 vertex absorbs (`plasticity.verify_plasticity`).  Every `FermatTree` is
 built by one function, `_tree`, whether at an absorbing vertex, at the
 diagonal intersection, at the median or at an angle system's point; it
-measures each vertex from the point by one hypot.
+measures the point's star by `geometry.measure_star`, one hypot per vertex,
+the measurement `plasticity_line` and `plasticity._Family` take too.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
@@ -57,6 +58,7 @@ from .geometry import (
     cross2,
     diagonal_intersection,
     measure_pairs,
+    measure_star,
     rotate,
 )
 
@@ -204,7 +206,8 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
     The angle between the edges pulled by two weights depends only on the third:
     a_i0j = arccos((bk^2 - bi^2 - bj^2) / (2 bi bj)).  Raises when the weight
-    triangle inequality fails (absorbed case: the optimum sits at a vertex).
+    triangle inequality fails (absorbed case: the optimum sits at a vertex),
+    and QuadFTError when the product of two weights underflows to 0.
     """
     bi, bj, bk = _positive_weights((bi, bj, bk))
     if not (abs(bi - bj) < bk < bi + bj):
@@ -216,10 +219,15 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
 
 def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
-    """The closed form of `triangle_wft_angles` for weights already checked."""
-    a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
-    a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
-    a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
+    """The closed form of `triangle_wft_angles` for weights already checked;
+    QuadFTError when the product of two of them underflows to 0."""
+    try:
+        a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
+        a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
+        a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
+    except ZeroDivisionError:
+        raise QuadFTError(f"weights ({bi}, {bj}, {bk}) are too small: the product of two "
+                          "of them underflows to 0") from None
     return a_i0j, a_j0k, a_k0i
 
 
@@ -373,22 +381,19 @@ def _certified_median(points, weights):
 
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           angles=None, iterations: int = 0) -> FermatTree:
-    """The tree at p, on its star measured once, one hypot per vertex: the
+    """The tree at p, on its star measured once (`measure_star`): the
     distances to the vertices for the objective, and the unit vectors toward
     every vertex but an absorbing one for the angles (NaN where they would
     meet the absorbing vertex) and for the pull.  The residual is that pull,
     less the absorbing vertex's weight when there is one, floored at 0."""
-    w, i, px, py = wq.weights, case.vertex, p.x, p.y
-    units, objective = [], 0.0
-    for j, (wj, q) in enumerate(zip(w, wq.quad.vertices), 1):
-        dx, dy = q.x - px, q.y - py
-        d = math.hypot(dx, dy)
+    w, i = wq.weights, case.vertex
+    distances, units = measure_star(p, wq.quad.vertices)
+    objective = 0.0
+    for j, (wj, d) in enumerate(zip(w, distances), 1):
         objective += wj * d  # the order and rounding of `weighted_distance_sum`
         if j == i:
-            units.append(None)
-        elif d:
-            units.append((dx / d, dy / d))
-        else:
+            units[j - 1] = None
+        elif not d:
             raise QuadFTError("unit vector undefined between coincident points")
     if angles is None:
         angles = [math.nan if u is None or v is None

@@ -99,6 +99,21 @@ def measure_pairs(points, limit: float = sys.float_info.max):
     return tuple(map(tuple, d)), tuple(map(tuple, u)), diameter
 
 
+def measure_star(p: Point, points):
+    """The star of p measured once, one hypot per point: (d, u), lists with
+    d[i] the distance from p to points[i] and u[i] the unit vector from p
+    toward it, the values of `Point.distance_to` and `Point.unit_toward`
+    bit for bit; u[i] is None where the two coincide."""
+    px, py = p.x, p.y
+    d, u = [], []
+    for q in points:
+        dx, dy = q.x - px, q.y - py
+        r = math.hypot(dx, dy)
+        d.append(r)
+        u.append((dx / r, dy / r) if r else None)
+    return d, u
+
+
 def angle_at(p: Point, a: Point, b: Point) -> float:
     """Geometric angle at p between the rays toward a and toward b, in [0, pi]."""
     ux, uy = p.unit_toward(a)

@@ -30,7 +30,7 @@ from .fermat import (
     WeightedQuadrilateral,
     _certified_median,
 )
-from .geometry import Point, Quadrilateral, _count, cross2, linspace
+from .geometry import Point, Quadrilateral, _count, cross2, linspace, measure_star
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,19 @@ class PlasticityLine:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
 
+    def _ascending_weights(self, b4s) -> list[tuple[float, float, float, float]]:
+        """`weights_at` of every b4 in `b4s`, which must ascend, checked at
+        the two ends only: x b4 + y rounds monotonically in b4, so weights
+        positive at both ends of the run, inside the interval, are positive
+        at every b4 between them, exactly.  A failing end raises as
+        `weights_at` does."""
+        first = self.weights_at(b4s[0])
+        if len(b4s) == 1:
+            return [first]
+        self.weights_at(b4s[-1])
+        (x1, y1), (x2, y2), (x3, y3) = self.coefficients
+        return [(x1 * b4 + y1, x2 * b4 + y2, x3 * b4 + y3, b4) for b4 in b4s]
+
 
 def _sublevel(px: float, py: float, qx: float, qy: float,
               x: float, y: float) -> tuple[float, float]:
@@ -114,20 +127,32 @@ def _sublevel(px: float, py: float, qx: float, qy: float,
 
 
 class _Family:
-    """The line's anchor P measured once on the quadrilateral: the distances
-    |P A_i| and the unit vectors u_i from P toward A_i, one hypot per vertex.
-    Along the line only the weights move, and every per-sample quantity at P
-    is affine in B4: the imbalance sum B_i u_i, the absorbing profile and
-    Kuhn's pulls on the vertices.  So verification decides Kuhn's test and
-    the balance gate on the whole line at once (`intervals`)."""
+    """The line's anchor P measured once on the quadrilateral, with the
+    line's constants there.  `measure_star` gives the distances |P A_i| and
+    the unit vectors u_i from P toward A_i, one hypot per vertex.  Along the
+    line only the weights move, and every per-sample quantity at P is affine
+    in B4: the imbalance sum B_i u_i, the absorbing profile B1 u1 + B4 u4
+    and Kuhn's pulls on the vertices.  Construction computes the first two
+    as affine pairs, so `imbalance` and `profile` are reads, and
+    verification decides Kuhn's test and the balance gate on the whole line
+    at once (`intervals`)."""
+
+    __slots__ = ("quad", "line", "distances", "units", "_imbalance", "_profile")
 
     def __init__(self, q: Quadrilateral, line: PlasticityLine):
-        p = line.point
         self.quad = q
         self.line = line
-        self.distances = [p.distance_to(v) for v in q.vertices]
-        self.units = None if 0.0 in self.distances else [
-            ((v.x - p.x) / d, (v.y - p.y) / d) for v, d in zip(q.vertices, self.distances)]
+        self.distances, units = measure_star(line.point, q.vertices)
+        if None in units:  # P on a vertex: no balance can be measured
+            self.units, self._imbalance = None, (math.inf, math.inf, 0.0, 0.0)
+            return
+        self.units = units
+        (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = units
+        (x1, y1), (x2, y2), (x3, y3) = line.coefficients
+        self._imbalance = (
+            y1 * u1x + y2 * u2x + y3 * u3x, y1 * u1y + y2 * u2y + y3 * u3y,
+            x1 * u1x + x2 * u2x + x3 * u3x + u4x, x1 * u1y + x2 * u2y + x3 * u3y + u4y)
+        self._profile = (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
 
     def measured(self):
         """The unit vectors u_i; QuadFTError when P sits on a vertex."""
@@ -139,18 +164,13 @@ class _Family:
         """sum B_i u_i at P as the affine pair (ax, ay) + B4 (bx, by) along
         the line, read as (ax, ay, bx, by); inf when P sits on a vertex,
         where no balance can be measured."""
-        if self.units is None:
-            return math.inf, math.inf, 0.0, 0.0
-        (u1x, u1y), (u2x, u2y), (u3x, u3y), (u4x, u4y) = self.units
-        (x1, y1), (x2, y2), (x3, y3) = self.line.coefficients
-        return (y1 * u1x + y2 * u2x + y3 * u3x, y1 * u1y + y2 * u2y + y3 * u3y,
-                x1 * u1x + x2 * u2x + x3 * u3x + u4x, x1 * u1y + x2 * u2y + x3 * u3y + u4y)
+        return self._imbalance
 
     def profile(self):
-        """(a, b) with |B1 u1 + B4 u4| = |a + B4 b| along the line."""
-        (u1x, u1y), _, _, (u4x, u4y) = self.measured()
-        x1, y1 = self.line.coefficients[0]
-        return (y1 * u1x, y1 * u1y), (x1 * u1x + u4x, x1 * u1y + u4y)
+        """(a, b) with |B1 u1 + B4 u4| = |a + B4 b| along the line;
+        QuadFTError when P sits on a vertex."""
+        self.measured()
+        return self._profile
 
     def intervals(self, b4: float):
         """Where verification decides along the line, in B4: per vertex A_j,
@@ -205,8 +225,9 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
     slopes are minus the barycentric coordinates of u4 and the intercepts c
     times those of the origin, each a signed area (`cross2`) over twice the
     triangle's area, which is nonzero for every P inside the quadrilateral,
-    on a diagonal too.  An absorbed optimum sits on a vertex and has no
-    family.
+    on a diagonal too.  The u_i come from one measurement of P's star,
+    `geometry.measure_star`, one hypot per vertex, as in `_Family`.  An
+    absorbed optimum sits on a vertex and has no family.
     """
     if tree.case.kind is CaseKind.ABSORBED:
         raise AbsorbedWeightsError(
@@ -214,7 +235,10 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
             "a plasticity line needs an interior optimum"
         )
     p = tree.point
-    u1, u2, u3, (x4, y4) = [p.unit_toward(vert) for vert in wq.quad.vertices]
+    _, units = measure_star(p, wq.quad.vertices)
+    if None in units:  # P on a vertex: `unit_toward` raises why
+        p.unit_toward(wq.quad.vertices[units.index(None)])
+    u1, u2, u3, (x4, y4) = units
     c = wq.total
 
     def areas(qx, qy):

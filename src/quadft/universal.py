@@ -18,15 +18,20 @@ a rate below u_FT.  `weights_for_storage` and `evolve` enforce this one rule;
 below it the tree stays the degree-four tree of `locate_4wft`.
 
 Since P stays fixed along the family, its geometry (the u_i and the distances
-|P A_i|) is measured once per plasticity line, by `plasticity._Family`, the
-one measurement `verify_plasticity` reads too.  The imbalance sum B_i u_i is
-affine in B4 as well, alpha + B4 beta, so a sample's balance check is one
-hypot.  One loop, `_samples`, reads these constants once and evaluates every
-B4 it is given: the grid of `universal_set` and `universal_minimum`, or the
-single B4 of `absorbing_xg` and of B4*.  Each sample takes its weights from
-`PlasticityLine.weights_at`; a sample that fails is skipped with its reason,
-or raised when the caller takes one B4.  Samples are NamedTuples, built at
-the cost of a plain tuple.
+|P A_i|, one hypot per vertex) is measured once per call, by
+`plasticity._Family`, the one measurement `verify_plasticity` reads too,
+which also holds the imbalance sum B_i u_i = alpha + B4 beta and the profile
+(a, b), both affine in B4.  One function, `_samples`, evaluates every B4 it
+is given, in ascending order: the grid of `universal_set` and
+`universal_minimum`, or the single B4 of `absorbing_xg` and of B4*.  It
+decides the run at its two ends, by `PlasticityLine.weights_at` and the
+balance gate: the weights are affine in B4, so positive at both ends means
+positive between them, and the imbalance is convex, so the gate met at both
+ends is met between them up to rounding.  A sample then costs its three
+weights, one hypot for x_G and the objective.  When an end fails, each B4 is
+decided by itself: a sample that fails is skipped with its reason, or
+raised when the caller takes one B4.  Samples are NamedTuples, built at the
+cost of a plain tuple.
 """
 
 from __future__ import annotations
@@ -86,22 +91,52 @@ def _finite(value: float, name: str) -> None:
 def _samples(family: _Family, b4s,
              on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
     """The absorbing sample at every b4 of `b4s`, from the family's one
-    measurement of P; see `absorbing_xg`.  A b4 that fails is reported to
-    `on_skip(b4, reason)` and left out; with on_skip None it raises."""
-    line = family.line
-    units = family.units
-    if units is not None:  # else every sample raises before reading them
-        (u1x, u1y), _, _, (u4x, u4y) = units
-    ax, ay, bx, by = family.imbalance()
+    measurement of P; see `absorbing_xg`.  `b4s` must ascend: its callers
+    pass the `_sweep` grid or a single B4.
+
+    The run is decided at its ends.  Weights positive at both ends are
+    positive between them, exactly (`PlasticityLine._ascending_weights`),
+    and the imbalance |alpha + B4 beta| is convex, so a balance gate met at
+    both ends is met between them, except within rounding of the gate.  When
+    an end fails, every b4 is decided by itself (`_one_by_one`, which
+    reports each failure to on_skip or raises it).
+    """
+    ax, ay, bx, by = family.imbalance()  # inf when P sits on a vertex
+    gate = BALANCE_RTOL * family.line.c
+    try:
+        run = family.line._ascending_weights(b4s)
+    except InfeasibleWeightsError:
+        run = None
+    if (run is None or math.hypot(ax + b4s[0] * bx, ay + b4s[0] * by) > gate
+            or math.hypot(ax + b4s[-1] * bx, ay + b4s[-1] * by) > gate):
+        run = _one_by_one(family, b4s, on_skip)
+        if not run:  # with P on a vertex every b4 fails
+            return []
+    (u1x, u1y), _, _, (u4x, u4y) = family.units
     d1, d2, d3, d4 = family.distances
-    gate = BALANCE_RTOL * line.c
     new = tuple.__new__  # UniversalSample(...) parses its arguments first
     samples = []
+    for weights in run:
+        b1, b2, b3, b4 = weights
+        samples.append(new(UniversalSample, (
+            b4, weights, math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y),
+            b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4)))
+    return samples
+
+
+def _one_by_one(family: _Family, b4s,
+                on_skip: Callable[[float, str], None] | None) -> list[tuple]:
+    """The weights at each b4 that passes `weights_at`, an anchor off the
+    vertices and the balance gate by itself.  A b4 that fails is reported
+    to `on_skip(b4, reason)` and left out; with on_skip None it raises."""
+    line = family.line
+    ax, ay, bx, by = family.imbalance()
+    gate = BALANCE_RTOL * line.c
+    kept = []
     for b4 in b4s:
         try:
             weights = line.weights_at(b4)
-            if units is None:
-                family.measured()  # raises: P sits on a vertex
+            family.measured()  # raises when P sits on a vertex
             residual = math.hypot(ax + b4 * bx, ay + b4 * by)
             if residual > gate:
                 raise InconsistentCaseError(
@@ -114,11 +149,8 @@ def _samples(family: _Family, b4s,
                 raise
             on_skip(b4, str(exc))
             continue
-        b1, b2, b3, _ = weights
-        samples.append(new(UniversalSample, (
-            b4, weights, math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y),
-            b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4)))
-    return samples
+        kept.append(weights)
+    return kept
 
 
 def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,12 +9,15 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quadft.fermat as fermat
-from quadft.cli import build_parser, main
+from quadft.cli import _COMMANDS, build_parser, main
 from quadft.documents import (
     OPTION_CHECKS,
     DocumentError,
@@ -219,6 +224,15 @@ class TestCommands:
         assert main(["wft-triangle", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: vertices A1 (-1e+308, 0.0) and A2 (1e+308, 0.0) lie inf ")
+
+    def test_gauss_weights_whose_products_underflow_exit_2(self, tmp_path, capsys):
+        # a ZeroDivisionError traceback escaped from the Gauss closed form
+        path = tmp_path / "tiny.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+                                    "weights": [1.1113793747425387e-162] * 4,
+                                    "xg": 1.1113793747425387e-162}))
+        assert main(["gauss", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: weights (1.1113793747425387e-162, ")
 
     def test_tiny_triangle_solves(self, tmp_path, capsys):
         # below about 1e-154 the median stalled, and the command exited 3
@@ -694,3 +708,103 @@ class TestLazyImports:
             assert vars(quadft)[name] is value, name
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             quadft.no_such_name
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and the float max too
+_SHAPES = (
+    [(0.0, 0.0), (6.0, 0.0), (2.0, 5.0)],
+    [(0.0, 0.0), (7.0, 0.0), (7.0, 4.0), (0.0, 4.0)],
+    [(1.6603510129518928, 0.3836727595803164), (1.8040383832611195, 1.6451933383977264),
+     (1.1669663925965816, 2.6394669419758947), (1.1613889177561427, -3.338153338054645)],
+    [(0.0, 0.0), (3.0, 0.0), (4.0, 2.0), (1.0, 3.0), (-1.0, 1.0)],
+)
+
+
+@st.composite
+def _runs(draw):
+    """A subcommand, its flags and a problem document of finite floats.
+
+    The vertices are 3-5 pairs of any floats, or, mostly, a convex shape
+    scaled by a power of two and moved; the weights any floats, or, mostly,
+    positive ones scaled by a power of two; x_G, B4, storage, spend and the
+    levels any floats, or, mostly, multiples of the weight scale, so that
+    some runs solve.  Every option and flag is present or not."""
+    def rarely():
+        return draw(st.sampled_from((False,) * 5 + (True,)))
+
+    def power_of_two():  # times 0.5..10 stays positive and finite
+        return math.ldexp(1.0, draw(st.integers(-1073, 1020) if rarely()
+                                    else st.integers(-40, 40)))
+
+    def number(unit, top=10.0):
+        return draw(_FINITE) if rarely() else unit * draw(st.floats(0.0, top))
+
+    def grid():
+        return draw(st.integers(-1, 0) if rarely() else st.integers(1, 65))
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    if rarely():
+        vertices = draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=3, max_size=5))
+    else:
+        shape = draw(st.sampled_from(_SHAPES) if rarely()
+                     else st.just(_SHAPES[0]) if command == "wft-triangle"
+                     else st.sampled_from(_SHAPES[1:3]))
+        scale = power_of_two()
+        dx, dy = draw(st.tuples(_FINITE, _FINITE) if rarely()
+                      else st.tuples(*[st.floats(-10.0, 10.0)] * 2))
+        vertices = [(scale * x + dx, scale * y + dy) for x, y in shape]
+        assume(all(map(math.isfinite, (c for v in vertices for c in v))))
+    count = draw(st.integers(3, 5)) if rarely() else len(vertices)
+    unit = power_of_two()
+    if rarely():
+        weights = draw(st.lists(_FINITE, min_size=count, max_size=count))
+    else:
+        weights = [unit * w for w in draw(st.lists(st.floats(0.5, 4.0), min_size=count,
+                                                   max_size=count))]
+    doc = {"vertices": [list(v) for v in vertices], "weights": weights}
+    if draw(st.booleans()) or command == "gauss" and not rarely():
+        doc["xg"] = number(unit)
+    options = {}
+    for key, value in (("grid", grid), ("normalize_weights", lambda: draw(st.booleans())),
+                       ("b4", lambda: number(unit)), ("storage", lambda: number(unit)),
+                       ("spend", lambda: number(unit, 1.0)),
+                       ("levels", lambda: [number(unit) for _ in range(draw(st.integers(1, 3)))])):
+        if draw(st.booleans()) or key in ("storage", "spend") and not rarely():
+            options[key] = value()
+    doc["options"] = options
+    flags = []
+    for flag in _COMMANDS[command][2]:
+        if flag != "--svg" and draw(st.booleans()):
+            if flag == "--levels":
+                text = ",".join(repr(number(unit)) for _ in range(draw(st.integers(1, 3))))
+            else:
+                text = repr(grid() if flag == "--grid"
+                            else number(unit, 1.0) if flag == "--spend" else number(unit))
+            flags.append(f"{flag}={text}")
+    if draw(st.booleans()):
+        flags.append("--normalize-weights")
+    svg = "--svg" in _COMMANDS[command][2] and (command == "plot" or draw(st.booleans()))
+    return command, flags, doc, svg, draw(st.booleans())
+
+
+class TestRobustness:
+    """Every document of finite floats ends in exit 0, 2 or 3, and an error
+    exit says why on stderr: no traceback escapes `main`."""
+
+    @given(run=_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_document_exits_cleanly(self, tmp_path_factory, run):
+        command, flags, doc, svg, records = run
+        out = tmp_path_factory.getbasetemp()
+        argv = [command, "--input", "-", *flags]
+        if svg:
+            argv.append(f"--svg={out / 'fuzz.svg'}")
+        if records:
+            argv.append(f"--records={out / 'fuzz.jsonl'}")
+        stderr = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert stderr.getvalue().startswith("error: ")

@@ -135,6 +135,15 @@ class TestLocalAngles:
         with pytest.raises(InfeasibleWeightsError):
             solve_gauss_tree(rect, w)
 
+    def test_underflowing_weights_are_named(self, rect):
+        # the products of two weights underflowed to 0, and a bare
+        # ZeroDivisionError escaped the closed form and the tree
+        with pytest.raises(QuadFTError, match=r"^weights \(1e-162, 1e-162, 1e-162\) are too "
+                                              "small: the product of two"):
+            triangle_wft_angles(1e-162, 1e-162, 1e-162)
+        with pytest.raises(QuadFTError, match="are too small"):
+            solve_gauss_tree(rect, GaussWeights(*(1.1e-162,) * 5))
+
     def test_matches_triangle_median_oracle(self):
         # each node is the geometric median of its three neighbours: solving
         # the triangle (A1, A4, A0') with weights (B1, B4, xg) must land on A0

@@ -345,6 +345,44 @@ class TestPlasticityLine:
             for b4 in np.linspace(lo, hi, 9)[1:-1]:
                 assert _balance(line, quad, float(b4)) <= 1e-12 * line.c
 
+    def test_star_measured_once(self, monkeypatch, rect_mod):
+        # one hypot per vertex (geometry.measure_star) and no Point method,
+        # on the paper's rectangle, a diagonal anchor and random lines
+        wq, _ = _one_diagonal_instance(rect_mod)
+        cases = [WeightedQuadrilateral(rect_mod, (3.0, 2.5, 1.7, 1.5)), wq]
+        rng = np.random.default_rng(3)
+        while len(cases) < 8:
+            quad = Quadrilateral.from_coords(random_convex_quad(rng))
+            wq = WeightedQuadrilateral(quad, tuple(rng.uniform(0.6, 3.0, 4)))
+            if classify_case(wq).kind is CaseKind.FLOATING:
+                cases.append(wq)
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for wq in cases:
+            tree = locate_4wft(wq)
+            calls.clear()
+            count(Point, "distance_to")
+            count(Point, "unit_toward")
+            count(math, "hypot")
+            plasticity_line(wq, tree)
+            monkeypatch.undo()
+            assert calls == ["hypot"] * 4
+
+    def test_anchor_on_a_vertex_has_no_line(self, rect_mod):
+        wq = WeightedQuadrilateral(rect_mod, (3.0, 2.5, 1.7, 1.5))
+        tree = dataclasses.replace(locate_4wft(wq), point=rect_mod.vertices[2])
+        with pytest.raises(QuadFTError, match="^unit vector undefined between coincident"):
+            plasticity_line(wq, tree)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
     def test_total_check_is_relative(self, rect_mod, scale):
         # a diagonal line meets the intercept-sum check at 1e-9 c at any

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +15,7 @@ from quadft import (
     InconsistentCaseError,
     InfeasibleWeightsError,
     OverspendError,
+    PlasticityLine,
     Point,
     QuadFTError,
     Quadrilateral,
@@ -31,7 +33,7 @@ from quadft import (
 )
 from quadft.geometry import linspace
 from quadft.plasticity import _Family
-from quadft.universal import _sampled_range
+from quadft.universal import BALANCE_RTOL, _sampled_range
 
 EX2_TABLE = [
     (1.5, 3.8192408, 34.5746856),
@@ -93,6 +95,18 @@ class TestAbsorbing:
         assert len(skipped) == 4
 
 
+def _count_calls(monkeypatch, *targets):
+    """The names of the (owner, name) targets, in the order they are called."""
+    calls = []
+    for owner, name in targets:
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestSharedGeometry:
     """P is measured once per line; every sample must equal the one-shot
     absorbing_xg at the same B4."""
@@ -110,22 +124,29 @@ class TestSharedGeometry:
             self._assert_sweep_matches(quad, line, 65)
 
     def test_minimum_measures_p_once(self, monkeypatch, rect_mod, line_ex2):
-        # one measurement of P per call, one hypot (distance) per vertex
-        calls = []
-
-        def count(cls, name):
-            original = getattr(cls, name)
-
-            def counted(*args):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        count(_Family, "__init__")
-        count(Point, "distance_to")
+        # one measurement of P per call, one hypot per vertex and no Point
+        # method
+        calls = _count_calls(monkeypatch, (_Family, "__init__"), (Point, "distance_to"),
+                             (Point, "unit_toward"), (math, "hypot"))
+        _Family(rect_mod, line_ex2)
+        assert calls == ["__init__"] + ["hypot"] * 4
+        calls.clear()
         universal_minimum(rect_mod, line_ex2, grid=65)
-        assert calls == ["__init__"] + ["distance_to"] * 4
+        assert calls[:5] == ["__init__"] + ["hypot"] * 4
+        assert calls.count("__init__") == 1
+        assert "distance_to" not in calls and "unit_toward" not in calls
+
+    def test_minimum_costs_its_arithmetic(self, monkeypatch, rect_mod, line_ex2,
+                                          random_lines):
+        # a grid is decided at its ends: a few weights_at calls whatever the
+        # grid, and one hypot per sample besides a fixed few
+        calls = _count_calls(monkeypatch, (PlasticityLine, "weights_at"), (math, "hypot"))
+        for quad, line in [(rect_mod, line_ex2)] + random_lines[:5]:
+            calls.clear()
+            result = universal_minimum(quad, line, 65)
+            assert len(result.samples) == 65
+            assert calls.count("weights_at") <= 3
+            assert calls.count("hypot") <= 65 + 9
 
     def test_line_of_another_quadrilateral_skips_every_sample(self, line_ex2):
         other = Quadrilateral.from_coords([(0, 0), (8, 0), (8, 4), (0, 4)])
@@ -372,6 +393,116 @@ class TestOneSampleLoop:
             [((v.x - first.x) + p[0], (v.y - first.y) + p[1]) for v in quad.vertices])
         assert [why for _, why in _assert_skips_match(on_p, line, 9)] \
             == ["unit vector undefined between coincident points"] * 9
+
+
+def _grid(line, grid):
+    """The B4 grid of `universal_set`."""
+    return [0.5 * sum(line.b4_interval)] if grid == 1 else linspace(*_sampled_range(line), grid)
+
+
+def _per_sample(quad, line, b4s):
+    """The reference: `absorbing_xg` at each b4 by itself, as (samples,
+    skipped) with each failure's message."""
+    samples, skipped = [], []
+    for b4 in b4s:
+        try:
+            samples.append(absorbing_xg(quad, line, b4))
+        except QuadFTError as exc:
+            skipped.append((b4, str(exc)))
+    return samples, skipped
+
+
+def _imbalance(quad, line, b4):
+    """|sum B_i u_i| at the anchor, evaluated as `universal` does."""
+    ax, ay, bx, by = _Family(quad, line).imbalance()
+    return math.hypot(ax + b4 * bx, ay + b4 * by)
+
+
+def _near_gate(quad, line, b4, target, angle, above):
+    """The line moved to the anchor P + r (cos angle, sin angle) whose
+    imbalance at b4 is at most `target`, or just above it, with r bisected
+    to float resolution."""
+    p, diam = line.point, quad.diameter()
+
+    def moved(r):
+        return PlasticityLine(c=line.c, coefficients=line.coefficients,
+                              b4_interval=line.b4_interval,
+                              point=Point(p.x + r * math.cos(angle), p.y + r * math.sin(angle)))
+
+    lo, hi = 0.0, 1e-12 * diam
+    while _imbalance(quad, moved(hi), b4) <= target:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _imbalance(quad, moved(mid), b4) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return moved(hi if above else lo)
+
+
+class TestRunVerdicts:
+    """`universal_set` decides a grid at its two ends.  Positivity of the
+    weights holds between them exactly and the balance, a convex norm, up
+    to rounding: it must equal the per-sample reference of `absorbing_xg`,
+    skips and messages included, except for a sample the reference skips
+    whose imbalance exceeds the gate by no more than the rounding bound.
+    The draws: lines on their own quadrilateral, on another one, with the
+    anchor on a vertex, with the anchor moved so that the imbalance at one
+    end of the grid sits at the gate, and with an interval widened past
+    positive weights at one end."""
+
+    @given(index=st.integers(0, 48), angle=st.floats(0.0, 2.0 * math.pi),
+           s_c=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           s_w=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+           kind=st.sampled_from(["own", "other", "vertex", "near gate", "wider"]),
+           grid=st.integers(1, 65), end=st.sampled_from([0, -1]), above=st.booleans(),
+           offset=st.sampled_from([0.0, 0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-6, -1e-6]),
+           turn=st.floats(0.0, 2.0 * math.pi))
+    @example(index=0, angle=0.0, s_c=1.0, shift=(0.0, 0.0), s_w=1.0, kind="near gate",
+             grid=65, end=0, above=False, offset=0.0, turn=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_grid_equals_the_per_sample_reference(self, floating_instances, index, angle, s_c,
+                                                  shift, s_w, kind, grid, end, above, offset,
+                                                  turn):
+        wq = floating_instances[index]
+        quad = _similar(wq.quad, angle, s_c, shift)
+        wq = WeightedQuadrilateral(quad, tuple(s_w * w for w in wq.weights))
+        line = plasticity_line(wq, locate_4wft(wq))
+        b4s = _grid(line, grid)
+        gate = BALANCE_RTOL * line.c
+        if kind == "other":
+            quad = _similar(floating_instances[(index + 1) % 49].quad, angle, s_c, shift)
+        elif kind == "vertex":
+            first, p = quad.vertices[index % 4], line.point
+            quad = Quadrilateral.from_coords(
+                [((v.x - first.x) + p.x, (v.y - first.y) + p.y) for v in quad.vertices])
+        elif kind == "near gate":
+            line = _near_gate(quad, line, b4s[end], gate * (1.0 + offset), turn, above)
+        elif kind == "wider":  # an interval past where the weights stay positive
+            lo, hi = line.b4_interval
+            wider = (lo - turn * (hi - lo), hi) if end == 0 else (lo, hi + turn * (hi - lo))
+            line = PlasticityLine(c=line.c, coefficients=line.coefficients, b4_interval=wider,
+                                  point=line.point)
+            b4s = _grid(line, grid)
+        skipped = []
+        samples = universal_set(quad, line, grid, on_skip=lambda b4, why: skipped.append((b4, why)))
+        want, want_skipped = _per_sample(quad, line, b4s)
+        if (samples, skipped) == (want, want_skipped):
+            return
+        # the run kept every sample; the reference skipped some for a balance
+        # within rounding above the gate: each imbalance component a + B4 b
+        # rounds by at most 2 eps (|a| + B4 |b|) and the hypot by one ulp,
+        # at the run's ends and at the sample alike
+        assert skipped == [] and len(samples) == len(b4s)
+        ax, ay, bx, by = _Family(quad, line).imbalance()
+        eps = sys.float_info.epsilon
+        bound = 4.0 * eps * (abs(ax) + abs(ay) + b4s[-1] * (abs(bx) + abs(by)) + gate)
+        for b4, why in want_skipped:
+            assert "do not balance" in why
+            assert gate < _imbalance(quad, line, b4) <= gate + bound
+        left = {b4 for b4, _ in want_skipped}
+        assert [s for s in samples if s.b4 not in left] == want
 
 
 class TestNoCyclicGarbage:
