@@ -16,26 +16,27 @@ exceeds its own weight by at most `CASE_BOUNDARY_TOL` times the total.
 same test on a whole weight line at once, from the interval where each
 vertex absorbs (`plasticity.verify_plasticity`).  Every `FermatTree` is
 built by one function, `_tree`, whether at an absorbing vertex, at the
-diagonal intersection, at the median or at an angle system's point; it
+diagonal intersection or at the median, the angle systems' tree included; it
 measures the point's star by `geometry.measure_star`, one hypot per vertex,
 the measurement `plasticity_line` and `plasticity._Family` take too.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 (`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
 gradient and Hessian of the weighted distance sum, relative to the first
-point, which `_median` measures itself, scaled by the power of two that
-brings the points' spread into [0.5, 1) so that no Hessian entry overflows
-however close the points lie.  It starts at the weighted centroid,
+point, which `_median` measures itself.  The points' spread and the largest
+weight are each scaled by the power of two that brings them into [0.5, 1),
+so that no Hessian entry overflows however close the points lie or however
+large or small the weights are.  It starts at the weighted centroid,
 takes at most 5 Weiszfeld steps, each a gradient step scaled by the
 Hessian's trace, then Newton steps, which converge quadratically to the
 median.  The residual gate is the certificate: the median is unique, and a
 point is accepted only when its pull is below `RESIDUAL_TOL` times the
-total weight.  The paper's angle systems are read at the same point: each
-measures its unknown angles at `_median`'s iterate in A1's frame, evaluates
-its residuals there and rebuilds the optimum by the paper's reconstruction
-(`_system_tree` gates both), so they cross-check the median and solve
-nothing again.  They take the iterate whether or not it meets `RESIDUAL_TOL`:
-their own gates decide, the pull gate among them at `_EQUILIBRIUM_RTOL`.
+total weight.  The paper's angle systems check that point and return
+`locate_4wft`'s tree: `_system_tree` reads each system at `_median`'s
+iterate in A1's frame and gates its residual, the gap of the point it
+rebuilds to the median, and the median's pull, at `_EQUILIBRIUM_RTOL`
+rather than `RESIDUAL_TOL`, so that barely floating medians that stall
+between the two still get an answer.
 """
 
 from __future__ import annotations
@@ -206,8 +207,7 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
     The angle between the edges pulled by two weights depends only on the third:
     a_i0j = arccos((bk^2 - bi^2 - bj^2) / (2 bi bj)).  Raises when the weight
-    triangle inequality fails (absorbed case: the optimum sits at a vertex),
-    and QuadFTError when the product of two weights underflows to 0.
+    triangle inequality fails (absorbed case: the optimum sits at a vertex).
     """
     bi, bj, bk = _positive_weights((bi, bj, bk))
     if not (abs(bi - bj) < bk < bi + bj):
@@ -219,15 +219,16 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
 
 def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
-    """The closed form of `triangle_wft_angles` for weights already checked;
-    QuadFTError when the product of two of them underflows to 0."""
-    try:
-        a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
-        a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
-        a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
-    except ZeroDivisionError:
-        raise QuadFTError(f"weights ({bi}, {bj}, {bk}) are too small: the product of two "
-                          "of them underflows to 0") from None
+    """The closed form of `triangle_wft_angles` for weights already checked,
+    scaled first by the power of two that brings the largest into [0.5, 1):
+    the cosines are ratios of the weights, the scaling is exact, no square
+    overflows, and the triangle inequality keeps every product 2 b b'
+    nonzero."""
+    e = -math.frexp(max(bi, bj, bk))[1]
+    bi, bj, bk = math.ldexp(bi, e), math.ldexp(bj, e), math.ldexp(bk, e)
+    a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
+    a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
+    a_k0i = clamped_acos((bj * bj - bk * bk - bi * bi) / (2.0 * bk * bi))
     return a_i0j, a_j0k, a_k0i
 
 
@@ -296,9 +297,11 @@ def _median(points, weights):
     weighted distance sum, in coordinates relative to the first point (so a
     far translation does not swamp the pull in rounding) and scaled by the
     power of two that brings their largest magnitude into [0.5, 1), as
-    `_collinear` scales: the scaling and its inverse on the result are
-    exact, and the Hessian determinant, of order 1 / r^2, overflows for no
-    points however close.
+    `_collinear` scales, and the weights by the power of two that brings the
+    largest into [0.5, 1): the scalings and their inverses on the point and
+    the pull are exact, and the Hessian determinant, of order (w / r)^2,
+    over- or underflows for no points however close or weights however
+    large or small.
 
     From the weighted centroid: at most `_SEED_MAX_ITER` Weiszfeld steps
     while the pull is at least `_SEED_TOL` times the total, then at most
@@ -312,6 +315,8 @@ def _median(points, weights):
     e = math.frexp(max(max(abs(q.x - ox), abs(q.y - oy)) for q in points))[1]
     scale, unscale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
     relative = [((q.x - ox) * scale, (q.y - oy) * scale) for q in points]
+    f = math.frexp(max(weights))[1]
+    weights = [math.ldexp(w, -f) for w in weights]
     total = sum(weights)
 
     def gradient(x, y):
@@ -366,7 +371,7 @@ def _median(points, weights):
         x, y, state = x + t * sx, y + t * sy, trial
         norm = math.hypot(state[0], state[1])
         newton += 1
-    return Point(ox + x * unscale, oy + y * unscale), norm, steps + newton
+    return Point(ox + x * unscale, oy + y * unscale), math.ldexp(norm, f), steps + newton
 
 
 def _certified_median(points, weights):
@@ -380,12 +385,13 @@ def _certified_median(points, weights):
 
 
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
-          angles=None, iterations: int = 0) -> FermatTree:
+          iterations: int = 0) -> FermatTree:
     """The tree at p, on its star measured once (`measure_star`): the
     distances to the vertices for the objective, and the unit vectors toward
     every vertex but an absorbing one for the angles (NaN where they would
     meet the absorbing vertex) and for the pull.  The residual is that pull,
-    less the absorbing vertex's weight when there is one, floored at 0."""
+    less the absorbing vertex's weight when there is one, floored at 0;
+    the angle systems' trees are built here too."""
     w, i = wq.weights, case.vertex
     distances, units = measure_star(p, wq.quad.vertices)
     objective = 0.0
@@ -395,10 +401,9 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
             units[j - 1] = None
         elif not d:
             raise QuadFTError("unit vector undefined between coincident points")
-    if angles is None:
-        angles = [math.nan if u is None or v is None
-                  else clamped_acos(u[0] * v[0] + u[1] * v[1])
-                  for u, v in zip(units, units[1:] + units[:1])]
+    angles = [math.nan if u is None or v is None
+              else clamped_acos(u[0] * v[0] + u[1] * v[1])
+              for u, v in zip(units, units[1:] + units[:1])]
     pull = math.hypot(*_weighted_sum(w, units))
     return FermatTree(
         point=p,
@@ -414,33 +419,39 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
 # The paper's angle systems, read at the median
 # ------------------------------------------------------------------ #
 
-def _system_tree(wq: WeightedQuadrilateral, v, system, name: str) -> FermatTree:
-    """The tree at the point an angle system rebuilds from the median.
+def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
+    """`locate_4wft`'s tree, cross-checked by one of the paper's angle systems.
 
-    `v` holds the vertices relative to A1, the frame `_median` solves in;
-    `system(v, weights, median)` reads the system at `_median`'s point among
-    them and returns (angles, residual, rebuilt point).  A residual above
-    `_EQUILIBRIUM_RTOL`, or a rebuilt point more than `_REBUILD_RTOL` times
-    the diameter from the median, raises InconsistentCaseError; a pull at
-    the rebuilt point, in that frame, above `_EQUILIBRIUM_RTOL` times the
-    total weight raises ConvergenceError.  The tree is at the rebuilt point
-    moved back by A1; `iterations` counts the median's steps.
+    An instance that is not floating raises InconsistentCaseError naming the
+    absorbing vertex.  `_median` runs on the vertices minus A1, the frame it
+    solves in anyway, so its iterate is `locate_4wft`'s;
+    `system(v, weights, median)` reads the system there and returns its
+    residual and the point the paper's reconstruction rebuilds.  A residual
+    above `_EQUILIBRIUM_RTOL`, or a rebuilt point more than `_REBUILD_RTOL`
+    times the diameter from the median, raises InconsistentCaseError; a
+    median whose pull exceeds `_EQUILIBRIUM_RTOL` times the total weight
+    raises ConvergenceError.  The tree is at the median moved back by A1:
+    wherever `locate_4wft` certifies the median, it is that function's tree.
     """
-    median, _, iterations = _median(v, wq.weights)
-    angles, residual, rebuilt = system(v, wq.weights, median)
+    tag = classify_case(wq)
+    if tag.kind is not CaseKind.FLOATING:
+        raise InconsistentCaseError(
+            f"instance is not floating (absorbed at vertex {tag.vertex})")
+    a1 = wq.quad.vertices[0]
+    v = [Point(p.x - a1.x, p.y - a1.y) for p in wq.quad.vertices]
+    median, pull, iterations = _median(v, wq.weights)
+    residual, rebuilt = system(v, wq.weights, median)
     gap = rebuilt.distance_to(median) / wq.quad.diameter()
     if not (residual <= _EQUILIBRIUM_RTOL and gap <= _REBUILD_RTOL):
         raise InconsistentCaseError(
             f"the {name} does not hold at the median: residual {residual:.3e}, "
             f"rebuilt point {gap:.3e} of the diameter from it")
-    a1 = wq.quad.vertices[0]
-    point = Point(a1.x + rebuilt.x, a1.y + rebuilt.y)
-    pull = math.hypot(*_weighted_sum(wq.weights, [rebuilt.unit_toward(q) for q in v]))
-    if pull > _EQUILIBRIUM_RTOL * wq.total:
-        raise ConvergenceError(f"the {name} rebuilt a point off equilibrium: pull "
+    point = Point(a1.x + median.x, a1.y + median.y)
+    if not pull <= _EQUILIBRIUM_RTOL * wq.total:
+        raise ConvergenceError(f"the {name} was read at a median off equilibrium: pull "
                                f"{pull / wq.total:.3e} of the total weight",
                                last=point, residual=pull)
-    return _tree(wq, point, angles=angles, iterations=iterations)
+    return _tree(wq, point, iterations=iterations)
 
 
 # ------------------------------------------------------------------ #
@@ -449,11 +460,11 @@ def _system_tree(wq: WeightedQuadrilateral, v, system, name: str) -> FermatTree:
 
 def _square_system(v, weights, median: Point):
     """The circle system of the square v, A1 at the origin and A2 at
-    (side, 0), read at the median: (angles, residual, rebuilt point).
+    (side, 0), read at the median: (residual, rebuilt point).
 
     Its unknowns a102 and a401 are measured there; a304 follows from a102 by
-    the first squared balance, a203 closes the turn, and `_square_point`
-    rebuilds the optimum from the three.
+    the first squared balance, and `_square_point` rebuilds the optimum from
+    the three.
     """
     total = sum(weights)
     b1, b2, b3, b4 = (w / total for w in weights)  # the weights' scale drops out
@@ -476,8 +487,7 @@ def _square_system(v, weights, median: Point):
         - 2.0 * b2 * b4 * math.cos(a102 + a401)
         - b4 * b4
     )
-    angles = (a102, TWO_PI - a102 - a304 - a401, a304, a401)
-    return angles, math.hypot(r1, r2), _square_point(v[1].x, a102, a304, a401)
+    return math.hypot(r1, r2), _square_point(v[1].x, a102, a304, a401)
 
 
 def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
@@ -493,25 +503,18 @@ def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
 
 
 def solve_4wft_square(side: float, weights) -> FermatTree:
-    """Interior optimum on the square (0,0),(a,0),(a,a),(0,a), read from the
-    paper's three-circle system in (a102, a401) at the median.
+    """`locate_4wft`'s tree on the square (0,0),(a,0),(a,a),(0,a), checked by
+    the paper's three-circle system in (a102, a401) at the median.
 
-    The square's A1 is the origin, so `_median` solves in the square's own
-    coordinates, and its iterate is the point `_certified_median` certifies.
-    `_system_tree` reads `_square_system` there, which rebuilds the
-    optimum, and gates both.  A weight set that is not floating raises
-    InconsistentCaseError.
+    `_system_tree` reads `_square_system` at the median, gates its residual
+    and rebuilt point and the median's pull, and returns the tree at the
+    median.  A weight set that is not floating raises InconsistentCaseError.
     """
     if side <= 0.0:
         raise QuadFTError("square side must be positive")
     quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
-    wq = WeightedQuadrilateral(quad, tuple(weights))
-    tag = classify_case(wq)
-    if tag.kind is not CaseKind.FLOATING:
-        raise InconsistentCaseError(
-            f"square instance is not floating (absorbed at vertex {tag.vertex})"
-        )
-    return _system_tree(wq, quad.vertices, _square_system, "circle system")
+    return _system_tree(WeightedQuadrilateral(quad, tuple(weights)), _square_system,
+                        "circle system")
 
 
 # ------------------------------------------------------------------ #
@@ -520,7 +523,7 @@ def solve_4wft_square(side: float, weights) -> FermatTree:
 
 def _general_system(v, weights, median: Point):
     """The four-angle system of the quadrilateral v, A1 at the origin, read
-    at the median: (angles, residual, rebuilt point).
+    at the median: (residual, rebuilt point).
 
     Its unknowns (a102, a401, a304, a013) are measured there; a013 is the
     signed angle from ray A1->A0 to ray A1->A3 (positive when A0 lies on the
@@ -561,29 +564,19 @@ def _general_system(v, weights, median: Point):
     r4 = math.cos(a013) * d71 - math.sin(a013) * n71
     a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
     dx, dy = rotate(*u13, -a013)
-    angles = (a102, TWO_PI - a102 - a304 - a401, a304, a401)
-    return angles, math.hypot(r1, r2, r3, r4), Point(a01 * dx, a01 * dy)
+    return math.hypot(r1, r2, r3, r4), Point(a01 * dx, a01 * dy)
 
 
 def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
-    """Interior optimum on a general convex quadrilateral, read from the
-    paper's four-angle system in (a102, a401, a304, a013) at the median,
-    then rebuilt from vertex A1.
+    """`locate_4wft`'s tree on a general convex quadrilateral, checked by the
+    paper's four-angle system in (a102, a401, a304, a013) at the median.
 
-    `_median` runs on the vertices minus A1, the frame it solves in anyway,
-    so its iterate is the one `_certified_median` certifies and a translation
-    does not enter the angles.  `_system_tree` reads `_general_system` there,
-    which rebuilds the optimum, and gates both.  A weight set
-    that is not floating raises InconsistentCaseError.
+    `_system_tree` reads `_general_system` at the median, in A1's frame so
+    that a translation does not enter the angles, gates its residual and
+    rebuilt point and the median's pull, and returns the tree at the median.
+    A weight set that is not floating raises InconsistentCaseError.
     """
-    tag = classify_case(wq)
-    if tag.kind is not CaseKind.FLOATING:
-        raise InconsistentCaseError(
-            f"instance is not floating (absorbed at vertex {tag.vertex})"
-        )
-    a1 = wq.quad.vertices[0]
-    v = [Point(p.x - a1.x, p.y - a1.y) for p in wq.quad.vertices]
-    return _system_tree(wq, v, _general_system, "angle system")
+    return _system_tree(wq, _general_system, "angle system")
 
 
 # ------------------------------------------------------------------ #

@@ -225,14 +225,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: vertices A1 (-1e+308, 0.0) and A2 (1e+308, 0.0) lie inf ")
 
-    def test_gauss_weights_whose_products_underflow_exit_2(self, tmp_path, capsys):
-        # a ZeroDivisionError traceback escaped from the Gauss closed form
+    def test_gauss_weights_whose_products_underflow_solve(self, tmp_path, capsys):
+        # a ZeroDivisionError traceback escaped from the Gauss closed form,
+        # later a QuadFTError (exit 2); scaled by a power of two, the weights
+        # give the tree of equal weights, 120 degrees at each node
         path = tmp_path / "tiny.doc"
         path.write_text(json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
                                     "weights": [1.1113793747425387e-162] * 4,
                                     "xg": 1.1113793747425387e-162}))
-        assert main(["gauss", "--input", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: weights (1.1113793747425387e-162, ")
+        assert main(["gauss", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "A0:  (1.1547005, 2.0000000)" in out and "l: 4.6905989" in out
+
+    @pytest.mark.parametrize("command,vertices,weights", [
+        ("wft-quad",
+         [[2.641875421683247, -5.927686131843942], [226.64187542168324, -5.927686131843942],
+          [226.64187542168324, 122.07231386815606], [2.641875421683247, 122.07231386815606]],
+         [7.949204741066971e-169, 1.4000539084901848e-168, 2.6497349136889905e-169,
+          7.949204741066971e-169]),
+        ("wft-triangle",
+         [[4.230921182981106, 9.369642628183726], [6291460.230921183, 9.369642628183726],
+          [2097156.230921183, 5242889.369642628]],
+         [3.378394109163255e+265, 4.514445769965648e+265, 3.0632312291191526e+265]),
+    ], ids=["wft-quad", "wft-triangle"])
+    def test_weights_far_from_unit_scale_solve(self, tmp_path, capsys, command, vertices,
+                                               weights):
+        # the median scaled its frame but not its weights, its Newton
+        # determinant under- or overflowed, and the command exited 3
+        path = tmp_path / "scaled.doc"
+        path.write_text(json.dumps({"vertices": vertices, "weights": weights}))
+        assert main([command, "--input", str(path)]) == 0
+        assert "A0: (" in capsys.readouterr().out
 
     def test_tiny_triangle_solves(self, tmp_path, capsys):
         # below about 1e-154 the median stalled, and the command exited 3

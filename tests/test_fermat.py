@@ -347,6 +347,15 @@ class TestWeiszfeld:
             (base.point.x * scale, base.point.y * scale), rel=1e-12)
         assert tree.angles == pytest.approx(base.angles, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_weights_scaled_by_a_power_of_two_solve_exactly(self, k):
+        # _median scaled its frame but not its weights: its Newton
+        # determinant, of order (w / r)^2, under- or overflowed and the
+        # median stalled (ConvergenceError)
+        tri = [Point(0.0, 0.0), Point(6.0, 0.0), Point(2.0, 5.0)]
+        weights = (2.0, 1.5, 1.8)
+        assert weiszfeld(tri, [math.ldexp(w, k) for w in weights]) == weiszfeld(tri, weights)
+
     def test_points_whose_difference_overflows_are_named(self):
         # the difference overflowed, and the median came back as the point
         # (inf, inf): "point coordinates must be finite, got (inf, inf)"
@@ -487,7 +496,7 @@ class TestSquareSystem:
         quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
         assume(classify_case(WeightedQuadrilateral(quad, weights)).kind is CaseKind.FLOATING)
         median, _, _ = fermat._median(quad.vertices, weights)
-        _, residual, _ = fermat._square_system(quad.vertices, weights, median)
+        residual, _ = fermat._square_system(quad.vertices, weights, median)
         assert residual <= fermat._EQUILIBRIUM_RTOL
         tree = solve_4wft_square(side, weights)
         assert tree.point.distance_to(median) <= fermat._REBUILD_RTOL * quad.diameter()
@@ -536,8 +545,8 @@ class TestGeneralSystem:
 
     def test_far_translation_near_a_vertex_solves(self):
         # moved by (1e7, 1e7), the pull at the float point next to the median
-        # is 1.25e-7 of the total; in A1's frame the rebuilt point pulls
-        # 1.6e-13 of it
+        # is 1.25e-7 of the total; in A1's frame, where the systems gate it,
+        # the median pulls 2e-15 of it
         quad = Quadrilateral.from_coords([(x + 1e7, y + 1e7) for x, y in NEAR_A4_COORDS])
         wq = WeightedQuadrilateral(quad, NEAR_A4_WEIGHTS)
         tree = solve_4wft_general(wq)
@@ -570,8 +579,8 @@ class TestGeneralSystem:
     def test_residual_above_the_median_gate_still_solves(self):
         # draw 781 of the barely floating recipe on `default_rng(17)`: one
         # weight at (1 - s) times the pull of the others on its vertex.  The
-        # system's residual at the median misses `RESIDUAL_TOL`, and its
-        # rebuilt point pulls 2.4e-8 of the total, inside the pull gate
+        # system's residual at the median misses `RESIDUAL_TOL`, and the
+        # median pulls 5.1e-9 of the total, inside the pull gate
         quad = Quadrilateral.from_coords([
             (-3.0480143367239627, 0.01633196320897659), (1.0142671667619307, -3.20343038079016),
             (3.3647495513273182, -1.553276426019535), (1.3996082213105905, 0.163954300383793)])
@@ -580,7 +589,7 @@ class TestGeneralSystem:
         a1 = quad.vertices[0]
         v = [Point(p.x - a1.x, p.y - a1.y) for p in quad.vertices]
         median, _, _ = fermat._median(v, wq.weights)
-        _, residual, _ = fermat._general_system(v, wq.weights, median)
+        residual, _ = fermat._general_system(v, wq.weights, median)
         assert residual > fermat.RESIDUAL_TOL
         tree = solve_4wft_general(wq)
         assert tree.case.kind is CaseKind.FLOATING
@@ -592,8 +601,8 @@ class TestGeneralSystem:
 
         def reading(extra_residual, shift):
             def system(v, weights, median):
-                angles, residual, p = original(v, weights, median)
-                return angles, residual + extra_residual, Point(p.x + shift * diameter, p.y)
+                residual, p = original(v, weights, median)
+                return residual + extra_residual, Point(p.x + shift * diameter, p.y)
             return system
 
         monkeypatch.setattr(fermat, "_general_system", reading(1e-6, 0.0))
@@ -602,12 +611,82 @@ class TestGeneralSystem:
         monkeypatch.setattr(fermat, "_general_system", reading(0.0, 1e-9))
         with pytest.raises(InconsistentCaseError, match=r"rebuilt point 1\.0\d*e-09"):
             solve_4wft_general(wq_ex2)
-        monkeypatch.setattr(fermat, "_REBUILD_RTOL", 1.0)
-        monkeypatch.setattr(fermat, "_general_system", reading(0.0, 1e-3))
+        monkeypatch.setattr(fermat, "_general_system", original)
+        median = fermat._median
+
+        def stalled(points, weights):
+            # the true median, reported with a pull just above the gate
+            point, _, steps = median(points, weights)
+            return point, 1.01 * fermat._EQUILIBRIUM_RTOL * sum(weights), steps
+
+        monkeypatch.setattr(fermat, "_median", stalled)
         with pytest.raises(ConvergenceError, match="off equilibrium") as err:
             solve_4wft_general(wq_ex2)
         assert err.value.residual > fermat._EQUILIBRIUM_RTOL * wq_ex2.total
         assert isinstance(err.value.last, Point)
+
+
+def _same_answer(wq, system_tree):
+    """The angle systems' answer is `locate_4wft`'s: its tree, `==`, when it
+    floats, and InconsistentCaseError when it absorbs; a stalled locate is
+    no answer to compare."""
+    try:
+        tree = locate_4wft(wq)
+    except ConvergenceError:
+        assume(False)
+    if tree.case.kind is CaseKind.ABSORBED:
+        with pytest.raises(InconsistentCaseError, match="absorbed"):
+            system_tree()
+    else:
+        assert system_tree() == tree
+
+
+class TestOneAnswer:
+    """The paper's angle systems check the median and return `locate_4wft`'s
+    tree, bit for bit, wherever that median is certified."""
+
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-math.pi, math.pi),
+           scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+           tx=st.floats(-1e7, 1e7), ty=st.floats(-1e7, 1e7),
+           lam=st.floats(-9.0, 9.0).map(lambda e: 10.0**e),
+           barely=st.booleans(), vertex=st.integers(0, 3), s=st.floats(-12.0, -1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_general_system_returns_the_located_tree(self, seed, theta, scale, tx, ty, lam,
+                                                     barely, vertex, s):
+        # half the draws barely float: one weight at (1 - 10^s) times the pull
+        # of the others on its vertex
+        rng = np.random.default_rng(seed)
+        xy = rigid_transform([(scale * x, scale * y) for x, y in random_convex_quad(rng)],
+                             theta, tx, ty)
+        quad = Quadrilateral.from_coords(xy)
+        w = [lam * float(v) for v in rng.uniform(0.6, 3.0, 4)]
+        if barely:
+            w[vertex] = (1.0 - 10.0 ** s) * _pull(quad.vertices, w, vertex)
+        assume(max(w) - min(w) > fermat.EQUAL_WEIGHT_RTOL * max(w))
+        wq = WeightedQuadrilateral(quad, tuple(w))
+        _same_answer(wq, lambda: solve_4wft_general(wq))
+
+    @given(seed=st.integers(0, 2**32 - 1), side=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+           lam=st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
+    @settings(max_examples=30, deadline=None)
+    def test_square_system_returns_the_located_tree(self, seed, side, lam):
+        w = tuple(lam * float(v) for v in np.random.default_rng(seed).uniform(0.6, 3.0, 4))
+        assume(max(w) - min(w) > fermat.EQUAL_WEIGHT_RTOL * max(w))
+        square = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
+        _same_answer(WeightedQuadrilateral(square, w), lambda: solve_4wft_square(side, w))
+
+    def test_certified_median_near_a_vertex(self):
+        # the median lies next to A2; the old pull gate, measured at the
+        # rebuilt point, read 1.3e-6 of the total there and raised
+        # ConvergenceError, while locate_4wft certifies 7.6e-12 of it
+        quad = Quadrilateral.from_coords([
+            (1.8581885747157731, 0.13900342795672416), (1.8933270558066317, 3.020907864708443),
+            (-1.7229864319926855, 1.9974056247996785), (1.651543145892957, -3.063611520034134)])
+        wq = WeightedQuadrilateral(quad, (0.7422039416292087, 2.4879072860810596,
+                                          1.375287231019696, 0.9604793497690844))
+        tree = locate_4wft(wq)
+        assert tree.equilibrium_residual < fermat.RESIDUAL_TOL * wq.total
+        assert solve_4wft_general(wq) == tree
 
 
 class TestLocate:
@@ -841,6 +920,17 @@ class TestInvariants:
         tree = locate_4wft(scaled)
         assert tree.point.distance_to(base.point) < 1e-9 * wq_ex2.quad.diameter()
         assert tree.objective == pytest.approx(lam * base.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_weights_scaled_by_a_power_of_two_solve_exactly(self, wq_ex2, k):
+        # the median stalled there (ConvergenceError): it scaled its frame by
+        # a power of two but not its weights; now both scalings are exact
+        base = locate_4wft(wq_ex2)
+        tree = locate_4wft(WeightedQuadrilateral(
+            wq_ex2.quad, tuple(math.ldexp(w, k) for w in wq_ex2.weights)))
+        assert tree.point == base.point
+        assert tree.angles == base.angles
+        assert tree.objective == math.ldexp(base.objective, k)
 
     def test_normalized_convention_is_explicit(self, wq_ex2):
         norm = wq_ex2.normalized()

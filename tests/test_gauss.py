@@ -135,14 +135,18 @@ class TestLocalAngles:
         with pytest.raises(InfeasibleWeightsError):
             solve_gauss_tree(rect, w)
 
-    def test_underflowing_weights_are_named(self, rect):
-        # the products of two weights underflowed to 0, and a bare
-        # ZeroDivisionError escaped the closed form and the tree
-        with pytest.raises(QuadFTError, match=r"^weights \(1e-162, 1e-162, 1e-162\) are too "
-                                              "small: the product of two"):
-            triangle_wft_angles(1e-162, 1e-162, 1e-162)
-        with pytest.raises(QuadFTError, match="are too small"):
-            solve_gauss_tree(rect, GaussWeights(*(1.1e-162,) * 5))
+    def test_underflowing_weights_give_the_angles_of_unit_weights(self, rect):
+        # the products of two weights underflowed to 0: a bare
+        # ZeroDivisionError escaped the closed form and the tree, later a
+        # QuadFTError; the closed form now scales them by a power of two
+        assert triangle_wft_angles(1e-162, 1e-162, 1e-162) == triangle_wft_angles(1.0, 1.0, 1.0)
+        for val in triangle_wft_angles(1e-162, 1e-162, 1e-162):
+            assert val == pytest.approx(TWO_PI / 3, abs=1e-12)
+        tree = solve_gauss_tree(rect, GaussWeights(*(1.1e-162,) * 5))
+        unit = solve_gauss_tree(rect, GaussWeights(*(1.0,) * 5))
+        for got, want in ((tree.node0, unit.node0), (tree.node0p, unit.node0p)):
+            assert got.as_tuple() == pytest.approx(want.as_tuple(), rel=1e-12)
+        assert tree.objective == pytest.approx(1.1e-162 * unit.objective, rel=1e-12)
 
     def test_matches_triangle_median_oracle(self):
         # each node is the geometric median of its three neighbours: solving
