@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, replace
 from typing import TYPE_CHECKING
 
 from .documents import (
@@ -138,7 +137,7 @@ def _apply_flags(doc: ProblemDocument, args) -> ProblemDocument:
             flags[key] = check(value, "--" + key.replace("_", "-"))
     xg = getattr(args, "xg", None)
     xg = doc.xg if xg is None else positive_number(xg, "--xg")
-    return replace(doc, xg=xg, options=replace(doc.options, **flags))
+    return doc._replace(xg=xg, options=doc.options._replace(**flags))
 
 
 def _given(opts: SolverOptions, *keys: str) -> dict:
@@ -156,9 +155,9 @@ def _solved(doc: ProblemDocument) -> ProblemDocument:
     s = sum(doc.weights)
     scaled = {k: getattr(opts, k) / s for k in ("storage", "spend", "b4")
               if getattr(opts, k) is not None}
-    return replace(doc, weights=tuple(w / s for w in doc.weights),
-                   xg=None if doc.xg is None else doc.xg / s,
-                   options=replace(opts, **scaled))
+    return doc._replace(weights=tuple(w / s for w in doc.weights),
+                        xg=None if doc.xg is None else doc.xg / s,
+                        options=opts._replace(**scaled))
 
 
 def _quad_instance(doc: ProblemDocument) -> WeightedQuadrilateral:
@@ -175,7 +174,7 @@ def _inputs_echo(doc: ProblemDocument) -> dict:
         "weights": list(doc.weights),
         "xg": doc.xg,
         "options": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in asdict(doc.options).items() if v is not None and v is not False},
+                    for k, v in doc.options._asdict().items() if v is not None and v is not False},
     }
 
 

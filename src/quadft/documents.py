@@ -9,36 +9,44 @@ timestamp taken from SOURCE_DATE_EPOCH rather than the wall clock).
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import time
 
-from .errors import DocumentError
+from .errors import DocumentError, _Record
 
 _TOP_LEVEL_KEYS = {"vertices", "weights", "xg", "options"}
 
 
-@dataclass
-class SolverOptions:
+class SolverOptions(_Record):
     """Optional run settings, each mirrored by the CLI flag of the same name;
     None means "use the solver default"."""
 
-    grid: int | None = None
-    normalize_weights: bool = False
-    b4: float | None = None
-    storage: float | None = None
-    spend: float | None = None
-    levels: tuple[float, ...] | None = None
+    __slots__ = _fields = ("grid", "normalize_weights", "b4", "storage", "spend", "levels")
+
+    def __init__(self, grid: int | None = None, normalize_weights: bool = False,
+                 b4: float | None = None, storage: float | None = None,
+                 spend: float | None = None, levels: tuple[float, ...] | None = None):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "normalize_weights", normalize_weights)
+        object.__setattr__(self, "b4", b4)
+        object.__setattr__(self, "storage", storage)
+        object.__setattr__(self, "spend", spend)
+        object.__setattr__(self, "levels", levels)
 
 
-@dataclass
-class ProblemDocument:
-    vertices: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...]
-    xg: float | None = None
-    options: SolverOptions = field(default_factory=SolverOptions)
+class ProblemDocument(_Record):
+    """A parsed problem document; `options` None stands for `SolverOptions()`."""
+
+    __slots__ = _fields = ("vertices", "weights", "xg", "options")
+
+    def __init__(self, vertices: tuple[tuple[float, float], ...], weights: tuple[float, ...],
+                 xg: float | None = None, options: SolverOptions | None = None):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "xg", xg)
+        object.__setattr__(self, "options", SolverOptions() if options is None else options)
 
 
 def _require_number(value, path: str) -> float:
@@ -144,26 +152,39 @@ def parse_problem_document(text: str) -> ProblemDocument:
 # Run records
 # ------------------------------------------------------------------ #
 
-@dataclass
-class RunRecord:
-    command: str
-    inputs: dict
-    outputs: dict
-    diagnostics: dict
-    timestamp: str
+class RunRecord(_Record):
+    """One run: its command, its inputs, outputs and diagnostics as JSON-ready
+    dicts, and its `run_timestamp`."""
+
+    __slots__ = _fields = ("command", "inputs", "outputs", "diagnostics", "timestamp")
+
+    def __init__(self, command: str, inputs: dict, outputs: dict, diagnostics: dict,
+                 timestamp: str):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "timestamp", timestamp)
+
+
+# The seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the years of
+# four digits
+_FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799
 
 
 def run_timestamp() -> str:
-    """Deterministic timestamp: SOURCE_DATE_EPOCH seconds, so identical runs
-    emit identical records.  Unset, not an integer or outside the dates
-    `datetime` can hold, it falls back to 0."""
-    utc = datetime.timezone.utc
+    """Deterministic UTC timestamp, `YYYY-MM-DDThh:mm:ssZ`: SOURCE_DATE_EPOCH
+    seconds, so identical runs emit identical records.  Unset, not an
+    integer or outside the years 1 to 9999, it falls back to 0."""
     try:
         epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-        moment = datetime.datetime.fromtimestamp(epoch, tz=utc)
-    except (ValueError, OverflowError, OSError):
-        moment = datetime.datetime.fromtimestamp(0, tz=utc)
-    return moment.isoformat().replace("+00:00", "Z")
+    except ValueError:
+        epoch = 0
+    if not _FIRST_SECOND <= epoch <= _LAST_SECOND:
+        epoch = 0
+    t = time.gmtime(epoch)
+    return (f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}"
+            f"T{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}Z")
 
 
 def _jsonable(value):

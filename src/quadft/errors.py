@@ -1,6 +1,57 @@
-"""Exception hierarchy for quadft solvers and I/O."""
+"""Exception hierarchy for quadft solvers and I/O, and `_Record`, the base of
+the package's value classes."""
 
 from __future__ import annotations
+
+import operator
+
+
+class _Record:
+    """An immutable value with the named fields `_fields`, each a slot.
+
+    A subclass declares its slots and `_fields` and writes its own
+    `__init__`, which checks its arguments and sets the slots through
+    `object.__setattr__`.  Repr reads `Name(field=value, ...)`; equality
+    goes by the class and the field values, so a record equals no tuple,
+    and hash by the field values.  Assignment and deletion raise
+    AttributeError.  `_replace` re-runs `__init__`, so its result is checked
+    as construction checks; pickle and `copy` rebuild through `__init__` too.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # `self._key(self)` reads the fields for == and hash: a tuple of
+        # their values, or the value itself for a single field
+        cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __reduce__(self):
+        return type(self), tuple(self._asdict().values())
 
 
 class QuadFTError(Exception):

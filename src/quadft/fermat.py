@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import (
     AbsorbedWeightsError,
     ConvergenceError,
     InconsistentCaseError,
     QuadFTError,
+    _Record,
 )
 from .geometry import (
     Point,
@@ -82,8 +82,7 @@ class CaseKind(enum.Enum):
     DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(_Record):
     """Classification of a degree-four optimum.
 
     `vertex` is the 1-based absorbing vertex index when kind is ABSORBED.
@@ -91,9 +90,12 @@ class CaseTag:
     boundary.
     """
 
-    kind: CaseKind
-    vertex: int | None = None
-    boundary: bool = False
+    __slots__ = _fields = ("kind", "vertex", "boundary")
+
+    def __init__(self, kind: CaseKind, vertex: int | None = None, boundary: bool = False):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "boundary", boundary)
 
 
 _FLOATING = CaseTag(CaseKind.FLOATING)
@@ -111,18 +113,29 @@ def _positive_weights(weights) -> tuple[float, ...]:
     return w
 
 
-@dataclass(frozen=True)
-class WeightedQuadrilateral:
-    """Convex quadrilateral with one positive weight per vertex."""
+def _finite_total(weights) -> None:
+    """QuadFTError unless the weights' sum is finite: Kuhn's margin and the
+    objective scale with it, and an infinite margin absorbs every point."""
+    total = sum(weights)
+    if total == math.inf:
+        raise QuadFTError(f"the weights sum to {total}: their total overflows the "
+                          "largest float; divide them by a common factor")
 
-    quad: Quadrilateral
-    weights: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        w = tuple(self.weights)
+class WeightedQuadrilateral(_Record):
+    """Convex quadrilateral with one positive weight per vertex, whose sum
+    is finite."""
+
+    __slots__ = _fields = ("quad", "weights")
+
+    def __init__(self, quad: Quadrilateral, weights: tuple[float, float, float, float]):
+        w = tuple(weights)
         if len(w) != 4:
             raise QuadFTError("exactly four weights are required")
-        object.__setattr__(self, "weights", _positive_weights(w))
+        w = _positive_weights(w)
+        _finite_total(w)
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "weights", w)
 
     @property
     def total(self) -> float:
@@ -134,8 +147,7 @@ class WeightedQuadrilateral:
         return WeightedQuadrilateral(self.quad, tuple(w / s for w in self.weights))
 
 
-@dataclass(frozen=True)
-class FermatTree:
+class FermatTree(_Record):
     """Degree-four tree: the optimum, its case, edge angles and objective.
 
     `angles` holds (a102, a203, a304, a401) in radians; entries involving an
@@ -144,15 +156,21 @@ class FermatTree:
     absorption inequality fails (absorbed case, zero when it holds).  It is the
     true pull at `point` as stored: far from the origin the nearest float
     coordinates can pull harder than the solve's relative-frame iterate did
-    (see `locate_4wft`).
+    (see `locate_4wft`), and a floating median can round onto a vertex, whose
+    tree then reads as an absorbed one does, with its case floating.
     """
 
-    point: Point
-    case: CaseTag
-    angles: tuple[float, float, float, float]
-    objective: float
-    equilibrium_residual: float
-    iterations: int = 0
+    __slots__ = _fields = ("point", "case", "angles", "objective", "equilibrium_residual",
+                           "iterations")
+
+    def __init__(self, point: Point, case: CaseTag, angles: tuple[float, float, float, float],
+                 objective: float, equilibrium_residual: float, iterations: int = 0):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "equilibrium_residual", equilibrium_residual)
+        object.__setattr__(self, "iterations", iterations)
 
 
 # ------------------------------------------------------------------ #
@@ -266,21 +284,24 @@ def _collinear(points) -> bool:
 def weiszfeld(points, weights) -> Point:
     """Weighted geometric median of >= 3 points, not all collinear.
 
-    Weights that are not positive and finite raise QuadFTError, and so do
-    two points whose distance overflows, named as `Quadrilateral` names
-    them.  Coincident points are one point carrying the sum of their
-    weights.  Absorbed instances return the dominating vertex directly
-    (Kuhn's test of `classify_case`: the pull of the others exceeds its
-    weight by at most `CASE_BOUNDARY_TOL` times the total).  Otherwise the
-    median of `locate_4wft`: at most 5 Weiszfeld steps, then at most
-    `NEWTON_MAX_ITER` Newton steps, on one gradient evaluation per step; a
-    pull not below RESIDUAL_TOL * sum(weights) raises ConvergenceError.
+    Weights that are not positive and finite, or whose sum overflows, raise
+    QuadFTError, and so do two points whose distance overflows, named as
+    `Quadrilateral` names them.  Coincident points are one point carrying
+    the sum of their weights.  Absorbed instances return the dominating
+    vertex directly (Kuhn's test of `classify_case`: the pull of the others
+    exceeds its weight by at most `CASE_BOUNDARY_TOL` times the total).
+    Otherwise the median of `locate_4wft`: at most 5 Weiszfeld steps, then
+    at most `NEWTON_MAX_ITER` Newton steps, on one gradient evaluation per
+    step; a pull not below RESIDUAL_TOL * sum(weights) raises
+    ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
         raise QuadFTError("need at least three points with matching weights")
+    weights = _positive_weights(weights)
+    _finite_total(weights)
     merged = {}
-    for p, w in zip(points, _positive_weights(weights)):
+    for p, w in zip(points, weights):
         merged[p] = merged.get(p, 0.0) + w
     points, weights = list(merged), tuple(merged.values())
     units = measure_pairs(points)[1]
@@ -388,29 +409,29 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           iterations: int = 0) -> FermatTree:
     """The tree at p, on its star measured once (`measure_star`): the
     distances to the vertices for the objective, and the unit vectors toward
-    every vertex but an absorbing one for the angles (NaN where they would
-    meet the absorbing vertex) and for the pull.  The residual is that pull,
-    less the absorbing vertex's weight when there is one, floored at 0;
-    the angle systems' trees are built here too."""
-    w, i = wq.weights, case.vertex
-    distances, units = measure_star(p, wq.quad.vertices)
+    every vertex but one that p sits on for the angles (NaN where they would
+    meet that vertex) and for the pull.  The residual is that pull, less the
+    weight of the vertex p sits on, floored at 0: the least subgradient of
+    the objective there.  p sits on a vertex when the case absorbs, and when
+    a floating median, mapped back from A1's frame, rounds onto one; the
+    angle systems' trees are built here too."""
+    w = wq.weights
+    distances, units = measure_star(p, wq.quad.vertices)  # no unit toward p itself
     objective = 0.0
-    for j, (wj, d) in enumerate(zip(w, distances), 1):
+    for wj, d in zip(w, distances):
         objective += wj * d  # the order and rounding of `weighted_distance_sum`
-        if j == i:
-            units[j - 1] = None
-        elif not d:
-            raise QuadFTError("unit vector undefined between coincident points")
     angles = [math.nan if u is None or v is None
               else clamped_acos(u[0] * v[0] + u[1] * v[1])
               for u, v in zip(units, units[1:] + units[:1])]
     pull = math.hypot(*_weighted_sum(w, units))
+    if 0.0 in distances:
+        pull = max(0.0, pull - w[distances.index(0.0)])
     return FermatTree(
         point=p,
         case=case,
         angles=tuple(angles),
         objective=objective,
-        equilibrium_residual=pull if i is None else max(0.0, pull - w[i - 1]),
+        equilibrium_residual=pull,
         iterations=iterations,
     )
 

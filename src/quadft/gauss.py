@@ -20,31 +20,30 @@ pi + a00'2 and A0'->A3 at pi - a00'3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError
+from .errors import DegenerateTreeError, InfeasibleWeightsError, QuadFTError, _Record
 from .fermat import _wft_angles
 from .geometry import Point, Quadrilateral, rotate
 
 DEGENERATE_SPAN_CLAMP = 1e-9
 
 
-@dataclass(frozen=True)
-class GaussWeights:
+class GaussWeights(_Record):
     """Vertex weights B1..B4 plus the Gauss variable x_G on the interior edge."""
 
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-    xg: float
+    __slots__ = _fields = ("b1", "b2", "b3", "b4", "xg")
 
-    def __post_init__(self):
-        for name, val in self.__dict__.items():
+    def __init__(self, b1: float, b2: float, b3: float, b4: float, xg: float):
+        for name, val in zip(self._fields, (b1, b2, b3, b4, xg)):
             if isinstance(val, bool):
                 raise QuadFTError(f"{name} must be a number, not a bool, got {val!r}")
             if not (val > 0.0 and math.isfinite(val)):
                 raise QuadFTError(f"{name} must be positive and finite, got {val!r}")
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b3", b3)
+        object.__setattr__(self, "b4", b4)
+        object.__setattr__(self, "xg", xg)
 
     @property
     def total(self) -> float:
@@ -55,23 +54,26 @@ class GaussWeights:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
-@dataclass(frozen=True)
-class GaussTree:
+class GaussTree(_Record):
     """Solved degree-three tree.
 
     a1 = |A1 A0|, a4 = |A4 A0|, a2 = |A2 A0'|, a3 = |A3 A0'|, l = |A0 A0'|,
     phi = signed angle from side A1A2 to the axis A0->A0'.
     """
 
-    node0: Point
-    node0p: Point
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    l: float
-    phi: float
-    objective: float
+    __slots__ = _fields = ("node0", "node0p", "a1", "a2", "a3", "a4", "l", "phi", "objective")
+
+    def __init__(self, node0: Point, node0p: Point, a1: float, a2: float, a3: float,
+                 a4: float, l: float, phi: float, objective: float):
+        object.__setattr__(self, "node0", node0)
+        object.__setattr__(self, "node0p", node0p)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "objective", objective)
 
 
 def feasible_xg_interval(b1: float, b2: float, b3: float, b4: float) -> tuple[float, float]:
@@ -160,7 +162,7 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     if l == 0.0:
         # the exact degree-four limit: A0' merges into A0
         a3 = tree.node0.distance_to(q.vertices[2])
-        tree = replace(tree, node0p=tree.node0, a3=a3, l=l, objective=(
+        tree = tree._replace(node0p=tree.node0, a3=a3, l=l, objective=(
             w.b1 * tree.a1 + w.b2 * tree.a2 + w.b3 * a3 + w.b4 * tree.a4))
     if tree.a1 <= 0.0 or tree.a2 <= 0.0:
         raise DegenerateTreeError(

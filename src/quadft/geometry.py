@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
-from .errors import InfeasibleTriangleError, QuadFTError
+from .errors import InfeasibleTriangleError, QuadFTError, _Record
 
 ACOS_CLAMP_TOL = 1e-9
 CONVEXITY_TOL = 1e-12
@@ -41,16 +40,16 @@ def clamped_acos(value: float) -> float:
     return math.acos(min(1.0, max(-1.0, value)))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """A planar point with finite coordinates."""
 
-    x: float
-    y: float
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise QuadFTError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise QuadFTError(f"point coordinates must be finite, got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def distance_to(self, other: Point) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -125,8 +124,7 @@ def angle_at(p: Point, a: Point, b: Point) -> float:
 # Quadrilateral
 # ------------------------------------------------------------------ #
 
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(_Record):
     """Strictly convex quadrilateral with vertices in counterclockwise order.
 
     Construction measures it once (`measure_pairs`, one hypot per vertex
@@ -138,10 +136,11 @@ class Quadrilateral:
     them, and so do vertices so close that every square underflows to 0.
     """
 
-    vertices: tuple[Point, Point, Point, Point]
+    __slots__ = ("vertices", "distances", "unit_vectors", "_diameter", "interior_angles")
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        v = tuple(self.vertices)
+    def __init__(self, vertices: tuple[Point, Point, Point, Point]):
+        v = tuple(vertices)
         if len(v) != 4:
             raise QuadFTError("a quadrilateral needs exactly 4 vertices")
         d, u, diameter = measure_pairs(v, SQUARABLE_LENGTH)
@@ -168,9 +167,11 @@ class Quadrilateral:
         for i in range(4):
             (ax, ay), (bx, by) = u[i][i - 1], u[i][i - 3]  # toward both neighbours
             angles.append(clamped_acos(ax * bx + ay * by))
-        # frozen: set through the instance dict, in one call
-        self.__dict__.update(vertices=v, distances=d, unit_vectors=u, _diameter=diameter,
-                             interior_angles=tuple(angles))
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "distances", d)
+        object.__setattr__(self, "unit_vectors", u)
+        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "interior_angles", tuple(angles))
 
     @classmethod
     def from_coords(cls, coords) -> Quadrilateral:

@@ -13,13 +13,13 @@ kept as an independent reference for the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     AbsorbedWeightsError,
     InconsistentCaseError,
     InfeasibleWeightsError,
     QuadFTError,
+    _Record,
 )
 from .fermat import (
     CASE_BOUNDARY_TOL,
@@ -33,22 +33,25 @@ from .fermat import (
 from .geometry import Point, Quadrilateral, _count, cross2, linspace, measure_star
 
 
-@dataclass(frozen=True)
-class PlasticityLine:
+class PlasticityLine(_Record):
     """Affine family B_i = x_i * B4 + y_i (i = 1, 2, 3) at fixed total c.
 
     `point` is the anchor optimum the family preserves.  `b4_interval` is the
     open interval on which all four weights stay positive.
     """
 
-    c: float
-    coefficients: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    b4_interval: tuple[float, float]
-    point: Point
+    __slots__ = _fields = ("c", "coefficients", "b4_interval", "point")
 
-    def __post_init__(self):
-        (x1, y1), (x2, y2), (x3, y3) = self.coefficients
-        lo, hi = self.b4_interval
+    def __init__(self, c: float,
+                 coefficients: tuple[tuple[float, float], tuple[float, float],
+                                     tuple[float, float]],
+                 b4_interval: tuple[float, float], point: Point):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "b4_interval", b4_interval)
+        object.__setattr__(self, "point", point)
+        (x1, y1), (x2, y2), (x3, y3) = coefficients
+        lo, hi = b4_interval
         for name, values in (("c", (self.c,)), ("coefficients", (x1, y1, x2, y2, x3, y3)),
                              ("b4_interval", (lo, hi))):
             if not all(map(math.isfinite, values)):
@@ -342,16 +345,23 @@ def plasticity_system_new(angles, c: float, b4: float) -> list[tuple[float, floa
     return solutions
 
 
-@dataclass(frozen=True)
-class PlasticityReport:
-    """Outcome of re-solving the optimum across a sampled weight family."""
+class PlasticityReport(_Record):
+    """Outcome of re-solving the optimum across a sampled weight family:
+    `evaluated` holds (b4, deviation) pairs and `excluded` (b4, reason)
+    pairs."""
 
-    reference: Point
-    tolerance: float
-    max_deviation: float
-    passed: bool
-    evaluated: tuple[tuple[float, float], ...]   # (b4, deviation)
-    excluded: tuple[tuple[float, str], ...]      # (b4, reason)
+    __slots__ = _fields = ("reference", "tolerance", "max_deviation", "passed", "evaluated",
+                           "excluded")
+
+    def __init__(self, reference: Point, tolerance: float, max_deviation: float, passed: bool,
+                 evaluated: tuple[tuple[float, float], ...],
+                 excluded: tuple[tuple[float, str], ...]):
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "evaluated", evaluated)
+        object.__setattr__(self, "excluded", excluded)
 
 
 def verify_plasticity(q: Quadrilateral, line: PlasticityLine,

@@ -18,9 +18,8 @@ without passing it, and stop where a step no longer lowers r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import QuadFTError
+from .errors import QuadFTError, _Record
 from .fermat import _median, _positive_weights
 from .geometry import _count, linspace
 
@@ -108,14 +107,19 @@ def level_curve_loops(points, weights, levels, grid: int = LEVEL_GRID):
 # Scene rendering
 # ------------------------------------------------------------------ #
 
-@dataclass
-class Scene:
-    """Everything the renderer draws, in world coordinates."""
+class Scene(_Record):
+    """Everything the renderer draws, in world coordinates; `level_curves`
+    holds (value, [loop, ...]) pairs."""
 
-    quad: tuple[tuple[float, float], ...]
-    tree_edges: tuple[tuple[tuple[float, float], tuple[float, float]], ...] = ()
-    nodes: tuple[tuple[float, float, str], ...] = ()
-    level_curves: tuple = ()   # ((value, [loop, ...]), ...)
+    __slots__ = _fields = ("quad", "tree_edges", "nodes", "level_curves")
+
+    def __init__(self, quad: tuple[tuple[float, float], ...],
+                 tree_edges: tuple[tuple[tuple[float, float], tuple[float, float]], ...] = (),
+                 nodes: tuple[tuple[float, float, str], ...] = (), level_curves: tuple = ()):
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "tree_edges", tree_edges)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "level_curves", level_curves)
 
 
 def render_scene(scene: Scene) -> str:

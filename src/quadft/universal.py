@@ -37,7 +37,6 @@ cost of a plain tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
     OverspendError,
     QuadFTError,
     _BelowMinimumError,
+    _Record,
 )
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
 from .geometry import Quadrilateral, _count, cross2, linspace
@@ -66,15 +66,19 @@ class UniversalSample(NamedTuple):
     objective: float
 
 
-@dataclass(frozen=True)
-class UniversalResult:
+class UniversalResult(_Record):
     """Minimum of the universal set with a sampled profile beside it."""
 
-    u_ft: float
-    b4_star: float
-    rate: float
-    samples: tuple[UniversalSample, ...]
-    skipped: tuple[tuple[float, str], ...] = ()
+    __slots__ = _fields = ("u_ft", "b4_star", "rate", "samples", "skipped")
+
+    def __init__(self, u_ft: float, b4_star: float, rate: float,
+                 samples: tuple[UniversalSample, ...],
+                 skipped: tuple[tuple[float, str], ...] = ()):
+        object.__setattr__(self, "u_ft", u_ft)
+        object.__setattr__(self, "b4_star", b4_star)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "skipped", skipped)
 
 
 def _finite(value: float, name: str) -> None:

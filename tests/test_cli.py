@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -7,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +26,7 @@ from quadft.documents import (
     parse_problem_document,
     record_from_json,
     record_to_json,
+    run_timestamp,
 )
 from quadft import Point, QuadFTError, WeightedQuadrilateral, locate_4wft, weighted_distance_sum
 from quadft.svgplot import level_curve_loops
@@ -178,6 +179,39 @@ class TestCommands:
         assert main(["wft-quad", "--input", str(ex2_doc), "--records", str(records)]) == 0
         capsys.readouterr()
         assert record_from_json(records.read_text().strip()).timestamp == "1970-01-01T00:00:00Z"
+
+    @pytest.mark.parametrize("epoch, stamp", [
+        ("0", "1970-01-01T00:00:00Z"),
+        ("1", "1970-01-01T00:00:01Z"),
+        ("-1", "1969-12-31T23:59:59Z"),
+        ("-62135596800", "0001-01-01T00:00:00Z"),
+        ("-62135596801", "1970-01-01T00:00:00Z"),
+        ("253402300799", "9999-12-31T23:59:59Z"),
+        ("253402300800", "1970-01-01T00:00:00Z"),
+        (str(10**20), "1970-01-01T00:00:00Z"),
+        ("x", "1970-01-01T00:00:00Z"),
+    ])
+    def test_source_date_epoch_timestamp(self, epoch, stamp, monkeypatch):
+        # the years 1 to 9999 are written out; other integers and
+        # non-integers fall back to 0
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert run_timestamp() == stamp
+
+    @pytest.mark.parametrize("command, vertices, weights", [
+        ("wft-quad", [[0, 0], [7, 0], [7, 4], [0, 4]], [1.5e308, 1.25e308, 0.85e308, 0.75e308]),
+        ("wft-quad", [[0, 0], [7, 0], [7, 4], [0, 4]],
+         [math.ldexp(w, -1) for w in (1.5e308, 1.25e308, 0.85e308, 0.75e308)]),
+        ("wft-triangle", [[0, 0], [6, 0], [2, 5]], [1.5e308, 1.4e308, 1.3e308]),
+    ], ids=["wft-quad", "wft-quad-half", "wft-triangle"])
+    def test_weights_whose_sum_overflows_exit_2(self, tmp_path, capsys, command, vertices,
+                                                weights):
+        # "absorbed at vertex A1", objective inf, and exit 0
+        path = tmp_path / "heavy.doc"
+        path.write_text(json.dumps({"vertices": vertices, "weights": weights}))
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the weights sum to inf")
+        assert captured.out == ""
 
     def test_storage_below_u_ft_exits_2_with_hint(self, ex2_doc, capsys):
         # with --b4 evolve checks the storage rule, without it weights_for_storage
@@ -428,7 +462,7 @@ class TestOptions:
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         keys = set(OPTION_CHECKS)
-        assert keys == {f.name for f in fields(SolverOptions)}
+        assert keys == set(SolverOptions._fields)
         flagged = set()
         for name, cmd in sub.choices.items():
             for action in cmd._actions:
@@ -681,6 +715,18 @@ def test_runtime_imports_neither_numpy_nor_scipy():
     assert heavy == "[]"
 
 
+def _imported(*argv, cwd=None) -> set[str]:
+    """The modules a fresh interpreter run with `argv` imports, by name."""
+    err = _fresh("-X", "importtime", *argv, cwd=cwd).stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
+@functools.cache
+def _bare_imports() -> set[str]:
+    return _imported("-c", "pass")
+
+
 class TestLazyImports:
     """`import quadft` loads no solver module, and a `quadft` process loads
     only the modules its subcommand runs."""
@@ -714,10 +760,11 @@ class TestLazyImports:
     def test_a_subcommand_loads_its_own_modules(self, tmp_path, argv, modules):
         (tmp_path / "rect.doc").write_text(EX2_DOC)
         (tmp_path / "tri.doc").write_text(TRI_DOC)
-        err = _fresh("-X", "importtime", "-m", "quadft.cli", *argv, cwd=tmp_path).stderr
-        names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
-                 if line.startswith("import time:")}
+        names = _imported("-m", "quadft.cli", *argv, cwd=tmp_path)
         assert {n for n in names if n.split(".")[0] == "quadft"} == self.FRONT | modules
+        # class generation and its inspect import, and datetime, cost about
+        # 20 ms a process; a bare interpreter may load them through site
+        assert not {"dataclasses", "inspect", "datetime"} & (names - _bare_imports())
 
     def test_every_export_is_its_module_attribute(self):
         import importlib

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quadft.fermat as fermat
@@ -397,6 +397,21 @@ class TestWeiszfeld:
         with pytest.raises(QuadFTError, match=r"not bools, got \(True, 2.5, 1.7, 1.5\)"):
             WeightedQuadrilateral(rect, (True, 2.5, 1.7, 1.5))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_weights_whose_sum_overflows_rejected(self, k):
+        # each weight is finite, but the total is inf: Kuhn's margin was inf,
+        # so the first point absorbed and A1 came back with objective inf
+        tri = [Point(0.0, 0.0), Point(6.0, 0.0), Point(2.0, 5.0)]
+        with pytest.raises(QuadFTError, match="^the weights sum to inf"):
+            weiszfeld(tri, [math.ldexp(w, k) for w in (1.5e308, 1.4e308, 1.3e308)])
+        rect = Quadrilateral.from_coords([(0, 0), (7, 0), (7, 4), (0, 4)])
+        w = (1.5e308, 1.25e308, 0.85e308, 0.75e308)
+        with pytest.raises(QuadFTError, match="^the weights sum to inf"):
+            WeightedQuadrilateral(rect, tuple(math.ldexp(v, k) for v in w))
+        # at 2^-2 the total is finite, and the instance floats as at unit scale
+        wq = WeightedQuadrilateral(rect, tuple(math.ldexp(v, -2) for v in w))
+        assert classify_case(wq).kind is CaseKind.FLOATING
+
     def test_agrees_with_classify_and_locate(self):
         # on the same quadrilateral and weights, weiszfeld returns the
         # absorbing vertex exactly when classify_case absorbs, and otherwise
@@ -651,6 +666,9 @@ class TestOneAnswer:
            lam=st.floats(-9.0, 9.0).map(lambda e: 10.0**e),
            barely=st.booleans(), vertex=st.integers(0, 3), s=st.floats(-12.0, -1.0))
     @settings(max_examples=60, deadline=None)
+    # the median rounds onto A1, and both solves raised QuadFTError
+    @example(seed=0, theta=0.0, scale=1e-6, tx=131073.0, ty=16385.0, lam=1.0, barely=True,
+             vertex=0, s=-6.0)
     def test_general_system_returns_the_located_tree(self, seed, theta, scale, tx, ty, lam,
                                                      barely, vertex, s):
         # half the draws barely float: one weight at (1 - 10^s) times the pull
@@ -690,6 +708,24 @@ class TestOneAnswer:
 
 
 class TestLocate:
+    def test_median_that_rounds_onto_a_vertex(self):
+        # barely floating at A1, 1e-6 wide and moved to (131073, 16385), where
+        # the coordinate ulp is 1.5e-5 of the diameter: the certified median
+        # maps back onto A1, and the tree raised "unit vector undefined
+        # between coincident points"; it is read at A1 as an absorbed tree is
+        xy = [(131072.99999808084, 16384.999998179672), (131072.999999603, 16384.999996096576),
+              (131073.00000148, 16384.999996837876), (131073.00000078036, 16384.999999443666)]
+        quad = Quadrilateral.from_coords(xy)
+        w = (4.577872519730316, 0.8982798635989535, 2.2094985952647126, 2.1532548277782)
+        wq = WeightedQuadrilateral(quad, w)
+        tree = locate_4wft(wq)
+        assert tree.case.kind is CaseKind.FLOATING and tree.point == quad.vertices[0]
+        assert [math.isnan(a) for a in tree.angles] == [True, False, False, True]
+        assert tree.equilibrium_residual == max(0.0, _slack(quad.vertices, w, 0))
+        assert 0.0 < tree.equilibrium_residual < 1e-5 * wq.total
+        assert tree.objective == weighted_distance_sum(quad.vertices, w, tree.point)
+        assert solve_4wft_general(wq) == tree
+
     def test_floating_residual_and_objective(self, wq_ex2):
         tree = locate_4wft(wq_ex2)
         assert tree.case.kind is CaseKind.FLOATING

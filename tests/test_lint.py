@@ -44,6 +44,35 @@ def test_detects_unused_imports():
     assert unused_imports(source) == ["math", "parse"]
 
 
+def imports_module(source: str, module: str) -> bool:
+    """True if the source imports `module` or a submodule of it, at any
+    level: `import module`, `import module.sub` or `from module import ...`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            return True
+    return False
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass generates its methods at import, about 1 ms a class,
+    # and `dataclasses` pulls in `inspect`: the value classes are `_Record`s
+    assert [p.name for p in PACKAGE
+            if imports_module(p.read_text(encoding="utf-8"), "dataclasses")] == []
+
+
+def test_detects_module_imports():
+    assert imports_module("from dataclasses import dataclass\n", "dataclasses")
+    assert imports_module("def f():\n    import dataclasses as dc\n", "dataclasses")
+    assert not imports_module("from .dataclasses import x\nimport dataclasses_json\n",
+                              "dataclasses")
+
+
 def read_names(source: str) -> set[str]:
     """Every name the source reads: a load of the name, an attribute of that
     name or an import of it."""

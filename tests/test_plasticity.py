@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -329,7 +328,7 @@ class TestPlasticityLine:
         # u1 = u2 and the triangle of u1, u2, u3 has zero area exactly
         quad = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
         wq = WeightedQuadrilateral(quad, (1.0, 1.0, 1.0, 1.0))
-        tree = dataclasses.replace(locate_4wft(wq), point=Point(-1.0, 0.0))
+        tree = locate_4wft(wq)._replace(point=Point(-1.0, 0.0))
         with pytest.raises(InconsistentCaseError, match="not inside the quadrilateral"):
             plasticity_line(wq, tree)
 
@@ -379,7 +378,7 @@ class TestPlasticityLine:
 
     def test_anchor_on_a_vertex_has_no_line(self, rect_mod):
         wq = WeightedQuadrilateral(rect_mod, (3.0, 2.5, 1.7, 1.5))
-        tree = dataclasses.replace(locate_4wft(wq), point=rect_mod.vertices[2])
+        tree = locate_4wft(wq)._replace(point=rect_mod.vertices[2])
         with pytest.raises(QuadFTError, match="^unit vector undefined between coincident"):
             plasticity_line(wq, tree)
 
@@ -392,7 +391,7 @@ class TestPlasticityLine:
         (x1, y1), *rest = line.coefficients
         moved = ((x1, y1 + 1e-8 * line.c), *rest)
         with pytest.raises(QuadFTError, match="preserve the total"):
-            dataclasses.replace(line, coefficients=moved)
+            line._replace(coefficients=moved)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected(self, line_ex2, value):
@@ -407,7 +406,7 @@ class TestPlasticityLine:
         ]
         for name, change in changes:
             with pytest.raises(QuadFTError, match=f"^{name} must be finite"):
-                dataclasses.replace(line_ex2, **change)
+                line_ex2._replace(**change)
 
 
 def _cubic_solutions(angles, c, b4):
@@ -750,8 +749,8 @@ class TestVerify:
             return  # absorbed: no line; or a median that stalls near a vertex (item 1)
         if moved:
             shift = 1e-3 * quad.diameter()
-            line = dataclasses.replace(line, point=Point(line.point.x + shift * math.cos(theta),
-                                                         line.point.y + shift * math.sin(theta)))
+            line = line._replace(point=Point(line.point.x + shift * math.cos(theta),
+                                             line.point.y + shift * math.sin(theta)))
         try:
             report = verify_plasticity(quad, line, samples)
         except ConvergenceError:
@@ -806,7 +805,7 @@ class TestVerify:
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 moved = Point(line.point.x + shift * diameter * math.cos(theta),
                               line.point.y + shift * diameter * math.sin(theta))
-                moved_line = dataclasses.replace(line, point=moved)
+                moved_line = line._replace(point=moved)
                 report = verify_plasticity(quad, moved_line, 16)
                 assert report == _reference_report(quad, moved_line, 16)
                 reasons.update(why.split()[0] for _, why in report.excluded)
@@ -842,14 +841,14 @@ class TestVerify:
         for shift in (1e-3, 5e-2):
             steps.clear()
             moved = Point(line_ex2.point.x + shift * diameter, line_ex2.point.y)
-            report = verify_plasticity(rect_mod, dataclasses.replace(line_ex2, point=moved), 16)
+            report = verify_plasticity(rect_mod, line_ex2._replace(point=moved), 16)
             assert not report.passed
             assert len(steps) == len(report.evaluated) == 14
 
     def test_anchor_on_a_vertex_reports_its_offset(self, rect_mod, line_ex2):
         # no balance is measurable at a vertex, so every sample re-solves
         vertex = rect_mod.vertices[0]
-        report = verify_plasticity(rect_mod, dataclasses.replace(line_ex2, point=vertex), 16)
+        report = verify_plasticity(rect_mod, line_ex2._replace(point=vertex), 16)
         assert not report.passed and len(report.evaluated) == 14
         offset = vertex.distance_to(line_ex2.point)
         assert abs(report.max_deviation - offset) <= 1e-9 * rect_mod.diameter()
@@ -865,7 +864,7 @@ class TestVerify:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             moved = Point(line.point.x + shift * diameter * math.cos(theta),
                           line.point.y + shift * diameter * math.sin(theta))
-            report = verify_plasticity(quad, dataclasses.replace(line, point=moved), 16)
+            report = verify_plasticity(quad, line._replace(point=moved), 16)
             assert not report.passed
             offset = moved.distance_to(line.point)
             assert abs(report.max_deviation - offset) <= 1e-9 * diameter
