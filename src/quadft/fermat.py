@@ -1,42 +1,29 @@
 """Weighted Fermat-Torricelli solvers of degree three and four.
 
 Covers case classification (floating / absorbed / diagonal shortcut), the
-triangle closed form, the certified median, the circle system for a square
-boundary, and the general quadrilateral angle system.  The triangle closed
-form, `triangle_wft_angles`, also gives the angles at both interior nodes of
-a Gauss tree (`gauss._branch`).  Degree-four locations have no closed form,
-so everything quadrilateral-shaped is iterative.
+triangle closed form, which also gives the angles at both interior nodes of
+a Gauss tree (`gauss._branch`), the certified median, and the paper's circle
+system for a square boundary and angle system for a general quadrilateral.
+Degree-four locations have no closed form, so they are iterative.
 
 The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
-Fermat's problem"), on the unit vectors between the points
-(`geometry.measure_pairs`, which a quadrilateral runs once, at
-construction).  A point absorbs when the weighted pull of the others on it
-exceeds its own weight by at most `CASE_BOUNDARY_TOL` times the total.
-`classify_case` and `weiszfeld` read it.  The plasticity check decides the
-same test on a whole weight line at once, from the interval where each
-vertex absorbs (`plasticity.verify_plasticity`).  Every `FermatTree` is
-built by one function, `_tree`, whether at an absorbing vertex, at the
-diagonal intersection or at the median, the angle systems' tree included; it
-measures the point's star by `geometry.measure_star`, one hypot per vertex,
-the measurement `plasticity_line` and `plasticity._Family` take too.
+Fermat's problem") on the unit vectors between the points, which a
+quadrilateral measures once, at construction.  A point absorbs when the
+weighted pull of the others on it exceeds its own weight by at most
+`CASE_BOUNDARY_TOL` times the total.  Every `FermatTree` is built by
+`_tree`, on the point's star measured by `geometry.measure_star`.
 
 A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
-(`locate_4wft`), has one path, `_median`: one loop on one evaluation of the
-gradient and Hessian of the weighted distance sum, relative to the first
-point, which `_median` measures itself.  The points' spread and the largest
-weight are each scaled by the power of two that brings them into [0.5, 1),
-so that no Hessian entry overflows however close the points lie or however
-large or small the weights are.  It starts at the weighted centroid,
-takes at most 5 Weiszfeld steps, each a gradient step scaled by the
-Hessian's trace, then Newton steps, which converge quadratically to the
-median.  The residual gate is the certificate: the median is unique, and a
-point is accepted only when its pull is below `RESIDUAL_TOL` times the
-total weight.  The paper's angle systems check that point and return
-`locate_4wft`'s tree: `_system_tree` reads each system at `_median`'s
-iterate in A1's frame and gates its residual, the gap of the point it
-rebuilds to the median, and the median's pull, at `_EQUILIBRIUM_RTOL`
-rather than `RESIDUAL_TOL`, so that barely floating medians that stall
-between the two still get an answer.
+(`locate_4wft`), has one path, `_median`: one damped Newton loop on the
+gradient and Hessian of the weighted distance sum.  Kuhn's test gives its
+frame and start: next to the vertex of least slack, on Kuhn's descent ray,
+when that slack is below `_ANCHOR_SLACK` of the total, else relative to A1
+from the weighted centroid.  Frame and weights are scaled by powers of two
+(`geometry._exponent`), so no Hessian entry over- or underflows.  The one
+verdict is the residual gate: the median is unique, and a point is accepted
+only when its pull is below `RESIDUAL_TOL` times the total weight.  The
+angle systems read that certified median in A1's frame, gate their residual
+and the gap of the point they rebuild, and return `locate_4wft`'s tree.
 """
 
 from __future__ import annotations
@@ -54,6 +41,7 @@ from .errors import (
 from .geometry import (
     Point,
     Quadrilateral,
+    _exponent,
     angle_at,
     clamped_acos,
     cross2,
@@ -67,11 +55,12 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
-_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the pull over the total weight, and on the residual
+_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the residual
 _REBUILD_RTOL = 1e-10     # angle-system gate on the rebuilt point's gap, relative to the diameter
-_SEED_TOL = 1e-2       # Weiszfeld seed residual, relative to the total weight
-_SEED_MAX_ITER = 5     # Weiszfeld seed step cap
-_POLISH_TOL = 1e-14    # Newton polish target, relative to the total weight
+_ANCHOR_SLACK = 0.05      # Kuhn slack, over the total weight, below which _median anchors
+_RAY_MAX_ITER = 8         # gradient evaluations along Kuhn's descent ray
+_RAY_TOL = 0.1            # the ray's slope, over the anchor's slack, that ends its search
+_POLISH_TOL = 1e-14       # Newton polish target, relative to the total weight
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,15 +76,19 @@ class CaseTag(_Record):
 
     `vertex` is the 1-based absorbing vertex index when kind is ABSORBED.
     `boundary` marks classifications within tolerance of the absorbed/floating
-    boundary.
+    boundary.  Outside the fields, `_anchor` holds where `_median` anchors
+    (`_kuhn_case`), or None on a tag not made by Kuhn's test.
     """
 
-    __slots__ = _fields = ("kind", "vertex", "boundary")
+    __slots__ = ("kind", "vertex", "boundary", "_anchor")
+    _fields = ("kind", "vertex", "boundary")
 
-    def __init__(self, kind: CaseKind, vertex: int | None = None, boundary: bool = False):
+    def __init__(self, kind: CaseKind, vertex: int | None = None, boundary: bool = False,
+                 _anchor=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "_anchor", _anchor)
 
 
 _FLOATING = CaseTag(CaseKind.FLOATING)
@@ -153,11 +146,9 @@ class FermatTree(_Record):
     `angles` holds (a102, a203, a304, a401) in radians; entries involving an
     absorbing vertex are NaN.  `equilibrium_residual` is the norm of the weighted
     unit-vector sum at the optimum (floating case), or the amount by which the
-    absorption inequality fails (absorbed case, zero when it holds).  It is the
-    true pull at `point` as stored: far from the origin the nearest float
-    coordinates can pull harder than the solve's relative-frame iterate did
-    (see `locate_4wft`), and a floating median can round onto a vertex, whose
-    tree then reads as an absorbed one does, with its case floating.
+    absorption inequality fails (absorbed case, zero when it holds), at
+    `point` as stored (`_settle`); a floating median that rounds onto a
+    vertex reads as an absorbed one does, with its case floating.
     """
 
     __slots__ = _fields = ("point", "case", "angles", "objective", "equilibrium_residual",
@@ -192,14 +183,10 @@ def _weighted_sum(weights, units):
 
 
 def classify_case(wq: WeightedQuadrilateral) -> CaseTag:
-    """Absorbed/floating classification of the degree-four problem.
-
-    A vertex absorbs when the combined pull of the other three weights does not
-    exceed its own weight; the first such vertex in index order wins.  Within
-    `CASE_BOUNDARY_TOL` * total of equality it is reported absorbed with a
-    boundary flag.  The pulls read the unit vectors the quadrilateral measured
-    at construction.
-    """
+    """Absorbed/floating classification of the degree-four problem: Kuhn's
+    test (`_kuhn_case`) on the unit vectors the quadrilateral measured at
+    construction.  The first absorbing vertex in index order wins, flagged
+    `boundary` within `CASE_BOUNDARY_TOL` * total of equality."""
     return _kuhn_case(wq.quad.unit_vectors, wq.weights)
 
 
@@ -208,16 +195,18 @@ def _kuhn_case(units, weights) -> CaseTag:
     (`geometry.measure_pairs`): the slack of point i is the norm of the
     others' weighted pull on it minus its own weight, and the first point
     whose slack is at most `CASE_BOUNDARY_TOL` times the total weight
-    absorbs.  Along a plasticity line the pulls are affine in B4 and the
-    slack convex, so `plasticity.verify_plasticity` decides this test on the
-    whole line from the one interval where each vertex absorbs; the two
-    decide alike except within rounding of an interval end."""
+    absorbs.  The tag's `_anchor` is (i, slack, (x, y) pull) for that point,
+    or for the point of least slack when none absorbs."""
     margin = CASE_BOUNDARY_TOL * sum(weights)
+    anchor = None
     for i, w in enumerate(weights):
-        slack = math.hypot(*_weighted_sum(weights, units[i])) - w
+        pull = _weighted_sum(weights, units[i])
+        slack = math.hypot(*pull) - w
+        if anchor is None or slack < anchor[1]:
+            anchor = (i, slack, pull)
         if slack <= margin:
-            return CaseTag(CaseKind.ABSORBED, vertex=i + 1, boundary=abs(slack) <= margin)
-    return CaseTag(CaseKind.FLOATING)
+            return CaseTag(CaseKind.ABSORBED, i + 1, abs(slack) <= margin, anchor)
+    return CaseTag(CaseKind.FLOATING, _anchor=anchor)
 
 
 def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
@@ -238,11 +227,10 @@ def triangle_wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, 
 
 def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
     """The closed form of `triangle_wft_angles` for weights already checked,
-    scaled first by the power of two that brings the largest into [0.5, 1):
-    the cosines are ratios of the weights, the scaling is exact, no square
-    overflows, and the triangle inequality keeps every product 2 b b'
-    nonzero."""
-    e = -math.frexp(max(bi, bj, bk))[1]
+    scaled exactly by a power of two (`geometry._exponent`): the cosines are
+    ratios of the weights, no square overflows, and the triangle inequality
+    keeps every product 2 b b' nonzero."""
+    e = -_exponent(max(bi, bj, bk))
     bi, bj, bk = math.ldexp(bi, e), math.ldexp(bj, e), math.ldexp(bk, e)
     a_i0j = clamped_acos((bk * bk - bi * bi - bj * bj) / (2.0 * bi * bj))
     a_j0k = clamped_acos((bi * bi - bj * bj - bk * bk) / (2.0 * bj * bk))
@@ -255,22 +243,18 @@ def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
 # ------------------------------------------------------------------ #
 
 def _collinear(points) -> bool:
-    """Rank < 2 of the centred coordinates: their smaller singular value is at
-    most 1e-12 * max |x|, so the test is the same at every scale (coincident
-    points, all at 0, are collinear).
-
-    That singular value is the norm of the coordinates across the principal
-    axis, taken from the rotated coordinates themselves rather than from the
-    Gram matrix, so it stays accurate far below the square root of machine
-    precision.  The centred coordinates are first scaled by the power of two
-    that brings max |x| into [0.5, 1): the scaling is exact, and no square
-    of a coordinate overflows or underflows.
+    """Rank < 2 of the centred coordinates: their smaller singular value, the
+    norm of the coordinates across the principal axis (accurate far below
+    the square root of machine precision, unlike the Gram matrix's), is at
+    most 1e-12 * max |x|, the same test at every scale; coincident points
+    are collinear.  The coordinates are scaled by a power of two first
+    (`geometry._exponent`), so no square over- or underflows.
     """
     n = len(points)
     cx = sum(p.x for p in points) / n
     cy = sum(p.y for p in points) / n
     spread = max(max(abs(p.x - cx), abs(p.y - cy)) for p in points)
-    e = -math.frexp(spread)[1]
+    e = -_exponent(spread)
     xs = [(math.ldexp(p.x - cx, e), math.ldexp(p.y - cy, e)) for p in points]
     tol = 1e-12 * math.ldexp(spread, e)
     a = sum(x * x for x, _ in xs)
@@ -287,13 +271,10 @@ def weiszfeld(points, weights) -> Point:
     Weights that are not positive and finite, or whose sum overflows, raise
     QuadFTError, and so do two points whose distance overflows, named as
     `Quadrilateral` names them.  Coincident points are one point carrying
-    the sum of their weights.  Absorbed instances return the dominating
-    vertex directly (Kuhn's test of `classify_case`: the pull of the others
-    exceeds its weight by at most `CASE_BOUNDARY_TOL` times the total).
-    Otherwise the median of `locate_4wft`: at most 5 Weiszfeld steps, then
-    at most `NEWTON_MAX_ITER` Newton steps, on one gradient evaluation per
-    step; a pull not below RESIDUAL_TOL * sum(weights) raises
-    ConvergenceError.
+    the sum of their weights.  Absorbed instances return the absorbing
+    vertex (Kuhn's test of `classify_case`); otherwise the median of
+    `locate_4wft`, stored as `_settle` stores it, and a pull not below
+    RESIDUAL_TOL * sum(weights) raises ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
@@ -310,33 +291,41 @@ def weiszfeld(points, weights) -> Point:
     tag = _kuhn_case(units, weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
-    return _certified_median(points, weights)[0]
+    point = _certified_median(points, weights, tag._anchor)[0]
+    pull = _pull(weights, *measure_star(point, points))
+    return _settle(points, weights, tag._anchor, point, pull)
 
 
-def _median(points, weights):
-    """The weighted median of `points`, by one loop on the gradient of the
-    weighted distance sum, in coordinates relative to the first point (so a
-    far translation does not swamp the pull in rounding) and scaled by the
-    power of two that brings their largest magnitude into [0.5, 1), as
-    `_collinear` scales, and the weights by the power of two that brings the
-    largest into [0.5, 1): the scalings and their inverses on the point and
-    the pull are exact, and the Hessian determinant, of order (w / r)^2,
-    over- or underflows for no points however close or weights however
-    large or small.
+def _median(points, weights, anchor=None):
+    """The weighted median of `points` by one damped Newton loop, whose frame
+    and start come from Kuhn's test: `anchor` is a tag's `_anchor` (i,
+    slack, pull); the test runs here when it is None.
 
-    From the weighted centroid: at most `_SEED_MAX_ITER` Weiszfeld steps
-    while the pull is at least `_SEED_TOL` times the total, then at most
-    `NEWTON_MAX_ITER` damped Newton steps to `_POLISH_TOL` times it.  The
-    Weiszfeld step x - g / (hxx + hyy) reads the trace of the Hessian, which
-    is sum w_i / r_i; Newton is quadratic where Weiszfeld is only linear, and
-    the Hessian is positive definite off the points.  Returns (point,
-    residual_norm, steps of both kinds); the caller judges the residual.
+    The frame is relative to the first point, or to point i when its slack
+    is below `_ANCHOR_SLACK` times the total: the median lies next to it,
+    where its own term carries no rounding, and the loop starts on Kuhn's
+    descent ray (`_ray_start`), else at the weighted centroid.  Frame and
+    weights are scaled exactly by powers of two (`geometry._exponent`), so
+    no Hessian entry, of order w / r, over- or underflows.  Each step is the
+    longest of 1, 1/2, ... of the Newton step that lowers the pull; at most
+    `NEWTON_MAX_ITER` steps end at a pull below `_POLISH_TOL` times the
+    total, or where none lowers it.  Returns (point, pull, steps) for the
+    caller to judge; an absorbing point is its own median, with pull inf.
     """
-    ox, oy = points[0].x, points[0].y
-    e = math.frexp(max(max(abs(q.x - ox), abs(q.y - oy)) for q in points))[1]
+    if anchor is None:
+        anchor = _kuhn_case(measure_pairs(points)[1], weights)._anchor
+    k, slack, (px, py) = anchor
+    share = slack / sum(weights)
+    near = share < _ANCHOR_SLACK
+    if slack <= 0.0:
+        return points[k], math.inf, 0
+    a1 = points[0]
+    moved = [(q.x - a1.x, q.y - a1.y) for q in points]
+    ox, oy = moved[k] if near else (0.0, 0.0)
+    e = _exponent(max(max(abs(qx - ox), abs(qy - oy)) for qx, qy in moved))
     scale, unscale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    relative = [((q.x - ox) * scale, (q.y - oy) * scale) for q in points]
-    f = math.frexp(max(weights))[1]
+    relative = [((qx - ox) * scale, (qy - oy) * scale) for qx, qy in moved]
+    f = _exponent(max(weights))
     weights = [math.ldexp(w, -f) for w in weights]
     total = sum(weights)
 
@@ -354,28 +343,17 @@ def _median(points, weights):
             hxx += c * (1.0 - ux * ux)
             hxy -= c * ux * uy
             hyy += c * (1.0 - uy * uy)
-        return gx, gy, hxx, hxy, hyy
+        return math.hypot(gx, gy), gx, gy, hxx, hxy, hyy
 
-    x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
-    y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
-    state = gradient(x, y)
-    if state is None:
-        return Point(ox + x * unscale, oy + y * unscale), math.inf, 0
-    norm = math.hypot(state[0], state[1])
-    steps = 0
-    while steps < _SEED_MAX_ITER and norm >= _SEED_TOL * total:
-        gx, gy, hxx, _, hyy = state
-        nx, ny = x - gx / (hxx + hyy), y - gy / (hxx + hyy)
-        trial = gradient(nx, ny)
-        if trial is None:
-            break
-        x, y, state = nx, ny, trial
-        norm = math.hypot(state[0], state[1])
-        steps += 1
-    limit = _POLISH_TOL * total
-    newton = 0
-    while newton < NEWTON_MAX_ITER and norm >= limit:
-        gx, gy, hxx, hxy, hyy = state
+    if near:
+        x, y, state, steps = _ray_start(gradient, relative, k, share, total, px, py)
+    else:
+        x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
+        y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
+        state, steps = gradient(x, y), 0
+    norm = math.inf if state is None else state[0]
+    while steps < NEWTON_MAX_ITER and _POLISH_TOL * total <= norm < math.inf:
+        _, gx, gy, hxx, hxy, hyy = state
         det = hxx * hyy - hxy * hxy
         if not det > 0.0:
             break
@@ -384,21 +362,54 @@ def _median(points, weights):
         t = 1.0
         while t > 1e-12:
             trial = gradient(x + t * sx, y + t * sy)
-            if trial is not None and math.hypot(trial[0], trial[1]) < norm:
+            if trial is not None and trial[0] < norm:
                 break
             t *= 0.5
         else:
             break
-        x, y, state = x + t * sx, y + t * sy, trial
-        norm = math.hypot(state[0], state[1])
-        newton += 1
-    return Point(ox + x * unscale, oy + y * unscale), math.ldexp(norm, f), steps + newton
+        x, y, state, norm = x + t * sx, y + t * sy, trial, trial[0]
+        steps += 1
+    point = Point(a1.x + (ox + x * unscale), a1.y + (oy + y * unscale))
+    return point, math.ldexp(norm, f), steps
 
 
-def _certified_median(points, weights):
+def _ray_start(gradient, relative, k, share, total, px, py):
+    """Where `_median` anchored at point k starts: the least of the sum on
+    Kuhn's descent ray t (dx, dy) along the others' pull (px, py), where the
+    slope rises from -slack (`share` of `total`).  Newton steps on the slope
+    start below the first step from 0, at `share` times the nearest point's
+    reach, keep inside the root's bracket, and end at a slope within
+    `_RAY_TOL` of the slack or after `_RAY_MAX_ITER` evaluations."""
+    n = math.hypot(px, py)
+    dx, dy = px / n, py / n
+    t = share * min(max(abs(qx), abs(qy)) for i, (qx, qy) in enumerate(relative) if i != k)
+    lo, hi = 0.0, math.inf
+    for steps in range(1, _RAY_MAX_ITER + 1):
+        x, y = t * dx, t * dy
+        state = gradient(x, y)
+        if state is None:
+            break
+        _, gx, gy, hxx, hxy, hyy = state
+        slope = gx * dx + gy * dy
+        if abs(slope) <= _RAY_TOL * share * total:
+            break
+        if slope < 0.0:
+            lo = t
+        else:
+            hi = t
+        curvature = dx * dx * hxx + 2.0 * dx * dy * hxy + dy * dy * hyy
+        t = t - slope / curvature if curvature > 0.0 else math.inf
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return x, y, state, steps
+
+
+def _certified_median(points, weights, anchor=None):
     """`_median`, raising ConvergenceError unless its pull is below
-    RESIDUAL_TOL * sum(weights).  Returns (point, steps)."""
-    point, norm, steps = _median(points, weights)
+    RESIDUAL_TOL * sum(weights): the one verdict of `weiszfeld`,
+    `locate_4wft`, the angle systems and `verify_plasticity`.  Returns
+    (point, steps)."""
+    point, norm, steps = _median(points, weights, anchor)
     if not norm < RESIDUAL_TOL * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
@@ -408,32 +419,62 @@ def _certified_median(points, weights):
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           iterations: int = 0) -> FermatTree:
     """The tree at p, on its star measured once (`measure_star`): the
-    distances to the vertices for the objective, and the unit vectors toward
-    every vertex but one that p sits on for the angles (NaN where they would
-    meet that vertex) and for the pull.  The residual is that pull, less the
-    weight of the vertex p sits on, floored at 0: the least subgradient of
-    the objective there.  p sits on a vertex when the case absorbs, and when
-    a floating median, mapped back from A1's frame, rounds onto one; the
-    angle systems' trees are built here too."""
+    distances to the vertices for the objective, which raises QuadFTError
+    if it overflows, and the unit vectors toward every vertex but one that p
+    sits on for the angles (NaN where they would meet that vertex) and for
+    the residual (`_pull`).  p sits on a vertex when the case absorbs, and
+    when a floating median rounds onto one."""
     w = wq.weights
     distances, units = measure_star(p, wq.quad.vertices)  # no unit toward p itself
     objective = 0.0
     for wj, d in zip(w, distances):
         objective += wj * d  # the order and rounding of `weighted_distance_sum`
+    if objective == math.inf:
+        raise QuadFTError(f"the objective at {p.as_tuple()} overflows the largest float; "
+                          "divide the weights or the coordinates by a common factor")
     angles = [math.nan if u is None or v is None
               else clamped_acos(u[0] * v[0] + u[1] * v[1])
               for u, v in zip(units, units[1:] + units[:1])]
-    pull = math.hypot(*_weighted_sum(w, units))
-    if 0.0 in distances:
-        pull = max(0.0, pull - w[distances.index(0.0)])
     return FermatTree(
         point=p,
         case=case,
         angles=tuple(angles),
         objective=objective,
-        equilibrium_residual=pull,
+        equilibrium_residual=_pull(w, distances, units),
         iterations=iterations,
     )
+
+
+def _median_tree(wq: WeightedQuadrilateral, anchor, point: Point,
+                 iterations: int) -> FermatTree:
+    """The tree at a certified median, at the point `_settle` stores; the
+    angle systems' trees are built here too."""
+    tree = _tree(wq, point, iterations=iterations)
+    stored = _settle(wq.quad.vertices, wq.weights, anchor, point, tree.equilibrium_residual)
+    return tree if stored is point else _tree(wq, stored, iterations=iterations)
+
+
+def _settle(points, weights, anchor, point: Point, pull: float) -> Point:
+    """The median as stored: `point`, unless `_median` anchored it next to a
+    point at distance r, where rounding moves the pull by about w ulp / r,
+    and its `pull`, as `_tree` measures it, misses RESIDUAL_TOL times the
+    total; then the float point within 3 ulps whose pull is least."""
+    total = sum(weights)
+    if anchor[1] >= _ANCHOR_SLACK * total or pull < RESIDUAL_TOL * total:
+        return point
+    ux, uy = math.ulp(point.x), math.ulp(point.y)
+    return min((Point(point.x + i * ux, point.y + j * uy)
+                for i in range(-3, 4) for j in range(-3, 4)),
+               key=lambda q: _pull(weights, *measure_star(q, points)))
+
+
+def _pull(weights, distances, units) -> float:
+    """The pull at a point of its star (`measure_star`), less the weight of
+    the vertex it sits on, floored at 0: the least subgradient there."""
+    pull = math.hypot(*_weighted_sum(weights, units))
+    if 0.0 in distances:
+        pull = max(0.0, pull - weights[distances.index(0.0)])
+    return pull
 
 
 # ------------------------------------------------------------------ #
@@ -444,15 +485,12 @@ def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
     """`locate_4wft`'s tree, cross-checked by one of the paper's angle systems.
 
     An instance that is not floating raises InconsistentCaseError naming the
-    absorbing vertex.  `_median` runs on the vertices minus A1, the frame it
-    solves in anyway, so its iterate is `locate_4wft`'s;
-    `system(v, weights, median)` reads the system there and returns its
-    residual and the point the paper's reconstruction rebuilds.  A residual
-    above `_EQUILIBRIUM_RTOL`, or a rebuilt point more than `_REBUILD_RTOL`
-    times the diameter from the median, raises InconsistentCaseError; a
-    median whose pull exceeds `_EQUILIBRIUM_RTOL` times the total weight
-    raises ConvergenceError.  The tree is at the median moved back by A1:
-    wherever `locate_4wft` certifies the median, it is that function's tree.
+    absorbing vertex.  `_certified_median` runs on the vertices in A1's
+    frame, where `_median` measures anyway: its iterate and verdict are
+    `locate_4wft`'s.  `system(v, weights, median)` reads the system there:
+    a residual above `_EQUILIBRIUM_RTOL`, or a rebuilt point more than
+    `_REBUILD_RTOL` times the diameter from the median, raises
+    InconsistentCaseError.  The tree is `locate_4wft`'s.
     """
     tag = classify_case(wq)
     if tag.kind is not CaseKind.FLOATING:
@@ -460,19 +498,14 @@ def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
             f"instance is not floating (absorbed at vertex {tag.vertex})")
     a1 = wq.quad.vertices[0]
     v = [Point(p.x - a1.x, p.y - a1.y) for p in wq.quad.vertices]
-    median, pull, iterations = _median(v, wq.weights)
+    median, iterations = _certified_median(v, wq.weights, tag._anchor)
     residual, rebuilt = system(v, wq.weights, median)
     gap = rebuilt.distance_to(median) / wq.quad.diameter()
     if not (residual <= _EQUILIBRIUM_RTOL and gap <= _REBUILD_RTOL):
         raise InconsistentCaseError(
             f"the {name} does not hold at the median: residual {residual:.3e}, "
             f"rebuilt point {gap:.3e} of the diameter from it")
-    point = Point(a1.x + median.x, a1.y + median.y)
-    if not pull <= _EQUILIBRIUM_RTOL * wq.total:
-        raise ConvergenceError(f"the {name} was read at a median off equilibrium: pull "
-                               f"{pull / wq.total:.3e} of the total weight",
-                               last=point, residual=pull)
-    return _tree(wq, point, iterations=iterations)
+    return _median_tree(wq, tag._anchor, Point(a1.x + median.x, a1.y + median.y), iterations)
 
 
 # ------------------------------------------------------------------ #
@@ -525,12 +558,8 @@ def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
 
 def solve_4wft_square(side: float, weights) -> FermatTree:
     """`locate_4wft`'s tree on the square (0,0),(a,0),(a,a),(0,a), checked by
-    the paper's three-circle system in (a102, a401) at the median.
-
-    `_system_tree` reads `_square_system` at the median, gates its residual
-    and rebuilt point and the median's pull, and returns the tree at the
-    median.  A weight set that is not floating raises InconsistentCaseError.
-    """
+    the paper's three-circle system in (a102, a401) at the median
+    (`_system_tree`)."""
     if side <= 0.0:
         raise QuadFTError("square side must be positive")
     quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
@@ -590,13 +619,9 @@ def _general_system(v, weights, median: Point):
 
 def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
     """`locate_4wft`'s tree on a general convex quadrilateral, checked by the
-    paper's four-angle system in (a102, a401, a304, a013) at the median.
-
-    `_system_tree` reads `_general_system` at the median, in A1's frame so
-    that a translation does not enter the angles, gates its residual and
-    rebuilt point and the median's pull, and returns the tree at the median.
-    A weight set that is not floating raises InconsistentCaseError.
-    """
+    paper's four-angle system in (a102, a401, a304, a013) at the median, in
+    A1's frame so that a translation does not enter the angles
+    (`_system_tree`)."""
     return _system_tree(wq, _general_system, "angle system")
 
 
@@ -608,17 +633,13 @@ def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
     """Locate the degree-four optimum for any valid instance.
 
     Absorbed instances return the vertex tree; equal weights short-circuit to
-    the diagonal intersection.  A floating instance is classified once; its
-    median takes at most 5 Weiszfeld steps, to 1e-2 of the total weight, then
-    Newton steps on the same gradient, which polish it to 1e-14 of it in at
-    most `NEWTON_MAX_ITER` steps.  The tree, with its angles, is measured at
-    that point; `iterations` counts the steps of both kinds.  A residual that
-    misses `RESIDUAL_TOL` times the total weight raises ConvergenceError.
-
-    That gate applies to the Newton iterate in coordinates relative to A1.
-    Mapping it back rounds it to the float grid of the absolute coordinates,
-    so the tree's `equilibrium_residual`, measured at the returned point, can
-    exceed `RESIDUAL_TOL` times the total: moved by (1e7, 1e7), where the
+    the diagonal intersection.  A floating instance is classified once, and
+    Kuhn's test anchors its median (`_median`); `iterations` counts its
+    steps, those along Kuhn's ray included.  A pull that misses
+    `RESIDUAL_TOL` times the total weight raises ConvergenceError, and an
+    objective that overflows QuadFTError.  That gate reads the iterate in
+    the median's frame; the tree is measured at the point as stored
+    (`_settle`), whose pull can exceed it: moved by (1e7, 1e7), where the
     coordinate ulp is 1.9e-9, a barely floating instance reports 1.2e-8 of
     the total, and no float point next to it pulls below 1e-10 of it.
     """
@@ -628,5 +649,5 @@ def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
     w = wq.weights
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
         return _tree(wq, diagonal_intersection(wq.quad), CaseTag(CaseKind.DIAGONAL))
-    point, iterations = _certified_median(wq.quad.vertices, w)
-    return _tree(wq, point, iterations=iterations)
+    point, iterations = _certified_median(wq.quad.vertices, w, tag._anchor)
+    return _median_tree(wq, tag._anchor, point, iterations)

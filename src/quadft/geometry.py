@@ -30,6 +30,12 @@ def rotate(vx: float, vy: float, theta: float) -> tuple[float, float]:
     return c * vx - s * vy, s * vx + c * vy
 
 
+def _exponent(x: float) -> int:
+    """The e that brings x into [0.5, 1) as x / 2^e (0 for x = 0): the one
+    exact scale of the solvers' frames and weights."""
+    return math.frexp(x)[1]
+
+
 def clamped_acos(value: float) -> float:
     """arccos, clamping values within `ACOS_CLAMP_TOL` of +/-1; beyond that,
     or NaN, error."""

@@ -30,7 +30,7 @@ from .fermat import (
     WeightedQuadrilateral,
     _certified_median,
 )
-from .geometry import Point, Quadrilateral, _count, cross2, linspace, measure_star
+from .geometry import Point, Quadrilateral, _count, _exponent, cross2, linspace, measure_star
 
 
 class PlasticityLine(_Record):
@@ -188,11 +188,11 @@ class _Family:
         interval is solved about `b4`, where the caller samples: pulls and
         weights there are of the size of c, while the intercepts p_j and y_j
         can be far larger and would cancel in the quadratic.  The values are
-        scaled by the power of two nearest 1 / c, which is exact and keeps
-        their squares from overflowing or underflowing.
+        scaled exactly by the power of two nearest 1 / c (`_exponent`), so
+        their squares neither overflow nor underflow.
         """
         c = self.line.c
-        s = math.ldexp(1.0, -math.frexp(c)[1])
+        s = math.ldexp(1.0, -_exponent(c))
 
         def about(px, py, qx, qy, x, y):
             lo, hi = _sublevel(s * (px + b4 * qx), s * (py + b4 * qy), qx, qy, x,
@@ -383,8 +383,8 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     times the total weight passes the residual gate of `locate_4wft`, and the
     median is unique, so the anchor is the optimum and the sample drifts by
     0.  Any other sample, a moved anchor or one on a vertex where no balance
-    can be measured, re-solves the median by the path of `locate_4wft`, from
-    the weighted centroid, and drifts by the anchor's distance to it.  Passes
+    can be measured, re-solves the median by the path of `locate_4wft`
+    (`_certified_median`), and drifts by the anchor's distance to it.  Passes
     when the maximum deviation stays below 1e-6 times the quadrilateral
     diameter.
     """

@@ -213,6 +213,32 @@ class TestCommands:
         assert captured.err.startswith("error: the weights sum to inf")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("k", [-2, -3])
+    def test_objective_that_overflows_exits_2(self, tmp_path, capsys, k):
+        # "objective: inf", and exit 0
+        path = tmp_path / "heavy.doc"
+        weights = [math.ldexp(w, k) for w in (1.5e308, 1.25e308, 0.85e308, 0.75e308)]
+        path.write_text(json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+                                    "weights": weights}))
+        assert main(["wft-quad", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the objective at (2.82745")
+        assert "overflows the largest float" in captured.err
+        assert captured.out == ""
+
+    def test_median_next_to_a_vertex_exits_0(self, tmp_path, capsys):
+        # least Kuhn slack 0.86% of the total: the median stalled, exit 3
+        path = tmp_path / "near.doc"
+        path.write_text(json.dumps({
+            "vertices": [[-9.664143878296533, 1.7866155113108288e-10],
+                         [-9.664143878229623, 7.661028478284024e-10],
+                         [-9.664143878526284, 1.229097574006717e-09],
+                         [-9.664143878528881, -1.5544487806291528e-09]],
+            "weights": [5.820766091346741e-11, 3.523689589790999e-10, 1.4989801247655512e-10,
+                        4.601175388617922e-10]}))
+        assert main(["universal", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_storage_below_u_ft_exits_2_with_hint(self, ex2_doc, capsys):
         # with --b4 evolve checks the storage rule, without it weights_for_storage
         for b4 in (["--b4", "1.2"], []):

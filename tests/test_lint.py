@@ -66,6 +66,12 @@ def test_no_module_imports_dataclasses():
             if imports_module(p.read_text(encoding="utf-8"), "dataclasses")] == []
 
 
+def test_one_power_of_two_frame():
+    # every frame and weight set is scaled by `geometry._exponent`
+    assert [p.name for p in PACKAGE if "frexp" in p.read_text(encoding="utf-8")] == [
+        "geometry.py"]
+
+
 def test_detects_module_imports():
     assert imports_module("from dataclasses import dataclass\n", "dataclasses")
     assert imports_module("def f():\n    import dataclasses as dc\n", "dataclasses")

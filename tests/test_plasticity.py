@@ -447,7 +447,7 @@ def _probe_calls(draws):
 
 
 # the root B2 = 1.46076 lies 3.7e-4 from the pole D = 0 at 1.46038
-NEAR_POLE = ((0.6457577221481458, 1.8002716366138098, 1.359192358385856, 2.477963590031775),
+NEAR_POLE = ((0.6457577221481453, 1.8002716366138096, 1.3591923583858565, 2.477963590031775),
              5.9205241434937435, 2.30900441596256)
 
 
