@@ -5,7 +5,9 @@ CLI with SVG output.
 
 The exports are lazy (PEP 562): `import quadft` loads no solver module, and
 the first access to a name imports the module that defines it, so a CLI
-process compiles only the solvers its subcommand runs.
+process compiles only the solvers its subcommand runs.  The paper's
+cross-checks (`quadft.checks`) are named here alone: no solver module and no
+subcommand imports them.
 """
 
 import importlib
@@ -35,8 +37,6 @@ _EXPORTS = {
     "WeightedQuadrilateral": "fermat",
     "classify_case": "fermat",
     "locate_4wft": "fermat",
-    "solve_4wft_general": "fermat",
-    "solve_4wft_square": "fermat",
     "triangle_wft_angles": "fermat",
     "weighted_distance_sum": "fermat",
     "weiszfeld": "fermat",
@@ -49,10 +49,13 @@ _EXPORTS = {
     "tree_span": "gauss",
 
     "PlasticityLine": "plasticity",
-    "PlasticityReport": "plasticity",
     "plasticity_line": "plasticity",
-    "plasticity_system_new": "plasticity",
-    "verify_plasticity": "plasticity",
+
+    "PlasticityReport": "checks",
+    "plasticity_system_new": "checks",
+    "solve_4wft_general": "checks",
+    "solve_4wft_square": "checks",
+    "verify_plasticity": "checks",
 
     "UniversalResult": "universal",
     "UniversalSample": "universal",

@@ -5,14 +5,17 @@ plot.  Problem documents are UTF-8 JSON (see documents.py); human-readable
 results go to stdout with >= 7 significant digits, machine records to
 --records as newline-delimited JSON, and drawings to --svg.  Exit codes:
 0 success, 2 input error, 3 solver non-convergence.
+
+A process enters at `run`, which flushes stdout and stderr after `main` and
+ends without interpreter teardown; `main(argv)` itself returns the status.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from typing import TYPE_CHECKING
 
 from .documents import (
     OPTION_CHECKS,
@@ -38,9 +41,8 @@ from .geometry import Point, Quadrilateral
 
 # Each handler imports the solvers it runs, and main imports svgplot only to
 # write an SVG, so a process loads no module its subcommand leaves unused.
-if TYPE_CHECKING:
-    from .fermat import FermatTree, WeightedQuadrilateral
-    from .gauss import GaussTree, GaussWeights
+# Annotations are strings (PEP 563), so FermatTree, WeightedQuadrilateral,
+# GaussTree and GaussWeights name the solver classes without importing them.
 
 _HINTS = {  # the first matching type gives the hint
     _BelowMinimumError: "raise the storage to at least u_FT, the universal minimum",
@@ -488,5 +490,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of `python -m quadft.cli` and the `quadft` script:
+    `main`, then stdout and stderr flushed and the process ended by
+    `os._exit`, which skips interpreter teardown.  That is safe because
+    every file quadft writes is closed by its `with` block and quadft
+    registers no `atexit` hook.  A flush that fails, as on a closed pipe,
+    exits by `sys.exit` instead, whose teardown reports it as before; a
+    usage error (argparse's SystemExit) or an uncaught exception leaves
+    `main` by the usual path."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

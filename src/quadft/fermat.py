@@ -2,9 +2,9 @@
 
 Covers case classification (floating / absorbed / diagonal shortcut), the
 triangle closed form, which also gives the angles at both interior nodes of
-a Gauss tree (`gauss._branch`), the certified median, and the paper's circle
-system for a square boundary and angle system for a general quadrilateral.
-Degree-four locations have no closed form, so they are iterative.
+a Gauss tree (`gauss._branch`), and the certified median.  Degree-four
+locations have no closed form, so they are iterative.  The paper's circle
+and angle systems, which check that median, live in `quadft.checks`.
 
 The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
 Fermat's problem") on the unit vectors between the points, which a
@@ -18,12 +18,11 @@ A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
 gradient and Hessian of the weighted distance sum.  Kuhn's test gives its
 frame and start: next to the vertex of least slack, on Kuhn's descent ray,
 when that slack is below `_ANCHOR_SLACK` of the total, else relative to A1
-from the weighted centroid.  Frame and weights are scaled by powers of two
+from the weighted centroid, and from Kuhn's ray after all when that loop
+stalls.  Frame and weights are scaled by powers of two
 (`geometry._exponent`), so no Hessian entry over- or underflows.  The one
 verdict is the residual gate: the median is unique, and a point is accepted
-only when its pull is below `RESIDUAL_TOL` times the total weight.  The
-angle systems read that certified median in A1's frame, gate their residual
-and the gap of the point they rebuild, and return `locate_4wft`'s tree.
+only when its pull is below `RESIDUAL_TOL` times the total weight.
 """
 
 from __future__ import annotations
@@ -31,38 +30,25 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import (
-    AbsorbedWeightsError,
-    ConvergenceError,
-    InconsistentCaseError,
-    QuadFTError,
-    _Record,
-)
+from .errors import AbsorbedWeightsError, ConvergenceError, QuadFTError, _Record
 from .geometry import (
     Point,
     Quadrilateral,
     _exponent,
-    angle_at,
     clamped_acos,
-    cross2,
     diagonal_intersection,
     measure_pairs,
     measure_star,
-    rotate,
 )
 
 RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
-_EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the residual
-_REBUILD_RTOL = 1e-10     # angle-system gate on the rebuilt point's gap, relative to the diameter
 _ANCHOR_SLACK = 0.05      # Kuhn slack, over the total weight, below which _median anchors
 _RAY_MAX_ITER = 8         # gradient evaluations along Kuhn's descent ray
 _RAY_TOL = 0.1            # the ray's slope, over the anchor's slack, that ends its search
 _POLISH_TOL = 1e-14       # Newton polish target, relative to the total weight
-
-TWO_PI = 2.0 * math.pi
 
 
 class CaseKind(enum.Enum):
@@ -169,7 +155,18 @@ class FermatTree(_Record):
 # ------------------------------------------------------------------ #
 
 def weighted_distance_sum(points, weights, p: Point) -> float:
-    return sum(w * p.distance_to(q) for w, q in zip(weights, points))
+    """The objective sum w_i |p A_i|; QuadFTError if it overflows
+    (`_finite_objective`)."""
+    return _finite_objective(sum(w * p.distance_to(q) for w, q in zip(weights, points)), p)
+
+
+def _finite_objective(objective: float, p: Point) -> float:
+    """The objective at p, unless it overflows the largest float: then
+    QuadFTError, the one check of every objective quadft reports."""
+    if objective == math.inf:
+        raise QuadFTError(f"the objective at {p.as_tuple()} overflows the largest float; "
+                          "divide the weights or the coordinates by a common factor")
+    return objective
 
 
 def _weighted_sum(weights, units):
@@ -297,28 +294,46 @@ def weiszfeld(points, weights) -> Point:
 
 
 def _median(points, weights, anchor=None):
-    """The weighted median of `points` by one damped Newton loop, whose frame
-    and start come from Kuhn's test: `anchor` is a tag's `_anchor` (i,
-    slack, pull); the test runs here when it is None.
+    """The weighted median of `points` by one damped Newton loop
+    (`_descend`), whose frame and start come from Kuhn's test: `anchor` is
+    a tag's `_anchor` (i, slack, pull); the test runs here when it is None.
 
-    The frame is relative to the first point, or to point i when its slack
-    is below `_ANCHOR_SLACK` times the total: the median lies next to it,
-    where its own term carries no rounding, and the loop starts on Kuhn's
-    descent ray (`_ray_start`), else at the weighted centroid.  Frame and
-    weights are scaled exactly by powers of two (`geometry._exponent`), so
-    no Hessian entry, of order w / r, over- or underflows.  Each step is the
-    longest of 1, 1/2, ... of the Newton step that lowers the pull; at most
-    `NEWTON_MAX_ITER` steps end at a pull below `_POLISH_TOL` times the
-    total, or where none lowers it.  Returns (point, pull, steps) for the
-    caller to judge; an absorbing point is its own median, with pull inf.
+    The loop runs next to point i, from Kuhn's descent ray, when its slack
+    is below `_ANCHOR_SLACK` times the total, else from the weighted
+    centroid; a centroid start that ends at a pull not below RESIDUAL_TOL
+    times the total, as where the loop walks onto a vertex and stops there,
+    runs the loop once more from Kuhn's ray, and the lower pull of the two
+    wins.  Returns (point, pull, steps) for the caller to judge, steps
+    counting both runs; an absorbing point is its own median, with pull inf.
     """
     if anchor is None:
         anchor = _kuhn_case(measure_pairs(points)[1], weights)._anchor
+    if anchor[1] <= 0.0:
+        return points[anchor[0]], math.inf, 0
+    total = sum(weights)
+    near = anchor[1] / total < _ANCHOR_SLACK
+    point, norm, steps = _descend(points, weights, anchor, near)
+    if not near and not norm < RESIDUAL_TOL * total:
+        again, pull, more = _descend(points, weights, anchor, True)
+        steps += more
+        if pull < norm:
+            point, norm = again, pull
+    return point, norm, steps
+
+
+def _descend(points, weights, anchor, near: bool):
+    """`_median`'s damped Newton loop for the anchor (k, slack, pull): next
+    to point k, where its own term carries no rounding, from Kuhn's descent
+    ray (`_ray_start`) when `near`, else relative to the first point from
+    the weighted centroid.  Frame and weights are scaled exactly by powers
+    of two (`geometry._exponent`), so no Hessian entry, of order w / r,
+    over- or underflows.  Each step is the longest of 1, 1/2, ... of the
+    Newton step that lowers the pull; at most `NEWTON_MAX_ITER` steps end at
+    a pull below `_POLISH_TOL` times the total, or where none lowers it.
+    Returns (point, pull, steps).
+    """
     k, slack, (px, py) = anchor
     share = slack / sum(weights)
-    near = share < _ANCHOR_SLACK
-    if slack <= 0.0:
-        return points[k], math.inf, 0
     a1 = points[0]
     moved = [(q.x - a1.x, q.y - a1.y) for q in points]
     ox, oy = moved[k] if near else (0.0, 0.0)
@@ -429,9 +444,6 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
     objective = 0.0
     for wj, d in zip(w, distances):
         objective += wj * d  # the order and rounding of `weighted_distance_sum`
-    if objective == math.inf:
-        raise QuadFTError(f"the objective at {p.as_tuple()} overflows the largest float; "
-                          "divide the weights or the coordinates by a common factor")
     angles = [math.nan if u is None or v is None
               else clamped_acos(u[0] * v[0] + u[1] * v[1])
               for u, v in zip(units, units[1:] + units[:1])]
@@ -439,7 +451,7 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
         point=p,
         case=case,
         angles=tuple(angles),
-        objective=objective,
+        objective=_finite_objective(objective, p),
         equilibrium_residual=_pull(w, distances, units),
         iterations=iterations,
     )
@@ -475,154 +487,6 @@ def _pull(weights, distances, units) -> float:
     if 0.0 in distances:
         pull = max(0.0, pull - weights[distances.index(0.0)])
     return pull
-
-
-# ------------------------------------------------------------------ #
-# The paper's angle systems, read at the median
-# ------------------------------------------------------------------ #
-
-def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
-    """`locate_4wft`'s tree, cross-checked by one of the paper's angle systems.
-
-    An instance that is not floating raises InconsistentCaseError naming the
-    absorbing vertex.  `_certified_median` runs on the vertices in A1's
-    frame, where `_median` measures anyway: its iterate and verdict are
-    `locate_4wft`'s.  `system(v, weights, median)` reads the system there:
-    a residual above `_EQUILIBRIUM_RTOL`, or a rebuilt point more than
-    `_REBUILD_RTOL` times the diameter from the median, raises
-    InconsistentCaseError.  The tree is `locate_4wft`'s.
-    """
-    tag = classify_case(wq)
-    if tag.kind is not CaseKind.FLOATING:
-        raise InconsistentCaseError(
-            f"instance is not floating (absorbed at vertex {tag.vertex})")
-    a1 = wq.quad.vertices[0]
-    v = [Point(p.x - a1.x, p.y - a1.y) for p in wq.quad.vertices]
-    median, iterations = _certified_median(v, wq.weights, tag._anchor)
-    residual, rebuilt = system(v, wq.weights, median)
-    gap = rebuilt.distance_to(median) / wq.quad.diameter()
-    if not (residual <= _EQUILIBRIUM_RTOL and gap <= _REBUILD_RTOL):
-        raise InconsistentCaseError(
-            f"the {name} does not hold at the median: residual {residual:.3e}, "
-            f"rebuilt point {gap:.3e} of the diameter from it")
-    return _median_tree(wq, tag._anchor, Point(a1.x + median.x, a1.y + median.y), iterations)
-
-
-# ------------------------------------------------------------------ #
-# Square boundary: circle system
-# ------------------------------------------------------------------ #
-
-def _square_system(v, weights, median: Point):
-    """The circle system of the square v, A1 at the origin and A2 at
-    (side, 0), read at the median: (residual, rebuilt point).
-
-    Its unknowns a102 and a401 are measured there; a304 follows from a102 by
-    the first squared balance, and `_square_point` rebuilds the optimum from
-    the three.
-    """
-    total = sum(weights)
-    b1, b2, b3, b4 = (w / total for w in weights)  # the weights' scale drops out
-    a102 = angle_at(median, v[0], v[1])
-    a401 = angle_at(median, v[3], v[0])
-    a304 = clamped_acos(
-        (b1 * b1 + 2.0 * b1 * b2 * math.cos(a102) + b2 * b2 - b3 * b3 - b4 * b4) / (2.0 * b3 * b4)
-    )
-    csc102, csc304, csc401 = 1.0 / math.sin(a102), 1.0 / math.sin(a304), 1.0 / math.sin(a401)
-    r1 = (
-        csc102**2 * csc304**2 * csc401**2
-        * (math.cos(a102) - math.sin(a102))
-        * (math.cos(a304) - math.sin(a304))
-        * (math.cos(a102 - a304) - math.cos(a102 + a304 + 2.0 * a401)
-           - 2.0 * math.sin(a102 + a304))
-    )
-    r2 = (
-        -b1 * b1 - 2.0 * b1 * b2 * math.cos(a102) - b2 * b2 + b3 * b3
-        - 2.0 * b1 * b4 * math.cos(a401)
-        - 2.0 * b2 * b4 * math.cos(a102 + a401)
-        - b4 * b4
-    )
-    return math.hypot(r1, r2), _square_point(v[1].x, a102, a304, a401)
-
-
-def _square_point(side: float, a102: float, a304: float, a401: float) -> Point:
-    cot102 = math.cos(a102) / math.sin(a102)
-    cot304 = math.cos(a304) / math.sin(a304)
-    cot401 = math.cos(a401) / math.sin(a401)
-    x = (
-        side * (-1.0 + cot102) * (-1.0 + cot304)
-        / ((-2.0 + cot102 + cot304) * (-1.0 + cot401))
-    )
-    y = -(side - side * cot304) / (cot102 + cot304 - 2.0)
-    return Point(x, y)
-
-
-def solve_4wft_square(side: float, weights) -> FermatTree:
-    """`locate_4wft`'s tree on the square (0,0),(a,0),(a,a),(0,a), checked by
-    the paper's three-circle system in (a102, a401) at the median
-    (`_system_tree`)."""
-    if side <= 0.0:
-        raise QuadFTError("square side must be positive")
-    quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
-    return _system_tree(WeightedQuadrilateral(quad, tuple(weights)), _square_system,
-                        "circle system")
-
-
-# ------------------------------------------------------------------ #
-# General quadrilateral: four-angle system
-# ------------------------------------------------------------------ #
-
-def _general_system(v, weights, median: Point):
-    """The four-angle system of the quadrilateral v, A1 at the origin, read
-    at the median: (residual, rebuilt point).
-
-    Its unknowns (a102, a401, a304, a013) are measured there; a013 is the
-    signed angle from ray A1->A0 to ray A1->A3 (positive when A0 lies on the
-    A2 side of the diagonal).  The optimum is rebuilt on the ray A1->A0 at
-    a01 = a41 sin(a013 + a314 + a401) / sin(a401) from A1.
-    """
-    total = sum(weights)
-    b1, b2, b3, b4 = (w / total for w in weights)  # the weights' scale drops out
-    a12 = v[0].distance_to(v[1])
-    a41 = v[3].distance_to(v[0])
-    a31 = v[2].distance_to(v[0])
-    alpha213 = angle_at(v[0], v[1], v[2])
-    alpha314 = angle_at(v[0], v[2], v[3])
-    a102 = angle_at(median, v[0], v[1])
-    a401 = angle_at(median, v[3], v[0])
-    a304 = angle_at(median, v[2], v[3])
-    u13 = v[0].unit_toward(v[2])
-    u10 = v[0].unit_toward(median)
-    a013 = math.atan2(cross2(*u10, *u13), u10[0] * u13[0] + u10[1] * u13[1])
-    s = a304 + a401
-    cot102 = math.cos(a102) / math.sin(a102)
-    cot_s = math.cos(s) / math.sin(s)
-    r1 = b3 * b3 - (
-        b1 * b1 + b2 * b2 + b4 * b4
-        + 2.0 * b2 * b4 * math.cos(a401 + a102)
-        + 2.0 * b1 * b2 * math.cos(a102)
-        + 2.0 * b1 * b4 * math.cos(a401)
-    )
-    r2 = (
-        math.cos(s) * (b4 * math.sin(a401) - b2 * math.sin(a102))
-        - math.sin(s) * (b1 + b2 * math.cos(a102) + b4 * math.cos(a401))
-    )
-    n70 = math.sin(alpha213) - math.cos(alpha213) * cot102 - (a31 / a12) * cot_s
-    d70 = -math.cos(alpha213) - math.sin(alpha213) * cot102 + a31 / a12
-    n71 = math.sin(alpha314) - math.cos(alpha314) / math.tan(a401) + (a31 / a41) * cot_s
-    d71 = math.cos(alpha314) + math.sin(alpha314) / math.tan(a401) - a31 / a41
-    r3 = math.cos(a013) * d70 - math.sin(a013) * n70
-    r4 = math.cos(a013) * d71 - math.sin(a013) * n71
-    a01 = a41 * math.sin(a013 + alpha314 + a401) / math.sin(a401)
-    dx, dy = rotate(*u13, -a013)
-    return math.hypot(r1, r2, r3, r4), Point(a01 * dx, a01 * dy)
-
-
-def solve_4wft_general(wq: WeightedQuadrilateral) -> FermatTree:
-    """`locate_4wft`'s tree on a general convex quadrilateral, checked by the
-    paper's four-angle system in (a102, a401, a304, a013) at the median, in
-    A1's frame so that a translation does not enter the angles
-    (`_system_tree`)."""
-    return _system_tree(wq, _general_system, "angle system")
 
 
 # ------------------------------------------------------------------ #

@@ -30,14 +30,14 @@ positive between them, and the imbalance is convex, so the gate met at both
 ends is met between them up to rounding.  A sample then costs its three
 weights, one hypot for x_G and the objective.  When an end fails, each B4 is
 decided by itself: a sample that fails is skipped with its reason, or
-raised when the caller takes one B4.  Samples are NamedTuples, built at the
+raised when the caller takes one B4.  Samples are named tuples, built at the
 cost of a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import (
     InconsistentCaseError,
@@ -51,19 +51,17 @@ from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tr
 from .geometry import Quadrilateral, _count, cross2, linspace
 from .plasticity import PlasticityLine, _Family
 
+# Annotations are strings (PEP 563): `Callable` in them needs no import of typing.
+
 # Family weights must balance at the line's point to BALANCE_RTOL * c; absorbing
 # values, which rest on that balance, are resolved to the same tolerance.
 BALANCE_RTOL = 1e-9
 UNIVERSAL_GRID = 33
 
 
-class UniversalSample(NamedTuple):
-    """One absorbing point of the universal set."""
-
-    b4: float
-    weights: tuple[float, float, float, float]
-    xg_absorbing: float
-    objective: float
+# b4, the weights (B1, B2, B3, B4), and x_G and the objective there
+UniversalSample = namedtuple("UniversalSample", ("b4", "weights", "xg_absorbing", "objective"))
+UniversalSample.__doc__ = """One absorbing point of the universal set."""
 
 
 class UniversalResult(_Record):

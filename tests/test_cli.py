@@ -226,6 +226,17 @@ class TestCommands:
         assert "overflows the largest float" in captured.err
         assert captured.out == ""
 
+    def test_triangle_objective_that_overflows_exits_2(self, tmp_path, capsys):
+        # "objective: inf", and exit 0; the check is `fermat._tree`'s
+        path = tmp_path / "heavy.doc"
+        weights = [math.ldexp(w, -2) for w in (1.5e308, 1.4e308, 1.3e308)]
+        path.write_text(json.dumps({"vertices": [[0, 0], [6, 0], [2, 5]], "weights": weights}))
+        assert main(["wft-triangle", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the objective at (2.15910")
+        assert "overflows the largest float; divide the weights" in captured.err
+        assert captured.out == ""
+
     def test_median_next_to_a_vertex_exits_0(self, tmp_path, capsys):
         # least Kuhn slack 0.86% of the total: the median stalled, exit 3
         path = tmp_path / "near.doc"
@@ -750,7 +761,7 @@ def _imported(*argv, cwd=None) -> set[str]:
 
 @functools.cache
 def _bare_imports() -> set[str]:
-    return _imported("-c", "pass")
+    return _imported("-S", "-c", "pass")
 
 
 class TestLazyImports:
@@ -786,11 +797,13 @@ class TestLazyImports:
     def test_a_subcommand_loads_its_own_modules(self, tmp_path, argv, modules):
         (tmp_path / "rect.doc").write_text(EX2_DOC)
         (tmp_path / "tri.doc").write_text(TRI_DOC)
-        names = _imported("-m", "quadft.cli", *argv, cwd=tmp_path)
+        names = _imported("-S", "-m", "quadft.cli", *argv, cwd=tmp_path)
         assert {n for n in names if n.split(".")[0] == "quadft"} == self.FRONT | modules
         # class generation and its inspect import, and datetime, cost about
-        # 20 ms a process; a bare interpreter may load them through site
-        assert not {"dataclasses", "inspect", "datetime"} & (names - _bare_imports())
+        # 20 ms a process, and typing about 2.4 ms; without `site` (-S), which
+        # may load them through a .pth file, a bare interpreter loads none
+        assert not ({"dataclasses", "inspect", "datetime", "typing"}
+                    & (names - _bare_imports()))
 
     def test_every_export_is_its_module_attribute(self):
         import importlib
@@ -804,6 +817,119 @@ class TestLazyImports:
             assert vars(quadft)[name] is value, name
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             quadft.no_such_name
+
+
+# The process entry: `run` ends a `python -m quadft.cli` process by
+# `os._exit` after flushing stdout and stderr.  Each run: the subcommand, its
+# document, its flags beside --input and --records.
+ENTRY_DOCS = {
+    "rect": EX2_DOC,
+    "tri": json.dumps({"vertices": [[0, 0], [6, 0], [2, 5]], "weights": [2.0, 1.5, 1.8]}),
+    "sum-overflows": json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+                                 "weights": [1.5e308, 1.25e308, 0.85e308, 0.75e308]}),
+    "objective-overflows": json.dumps({
+        "vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+        "weights": [math.ldexp(w, -2) for w in (1.5e308, 1.25e308, 0.85e308, 0.75e308)]}),
+    "huge": json.dumps({"vertices": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]],
+                        "weights": [3.0, 2.5, 1.7, 1.5]}),
+    "absorbed": '{"vertices": [[0,0],[1,0],[1,1],[0,1]], "weights": [100,1,1,1]}',
+    "malformed": "{nope}",
+}
+ENTRY_RUNS = [
+    # the `cli` benchmark's seven runs
+    ("wft-triangle", "tri", [], 0),
+    ("wft-quad", "rect", [], 0),
+    ("gauss", "rect", ["--xg", "3.62"], 0),
+    ("plasticity", "rect", [], 0),
+    ("universal", "rect", ["--grid", "65"], 0),
+    ("evolve", "rect", ["--storage", "3.82", "--spend", "0.2"], 0),
+    ("plot", "rect", ["--levels", "0.5,1,2", "--svg", "out.svg"], 0),
+    # SVG from the other drawing subcommands
+    ("wft-quad", "rect", ["--svg", "out.svg"], 0),
+    ("evolve", "rect", ["--storage", "3.82", "--spend", "0.2", "--svg", "out.svg"], 0),
+    # input errors, with and without a hint
+    ("wft-quad", "sum-overflows", [], 2),
+    ("wft-quad", "objective-overflows", [], 2),
+    ("plot", "huge", ["--svg", "out.svg"], 2),
+    ("plasticity", "absorbed", [], 2),
+    ("evolve", "rect", ["--storage", "3.0", "--spend", "0.2"], 2),
+    ("gauss", "rect", ["--xg", "4.6"], 2),
+    ("wft-quad", "missing", [], 2),
+    ("wft-quad", "malformed", [], 2),
+]
+
+
+def _entry_files(folder) -> dict:
+    """The bytes of the record and SVG a run wrote, removed after reading."""
+    written = {}
+    for name in ("out.ndjson", "out.svg"):
+        path = folder / name
+        if path.exists():
+            written[name] = path.read_bytes()
+            path.unlink()
+    return written
+
+
+class TestProcessEntry:
+    """A `python -m quadft.cli` process, which ends without interpreter
+    teardown, gives what `main` gives in process: stdout, stderr, the exit
+    status, the record and the SVG."""
+
+    def _compare(self, tmp_path, monkeypatch, capsys, child, argv):
+        for name, text in ENTRY_DOCS.items():
+            (tmp_path / f"{name}.doc").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        # without PYTHONUNBUFFERED stdout is block-buffered, so only the
+        # flush in `run` writes it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run([sys.executable, *child, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, timeout=60)
+        process = (proc.stdout, proc.stderr, proc.returncode, _entry_files(tmp_path))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        in_process = (out.encode(), err.encode(), code, _entry_files(tmp_path))
+        assert process == in_process
+        return code
+
+    @pytest.mark.parametrize("command, doc, flags, status", ENTRY_RUNS,
+                             ids=[f"{c}-{d}-{' '.join(f)}" for c, d, f, _ in ENTRY_RUNS])
+    def test_a_process_matches_main(self, tmp_path, monkeypatch, capsys, command, doc, flags,
+                                    status):
+        argv = [command, "--input", f"{doc}.doc", "--records", "out.ndjson", *flags]
+        assert self._compare(tmp_path, monkeypatch, capsys, ["-m", "quadft.cli"], argv) == status
+
+    def test_a_process_that_does_not_converge_matches_main(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the median takes no step, as in `test_nonconvergence_exits_3`; the
+        # child runs the module as `-m` does, after the same patch
+        monkeypatch.setattr(fermat, "NEWTON_MAX_ITER", 0)
+        child = ["-c", "import runpy, quadft.fermat as f; f.NEWTON_MAX_ITER = 0; "
+                       "runpy.run_module('quadft.cli', run_name='__main__', alter_sys=True)"]
+        argv = ["wft-triangle", "--input", "tri.doc", "--records", "out.ndjson"]
+        assert self._compare(tmp_path, monkeypatch, capsys, child, argv) == 3
+
+    def test_a_closed_stdout_pipe_exits_120_as_before(self, tmp_path):
+        # the flush in `run` fails, so the process ends by `sys.exit`, and
+        # teardown reports the broken pipe as `sys.exit(main())` did
+        (tmp_path / "rect.doc").write_text(EX2_DOC)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        outcomes = []
+        for entry in (["-m", "quadft.cli"],
+                      ["-c", "import sys; from quadft.cli import main; sys.exit(main())"]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run([sys.executable, *entry, "wft-quad", "--input", "rect.doc"],
+                                      stdout=write, stderr=subprocess.PIPE, env=env,
+                                      cwd=tmp_path, timeout=60)
+            finally:
+                os.close(write)
+            outcomes.append((proc.returncode, proc.stderr))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 120 and b"BrokenPipeError" in outcomes[0][1]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and the float max too

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import quadft.checks as checks
 import quadft.fermat as fermat
 from quadft import (
     AbsorbedWeightsError,
@@ -76,7 +78,7 @@ def _system_tolerance(wq, p):
     """How far an angle system's point may lie from the median's point p:
     `_REBUILD_RTOL` times the diameter, plus the rounding of both points
     moved back by A1 into the absolute coordinates."""
-    return fermat._REBUILD_RTOL * wq.quad.diameter() + 4.0 * math.ulp(max(abs(p.x), abs(p.y)))
+    return checks._REBUILD_RTOL * wq.quad.diameter() + 4.0 * math.ulp(max(abs(p.x), abs(p.y)))
 
 
 def _floating_weights(rng, pts):
@@ -142,6 +144,39 @@ class TestClassify:
             seen.add((tag.kind, tag.boundary))
         assert seen == {(CaseKind.FLOATING, False), (CaseKind.ABSORBED, False),
                         (CaseKind.ABSORBED, True)}
+
+    def test_weights_scaled_by_a_power_of_two_classify_alike(self):
+        # kind, vertex, boundary and anchor index hold for every k that keeps
+        # each weight x 2^k normal and the total finite (subnormal weights
+        # round in `ldexp`).  The slack, a difference of sums of products
+        # w u, scales exactly by 2^k while each product is normal or zero;
+        # below that the products round.  Every k within 64 of either end of
+        # the range runs, and every 16th between them, where the scaling is
+        # exact throughout.
+        rng = np.random.default_rng(7)
+        kinds = set()
+        for _ in range(200):
+            quad = Quadrilateral.from_coords(random_convex_quad(rng))
+            w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+            tag = classify_case(WeightedQuadrilateral(quad, tuple(w)))
+            kinds.add(tag.kind)
+            index, slack, _ = tag._anchor
+            lo = -1021 - math.frexp(min(w))[1]  # the least k keeping min(w) x 2^k normal
+            hi = 1024 - math.frexp(sum(w))[1]   # and the greatest keeping the total finite
+            assert math.ldexp(min(w), lo) >= sys.float_info.min > math.ldexp(min(w), lo - 1)
+            assert math.isfinite(math.ldexp(sum(w), hi)) and sum(w) * 2.0**hi * 2.0 == math.inf
+            for k in range(lo, hi + 1):
+                if lo + 64 < k < hi - 64 and k % 16:
+                    continue
+                scaled = tuple(math.ldexp(v, k) for v in w)
+                got = classify_case(WeightedQuadrilateral(quad, scaled))
+                assert (got.kind, got.vertex, got.boundary, got._anchor[0]) == (
+                    tag.kind, tag.vertex, tag.boundary, index), k
+                products = [abs(v * c) for v, row in zip(scaled, quad.unit_vectors)
+                            for u in row if u is not None for c in u]
+                if all(p == 0.0 or p >= sys.float_info.min for p in products):
+                    assert got._anchor[1] == math.ldexp(slack, k), k
+        assert kinds == {CaseKind.FLOATING, CaseKind.ABSORBED}
 
     def test_unit_vectors_measured_once_per_quadrilateral(self, monkeypatch, rect):
         # construction measures the 6 vertex pairs by one hypot each, and
@@ -511,10 +546,10 @@ class TestSquareSystem:
         quad = Quadrilateral.from_coords([(0, 0), (side, 0), (side, side), (0, side)])
         assume(classify_case(WeightedQuadrilateral(quad, weights)).kind is CaseKind.FLOATING)
         median, _, _ = fermat._median(quad.vertices, weights)
-        residual, _ = fermat._square_system(quad.vertices, weights, median)
-        assert residual <= fermat._EQUILIBRIUM_RTOL
+        residual, _ = checks._square_system(quad.vertices, weights, median)
+        assert residual <= checks._EQUILIBRIUM_RTOL
         tree = solve_4wft_square(side, weights)
-        assert tree.point.distance_to(median) <= fermat._REBUILD_RTOL * quad.diameter()
+        assert tree.point.distance_to(median) <= checks._REBUILD_RTOL * quad.diameter()
 
 
 class TestGeneralSystem:
@@ -605,15 +640,15 @@ class TestGeneralSystem:
         a1 = quad.vertices[0]
         v = [Point(p.x - a1.x, p.y - a1.y) for p in quad.vertices]
         median, _, _ = fermat._median(v, wq.weights)
-        residual, _ = fermat._general_system(v, wq.weights, median)
+        residual, _ = checks._general_system(v, wq.weights, median)
         assert residual > fermat.RESIDUAL_TOL
         tree = solve_4wft_general(wq)
         assert tree.case.kind is CaseKind.FLOATING
-        assert tree.equilibrium_residual <= fermat._EQUILIBRIUM_RTOL * wq.total
+        assert tree.equilibrium_residual <= checks._EQUILIBRIUM_RTOL * wq.total
         assert tree == locate_4wft(wq)
 
     def test_gates_raise_typed_errors(self, monkeypatch, wq_ex2):
-        original = fermat._general_system
+        original = checks._general_system
         diameter = wq_ex2.quad.diameter()
 
         def reading(extra_residual, shift):
@@ -622,13 +657,13 @@ class TestGeneralSystem:
                 return residual + extra_residual, Point(p.x + shift * diameter, p.y)
             return system
 
-        monkeypatch.setattr(fermat, "_general_system", reading(1e-6, 0.0))
+        monkeypatch.setattr(checks, "_general_system", reading(1e-6, 0.0))
         with pytest.raises(InconsistentCaseError, match=r"residual 1\.0\d*e-06"):
             solve_4wft_general(wq_ex2)
-        monkeypatch.setattr(fermat, "_general_system", reading(0.0, 1e-9))
+        monkeypatch.setattr(checks, "_general_system", reading(0.0, 1e-9))
         with pytest.raises(InconsistentCaseError, match=r"rebuilt point 1\.0\d*e-09"):
             solve_4wft_general(wq_ex2)
-        monkeypatch.setattr(fermat, "_general_system", original)
+        monkeypatch.setattr(checks, "_general_system", original)
         median = fermat._median
 
         def stalled(points, weights, anchor=None):
@@ -878,6 +913,22 @@ SLACK_BELOW_ONE_PERCENT = (
     (5.820766091346741e-11, 3.523689589790999e-10, 1.4989801247655512e-10,
      4.601175388617922e-10))
 
+# floating quadrilaterals whose least slack is above 5% of the total (9.1%
+# and 6.1%), so `_median` starts from the weighted centroid, and whose loop
+# from there walked onto A2 and A3 and stalled at a pull of 2.28 and 1.71;
+# the first is batch 14 of the `trees` benchmark's seed 61, the second a draw
+# of its recipe.  Each with the median of a reference solve.
+CENTROID_STALLS = [
+    ([(1.076022562466243, 0.468791315839646), (0.672797053631666, 1.7493890814082202),
+      (-0.2726476568147378, 2.441312059274274), (-2.793552546737952, -2.3947561623964355)],
+     (2.991502016818951, 2.3308832898636833, 2.932581401197784, 1.3766443107019222),
+     (0.5345044299109507, 1.6096392049227046)),
+    ([(0.6717979533478702, 3.2618764031205356), (-2.958318041835757, 0.2607551449366077),
+      (-2.219411635281487, -0.6612508210517398), (-1.6309404418093496, -1.0570924936944086)],
+     (1.130656306438179, 1.5063524431020825, 1.6000378684263046, 2.643698393110846),
+     (-2.094414135894425, -0.641769776235805)),
+]
+
 
 class TestNearAVertex:
     """Medians on or next to a vertex: `_median` anchors its frame at the
@@ -911,6 +962,17 @@ class TestNearAVertex:
         wq = WeightedQuadrilateral(Quadrilateral.from_coords(xy), w)
         tree = locate_4wft(wq)
         assert tree.case.kind is CaseKind.FLOATING
+        assert solve_4wft_general(wq) == tree
+
+    @pytest.mark.parametrize("xy, w, median", CENTROID_STALLS, ids=["trees-61", "recipe"])
+    def test_centroid_start_that_stalls_on_a_vertex_solves(self, xy, w, median):
+        # the stalled loop runs again from Kuhn's ray at the vertex of least
+        # slack, which is the vertex it stalled on
+        wq = WeightedQuadrilateral(Quadrilateral.from_coords(xy), w)
+        tree = locate_4wft(wq)
+        assert tree.case.kind is CaseKind.FLOATING
+        assert tree.equilibrium_residual < 1e-14 * wq.total
+        assert tree.point.distance_to(Point(*median)) <= 1e-12 * wq.quad.diameter()
         assert solve_4wft_general(wq) == tree
 
     @given(seed=st.integers(0, 2**32 - 1), corners=st.sampled_from([3, 4]),
@@ -962,13 +1024,13 @@ class TestSolveCost:
         calls = []
 
         def counted(name):
-            original = getattr(fermat, name)
+            original = getattr(checks, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(fermat, name, wrapper)
+            monkeypatch.setattr(checks, name, wrapper)
 
         counted("_general_system")
         counted("_square_system")
@@ -987,6 +1049,26 @@ class TestSolveCost:
         tree = locate_4wft(wq)
         assert tree.iterations <= 30
         assert tree.equilibrium_residual < 1e-14 * wq.total
+
+    def test_a_median_that_solves_runs_one_loop(self, monkeypatch):
+        # the second loop from Kuhn's ray runs only after the first stalls
+        runs = []
+        descend = fermat._descend
+
+        def counted(*args):
+            out = descend(*args)
+            runs.append(out[1] < fermat.RESIDUAL_TOL * sum(args[1]))
+            return out
+
+        monkeypatch.setattr(fermat, "_descend", counted)
+        for wq in self._floating_instances(31, 100):
+            runs.clear()
+            locate_4wft(wq)
+            assert runs == [True]
+        xy, w, _ = CENTROID_STALLS[0]
+        runs.clear()
+        locate_4wft(WeightedQuadrilateral(Quadrilateral.from_coords(xy), w))
+        assert runs == [False, True]
 
     def test_iterations_bounded(self):
         for wq in self._floating_instances(29, 200):

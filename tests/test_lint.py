@@ -66,6 +66,38 @@ def test_no_module_imports_dataclasses():
             if imports_module(p.read_text(encoding="utf-8"), "dataclasses")] == []
 
 
+def names_checks(source: str) -> bool:
+    """True if the source imports `quadft.checks` (`import`, `from . import
+    checks`, `from .checks import ...`) or names it in a string, as the
+    `_EXPORTS` table and `importlib` do."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(name.rsplit(".", 1)[-1] == "checks" for name in names):
+            return True
+    return False
+
+
+def test_only_the_export_table_names_checks():
+    # the paper's cross-checks compile in no solver and no subcommand process
+    assert [p.name for p in PACKAGE if names_checks(p.read_text(encoding="utf-8"))] == [
+        "__init__.py"]
+
+
+def test_detects_naming_checks():
+    assert names_checks("from .checks import verify_plasticity\n")
+    assert names_checks("from . import checks\n")
+    assert names_checks("import quadft.checks as c\n")
+    assert names_checks("_EXPORTS = {'solve': 'checks'}\n")
+    assert not names_checks('"""The cross-checks."""\nfrom .fermat import checked\n')
+
+
 def test_one_power_of_two_frame():
     # every frame and weight set is scaled by `geometry._exponent`
     assert [p.name for p in PACKAGE if "frexp" in p.read_text(encoding="utf-8")] == [

@@ -26,6 +26,7 @@ from quadft import (
     verify_plasticity,
     weiszfeld,
 )
+import quadft.checks as checks
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
 from quadft.geometry import cross2, linspace
@@ -580,7 +581,7 @@ coordinate = st.floats(-3.0, 3.0)
 def test_sublevel_is_where_the_norm_stays_below_the_line(px, py, qx, qy, x, y, ts):
     # the interval agrees with |p + t q| <= x t + y wherever the two sides
     # differ by more than rounding
-    lo, hi = plasticity._sublevel(px, py, qx, qy, x, y)
+    lo, hi = checks._sublevel(px, py, qx, qy, x, y)
     for t in ts:
         excess = math.hypot(px + t * qx, py + t * qy) - (x * t + y)
         if abs(excess) > 1e-9:
@@ -660,7 +661,7 @@ class TestVerify:
                 return original(*args, **kwargs)
             return counted
 
-        for module in (fermat, plasticity):
+        for module in (fermat, plasticity, checks):
             if hasattr(module, "locate_4wft"):
                 monkeypatch.setattr(module, "locate_4wft",
                                     counting("locate_4wft", module.locate_4wft))
@@ -684,7 +685,7 @@ class TestVerify:
                 return original(*args, **kwargs)
             return wrapper
 
-        for module in (fermat, plasticity):
+        for module in (fermat, plasticity, checks):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

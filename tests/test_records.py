@@ -9,12 +9,13 @@ import pickle
 
 import pytest
 
+from quadft.checks import PlasticityReport
 from quadft.documents import ProblemDocument, RunRecord, SolverOptions
 from quadft.errors import InfeasibleWeightsError, QuadFTError
 from quadft.fermat import CaseKind, CaseTag, FermatTree, WeightedQuadrilateral
 from quadft.gauss import GaussTree, GaussWeights
 from quadft.geometry import Point, Quadrilateral
-from quadft.plasticity import PlasticityLine, PlasticityReport
+from quadft.plasticity import PlasticityLine
 from quadft.svgplot import Scene
 from quadft.universal import UniversalResult, UniversalSample
 
