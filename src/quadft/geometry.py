@@ -43,7 +43,7 @@ def clamped_acos(value: float) -> float:
         raise InfeasibleTriangleError(
             f"cosine argument {value!r} outside [-1, 1] beyond tolerance {ACOS_CLAMP_TOL}"
         )
-    return math.acos(min(1.0, max(-1.0, value)))
+    return math.acos(1.0 if value > 1.0 else -1.0 if value < -1.0 else value)
 
 
 class Point(_Record):

@@ -5,8 +5,10 @@ At a fixed optimum P the balance sum B_i u_i = 0, with u_i the unit vector
 from P toward A_i, and the total sum B_i = c are linear in (B1, B2, B3) at a
 given B4.  `plasticity_line` solves that system once for the affine family
 B_i = x_i B4 + y_i; it holds wherever P is interior, on a diagonal too.
-The paper's squared-balance route to the family and the verification of a
-line live in `quadft.checks`.
+`_Family` measures a line's anchor once, and `universal._samples` reads
+the absorbing samples along the line from it in one loop.  The paper's
+squared-balance route to the family and the verification of a line live in
+`quadft.checks`.
 """
 
 from __future__ import annotations
@@ -68,19 +70,6 @@ class PlasticityLine(_Record):
         if b[0] <= 0.0 or b[1] <= 0.0 or b[2] <= 0.0 or b4 <= 0.0:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
-
-    def _ascending_weights(self, b4s) -> list[tuple[float, float, float, float]]:
-        """`weights_at` of every b4 in `b4s`, which must ascend, checked at
-        the two ends only: x b4 + y rounds monotonically in b4, so weights
-        positive at both ends of the run, inside the interval, are positive
-        at every b4 between them, exactly.  A failing end raises as
-        `weights_at` does."""
-        first = self.weights_at(b4s[0])
-        if len(b4s) == 1:
-            return [first]
-        self.weights_at(b4s[-1])
-        (x1, y1), (x2, y2), (x3, y3) = self.coefficients
-        return [(x1 * b4 + y1, x2 * b4 + y2, x3 * b4 + y3, b4) for b4 in b4s]
 
 
 class _Family:

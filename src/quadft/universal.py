@@ -15,23 +15,25 @@ the origin to the line a + B4 b, and every storage level set holds the roots
 of a quadratic.  u_FT is the storage threshold: a degree-four tree grows a
 degree-three tree only from a storage of at least u_FT, spending part of it at
 a rate below u_FT.  `weights_for_storage` and `evolve` enforce this one rule;
-below it the tree stays the degree-four tree of `locate_4wft`.
+below it the tree stays the degree-four tree of `locate_4wft`.  At the
+absorbing value itself, with nothing spent, `evolve` returns that collapsed
+tree in closed form.
 
 Since P stays fixed along the family, its geometry (the u_i and the distances
 |P A_i|, one hypot per vertex) is measured once per call, by
 `plasticity._Family`, the one measurement `verify_plasticity` reads too,
 which also holds the imbalance sum B_i u_i = alpha + B4 beta and the profile
 (a, b), both affine in B4.  One function, `_samples`, evaluates every B4 it
-is given, in ascending order: the grid of `universal_set` and
-`universal_minimum`, or the single B4 of `absorbing_xg` and of B4*.  It
-decides the run at its two ends, by `PlasticityLine.weights_at` and the
-balance gate: the weights are affine in B4, so positive at both ends means
-positive between them, and the imbalance is convex, so the gate met at both
-ends is met between them up to rounding.  A sample then costs its three
-weights, one hypot for x_G and the objective.  When an end fails, each B4 is
-decided by itself: a sample that fails is skipped with its reason, or
-raised when the caller takes one B4.  Samples are named tuples, built at the
-cost of a plain tuple.
+is given, in ascending order and in one loop: the grid of `universal_set`
+and `universal_minimum`, or the single B4 of `absorbing_xg` and of B4*.  One
+check, `_check` (`PlasticityLine.weights_at`, an anchor off the vertices and
+the balance gate), decides the run at its two ends: the weights are affine
+in B4, so positive at both ends means positive between them, and the
+imbalance is convex, so the gate met at both ends is met between them up to
+rounding.  On a passing run a sample costs its three weights, one hypot for
+x_G and the objective.  Otherwise the loop checks each B4 by itself: a
+sample that fails is skipped with its reason, or raised when the caller
+takes one B4.  Samples are named tuples, built at the cost of a plain tuple.
 """
 
 from __future__ import annotations
@@ -90,69 +92,68 @@ def _finite(value: float, name: str) -> None:
 # Absorbing value of x_G for one weight quadruple
 # ------------------------------------------------------------------ #
 
+def _check(family: _Family, b4: float) -> tuple[float, float, float, float]:
+    """The weights at b4 if they pass `weights_at`, an anchor off the
+    vertices and the balance gate; QuadFTError saying why not."""
+    line = family.line
+    weights = line.weights_at(b4)
+    family.measured()  # raises when P sits on a vertex
+    ax, ay, bx, by = family.imbalance()
+    residual = math.hypot(ax + b4 * bx, ay + b4 * by)
+    if residual > BALANCE_RTOL * line.c:
+        raise InconsistentCaseError(
+            f"weights {weights} do not balance at {line.point} "
+            f"(residual {residual:.3e}); "
+            "was the plasticity line built on this quadrilateral?"
+        )
+    return weights
+
+
 def _samples(family: _Family, b4s,
              on_skip: Callable[[float, str], None] | None) -> list[UniversalSample]:
     """The absorbing sample at every b4 of `b4s`, from the family's one
     measurement of P; see `absorbing_xg`.  `b4s` must ascend: its callers
     pass the `_sweep` grid or a single B4.
 
-    The run is decided at its ends.  Weights positive at both ends are
-    positive between them, exactly (`PlasticityLine._ascending_weights`),
-    and the imbalance |alpha + B4 beta| is convex, so a balance gate met at
-    both ends is met between them, except within rounding of the gate.  When
-    an end fails, every b4 is decided by itself (`_one_by_one`, which
-    reports each failure to on_skip or raises it).
+    The run is decided at its ends by `_check`.  Each weight x b4 + y rounds
+    monotonically in b4, so weights positive at both ends of the run are
+    positive at every b4 between them, exactly; and the imbalance
+    |alpha + B4 beta| is convex, so a balance gate met at both ends is met
+    between them, except within rounding of the gate.  A passing run writes
+    each sample's weights as `weights_at` would.  Otherwise every b4 is
+    checked by itself: a failure is reported to `on_skip(b4, reason)` and
+    left out, or raised when on_skip is None.
     """
-    ax, ay, bx, by = family.imbalance()  # inf when P sits on a vertex
-    gate = BALANCE_RTOL * family.line.c
     try:
-        run = family.line._ascending_weights(b4s)
-    except InfeasibleWeightsError:
-        run = None
-    if (run is None or math.hypot(ax + b4s[0] * bx, ay + b4s[0] * by) > gate
-            or math.hypot(ax + b4s[-1] * bx, ay + b4s[-1] * by) > gate):
-        run = _one_by_one(family, b4s, on_skip)
-        if not run:  # with P on a vertex every b4 fails
-            return []
-    (u1x, u1y), _, _, (u4x, u4y) = family.units
+        _check(family, b4s[0])
+        if len(b4s) > 1:
+            _check(family, b4s[-1])
+        run = True
+    except QuadFTError:
+        run = False
+    (x1, y1), (x2, y2), (x3, y3) = family.line.coefficients
+    # P on a vertex leaves no unit vectors, but then every check fails and
+    # no sample reads them
+    (u1x, u1y), _, _, (u4x, u4y) = family.units or ((0.0, 0.0),) * 4
     d1, d2, d3, d4 = family.distances
     new = tuple.__new__  # UniversalSample(...) parses its arguments first
     samples = []
-    for weights in run:
-        b1, b2, b3, b4 = weights
+    for b4 in b4s:
+        if run:
+            weights = (x1 * b4 + y1, x2 * b4 + y2, x3 * b4 + y3, b4)
+        else:
+            try:
+                weights = _check(family, b4)
+            except QuadFTError as exc:
+                if on_skip is None:
+                    raise
+                on_skip(b4, str(exc))
+                continue
+        b1, b2, b3, _ = weights
         samples.append(new(UniversalSample, (
             b4, weights, math.hypot(b1 * u1x + b4 * u4x, b1 * u1y + b4 * u4y),
             b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4)))
     return samples
-
-
-def _one_by_one(family: _Family, b4s,
-                on_skip: Callable[[float, str], None] | None) -> list[tuple]:
-    """The weights at each b4 that passes `weights_at`, an anchor off the
-    vertices and the balance gate by itself.  A b4 that fails is reported
-    to `on_skip(b4, reason)` and left out; with on_skip None it raises."""
-    line = family.line
-    ax, ay, bx, by = family.imbalance()
-    gate = BALANCE_RTOL * line.c
-    kept = []
-    for b4 in b4s:
-        try:
-            weights = line.weights_at(b4)
-            family.measured()  # raises when P sits on a vertex
-            residual = math.hypot(ax + b4 * bx, ay + b4 * by)
-            if residual > gate:
-                raise InconsistentCaseError(
-                    f"weights {weights} do not balance at {line.point} "
-                    f"(residual {residual:.3e}); "
-                    "was the plasticity line built on this quadrilateral?"
-                )
-        except QuadFTError as exc:
-            if on_skip is None:
-                raise
-            on_skip(b4, str(exc))
-            continue
-        kept.append(weights)
-    return kept
 
 
 def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> UniversalSample:
@@ -258,13 +259,28 @@ def weights_for_storage(q: Quadrilateral, line: PlasticityLine, u: float,
     return roots
 
 
+def _collapsed(family: _Family, sample: UniversalSample) -> GaussTree:
+    """The degree-four limit of the Gauss tree at an absorbing sample, in
+    closed form: both nodes at P, l = 0, the edges |P A_i|, and the axis
+    along -(B1 u1 + B4 u4), which the collapsed edge balances at the node
+    joined to A1 and A4."""
+    b1, _, _, b4 = sample.weights
+    (u1x, u1y), _, _, (u4x, u4y) = family.units
+    wx, wy = -(b1 * u1x + b4 * u4x), -(b1 * u1y + b4 * u4y)
+    ex, ey = family.quad.unit_vectors[0][1]
+    p = family.line.point
+    return GaussTree(p, p, *family.distances, 0.0,
+                     math.atan2(cross2(ex, ey, wx, wy), ex * wx + ey * wy), sample.objective)
+
+
 def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
            b4: float) -> GaussTree:
     """Grow the degree-three tree funded by `storage` at spending rate a_g.
 
     The interior edge weight becomes x_G = storage - a_g with the family
-    weights at b4.  a_g = 0 returns the collapsed (degree-four limit) tree.
-    The storage rule is enforced here, against the u_FT of
+    weights at b4.  a_g = 0 with a storage at the absorbing value of b4 (to
+    BALANCE_RTOL * c) returns the collapsed (degree-four limit) tree in
+    closed form.  The storage rule is enforced here, against the u_FT of
     `universal_minimum`: a storage below u_FT raises InfeasibleWeightsError
     (the tree stays the degree-four tree of `locate_4wft`), a_g >= u_FT
     raises OverspendError, and so does spending below the weight-triangle
@@ -277,7 +293,8 @@ def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
         raise QuadFTError(f"storage must be nonnegative, got {storage}")
     if a_g < 0.0:
         raise QuadFTError(f"spending rate must be nonnegative, got {a_g}")
-    u_ft = _minimum(_Family(q, line)).xg_absorbing
+    family = _Family(q, line)
+    u_ft = _minimum(family).xg_absorbing
     _check_storage(storage, u_ft, line)
     if a_g >= u_ft:
         raise OverspendError(f"spending rate {a_g} must stay below u_FT = {u_ft}")
@@ -292,4 +309,9 @@ def evolve(q: Quadrilateral, line: PlasticityLine, storage: float, a_g: float,
         raise InfeasibleWeightsError(
             f"x_G = {xg} is at or above the feasible ceiling {hi:.6g} for B4 = {b4}"
         )
-    return solve_gauss_tree(q, GaussWeights(*weights, xg))
+    w = GaussWeights(*weights, xg)
+    if a_g == 0.0:
+        sample = _samples(family, [b4], None)[0]
+        if abs(xg - sample.xg_absorbing) <= BALANCE_RTOL * line.c:
+            return _collapsed(family, sample)
+    return solve_gauss_tree(q, w)

@@ -126,13 +126,16 @@ def read_names(source: str) -> set[str]:
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
-    """Module-level names with a single leading underscore that no source
-    reads (`read_names`)."""
+    """Module-level names and methods of module-level classes with a single
+    leading underscore that no source reads (`read_names`)."""
     defined, read = set(), set()
     for source in sources:
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f.name for f in node.body
+                               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(n.id for t in targets for n in ast.walk(t)
@@ -154,12 +157,17 @@ def test_detects_unread_private_names():
         "__all__ = ['f']\n"
         "def _dead(): return _b\n"
         "def _used(): return 0\n"
-        "class _Shape: pass\n",
+        "class _Shape: pass\n"
+        "class Line:\n"
+        "    def __init__(self): self._span = 0\n"
+        "    def _ends(self): return self._span\n"
+        "    def _stale(self): return 0\n"
+        "    def length(self): return self._ends()\n",
         "from .m import _used\n"
         "import m\n"
         "print(_used(), m._Shape)\n",
     ]
-    assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead"]
+    assert unread_private_names(sources) == ["_LIMIT", "_a", "_dead", "_stale"]
 
 
 def unread_exports(package: dict[str, str], readers: list[str]) -> list[str]:

@@ -640,6 +640,24 @@ class TestEvolve:
         tree = evolve(rect_mod, line_ex2, storage=3.82, a_g=0.0, b4=1.4901507)
         assert tree.l < 1e-4
 
+    @given(index=st.integers(0, 48), angle=st.floats(0.0, 2.0 * math.pi), s_c=scales,
+           shift=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)), s_w=weight_scales)
+    @settings(max_examples=60, deadline=None)
+    def test_absorbing_storage_is_the_collapsed_tree(self, floating_instances, index, angle,
+                                                    s_c, shift, s_w):
+        # at the absorbing value the span of `_branch` is rounding noise of
+        # either sign, so the limit cannot come from it
+        wq = floating_instances[index]
+        diam = s_c * wq.quad.diameter()
+        quad = _similar(wq.quad, angle, s_c, (shift[0] / diam, shift[1] / diam))
+        wq = WeightedQuadrilateral(quad, tuple(s_w * w for w in wq.weights))
+        line = plasticity_line(wq, locate_4wft(wq))
+        for s in universal_set(quad, line, 9):
+            tree = evolve(quad, line, s.xg_absorbing, 0.0, s.b4)
+            assert tree.l == 0.0
+            assert tree.node0 == tree.node0p == line.point
+            assert tree.objective == s.objective
+
     def test_spend_monotonicity(self, rect_mod, line_ex2):
         spans = [
             evolve(rect_mod, line_ex2, storage=3.82, a_g=a, b4=1.4901507).l
