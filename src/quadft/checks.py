@@ -13,10 +13,13 @@ exports it lazily (`quadft._EXPORTS`).
   (`plasticity_system_new`): two quadratic identities in the optimum's
   angles, solved exactly as one cubic in B2, an independent reference for
   `plasticity.plasticity_line`.
-- The verification of a plasticity line (`verify_plasticity`), which
-  decides Kuhn's test and the balance gate on the line's whole interval
-  (`_intervals`, `_sublevel`) and re-solves the median where the gate is
-  missed.
+- The verification of a plasticity line (`verify_plasticity`) on the
+  line's one B4 grid (`plasticity._b4_grid`), decided in one pass: the run
+  of positive weights at its two ends, and Kuhn's test and the balance
+  gate on the line's whole interval (`_intervals`, `_sublevel`).  A run
+  that no vertex absorbs and the gate covers is evaluated at once; other
+  samples are decided one by one, and the median is re-solved where the
+  gate is missed.
 """
 
 from __future__ import annotations
@@ -42,10 +45,9 @@ from .geometry import (
     angle_at,
     clamped_acos,
     cross2,
-    linspace,
     rotate,
 )
-from .plasticity import PlasticityLine, _Family
+from .plasticity import PlasticityLine, _b4_grid, _Family
 
 _EQUILIBRIUM_RTOL = 1e-7  # angle-system gate on the residual
 _REBUILD_RTOL = 1e-10     # angle-system gate on the rebuilt point's gap, relative to the diameter
@@ -381,18 +383,24 @@ class PlasticityReport(_Record):
 
 def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
                       samples: int) -> PlasticityReport:
-    """Check at `samples` values of B4 across the admissible interval that the
-    line's weights keep the degree-four optimum at the anchor `line.point`,
-    and report the worst drift of the optimum.
+    """Check at `samples` values of B4 on the line's grid (`_b4_grid`, the
+    grid of `universal_set`) that the line's weights keep the degree-four
+    optimum at the anchor `line.point`, and report the worst drift of the
+    optimum.
 
     Samples where a weight leaves positivity or the instance stops floating
-    are excluded with a reason, never counted as drift.  The line is measured
-    once per call (`plasticity._Family`) and decided on its whole interval:
-    along it the others' pull on each vertex, p_j + B4 q_j, and the
-    imbalance sum B_i u_i at the anchor are affine in B4, so Kuhn's slack of
-    `classify_case` and the balance are convex.  Vertex A_j absorbs on one
-    interval of B4, whose ends are the roots of a quadratic, and the balance
-    meets the gate on one interval too (`_intervals`); each sample is
+    are excluded with a reason, never counted as drift.  The run is decided
+    in one pass, as in `universal._samples`: `weights_at` scans inward from
+    each end of the grid until a sample passes, and since each weight
+    x B4 + y rounds monotonically in B4, the weights are positive at every
+    sample between those two.  The line is measured once per call
+    (`plasticity._Family`) and decided on its whole interval: along it the
+    others' pull on each vertex, p_j + B4 q_j, and the imbalance sum B_i u_i
+    at the anchor are affine in B4, so Kuhn's slack of `classify_case` and
+    the balance are convex.  Vertex A_j absorbs on one interval of B4, whose
+    ends are the roots of a quadratic, and the balance meets the gate on one
+    interval too (`_intervals`).  A run that meets no absorbed interval and
+    lies inside the gate's is evaluated at once; otherwise each sample is
     decided by membership, vertices in index order, and its verdict differs
     from a per-sample test only within rounding of an interval end.  A
     balance at most RESIDUAL_TOL times the total weight passes the residual
@@ -405,34 +413,44 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     """
     if _count(samples, "samples") < 1:
         raise QuadFTError("need at least one sample")
-    lo, hi = line.b4_interval
-    if samples == 1:
-        b4s = [0.5 * (lo + hi)]
-    else:
-        b4s = linspace(lo, hi, samples)
-    tolerance = 1e-6 * q.diameter()
-    absorbed, (gate_lo, gate_hi) = _intervals(_Family(q, line), 0.5 * (lo + hi))
-    # the vertices, in index order, whose absorbed interval meets the samples
-    absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
-                if a <= b4s[-1] and b4s[0] <= b]
-    evaluated = []
-    excluded = []
+    b4s = _b4_grid(line, samples)
+    excluded, tail = [], []  # the samples before the run; those after it, last first
     for b4 in b4s:
         try:
-            weights = line.weights_at(b4)
+            line.weights_at(b4)
+            break
         except InfeasibleWeightsError as exc:
             excluded.append((b4, str(exc)))
-            continue
-        for j, a, b in absorbed:  # the first absorbing vertex
-            if a <= b4 <= b:
-                excluded.append((b4, f"absorbed at vertex {j}"))
-                break
+    for b4 in reversed(b4s[len(excluded) + 1:]):
+        try:
+            line.weights_at(b4)
+            break
+        except InfeasibleWeightsError as exc:
+            tail.append((b4, str(exc)))
+    run = b4s[len(excluded):len(b4s) - len(tail)]
+    evaluated = []
+    if run:
+        lo, hi = line.b4_interval
+        absorbed, (gate_lo, gate_hi) = _intervals(_Family(q, line), 0.5 * (lo + hi))
+        # the vertices, in index order, whose absorbed interval meets the run
+        absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
+                    if a <= run[-1] and run[0] <= b]
+        if not absorbed and gate_lo <= run[0] and run[-1] <= gate_hi:
+            evaluated = [(b4, 0.0) for b4 in run]
         else:
-            if gate_lo <= b4 <= gate_hi:
-                evaluated.append((b4, 0.0))
-            else:
-                point, _ = _certified_median(q.vertices, weights)
-                evaluated.append((b4, point.distance_to(line.point)))
+            for b4 in run:
+                for j, a, b in absorbed:  # the first absorbing vertex
+                    if a <= b4 <= b:
+                        excluded.append((b4, f"absorbed at vertex {j}"))
+                        break
+                else:
+                    if gate_lo <= b4 <= gate_hi:
+                        evaluated.append((b4, 0.0))
+                    else:
+                        point, _ = _certified_median(q.vertices, line.weights_at(b4))
+                        evaluated.append((b4, point.distance_to(line.point)))
+    excluded += reversed(tail)
+    tolerance = 1e-6 * q.diameter()
     max_dev = max((d for _, d in evaluated), default=math.inf)
     return PlasticityReport(
         reference=line.point,

@@ -6,9 +6,10 @@ from P toward A_i, and the total sum B_i = c are linear in (B1, B2, B3) at a
 given B4.  `plasticity_line` solves that system once for the affine family
 B_i = x_i B4 + y_i; it holds wherever P is interior, on a diagonal too.
 `_Family` measures a line's anchor once, and `universal._samples` reads
-the absorbing samples along the line from it in one loop.  The paper's
-squared-balance route to the family and the verification of a line live in
-`quadft.checks`.
+the absorbing samples along the line from it in one loop.  A line has one
+B4 grid, `_b4_grid`, which the universal sweep and the verification of a
+line both sample.  The paper's squared-balance route to the family and the
+verification of a line live in `quadft.checks`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     _Record,
 )
 from .fermat import CaseKind, FermatTree, WeightedQuadrilateral
-from .geometry import Point, Quadrilateral, cross2, measure_star
+from .geometry import Point, Quadrilateral, cross2, linspace, measure_star
 
 
 class PlasticityLine(_Record):
@@ -70,6 +71,22 @@ class PlasticityLine(_Record):
         if b[0] <= 0.0 or b[1] <= 0.0 or b[2] <= 0.0 or b4 <= 0.0:
             raise InfeasibleWeightsError(f"weights {b} not all positive at B4 = {b4}")
         return b
+
+
+def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
+    """The B4 interval shrunk by the sampling margin."""
+    lo, hi = line.b4_interval
+    margin = 1e-6 * (hi - lo)
+    return lo + margin, hi - margin
+
+
+def _b4_grid(line: PlasticityLine, n: int) -> list[float]:
+    """The line's n samples of B4, in ascending order: the midpoint of the
+    admissible interval for n = 1, else n evenly spaced points over the
+    sampled range, so that no sample sits on an end of the open interval."""
+    if n == 1:
+        return [0.5 * sum(line.b4_interval)]
+    return linspace(*_sampled_range(line), n)
 
 
 class _Family:

@@ -24,16 +24,18 @@ Since P stays fixed along the family, its geometry (the u_i and the distances
 `plasticity._Family`, the one measurement `verify_plasticity` reads too,
 which also holds the imbalance sum B_i u_i = alpha + B4 beta and the profile
 (a, b), both affine in B4.  One function, `_samples`, evaluates every B4 it
-is given, in ascending order and in one loop: the grid of `universal_set`
-and `universal_minimum`, or the single B4 of `absorbing_xg` and of B4*.  One
-check, `_check` (`PlasticityLine.weights_at`, an anchor off the vertices and
-the balance gate), decides the run at its two ends: the weights are affine
-in B4, so positive at both ends means positive between them, and the
-imbalance is convex, so the gate met at both ends is met between them up to
-rounding.  On a passing run a sample costs its three weights, one hypot for
-x_G and the objective.  Otherwise the loop checks each B4 by itself: a
-sample that fails is skipped with its reason, or raised when the caller
-takes one B4.  Samples are named tuples, built at the cost of a plain tuple.
+is given, in ascending order and in one loop: the line's B4 grid
+(`plasticity._b4_grid`, which `verify_plasticity` samples too) for
+`universal_set` and `universal_minimum`, or the single B4 of `absorbing_xg`
+and of B4*.  One check, `_check` (`PlasticityLine.weights_at`, an anchor off
+the vertices and the balance gate), decides the run at its two ends: the
+weights are affine in B4, so positive at both ends means positive between
+them, and the imbalance is convex, so the gate met at both ends is met
+between them up to rounding.  On a passing run a sample costs its three
+weights, one hypot for x_G and the objective.  Otherwise the loop checks
+each B4 by itself: a sample that fails is skipped with its reason, or raised
+when the caller takes one B4.  Samples are named tuples, built at the cost
+of a plain tuple.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .errors import (
     _Record,
 )
 from .gauss import GaussTree, GaussWeights, feasible_xg_interval, solve_gauss_tree
-from .geometry import Quadrilateral, _count, cross2, linspace
-from .plasticity import PlasticityLine, _Family
+from .geometry import Quadrilateral, _count, cross2
+from .plasticity import PlasticityLine, _b4_grid, _Family, _sampled_range
 
 # Annotations are strings (PEP 563): `Callable` in them needs no import of typing.
 
@@ -167,13 +169,6 @@ def absorbing_xg(q: Quadrilateral, line: PlasticityLine, b4: float) -> Universal
     return _samples(_Family(q, line), [b4], None)[0]
 
 
-def _sampled_range(line: PlasticityLine) -> tuple[float, float]:
-    """The B4 interval shrunk by the sampling margin."""
-    lo, hi = line.b4_interval
-    margin = 1e-6 * (hi - lo)
-    return lo + margin, hi - margin
-
-
 def _minimum(family: _Family) -> UniversalSample:
     """Absorbing sample at B4* = -(a . b) / |b|^2, the foot of the
     perpendicular from the origin to a + B4 b, clamped to the sampled range."""
@@ -194,13 +189,11 @@ def _check_storage(storage: float, u_ft: float, line: PlasticityLine) -> None:
 
 def _sweep(family: _Family, grid: int,
            on_skip: Callable[[float, str], None]) -> list[UniversalSample]:
-    """The samples of `universal_set`, from one measurement of P."""
+    """The samples of `universal_set` on the line's B4 grid, from one
+    measurement of P."""
     if _count(grid, "grid") < 1:
         raise QuadFTError("grid must be at least 1")
-    line = family.line
-    b4s = ([0.5 * sum(line.b4_interval)] if grid == 1
-           else linspace(*_sampled_range(line), grid))
-    return _samples(family, b4s, on_skip)
+    return _samples(family, _b4_grid(family.line, grid), on_skip)
 
 
 def universal_set(q: Quadrilateral, line: PlasticityLine, grid: int,

@@ -23,13 +23,14 @@ from quadft import (
     locate_4wft,
     plasticity_line,
     plasticity_system_new,
+    universal_set,
     verify_plasticity,
     weiszfeld,
 )
 import quadft.checks as checks
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
-from quadft.geometry import cross2, linspace
+from quadft.geometry import cross2
 from oracles import pull_at, random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
@@ -91,11 +92,9 @@ def _reference_report(q, line, samples):
     """`verify_plasticity` as one loop measuring everything per sample: a
     WeightedQuadrilateral and `classify_case`, then the balance at the anchor
     (numpy, `_balance`), and where it misses RESIDUAL_TOL the median from the
-    weighted centroid, gated on RESIDUAL_TOL."""
-    lo, hi = line.b4_interval
-    b4s = [0.5 * (lo + hi)] if samples == 1 else linspace(lo, hi, samples)
+    weighted centroid, gated on RESIDUAL_TOL, on the line's B4 grid."""
     evaluated, excluded = [], []
-    for b4 in b4s:
+    for b4 in plasticity._b4_grid(line, samples):
         try:
             weights = line.weights_at(b4)
         except InfeasibleWeightsError as exc:
@@ -158,13 +157,17 @@ def _boundary_line(quad, point):
     """A hand-made line on `quad` (B1 = y1 - B4, B2 = B3 = 0.5, B4 in (0, 2.5))
     whose sixth of 16 samples leaves A1 a slack of half CASE_BOUNDARY_TOL * c:
     absorbed, on the floating side of equality.  Returns (line, that B4)."""
-    b4 = linspace(0.0, 2.5, 16)[5]
+
+    def line_at(c):
+        return PlasticityLine(c=c, coefficients=((-1.0, c - 1.0), (0.0, 0.5), (0.0, 0.5)),
+                              b4_interval=(0.0, 2.5), point=point)
+
+    b4 = plasticity._b4_grid(line_at(4.0), 16)[5]  # the grid reads only the interval
     units = np.array([quad.vertices[0].unit_toward(v) for v in quad.vertices[1:]])
     pull = float(np.linalg.norm(np.array([0.5, 0.5, b4]) @ units))
     half_band = 0.5 * fermat.CASE_BOUNDARY_TOL
     c = (pull + b4 + 1.0) / (1.0 + half_band)  # B1 = c - 1 - B4 = pull - half_band * c
-    line = PlasticityLine(c=c, coefficients=((-1.0, c - 1.0), (0.0, 0.5), (0.0, 0.5)),
-                          b4_interval=(0.0, 2.5), point=point)
+    line = line_at(c)
     slack = pull - line.weights_at(b4)[0]
     assert 0.0 < slack <= fermat.CASE_BOUNDARY_TOL * c
     return line, b4
@@ -602,16 +605,51 @@ class TestVerify:
         assert report.passed
         assert report.max_deviation < 1e-6 * rect_mod.diameter()
 
-    def test_endpoint_sample_excluded(self, rect_mod, line_ex2):
-        report = verify_plasticity(rect_mod, line_ex2, 16)
+    def test_no_sample_outside_the_open_interval(self, rect_mod, line_ex2):
         lo, hi = line_ex2.b4_interval
-        assert [b4 for b4, _ in report.excluded] == [lo, hi]
-        assert all("outside the open admissible interval" in why
-                   for _, why in report.excluded)
-        assert all(type(b4) is float for b4, _ in report.evaluated + report.excluded)
-        single = verify_plasticity(rect_mod, line_ex2, 1)
-        assert len(single.evaluated) == 1 and not single.excluded
-        assert single.passed
+        for samples in (1, 2, 16, 65):
+            report = verify_plasticity(rect_mod, line_ex2, samples)
+            assert not report.excluded and len(report.evaluated) == samples
+            assert all(type(b4) is float and lo < b4 < hi for b4, _ in report.evaluated)
+            assert report.passed
+
+    def test_two_samples_pass(self, rect_mod, line_ex2):
+        # the two samples are the ends of the sampled range, not of the open
+        # interval, where no weights exist
+        report = verify_plasticity(rect_mod, line_ex2, 2)
+        assert report.passed and len(report.evaluated) == 2 and not report.excluded
+
+    def test_samples_are_the_universal_grid(self, rect, wq_ex2, wq_ex3):
+        for wq in (wq_ex2, wq_ex3):
+            line = plasticity_line(wq, locate_4wft(wq))
+            for samples in (1, 2, 16, 65):
+                report = verify_plasticity(rect, line, samples)
+                assert ([b4 for b4, _ in report.evaluated]
+                        == [s.b4 for s in universal_set(rect, line, samples)])
+
+    def test_run_decided_at_its_ends(self, monkeypatch, rect_mod, line_ex2):
+        # weights_at at the run's two ends alone, none raising, and no re-solve
+        calls = {"weights_at": 0, "raised": 0, "_certified_median": 0}
+        weights_at = PlasticityLine.weights_at
+
+        def counted_weights_at(self, b4):
+            calls["weights_at"] += 1
+            try:
+                return weights_at(self, b4)
+            except InfeasibleWeightsError:
+                calls["raised"] += 1
+                raise
+
+        def counted_median(*args, **kwargs):
+            calls["_certified_median"] += 1
+            return fermat._certified_median(*args, **kwargs)
+
+        monkeypatch.setattr(PlasticityLine, "weights_at", counted_weights_at)
+        monkeypatch.setattr(checks, "_certified_median", counted_median)
+        report = verify_plasticity(rect_mod, line_ex2, 16)
+        assert report.passed and len(report.evaluated) == 16
+        assert calls["weights_at"] <= 2
+        assert calls["raised"] == calls["_certified_median"] == 0
 
     def test_non_integer_sample_count_rejected(self, rect_mod, line_ex2):
         with pytest.raises(QuadFTError, match="samples must be an integer, got 2.5"):
@@ -629,7 +667,7 @@ class TestVerify:
         for weights in DIAGONAL_WEIGHTS:
             wq = WeightedQuadrilateral(rect_mod, weights)
             report = verify_plasticity(rect_mod, plasticity_line(wq, locate_4wft(wq)), 16)
-            assert report.passed and len(report.evaluated) == 14
+            assert report.passed and len(report.evaluated) == 16
             assert report.max_deviation <= 1e-12 * rect_mod.diameter()
 
     def test_random_quadrilateral_line(self):
@@ -668,7 +706,7 @@ class TestVerify:
         monkeypatch.setattr(fermat, "_tree", counting("_tree", fermat._tree))
         steps = _median_steps(monkeypatch)
         report = verify_plasticity(rect_mod, line_ex2, 16)
-        assert report.passed and len(report.evaluated) == 14
+        assert report.passed and len(report.evaluated) == 16
         assert built == []
         assert steps == []
 
@@ -701,7 +739,7 @@ class TestVerify:
             assert report.passed
             assert calls == {"classify_case": 0, "_kuhn_case": 0}
             assert steps == []
-            assert len(report.evaluated) == 14
+            assert len(report.evaluated) == 16
 
     def test_hypot_calls_do_not_grow_with_the_samples(self, monkeypatch, rect_mod, line_ex2):
         # a true anchor: the line's star costs one hypot per vertex, and the
@@ -720,7 +758,7 @@ class TestVerify:
             for samples in (16, 64):
                 calls.clear()
                 report = verify_plasticity(quad, line, samples)
-                assert report.passed and len(report.evaluated) == samples - 2
+                assert report.passed and len(report.evaluated) == samples
                 counts.append(len(calls))
             assert counts == [4, 4]
 
@@ -790,17 +828,22 @@ class TestVerify:
         steps = _median_steps(monkeypatch)
         report = verify_plasticity(quad, line, 16)
         assert report.passed and report.max_deviation == 0.0
-        assert steps == [] and len(report.evaluated) == 14
+        assert steps == [] and len(report.evaluated) == 16
 
     def test_report_equals_the_per_sample_reference(self, rect_mod):
         # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, on
-        # 200 seeded lines and a hand-made line whose ends absorb
+        # 200 seeded lines, a hand-made line whose ends absorb and one whose
+        # interval overreaches its positive weights (B1 = B4 - 1, B2 = 3 - B4)
+        # at both ends
         rng = np.random.default_rng(59)
         absorbing = PlasticityLine(c=4.0, coefficients=((-1.0, 3.0), (0.0, 0.5), (0.0, 0.5)),
                                    b4_interval=(0.0, 3.0), point=Point(0.5, 0.5))
+        overreaching = PlasticityLine(c=5.0, coefficients=((1.0, -1.0), (-1.0, 3.0), (-1.0, 3.0)),
+                                      b4_interval=(0.0, 4.0), point=Point(0.5, 0.5))
         unit_square = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
         reasons = set()
-        for quad, line in _random_lines(53, 200) + [(unit_square, absorbing)]:
+        for quad, line in _random_lines(53, 200) + [(unit_square, absorbing),
+                                                    (unit_square, overreaching)]:
             diameter = quad.diameter()
             for shift in (0.0, 1e-3, 5e-2):
                 theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -810,7 +853,7 @@ class TestVerify:
                 report = verify_plasticity(quad, moved_line, 16)
                 assert report == _reference_report(quad, moved_line, 16)
                 reasons.update(why.split()[0] for _, why in report.excluded)
-        assert reasons == {"B4", "absorbed"}
+        assert reasons == {"weights", "absorbed"}
 
     def test_absorption_at_every_vertex_equals_the_reference(self):
         # hand-made lines on the unit square: B_j = 3 - B4 absorbs at A_j for
@@ -844,13 +887,13 @@ class TestVerify:
             moved = Point(line_ex2.point.x + shift * diameter, line_ex2.point.y)
             report = verify_plasticity(rect_mod, line_ex2._replace(point=moved), 16)
             assert not report.passed
-            assert len(steps) == len(report.evaluated) == 14
+            assert len(steps) == len(report.evaluated) == 16
 
     def test_anchor_on_a_vertex_reports_its_offset(self, rect_mod, line_ex2):
         # no balance is measurable at a vertex, so every sample re-solves
         vertex = rect_mod.vertices[0]
         report = verify_plasticity(rect_mod, line_ex2._replace(point=vertex), 16)
-        assert not report.passed and len(report.evaluated) == 14
+        assert not report.passed and len(report.evaluated) == 16
         offset = vertex.distance_to(line_ex2.point)
         assert abs(report.max_deviation - offset) <= 1e-9 * rect_mod.diameter()
 

@@ -31,8 +31,8 @@ from quadft import (
     weights_for_storage,
 )
 from quadft.geometry import linspace
-from quadft.plasticity import _Family
-from quadft.universal import BALANCE_RTOL, _sampled_range
+from quadft.plasticity import _Family, _sampled_range
+from quadft.universal import BALANCE_RTOL
 
 EX2_TABLE = [
     (1.5, 3.8192408, 34.5746856),
