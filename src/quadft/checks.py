@@ -16,10 +16,9 @@ exports it lazily (`quadft._EXPORTS`).
 - The verification of a plasticity line (`verify_plasticity`) on the
   line's one B4 grid (`plasticity._b4_grid`), decided in one pass: the run
   of positive weights at its two ends, and Kuhn's test and the balance
-  gate on the line's whole interval (`_intervals`, `_sublevel`).  A run
-  that no vertex absorbs and the gate covers is evaluated at once; other
-  samples are decided one by one, and the median is re-solved where the
-  gate is missed.
+  gate on the line's whole interval (`_intervals`, `_sublevel`).  Each
+  sample of the run is decided by membership in those intervals, and the
+  median is re-solved where the gate is missed.
 """
 
 from __future__ import annotations
@@ -399,10 +398,9 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     at the anchor are affine in B4, so Kuhn's slack of `classify_case` and
     the balance are convex.  Vertex A_j absorbs on one interval of B4, whose
     ends are the roots of a quadratic, and the balance meets the gate on one
-    interval too (`_intervals`).  A run that meets no absorbed interval and
-    lies inside the gate's is evaluated at once; otherwise each sample is
-    decided by membership, vertices in index order, and its verdict differs
-    from a per-sample test only within rounding of an interval end.  A
+    interval too (`_intervals`).  Each sample of the run is decided by
+    membership, vertices in index order, and its verdict differs from a
+    per-sample test only within rounding of an interval end.  A
     balance at most RESIDUAL_TOL times the total weight passes the residual
     gate of `locate_4wft`, and the median is unique, so the anchor is the
     optimum and the sample drifts by 0.  Any other sample, a moved anchor or
@@ -435,20 +433,17 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
         # the vertices, in index order, whose absorbed interval meets the run
         absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
                     if a <= run[-1] and run[0] <= b]
-        if not absorbed and gate_lo <= run[0] and run[-1] <= gate_hi:
-            evaluated = [(b4, 0.0) for b4 in run]
-        else:
-            for b4 in run:
-                for j, a, b in absorbed:  # the first absorbing vertex
-                    if a <= b4 <= b:
-                        excluded.append((b4, f"absorbed at vertex {j}"))
-                        break
+        for b4 in run:
+            for j, a, b in absorbed:  # the first absorbing vertex
+                if a <= b4 <= b:
+                    excluded.append((b4, f"absorbed at vertex {j}"))
+                    break
+            else:
+                if gate_lo <= b4 <= gate_hi:
+                    evaluated.append((b4, 0.0))
                 else:
-                    if gate_lo <= b4 <= gate_hi:
-                        evaluated.append((b4, 0.0))
-                    else:
-                        point, _ = _certified_median(q.vertices, line.weights_at(b4))
-                        evaluated.append((b4, point.distance_to(line.point)))
+                    point, _ = _certified_median(q.vertices, line.weights_at(b4))
+                    evaluated.append((b4, point.distance_to(line.point)))
     excluded += reversed(tail)
     tolerance = 1e-6 * q.diameter()
     max_dev = max((d for _, d in evaluated), default=math.inf)

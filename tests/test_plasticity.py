@@ -287,6 +287,11 @@ class TestPlasticityLine:
 
         with pytest.raises(InfeasibleWeightsError):
             line_ex2.weights_at(hi + 0.1)
+        # the interval is open: its two ends are rejected too
+        for end in (lo, hi):
+            with pytest.raises(InfeasibleWeightsError,
+                               match="outside the open admissible interval"):
+                line_ex2.weights_at(end)
 
     def test_diagonal_optimum_gives_the_symmetric_line(self, rect_mod):
         # at the diagonals' crossing u1 = -u3 and u2 = -u4, so the balance
