@@ -4,7 +4,8 @@ Covers case classification (floating / absorbed / diagonal shortcut), the
 triangle closed form, which also gives the angles at both interior nodes of
 a Gauss tree (`gauss._branch`), and the certified median.  Degree-four
 locations have no closed form, so they are iterative.  The paper's circle
-and angle systems, which check that median, live in `quadft.checks`.
+and angle systems, which check that median in the frame its tree carries
+(`FermatTree._frame`), live in `quadft.checks`.
 
 The case is decided by `_kuhn_case`: Kuhn's test (Kuhn 1973, "A note on
 Fermat's problem") on the unit vectors between the points, which a
@@ -13,9 +14,11 @@ weighted pull of the others on it exceeds its own weight by at most
 `CASE_BOUNDARY_TOL` times the total.  Every `FermatTree` is built by
 `_tree`, on the point's star measured by `geometry.measure_star`.
 
-A floating median, of a triangle (`weiszfeld`) or of a quadrilateral
-(`locate_4wft`), has one path, `_median`: one damped Newton loop on the
-gradient and Hessian of the weighted distance sum.  Kuhn's test gives its
+Collinear points need no path of their own: their weighted median lies at
+one of them, which Kuhn's test absorbs.  A floating median, of a triangle
+(`weiszfeld`) or of a quadrilateral (`locate_4wft`), has one path,
+`_median`: one damped Newton loop on the gradient and Hessian of the
+weighted distance sum.  Kuhn's test gives its
 frame and start: next to the vertex of least slack, on Kuhn's descent ray,
 when that slack is below `_ANCHOR_SLACK` of the total, else relative to A1
 from the weighted centroid, and from Kuhn's ray after all when that loop
@@ -34,9 +37,9 @@ from .errors import AbsorbedWeightsError, ConvergenceError, QuadFTError, _Record
 from .geometry import (
     Point,
     Quadrilateral,
+    _diagonal_offset,
     _exponent,
     clamped_acos,
-    diagonal_intersection,
     measure_pairs,
     measure_star,
 )
@@ -134,20 +137,26 @@ class FermatTree(_Record):
     unit-vector sum at the optimum (floating case), or the amount by which the
     absorption inequality fails (absorbed case, zero when it holds), at
     `point` as stored (`_settle`); a floating median that rounds onto a
-    vertex reads as an absorbed one does, with its case floating.
+    vertex reads as an absorbed one does, with its case floating.  Outside
+    the fields, `_frame` is the frame the median was solved in (`_descend`):
+    (k, offset) from vertex index k, or (0, offset) of the intersection on a
+    diagonal tree; None on an absorbed tree.
     """
 
-    __slots__ = _fields = ("point", "case", "angles", "objective", "equilibrium_residual",
-                           "iterations")
+    __slots__ = ("point", "case", "angles", "objective", "equilibrium_residual", "iterations",
+                 "_frame")
+    _fields = __slots__[:-1]
 
     def __init__(self, point: Point, case: CaseTag, angles: tuple[float, float, float, float],
-                 objective: float, equilibrium_residual: float, iterations: int = 0):
+                 objective: float, equilibrium_residual: float, iterations: int = 0,
+                 _frame=None):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "equilibrium_residual", equilibrium_residual)
         object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "_frame", _frame)
 
 
 # ------------------------------------------------------------------ #
@@ -239,39 +248,18 @@ def _wft_angles(bi: float, bj: float, bk: float) -> tuple[float, float, float]:
 # The weighted median
 # ------------------------------------------------------------------ #
 
-def _collinear(points) -> bool:
-    """Rank < 2 of the centred coordinates: their smaller singular value, the
-    norm of the coordinates across the principal axis (accurate far below
-    the square root of machine precision, unlike the Gram matrix's), is at
-    most 1e-12 * max |x|, the same test at every scale; coincident points
-    are collinear.  The coordinates are scaled by a power of two first
-    (`geometry._exponent`), so no square over- or underflows.
-    """
-    n = len(points)
-    cx = sum(p.x for p in points) / n
-    cy = sum(p.y for p in points) / n
-    spread = max(max(abs(p.x - cx), abs(p.y - cy)) for p in points)
-    e = -_exponent(spread)
-    xs = [(math.ldexp(p.x - cx, e), math.ldexp(p.y - cy, e)) for p in points]
-    tol = 1e-12 * math.ldexp(spread, e)
-    a = sum(x * x for x, _ in xs)
-    b = sum(x * y for x, y in xs)
-    c = sum(y * y for _, y in xs)
-    theta = 0.5 * math.atan2(2.0 * b, a - c)  # the principal axis
-    cs, sn = math.cos(theta), math.sin(theta)
-    return math.sqrt(sum((cs * y - sn * x) ** 2 for x, y in xs)) <= tol
-
-
 def weiszfeld(points, weights) -> Point:
-    """Weighted geometric median of >= 3 points, not all collinear.
+    """Weighted geometric median of >= 3 points.
 
     Weights that are not positive and finite, or whose sum overflows, raise
     QuadFTError, and so do two points whose distance overflows, named as
     `Quadrilateral` names them.  Coincident points are one point carrying
     the sum of their weights.  Absorbed instances return the absorbing
-    vertex (Kuhn's test of `classify_case`); otherwise the median of
-    `locate_4wft`, stored as `_settle` stores it, and a pull not below
-    RESIDUAL_TOL * sum(weights) raises ConvergenceError.
+    vertex (Kuhn's test of `classify_case`), collinear points among them:
+    their weighted median lies at one of them, which the test absorbs.
+    Otherwise the median of `locate_4wft`, stored as `_settle` stores it,
+    and a pull not below RESIDUAL_TOL * sum(weights) raises
+    ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
@@ -282,10 +270,7 @@ def weiszfeld(points, weights) -> Point:
     for p, w in zip(points, weights):
         merged[p] = merged.get(p, 0.0) + w
     points, weights = list(merged), tuple(merged.values())
-    units = measure_pairs(points)[1]
-    if _collinear(points):
-        raise QuadFTError("points are collinear; the median problem degenerates")
-    tag = _kuhn_case(units, weights)
+    tag = _kuhn_case(measure_pairs(points)[1], weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
     point = _certified_median(points, weights, tag._anchor)[0]
@@ -303,22 +288,23 @@ def _median(points, weights, anchor=None):
     centroid; a centroid start that ends at a pull not below RESIDUAL_TOL
     times the total, as where the loop walks onto a vertex and stops there,
     runs the loop once more from Kuhn's ray, and the lower pull of the two
-    wins.  Returns (point, pull, steps) for the caller to judge, steps
-    counting both runs; an absorbing point is its own median, with pull inf.
+    wins.  Returns (point, pull, steps, frame) for the caller to judge,
+    steps counting both runs (`_descend`); an absorbing point is its own
+    median, with pull inf.
     """
     if anchor is None:
         anchor = _kuhn_case(measure_pairs(points)[1], weights)._anchor
     if anchor[1] <= 0.0:
-        return points[anchor[0]], math.inf, 0
+        return points[anchor[0]], math.inf, 0, (anchor[0], (0.0, 0.0))
     total = sum(weights)
     near = anchor[1] / total < _ANCHOR_SLACK
-    point, norm, steps = _descend(points, weights, anchor, near)
+    point, norm, steps, frame = _descend(points, weights, anchor, near)
     if not near and not norm < RESIDUAL_TOL * total:
-        again, pull, more = _descend(points, weights, anchor, True)
+        again, pull, more, other = _descend(points, weights, anchor, True)
         steps += more
         if pull < norm:
-            point, norm = again, pull
-    return point, norm, steps
+            point, norm, frame = again, pull, other
+    return point, norm, steps, frame
 
 
 def _descend(points, weights, anchor, near: bool):
@@ -330,7 +316,8 @@ def _descend(points, weights, anchor, near: bool):
     over- or underflows.  Each step is the longest of 1, 1/2, ... of the
     Newton step that lowers the pull; at most `NEWTON_MAX_ITER` steps end at
     a pull below `_POLISH_TOL` times the total, or where none lowers it.
-    Returns (point, pull, steps).
+    Returns (point, pull, steps, frame), frame the iterate's exact offset
+    from point k when `near`, else from the first point, as (k or 0, offset).
     """
     k, slack, (px, py) = anchor
     share = slack / sum(weights)
@@ -384,8 +371,9 @@ def _descend(points, weights, anchor, near: bool):
             break
         x, y, state, norm = x + t * sx, y + t * sy, trial, trial[0]
         steps += 1
-    point = Point(a1.x + (ox + x * unscale), a1.y + (oy + y * unscale))
-    return point, math.ldexp(norm, f), steps
+    dx, dy = x * unscale, y * unscale
+    point = Point(a1.x + (ox + dx), a1.y + (oy + dy))
+    return point, math.ldexp(norm, f), steps, (k if near else 0, (dx, dy))
 
 
 def _ray_start(gradient, relative, k, share, total, px, py):
@@ -422,23 +410,23 @@ def _ray_start(gradient, relative, k, share, total, px, py):
 def _certified_median(points, weights, anchor=None):
     """`_median`, raising ConvergenceError unless its pull is below
     RESIDUAL_TOL * sum(weights): the one verdict of `weiszfeld`,
-    `locate_4wft`, the angle systems and `verify_plasticity`.  Returns
-    (point, steps)."""
-    point, norm, steps = _median(points, weights, anchor)
+    `locate_4wft` and `verify_plasticity`.  Returns (point, steps, frame),
+    frame as `_descend` returns it."""
+    point, norm, steps, frame = _median(points, weights, anchor)
     if not norm < RESIDUAL_TOL * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",
                                last=point, residual=norm)
-    return point, steps
+    return point, steps, frame
 
 
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
-          iterations: int = 0) -> FermatTree:
+          iterations: int = 0, frame=None) -> FermatTree:
     """The tree at p, on its star measured once (`measure_star`): the
     distances to the vertices for the objective, which raises QuadFTError
     if it overflows, and the unit vectors toward every vertex but one that p
     sits on for the angles (NaN where they would meet that vertex) and for
     the residual (`_pull`).  p sits on a vertex when the case absorbs, and
-    when a floating median rounds onto one."""
+    when a floating median rounds onto one; `frame` is its `_frame`."""
     w = wq.weights
     distances, units = measure_star(p, wq.quad.vertices)  # no unit toward p itself
     objective = 0.0
@@ -454,16 +442,8 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
         objective=_finite_objective(objective, p),
         equilibrium_residual=_pull(w, distances, units),
         iterations=iterations,
+        _frame=frame,
     )
-
-
-def _median_tree(wq: WeightedQuadrilateral, anchor, point: Point,
-                 iterations: int) -> FermatTree:
-    """The tree at a certified median, at the point `_settle` stores; the
-    angle systems' trees are built here too."""
-    tree = _tree(wq, point, iterations=iterations)
-    stored = _settle(wq.quad.vertices, wq.weights, anchor, point, tree.equilibrium_residual)
-    return tree if stored is point else _tree(wq, stored, iterations=iterations)
 
 
 def _settle(points, weights, anchor, point: Point, pull: float) -> Point:
@@ -508,10 +488,14 @@ def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
     the total, and no float point next to it pulls below 1e-10 of it.
     """
     tag = classify_case(wq)
+    v, w = wq.quad.vertices, wq.weights
     if tag.kind is CaseKind.ABSORBED:
-        return _tree(wq, wq.quad.vertices[tag.vertex - 1], tag)
-    w = wq.weights
+        return _tree(wq, v[tag.vertex - 1], tag)
     if max(w) - min(w) <= EQUAL_WEIGHT_RTOL * max(w):
-        return _tree(wq, diagonal_intersection(wq.quad), CaseTag(CaseKind.DIAGONAL))
-    point, iterations = _certified_median(wq.quad.vertices, w, tag._anchor)
-    return _median_tree(wq, tag._anchor, point, iterations)
+        dx, dy = _diagonal_offset(wq.quad)
+        return _tree(wq, Point(v[0].x + dx, v[0].y + dy), CaseTag(CaseKind.DIAGONAL),
+                     frame=(0, (dx, dy)))
+    point, iterations, frame = _certified_median(v, w, tag._anchor)
+    tree = _tree(wq, point, iterations=iterations, frame=frame)
+    stored = _settle(v, w, tag._anchor, point, tree.equilibrium_residual)
+    return tree if stored is point else _tree(wq, stored, iterations=iterations, frame=frame)

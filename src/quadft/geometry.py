@@ -200,6 +200,12 @@ class Quadrilateral(_Record):
 
 def diagonal_intersection(q: Quadrilateral) -> Point:
     """Intersection of the diagonals A1A3 and A2A4 of a convex quadrilateral."""
+    (dx, dy), a1 = _diagonal_offset(q), q.vertices[0]
+    return Point(a1.x + dx, a1.y + dy)
+
+
+def _diagonal_offset(q: Quadrilateral) -> tuple[float, float]:
+    """`diagonal_intersection` relative to A1, as it adds it to A1."""
     a1, a2, a3, a4 = q.vertices
     # Solve a1 + t*(a3-a1) = a2 + s*(a4-a2) as a 2x2 linear system.
     dx1, dy1 = a3.x - a1.x, a3.y - a1.y
@@ -208,7 +214,7 @@ def diagonal_intersection(q: Quadrilateral) -> Point:
     if det == 0.0:
         raise QuadFTError("diagonals are parallel; input is not strictly convex")
     t = cross2(a2.x - a1.x, a2.y - a1.y, dx2, dy2) / det
-    return Point(a1.x + t * dx1, a1.y + t * dy1)
+    return t * dx1, t * dy1
 
 
 # ------------------------------------------------------------------ #

@@ -132,6 +132,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "A0:" in out and "a102" in out
 
+    def test_wft_triangle_on_collinear_vertices(self, tmp_path, capsys):
+        # the median lies at A3, which outweighs the others' pull on it; the
+        # vertices were refused as collinear, exit 2
+        path = tmp_path / "line.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [3, 0]], "weights": [1, 1, 3]}))
+        assert main(["wft-triangle", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "A0: (3.0000000, 0.0000000)" in out
+        assert "case: absorbed at a vertex" in out
+
     def test_plasticity(self, ex2_doc, capsys):
         assert main(["plasticity", "--input", str(ex2_doc)]) == 0
         out = capsys.readouterr().out

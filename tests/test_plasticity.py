@@ -108,7 +108,7 @@ def _reference_report(q, line, samples):
         if _balance(line, q, b4) < fermat.RESIDUAL_TOL * line.c:
             evaluated.append((b4, 0.0))
             continue
-        point, norm, _ = fermat._median(q.vertices, wq.weights)
+        point, norm = fermat._median(q.vertices, wq.weights)[:2]
         assert norm < fermat.RESIDUAL_TOL * wq.total
         evaluated.append((b4, point.distance_to(line.point)))
     max_dev = max((d for _, d in evaluated), default=math.inf)
