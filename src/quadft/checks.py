@@ -16,15 +16,20 @@ exports it lazily (`quadft._EXPORTS`).
   `plasticity.plasticity_line`.
 - The verification of a plasticity line (`verify_plasticity`) on the
   line's one B4 grid (`plasticity._b4_grid`), decided in one pass: the run
-  of positive weights at its two ends, and Kuhn's test and the balance
-  gate on the line's whole interval (`_intervals`, `_sublevel`).  Each
-  sample of the run is decided by membership in those intervals, and the
-  median is re-solved where the gate is missed.
+  of positive weights at its two ends, then a certificate at the same two
+  ends (`_certified`): a lower bound on Kuhn's slack, affine in B4, clears
+  the margin at every vertex and the balance meets its gate, so every
+  sample of the run keeps the anchor.  On a line it declines, Kuhn's test
+  and the balance gate are solved on the line's whole interval
+  (`_intervals`, `_sublevel`), each sample of the run is decided by
+  membership in those intervals, and the median is re-solved where the
+  gate is missed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import InconsistentCaseError, InfeasibleWeightsError, QuadFTError, _Record
 from .fermat import (
@@ -322,6 +327,70 @@ def _sublevel(px: float, py: float, qx: float, qy: float,
     return (max(lo, r2), hi) if x > 0.0 else (lo, min(hi, r1))
 
 
+def _certified(family: _Family, first: float, last: float) -> bool:
+    """True when every B4 of [first, last] floats at each vertex and meets
+    the balance gate, decided at the two ends; False leaves the run to
+    `_intervals`, as does an anchor on a vertex.
+
+    Kuhn's slack at A_j, |sum_{i != j} B_i u_ji| - B_j, is minus the least
+    slope of f(X) = sum B_i |X A_i| at A_j, and f is convex, so
+    f(P) >= f(A_j) - |P A_j| slack_j at the anchor P off the vertices.  The
+    slack is therefore at least (f(A_j) - f(P)) / r_j, where
+    f(A_j) - f(P) = sum_i B_i (|A_j A_i| - r_i) = alpha_j + beta_j B4 with
+    r_i = |P A_i|, alpha_j = sum y_i (|A_j A_i| - r_i) and
+    beta_j = sum x_i (|A_j A_i| - r_i) (x4 = 1, y4 = 0): affine in B4, and
+    read from the distances the quadrilateral and the family measured.
+    With S = sum |x_i| B4 + |y_i|, also affine on B4 > 0, the bound must
+    clear the margin CASE_BOUNDARY_TOL c by two allowances:
+
+    - 16 eps S, by which `_intervals`' affine pulls p_j + B4 q_j may read
+      Kuhn's test apart from the pulls of the exact weights: the allowance
+      the tests grant between those pulls and `classify_case` on each
+      sample's weights;
+    - 8 eps S (D + R) / r_j, the rounding of the bound itself, D the
+      diameter and R the largest r_i: each distance is within 2 eps of its
+      value (the coordinate differences round, then hypot), so the sums
+      sum y_i |A_j A_i| and sum y_i r_i, and their x twins, are each within
+      about 3 eps of the sum of their terms' sizes, and alpha_j + beta_j B4
+      within about 6 eps S (D + R).
+
+    Both sides are affine in B4, so the bound clears them on the whole run
+    when it clears them at its two ends.  The imbalance |a + B4 b| is
+    convex, so it stays within RESIDUAL_TOL c less 16 eps S, the rounding
+    of its affine read, on the run when it does at the two ends; its
+    squares are compared scaled by the power of two nearest 1 / c
+    (`_exponent`), as in `_intervals`.
+    """
+    if family.units is None:
+        return False
+    line = family.line
+    c = line.c
+    s = math.ldexp(1.0, -_exponent(c))
+    (x1, y1), (x2, y2), (x3, y3) = line.coefficients
+    sx = abs(x1) + abs(x2) + abs(x3) + 1.0
+    sy = abs(y1) + abs(y2) + abs(y3)
+    eps = sys.float_info.epsilon
+    ax, ay, bx, by = family.imbalance()
+    for b4 in (first, last):
+        gate = s * (RESIDUAL_TOL * c - 16.0 * eps * (sx * b4 + sy))
+        gx, gy = s * (ax + b4 * bx), s * (ay + b4 * by)
+        if not (gate > 0.0 and gx * gx + gy * gy <= gate * gate):
+            return False
+    r1, r2, r3, r4 = r = family.distances
+    fy = y1 * r1 + y2 * r2 + y3 * r3  # f(P) = fy + B4 fx
+    fx = x1 * r1 + x2 * r2 + x3 * r3 + r4
+    margin = CASE_BOUNDARY_TOL * c
+    spread = 8.0 * (family.quad.diameter() + max(r))
+    for (d1, d2, d3, d4), rj in zip(family.quad.distances, r):
+        alpha = y1 * d1 + y2 * d2 + y3 * d3 - fy
+        beta = x1 * d1 + x2 * d2 + x3 * d3 + d4 - fx
+        allowance = eps * (16.0 * rj + spread)
+        for b4 in (first, last):
+            if not alpha + beta * b4 > rj * margin + allowance * (sx * b4 + sy):
+                return False
+    return True
+
+
 def _intervals(family: _Family, b4: float):
     """Where verification decides along the family's line, in B4: per vertex
     A_j, the interval on which Kuhn's test of `fermat._kuhn_case` absorbs
@@ -397,7 +466,12 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     each end of the grid until a sample passes, and since each weight
     x B4 + y rounds monotonically in B4, the weights are positive at every
     sample between those two.  The line is measured once per call
-    (`plasticity._Family`) and decided on its whole interval: along it the
+    (`plasticity._Family`), and the run is first certified at those two
+    ends (`_certified`): where a lower bound on Kuhn's slack, affine in B4,
+    clears the margin with its rounding allowance at every vertex and the
+    balance meets the residual gate, at both ends, every sample of the run
+    floats and keeps the anchor, and drifts by 0.  A run the certificate
+    declines is decided on the line's whole interval: along it the
     others' pull on each vertex, p_j + B4 q_j, and the imbalance sum B_i u_i
     at the anchor are affine in B4, so Kuhn's slack of `classify_case` and
     the balance are convex.  Vertex A_j absorbs on one interval of B4, whose
@@ -431,9 +505,12 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
             tail.append((b4, str(exc)))
     run = b4s[len(excluded):len(b4s) - len(tail)]
     evaluated = []
-    if run:
+    family = _Family(q, line) if run else None
+    if run and _certified(family, run[0], run[-1]):
+        evaluated = [(b4, 0.0) for b4 in run]
+    elif run:
         lo, hi = line.b4_interval
-        absorbed, (gate_lo, gate_hi) = _intervals(_Family(q, line), 0.5 * (lo + hi))
+        absorbed, (gate_lo, gate_hi) = _intervals(family, 0.5 * (lo + hi))
         # the vertices, in index order, whose absorbed interval meets the run
         absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
                     if a <= run[-1] and run[0] <= b]

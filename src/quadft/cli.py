@@ -395,7 +395,7 @@ def _cmd_evolve(doc, opts, args):
 
     if opts.storage is None or opts.spend is None:
         raise DocumentError("evolve needs --storage and --spend (or document options)")
-    wq, tree, line = _line_for(doc)
+    wq, _, line = _line_for(doc)
     b4 = opts.b4
     if b4 is None:
         candidates = weights_for_storage(wq.quad, line, opts.storage)

@@ -100,8 +100,8 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
         )
     # each node is the weighted Fermat-Torricelli point of its three neighbours;
     # GaussWeights and the interval above have checked the closed form's input
-    a_104, a_0p04, a_100p = _wft_angles(w.b1, w.b4, w.xg)
-    a_20p3, a_00p3, a_00p2 = _wft_angles(w.b2, w.b3, w.xg)
+    _, a_0p04, a_100p = _wft_angles(w.b1, w.b4, w.xg)
+    _, a_00p3, a_00p2 = _wft_angles(w.b2, w.b3, w.xg)
     num = (
         w.xg * a12
         + w.b4 * a14 * math.cos(alpha214 - a_0p04)

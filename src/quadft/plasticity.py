@@ -98,7 +98,8 @@ class _Family:
     and Kuhn's pulls on the vertices.  Construction computes the first two
     as affine pairs, so `imbalance` and `profile` are reads, and
     verification decides Kuhn's test and the balance gate on the whole line
-    at once (`checks._intervals`)."""
+    at once: at the run's two ends (`checks._certified`), else on the line's
+    intervals (`checks._intervals`)."""
 
     __slots__ = ("quad", "line", "distances", "units", "_imbalance", "_profile")
 

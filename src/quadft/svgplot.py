@@ -153,7 +153,7 @@ def render_scene(scene: Scene) -> str:
         f'<rect x="0" y="0" width="{_fmt(DEFAULT_WIDTH)}" height="{_fmt(height)}" '
         f'fill="{PALETTE["background"]}"/>'
     )
-    for value, loops in scene.level_curves:
+    for _, loops in scene.level_curves:
         for loop in loops:
             pts = " ".join(f"{_fmt(vx)},{_fmt(vy)}" for vx, vy in map(view, loop))
             closed = loop[0] == loop[-1]

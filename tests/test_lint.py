@@ -301,6 +301,70 @@ def test_detects_unread_parameters():
     ]
 
 
+def unread_locals(source: str) -> list[str]:
+    """`function.name` (`Class.method.name` for a method, `outer.inner.name`
+    for a nested function) for every local name a function assigns and never
+    reads, `_` aside.  A read in a nested function counts (a closure), and a
+    name the function declares `global` or `nonlocal` is not its own."""
+    def scopes(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from scopes(child, f"{prefix}{child.name}.")
+            else:
+                yield from scopes(child, f"{prefix}{child.name}."
+                                  if isinstance(child, ast.ClassDef) else prefix)
+
+    def own(node):  # the nodes of the function's own scope
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                      ast.Lambda)):
+                yield child
+                yield from own(child)
+
+    unread = []
+    for qualified, func in scopes(ast.parse(source), ""):
+        stored = {n.id for n in own(func)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        declared = {name for n in ast.walk(func) if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names}
+        read = {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{qualified}.{name}" for name in stored - read - declared - {"_"}]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_unread_locals():
+    source = (
+        "TOTAL = 0\n"
+        "def solve(points):\n"
+        "    global TOTAL\n"
+        "    first, _, last = points\n"
+        "    TOTAL = 1\n"
+        "    count = 0\n"
+        "    scale = 2.0\n"
+        "    for i, p in enumerate(points):\n"
+        "        count += 1\n"
+        "    def inner():\n"
+        "        unused = scale\n"
+        "        return last\n"
+        "    return [q for q in points], inner\n"
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        side = self.side\n"
+        "        return (width := 2.0)\n"
+    )
+    assert unread_locals(source) == [
+        "Shape.area.side", "Shape.area.width", "solve.count", "solve.first", "solve.i",
+        "solve.inner.unused", "solve.p",
+    ]
+
+
 def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
     """`function.parameter` (`Class.method.parameter` for a method) for every
     parameter with a default, of a function of `_checked_functions` in

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadft import (
@@ -133,6 +133,55 @@ def _absorbing_vertex(verdict):
     if isinstance(verdict, str) and verdict.startswith("absorbed at vertex "):
         return int(verdict.split()[-1])
     return 5
+
+
+def _barely_floating_line(rng, vertex, margins):
+    """(quad, plasticity line) of a random quadrilateral whose weight at
+    `vertex` is (1 - s) times the others' pull on it, its slack s * pull
+    `margins` times the CASE_BOUNDARY_TOL margin, the recipe of
+    `test_whole_interval_verdicts_equal_the_per_sample_reference`."""
+    quad = Quadrilateral.from_coords(random_convex_quad(rng))
+    w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+    others = [j for j in range(4) if j != vertex]
+    pull = pull_at([quad.vertices[j] for j in others], [w[j] for j in others],
+                   quad.vertices[vertex])
+    total = pull + sum(w[j] for j in others)
+    w[vertex] = (1.0 - margins * fermat.CASE_BOUNDARY_TOL * total / pull) * pull
+    wq = WeightedQuadrilateral(quad, tuple(w))
+    return quad, plasticity_line(wq, locate_4wft(wq))
+
+
+def _interval_calls(monkeypatch):
+    """The names of the `checks._intervals` and `checks._sublevel` calls from
+    here on, in call order."""
+    calls = []
+    for name in ("_intervals", "_sublevel"):
+        def counted(*args, _name=name, _original=getattr(checks, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(checks, name, counted)
+    return calls
+
+
+def _certificates(monkeypatch):
+    """The verdicts of every `checks._certified` call from here on."""
+    verdicts = []
+    certified = checks._certified
+
+    def recorded(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(checks, "_certified", recorded)
+    return verdicts
+
+
+def _declined_report(monkeypatch, quad, line, samples):
+    """`verify_plasticity` with its certificate forced to decline: every run
+    is decided on the line's intervals."""
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_certified", lambda *args: False)
+        return verify_plasticity(quad, line, samples)
 
 
 def _triangle_weights(p, tri):
@@ -596,7 +645,139 @@ def test_sublevel_is_where_the_norm_stays_below_the_line(px, py, qx, qy, x, y, t
             assert (lo <= t <= hi) == (excess < 0.0), (t, excess, lo, hi)
 
 
+@given(seed=st.integers(0, 2**32 - 1), barely=st.booleans(), log_s=st.floats(-12.0, -1.0),
+       vertex=st.integers(0, 3), log_r=st.floats(-9.0, 0.5), on_ray=st.booleans(),
+       theta=st.floats(0.0, 2.0 * math.pi))
+@example(seed=0, barely=True, log_s=-12.0, vertex=0, log_r=-9.0, on_ray=True, theta=0.0)
+@settings(max_examples=300, deadline=None)
+def test_kuhn_slack_bounds_the_descent_from_each_vertex(seed, barely, log_s, vertex, log_r,
+                                                        on_ray, theta):
+    # convexity of f = sum B_i |X A_i| gives f(P) >= f(A_j) - |P A_j| slack_j,
+    # the bound `checks._certified` reads along a line, to within its
+    # allowance 16 eps S + 8 eps S (D + R) / |P A_j|: P near a vertex or far
+    # off, on Kuhn's descent ray from it, where the bound is tightest, or not
+    rng = np.random.default_rng(seed)
+    quad = Quadrilateral.from_coords(random_convex_quad(rng))
+    a = quad.vertices
+    w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+    if barely:  # A_k barely floats, or barely absorbs
+        k = int(rng.integers(4))
+        w[k] = (1.0 - 10.0 ** log_s) * pull_at([a[i] for i in range(4) if i != k],
+                                                [w[i] for i in range(4) if i != k], a[k])
+
+    def pull(j):
+        sx = sy = 0.0
+        for i in range(4):
+            if i != j:
+                r = math.hypot(a[i].x - a[j].x, a[i].y - a[j].y)
+                sx += w[i] * (a[i].x - a[j].x) / r
+                sy += w[i] * (a[i].y - a[j].y) / r
+        return sx, sy
+
+    if on_ray:
+        px, py = pull(vertex)
+        theta = math.atan2(py, px)
+    diameter = quad.diameter()
+    r = diameter * 10.0 ** log_r
+    p = Point(a[vertex].x + r * math.cos(theta), a[vertex].y + r * math.sin(theta))
+    distances = [p.distance_to(v) for v in a]
+    assume(min(distances) > 0.0)
+
+    def f(x):
+        return sum(wi * x.distance_to(v) for wi, v in zip(w, a))
+
+    total, eps = sum(w), sys.float_info.epsilon
+    for j in range(4):
+        slack = math.hypot(*pull(j)) - w[j]
+        bound = (f(a[j]) - f(p)) / distances[j]
+        allowance = eps * total * (16.0 + 8.0 * (diameter + max(distances)) / distances[j])
+        assert slack >= bound - allowance, (j, slack, bound, allowance)
+
+
 class TestVerify:
+    def test_certified_run_skips_the_interval_solves(self, monkeypatch, rect_mod, line_ex2):
+        # a clearly floating line at its true anchor is certified at its run's
+        # two ends: no vertex-pull sums and no `_sublevel` solve
+        calls = _interval_calls(monkeypatch)
+        for quad, line in [(rect_mod, line_ex2)] + _random_lines(47, 20):
+            for samples in (1, 2, 16, 64):
+                calls.clear()
+                report = verify_plasticity(quad, line, samples)
+                assert report.passed and report.evaluated == tuple(
+                    (b4, 0.0) for b4 in plasticity._b4_grid(line, samples))
+                assert calls == []
+        # a barely floating line, its slack at A1 within ten margins of Kuhn's
+        # test, whose bound misses the margin and its allowance at a run end,
+        # though no sample absorbs; and an anchor moved by 1e-3 of the
+        # diameter, which misses the balance gate
+        barely_quad, barely = _barely_floating_line(np.random.default_rng(2), 0, 10.0)
+        shift = 1e-3 * rect_mod.diameter()
+        moved = line_ex2._replace(point=Point(line_ex2.point.x + shift, line_ex2.point.y))
+        for quad, line in ((barely_quad, barely), (rect_mod, moved)):
+            calls.clear()
+            report = verify_plasticity(quad, line, 16)
+            assert not report.excluded
+            assert calls[0] == "_intervals" and calls.count("_sublevel") == 5
+
+    def test_certificate_changes_no_verdict(self, monkeypatch):
+        # 220 default and 220 barely floating lines (slack 1 to 1e4 margins),
+        # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, 1 to
+        # 64 samples: each report equals the one decided on the intervals alone
+        rng = np.random.default_rng(61)
+        lines = [("default", quad, line) for quad, line in _random_lines(67, 220)]
+        while len(lines) < 440:
+            try:
+                quad, line = _barely_floating_line(rng, int(rng.integers(4)),
+                                                   10.0 ** rng.uniform(0.0, 4.0))
+            except (AbsorbedWeightsError, ConvergenceError):
+                continue  # as in the per-sample reference test
+            lines.append(("barely", quad, line))
+        verdicts = _certificates(monkeypatch)
+        certified = {"default": 0, "barely": 0}
+        for recipe, quad, line in lines:
+            diameter = quad.diameter()
+            for shift in (0.0, 1e-3, 5e-2):
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                moved = line._replace(point=Point(
+                    line.point.x + shift * diameter * math.cos(theta),
+                    line.point.y + shift * diameter * math.sin(theta)))
+                samples = int(rng.integers(1, 65))
+                verdicts.clear()
+                report = verify_plasticity(quad, moved, samples)
+                assert report == _declined_report(monkeypatch, quad, moved, samples)
+                if shift:
+                    assert verdicts == [False]
+                certified[recipe] += verdicts == [True]
+        assert certified["default"] == 220
+        assert 0 < certified["barely"] < 220
+
+    def test_ill_conditioned_line_is_declined(self, monkeypatch):
+        # the line whose coefficients reach 3.4e4 while c is 10.8, A4 weighted
+        # at (1 - 2.18e-9) times its pull: its top samples absorb at A4, so the
+        # certificate declines at the true anchor and at anchors moved by 1e-3
+        # of the diameter in 16 directions, and the intervals decide each report
+        quad = Quadrilateral.from_coords([
+            (1.6603510129518928, 0.3836727595803164), (1.8040383832611195, 1.6451933383977264),
+            (1.1669663925965816, 2.6394669419758947), (1.1613889177561427, -3.338153338054645)])
+        wq = WeightedQuadrilateral(quad, (2.037076409183083, 1.5869453177177792,
+                                          1.7956433797811147, 5.409490987521291))
+        line = plasticity_line(wq, locate_4wft(wq))
+        shift = 1e-3 * quad.diameter()
+        anchors = [line.point] + [
+            Point(line.point.x + shift * math.cos(k * math.pi / 8),
+                  line.point.y + shift * math.sin(k * math.pi / 8)) for k in range(16)]
+        verdicts = _certificates(monkeypatch)
+        for point in anchors:
+            for samples in (14, 16):
+                verdicts.clear()
+                report = verify_plasticity(quad, line._replace(point=point), samples)
+                assert verdicts == [False]
+                assert report == _declined_report(monkeypatch, quad, line._replace(point=point),
+                                                  samples)
+        reference = verify_plasticity(quad, line, 14)
+        assert reference.passed and len(reference.evaluated) == 11
+        assert [why for _, why in reference.excluded] == ["absorbed at vertex 4"] * 3
+
     def test_table_rows_fix_the_optimum(self, rect_mod, line_ex2):
         reference = (2.8274502, 1.2787811)
         for b4, _ in EX2_TABLE:
