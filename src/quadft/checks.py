@@ -15,15 +15,14 @@ exports it lazily (`quadft._EXPORTS`).
   angles, solved exactly as one cubic in B2, an independent reference for
   `plasticity.plasticity_line`.
 - The verification of a plasticity line (`verify_plasticity`) on the
-  line's one B4 grid (`plasticity._b4_grid`), decided in one pass: the run
-  of positive weights at its two ends, then a certificate at the same two
-  ends (`_certified`): a lower bound on Kuhn's slack, affine in B4, clears
-  the margin at every vertex and the balance meets its gate, so every
-  sample of the run keeps the anchor.  On a line it declines, Kuhn's test
-  and the balance gate are solved on the line's whole interval
-  (`_intervals`, `_sublevel`), each sample of the run is decided by
-  membership in those intervals, and the median is re-solved where the
-  gate is missed.
+  line's one B4 grid (`plasticity._b4_grid`): the run of positive weights
+  is found at its two ends, and a certificate at the same two ends
+  (`_certified`) decides the whole run: where a lower bound on Kuhn's
+  slack, affine in B4, clears the margin at every vertex and the balance
+  meets its gate, every sample of the run keeps the anchor.  A run it
+  declines is decided sample by sample, as `classify_case` and
+  `locate_4wft` decide: Kuhn's test on the sample's weights, then the
+  balance gate, then the median re-solved where the gate is missed.
 """
 
 from __future__ import annotations
@@ -35,9 +34,11 @@ from .errors import InconsistentCaseError, InfeasibleWeightsError, QuadFTError, 
 from .fermat import (
     CASE_BOUNDARY_TOL,
     RESIDUAL_TOL,
+    CaseKind,
     FermatTree,
     WeightedQuadrilateral,
     _certified_median,
+    _kuhn_case,
     locate_4wft,
 )
 from .geometry import (
@@ -290,76 +291,86 @@ def plasticity_system_new(angles, c: float, b4: float) -> list[tuple[float, floa
 # Verification of a plasticity line
 # ------------------------------------------------------------------ #
 
-def _sublevel(px: float, py: float, qx: float, qy: float,
-              x: float, y: float) -> tuple[float, float]:
-    """The closed interval of t on which |p + t q| <= x t + y, as (lo, hi),
-    with lo > hi when it is empty.
+def _tangent(family: _Family, j: int, m: float) -> tuple[float, float]:
+    """(alpha, beta) with Kuhn's slack at vertex A_j at least
+    alpha + beta B4 along the family's line: the slack's supporting line at
+    B4 = m, exact there.
 
-    The left side is convex in t and the right side affine, so the set is
-    one interval.  It is the half-line where x t + y >= 0, cut by the roots
-    of g(t) = |p + t q|^2 - (x t + y)^2 = a t^2 + 2 b t + c: g <= 0 between
-    them when a > 0, and on the ray beyond them that the half-line keeps
-    when a < 0.  The roots are the numerically stable pair k / a and c / k.
+    The others' pull on A_j is v(B4) = p_j + B4 q_j = sum_{i != j} B_i u_ji
+    (x4 = 1, y4 = 0, u_ji from `Quadrilateral.unit_vectors`), and the slack
+    is |v| - (x_j B4 + y_j).  For any n with |n| <= 1, n . v <= |v|; with
+    n the unit vector along v(m) the bound is
+    n . p_j - y_j + B4 (n . q_j - x_j).  Where v(m) = 0, n = 0.
     """
-    a = qx * qx + qy * qy - x * x
-    b = px * qx + py * qy - x * y
-    c = px * px + py * py - y * y
-    if x > 0.0:
-        lo, hi = -y / x, math.inf
-    elif x < 0.0:
-        lo, hi = -math.inf, -y / x
-    elif y >= 0.0:
-        lo, hi = -math.inf, math.inf
-    else:
-        return math.inf, -math.inf
-    if a == 0.0:  # g is 2 b t + c
-        if b:
-            root = -0.5 * c / b
-            return (lo, min(hi, root)) if b > 0.0 else (max(lo, root), hi)
-        return (lo, hi) if c <= 0.0 else (math.inf, -math.inf)
-    disc = b * b - a * c
-    if disc < 0.0:  # g has the sign of a everywhere
-        return (lo, hi) if a < 0.0 else (math.inf, -math.inf)
-    k = -(b + math.copysign(math.sqrt(disc), b))
-    r1, r2 = sorted((k / a, c / k if k else 0.0))
-    if a > 0.0:
-        return max(lo, r1), min(hi, r2)
-    return (max(lo, r2), hi) if x > 0.0 else (lo, min(hi, r1))
+    (x1, y1), (x2, y2), (x3, y3) = family.line.coefficients
+    xs, ys = (x1, x2, x3, 1.0), (y1, y2, y3, 0.0)
+    px = py = qx = qy = 0.0
+    for x, y, u in zip(xs, ys, family.quad.unit_vectors[j]):
+        if u is not None:  # u_jj
+            px += y * u[0]
+            py += y * u[1]
+            qx += x * u[0]
+            qy += x * u[1]
+    vx, vy = px + m * qx, py + m * qy
+    norm = math.hypot(vx, vy)
+    nx, ny = (vx / norm, vy / norm) if norm else (0.0, 0.0)
+    return nx * px + ny * py - ys[j], nx * qx + ny * qy - xs[j]
 
 
 def _certified(family: _Family, first: float, last: float) -> bool:
     """True when every B4 of [first, last] floats at each vertex and meets
-    the balance gate, decided at the two ends; False leaves the run to
-    `_intervals`, as does an anchor on a vertex.
+    the balance gate, decided at the two ends; False leaves the run to be
+    decided sample by sample, as does an anchor on a vertex.
 
-    Kuhn's slack at A_j, |sum_{i != j} B_i u_ji| - B_j, is minus the least
-    slope of f(X) = sum B_i |X A_i| at A_j, and f is convex, so
-    f(P) >= f(A_j) - |P A_j| slack_j at the anchor P off the vertices.  The
-    slack is therefore at least (f(A_j) - f(P)) / r_j, where
-    f(A_j) - f(P) = sum_i B_i (|A_j A_i| - r_i) = alpha_j + beta_j B4 with
-    r_i = |P A_i|, alpha_j = sum y_i (|A_j A_i| - r_i) and
-    beta_j = sum x_i (|A_j A_i| - r_i) (x4 = 1, y4 = 0): affine in B4, and
-    read from the distances the quadrilateral and the family measured.
-    With S = sum |x_i| B4 + |y_i|, also affine on B4 > 0, the bound must
-    clear the margin CASE_BOUNDARY_TOL c by two allowances:
+    Along the line, Kuhn's slack at A_j is |p_j + B4 q_j| - B_j, and
+    `_kuhn_case` absorbs A_j where it is at most the margin
+    CASE_BOUNDARY_TOL c.  Two lower bounds on it are affine in B4, so each
+    clears the margin on the whole run when it clears it at the run's two
+    ends.  A vertex passes when either bound does, and the second is
+    computed only where the first misses:
 
-    - 16 eps S, by which `_intervals`' affine pulls p_j + B4 q_j may read
-      Kuhn's test apart from the pulls of the exact weights: the allowance
-      the tests grant between those pulls and `classify_case` on each
-      sample's weights;
-    - 8 eps S (D + R) / r_j, the rounding of the bound itself, D the
-      diameter and R the largest r_i: each distance is within 2 eps of its
-      value (the coordinate differences round, then hypot), so the sums
+    - the distance bound.  The slack is minus the least slope of
+      f(X) = sum B_i |X A_i| at A_j, and f is convex, so
+      f(P) >= f(A_j) - |P A_j| slack_j at the anchor P off the vertices.
+      The slack is therefore at least (f(A_j) - f(P)) / r_j, where
+      f(A_j) - f(P) = sum_i B_i (|A_j A_i| - r_i) = alpha_j + beta_j B4
+      with r_i = |P A_i|, alpha_j = sum y_i (|A_j A_i| - r_i) and
+      beta_j = sum x_i (|A_j A_i| - r_i), read from the distances the
+      quadrilateral and the family measured.  It trails the slack by the
+      curvature of f between A_j and P, which is far above the margin on
+      most barely floating lines;
+    - the tangent bound (`_tangent`): |p_j + B4 q_j| is convex in B4, so
+      its supporting line at the run's midpoint bounds it from below.  It
+      is exact at the midpoint and loose on wide runs, where the pull
+      turns.
+
+    With S = sum |x_i| B4 + |y_i|, also affine on B4 > 0, the distance
+    bound must clear the margin by eps S (16 + 8 (D + R) / r_j) and the
+    tangent bound by 32 eps S:
+
+    - 16 eps S, by which `_kuhn_case` on a sample's rounded weights may
+      read the slack apart from the exact affine pull: each weight
+      x_i B4 + y_i rounds within eps (|x_i| B4 + |y_i|), the pull's
+      products and sums within 2 eps of their terms' sizes, and the hypot
+      and the subtraction within an ulp each: about 4 eps S, granted four
+      times over;
+    - for the distance bound, 8 eps S (D + R) / r_j, D the diameter and R
+      the largest r_i: each distance is within 2 eps of its value (the
+      coordinate differences round, then hypot), so the sums
       sum y_i |A_j A_i| and sum y_i r_i, and their x twins, are each within
       about 3 eps of the sum of their terms' sizes, and alpha_j + beta_j B4
-      within about 6 eps S (D + R).
+      within about 6 eps S (D + R);
+    - for the tangent bound, 16 eps S, twice its rounding: the computed n
+      is a unit vector to within 2 eps, so n . v <= |v| + 2 eps S; the
+      sums p_j and q_j are each within 2 eps of their terms' sizes, so
+      n . (p_j + B4 q_j) is within 2 eps S; and the two dot products, the
+      subtractions of y_j and x_j, and the affine read round within about
+      4 eps S; about 8 eps S in all.
 
-    Both sides are affine in B4, so the bound clears them on the whole run
-    when it clears them at its two ends.  The imbalance |a + B4 b| is
-    convex, so it stays within RESIDUAL_TOL c less 16 eps S, the rounding
-    of its affine read, on the run when it does at the two ends; its
-    squares are compared scaled by the power of two nearest 1 / c
-    (`_exponent`), as in `_intervals`.
+    The imbalance |a + B4 b| is convex, so it stays within RESIDUAL_TOL c
+    less 16 eps S, the rounding of its affine read, on the run when it does
+    at the two ends; its squares are compared scaled by the power of two
+    nearest 1 / c (`_exponent`), so they neither overflow nor underflow.
     """
     if family.units is None:
         return False
@@ -381,57 +392,18 @@ def _certified(family: _Family, first: float, last: float) -> bool:
     fx = x1 * r1 + x2 * r2 + x3 * r3 + r4
     margin = CASE_BOUNDARY_TOL * c
     spread = 8.0 * (family.quad.diameter() + max(r))
-    for (d1, d2, d3, d4), rj in zip(family.quad.distances, r):
+    for (d1, d2, d3, d4), rj, j in zip(family.quad.distances, r, range(4)):
         alpha = y1 * d1 + y2 * d2 + y3 * d3 - fy
         beta = x1 * d1 + x2 * d2 + x3 * d3 + d4 - fx
         allowance = eps * (16.0 * rj + spread)
+        if (alpha + beta * first > rj * margin + allowance * (sx * first + sy)
+                and alpha + beta * last > rj * margin + allowance * (sx * last + sy)):
+            continue  # the distance bound clears the run
+        alpha, beta = _tangent(family, j, 0.5 * (first + last))
         for b4 in (first, last):
-            if not alpha + beta * b4 > rj * margin + allowance * (sx * b4 + sy):
+            if not alpha + beta * b4 > margin + 32.0 * eps * (sx * b4 + sy):
                 return False
     return True
-
-
-def _intervals(family: _Family, b4: float):
-    """Where verification decides along the family's line, in B4: per vertex
-    A_j, the interval on which Kuhn's test of `fermat._kuhn_case` absorbs
-    A_j, and the interval on which the imbalance |sum B_i u_i| at P is at
-    most RESIDUAL_TOL c, the residual gate of `locate_4wft` (empty when P
-    sits on a vertex, where no balance can be measured).
-
-    The others' pull on A_j is sum_{i != j} B_i u_ji = p_j + B4 q_j
-    (x4 = 1, y4 = 0, u_ji from `Quadrilateral.unit_vectors`), and A_j
-    absorbs where |p_j + B4 q_j| - B_j <= CASE_BOUNDARY_TOL c.  Each
-    interval is solved about `b4`, where the caller samples: pulls and
-    weights there are of the size of c, while the intercepts p_j and y_j
-    can be far larger and would cancel in the quadratic.  The values are
-    scaled exactly by the power of two nearest 1 / c (`_exponent`), so
-    their squares neither overflow nor underflow.
-    """
-    c = family.line.c
-    s = math.ldexp(1.0, -_exponent(c))
-
-    def about(px, py, qx, qy, x, y):
-        lo, hi = _sublevel(s * (px + b4 * qx), s * (py + b4 * qy), qx, qy, x,
-                           s * (y + x * b4))
-        return b4 + lo / s, b4 + hi / s
-
-    (x1, y1), (x2, y2), (x3, y3) = family.line.coefficients
-    xs, ys = (x1, x2, x3, 1.0), (y1, y2, y3, 0.0)
-    margin = CASE_BOUNDARY_TOL * c
-    absorbed = []
-    for xj, yj, row in zip(xs, ys, family.quad.unit_vectors):
-        px = py = qx = qy = 0.0
-        for x, y, u in zip(xs, ys, row):
-            if u is not None:  # u_jj
-                px += y * u[0]
-                py += y * u[1]
-                qx += x * u[0]
-                qy += x * u[1]
-        absorbed.append(about(px, py, qx, qy, xj, yj + margin))
-    if family.units is None:
-        return absorbed, (math.inf, -math.inf)
-    ax, ay, bx, by = family.imbalance()
-    return absorbed, about(ax, ay, bx, by, 0.0, RESIDUAL_TOL * c)
 
 
 class PlasticityReport(_Record):
@@ -470,20 +442,16 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     ends (`_certified`): where a lower bound on Kuhn's slack, affine in B4,
     clears the margin with its rounding allowance at every vertex and the
     balance meets the residual gate, at both ends, every sample of the run
-    floats and keeps the anchor, and drifts by 0.  A run the certificate
-    declines is decided on the line's whole interval: along it the
-    others' pull on each vertex, p_j + B4 q_j, and the imbalance sum B_i u_i
-    at the anchor are affine in B4, so Kuhn's slack of `classify_case` and
-    the balance are convex.  Vertex A_j absorbs on one interval of B4, whose
-    ends are the roots of a quadratic, and the balance meets the gate on one
-    interval too (`_intervals`).  Each sample of the run is decided by
-    membership, vertices in index order, and its verdict differs from a
-    per-sample test only within rounding of an interval end.  A
-    balance at most RESIDUAL_TOL times the total weight passes the residual
-    gate of `locate_4wft`, and the median is unique, so the anchor is the
-    optimum and the sample drifts by 0.  Any other sample, a moved anchor or
-    one on a vertex where no balance can be measured, re-solves the median
-    by the path of `locate_4wft` (`_certified_median`), and drifts by the
+    floats and keeps the anchor, and drifts by 0.  The certificate declines
+    a run with an absorbed sample, a moved anchor, or an anchor on a vertex
+    where no balance can be measured; each sample of such a run is decided
+    by itself.  Kuhn's test (`fermat._kuhn_case`) on the sample's weights
+    excludes it at the first absorbing vertex.  Otherwise a balance
+    sum B_i u_i at the anchor, read from the family's affine pair, of at
+    most RESIDUAL_TOL times the total weight passes the residual gate of
+    `locate_4wft`, and the median is unique, so the anchor is the optimum
+    and the sample drifts by 0.  Any other sample re-solves the median by
+    the path of `locate_4wft` (`_certified_median`), and drifts by the
     anchor's distance to it.  Passes when the maximum deviation stays below
     1e-6 times the quadrilateral diameter.
     """
@@ -509,22 +477,18 @@ def verify_plasticity(q: Quadrilateral, line: PlasticityLine,
     if run and _certified(family, run[0], run[-1]):
         evaluated = [(b4, 0.0) for b4 in run]
     elif run:
-        lo, hi = line.b4_interval
-        absorbed, (gate_lo, gate_hi) = _intervals(family, 0.5 * (lo + hi))
-        # the vertices, in index order, whose absorbed interval meets the run
-        absorbed = [(j, a, b) for j, (a, b) in enumerate(absorbed, 1)
-                    if a <= run[-1] and run[0] <= b]
+        ax, ay, bx, by = family.imbalance()
+        gate = RESIDUAL_TOL * line.c
         for b4 in run:
-            for j, a, b in absorbed:  # the first absorbing vertex
-                if a <= b4 <= b:
-                    excluded.append((b4, f"absorbed at vertex {j}"))
-                    break
+            weights = line.weights_at(b4)
+            tag = _kuhn_case(q.unit_vectors, weights)
+            if tag.kind is CaseKind.ABSORBED:
+                excluded.append((b4, f"absorbed at vertex {tag.vertex}"))
+            elif math.hypot(ax + b4 * bx, ay + b4 * by) <= gate:
+                evaluated.append((b4, 0.0))
             else:
-                if gate_lo <= b4 <= gate_hi:
-                    evaluated.append((b4, 0.0))
-                else:
-                    point = _certified_median(q.vertices, line.weights_at(b4))[0]
-                    evaluated.append((b4, point.distance_to(line.point)))
+                point = _certified_median(q.vertices, weights)[0]
+                evaluated.append((b4, point.distance_to(line.point)))
     excluded += reversed(tail)
     tolerance = 1e-6 * q.diameter()
     max_dev = max((d for _, d in evaluated), default=math.inf)

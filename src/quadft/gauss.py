@@ -58,7 +58,9 @@ class GaussTree(_Record):
     """Solved degree-three tree.
 
     a1 = |A1 A0|, a4 = |A4 A0|, a2 = |A2 A0'|, a3 = |A3 A0'|, l = |A0 A0'|,
-    phi = signed angle from side A1A2 to the axis A0->A0'.
+    phi = signed angle from side A1A2 to the axis A0->A0'.  On the
+    stationary branch (`_branch`) each length is signed, negative where the
+    vertex lies behind its node's ray; a solved tree has them all positive.
     """
 
     __slots__ = _fields = ("node0", "node0p", "a1", "a2", "a3", "a4", "l", "phi", "objective")
@@ -125,8 +127,14 @@ def _branch(q: Quadrilateral, w: GaussWeights) -> GaussTree:
     node0 = Point(v[0].x - a1 * d1x, v[0].y - a1 * d1y)
     d2x, d2y = rotate(wx, wy, a_00p2)
     node0p = Point(v[1].x + a2 * d2x, v[1].y + a2 * d2y)
+    # a3 and a4 are measured, and signed by the sine rule that gives a1 and
+    # a2: negative where A3 lies behind A0' on its ray, or A4 behind A0
     a3 = node0p.distance_to(v[2])
     a4 = node0.distance_to(v[3])
+    if math.sin(a_00p2 + alpha123 + phi) * s2 <= 0.0:
+        a3 = -a3
+    if math.sin(a_100p + alpha214 - phi) * s1 <= 0.0:
+        a4 = -a4
     objective = w.b1 * a1 + w.b2 * a2 + w.b3 * a3 + w.b4 * a4 + w.xg * l
     return GaussTree(node0, node0p, a1, a2, a3, a4, l, phi, objective)
 
@@ -150,8 +158,9 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
 
     Raises InfeasibleWeightsError when the weight-triangle conditions fail and
     DegenerateTreeError when the branch collapses (x_G at or past its absorbing
-    value, a negative edge, or a node escaping the quadrilateral).  Span values
-    in (-1e-9, 0] are clamped to the exact l = 0 degree-four limit.
+    value, a negative edge, a vertex behind its node's ray, or a node escaping
+    the quadrilateral).  Span values in (-1e-9, 0] are clamped to the exact
+    l = 0 degree-four limit.
     """
     tree = _branch(q, w)
     l = _span(tree.l)
@@ -161,12 +170,17 @@ def solve_gauss_tree(q: Quadrilateral, w: GaussWeights) -> GaussTree:
         )
     if l == 0.0:
         # the exact degree-four limit: A0' merges into A0
-        a3 = tree.node0.distance_to(q.vertices[2])
+        a3 = math.copysign(tree.node0.distance_to(q.vertices[2]), tree.a3)
         tree = tree._replace(node0p=tree.node0, a3=a3, l=l, objective=(
             w.b1 * tree.a1 + w.b2 * tree.a2 + w.b3 * a3 + w.b4 * tree.a4))
     if tree.a1 <= 0.0 or tree.a2 <= 0.0:
         raise DegenerateTreeError(
             f"edge lengths (a1={tree.a1:.3e}, a2={tree.a2:.3e}) are not positive"
+        )
+    if tree.a3 <= 0.0 or tree.a4 <= 0.0:
+        raise DegenerateTreeError(
+            f"edge lengths (a3={tree.a3:.3e}, a4={tree.a4:.3e}) are not positive: "
+            "a vertex lies behind its node's ray"
         )
     for node, name in ((tree.node0, "A0"), (tree.node0p, "A0'")):
         if not q.contains(node):

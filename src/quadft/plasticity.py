@@ -96,10 +96,10 @@ class _Family:
     line only the weights move, and every per-sample quantity at P is affine
     in B4: the imbalance sum B_i u_i, the absorbing profile B1 u1 + B4 u4
     and Kuhn's pulls on the vertices.  Construction computes the first two
-    as affine pairs, so `imbalance` and `profile` are reads, and
-    verification decides Kuhn's test and the balance gate on the whole line
-    at once: at the run's two ends (`checks._certified`), else on the line's
-    intervals (`checks._intervals`)."""
+    as affine pairs, so `imbalance` and `profile` are reads.  Verification
+    certifies a whole run at its two ends from these measurements
+    (`checks._certified`); a run it declines reads the imbalance at each
+    sample."""
 
     __slots__ = ("quad", "line", "distances", "units", "_imbalance", "_profile")
 

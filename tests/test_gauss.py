@@ -2,25 +2,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from quadft import (
     AbsorbedWeightsError,
+    CaseKind,
     DegenerateTreeError,
     GaussWeights,
     InfeasibleWeightsError,
     QuadFTError,
     Quadrilateral,
+    WeightedQuadrilateral,
+    absorbing_xg,
     angle_at,
+    classify_case,
     feasible_xg_interval,
+    locate_4wft,
+    plasticity_line,
     residual_absorbing_rate,
     solve_gauss_tree,
     tree_span,
     triangle_wft_angles,
     weiszfeld,
 )
+from quadft.geometry import rotate
+from quadft.plasticity import _sampled_range
 from oracles import gauss_min_oracle, pull_at, random_convex_quad
 
 TWO_PI = 2.0 * math.pi
@@ -37,6 +45,42 @@ EX4_TREES = [
     ((2.5466101, 3.1151456, 0.9826002, 2.0556426), 3.62,
      2.6836315, 3.0204233, 4.0857226, 3.6424502, 1.8001622),
 ]
+
+
+# A3 lies behind A0' on its ray: at the absorbing end of a barely floating
+# draw, A0' passes A3 by 4.8e-9, and the tree's pull at A0' is 0.979 c
+REVERSED_RAY = (
+    [(0.8999687683856921, 2.0658037390497164), (-3.4523253237610816, 1.7256904665501627),
+     (-2.7165896761601056, -1.400113958290846), (0.9877698717206864, -2.9142224326507957)],
+    (4.712222258665514, 0.46684992580180584, 4.9657314774669015, 3.21977057059041e-06),
+    4.712223563059852,
+)
+
+
+@st.composite
+def default_trees(draw):
+    """(vertices, weights, x_G): a random floating quadrilateral, weights
+    U(0.6, 3.0), one B4 of its plasticity line's sampled range, and x_G a
+    fraction 1e-6 to 0.9 of the way from the absorbing value down to the
+    floor of the feasible interval."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at = draw(st.floats(0.0, 1.0))
+    fraction = 10.0 ** draw(st.floats(-6.0, math.log10(0.9)))
+    while True:
+        coords = random_convex_quad(rng)
+        quad = Quadrilateral.from_coords(coords)
+        wq = WeightedQuadrilateral(quad, tuple(float(b) for b in rng.uniform(0.6, 3.0, 4)))
+        if classify_case(wq).kind is not CaseKind.FLOATING:
+            continue
+        try:
+            line = plasticity_line(wq, locate_4wft(wq))
+            lo, hi = _sampled_range(line)
+            sample = absorbing_xg(quad, line, lo + at * (hi - lo))
+        except QuadFTError:
+            continue
+        floor = feasible_xg_interval(*sample.weights)[0]
+        xg = sample.xg_absorbing - fraction * (sample.xg_absorbing - floor)
+        return coords, sample.weights, xg
 
 
 def _random_feasible(rng):
@@ -211,6 +255,36 @@ class TestSolve:
             r1x += w.xg * ux
             r1y += w.xg * uy
             assert math.hypot(r1x, r1y) < 1e-7 * total
+
+    def test_reversed_ray_degenerates(self):
+        coords, weights, xg = REVERSED_RAY
+        with pytest.raises(DegenerateTreeError, match=r"a3=-4\.8"):
+            solve_gauss_tree(Quadrilateral.from_coords(coords), GaussWeights(*weights, xg))
+
+    @given(instance=default_trees())
+    @example(instance=REVERSED_RAY)
+    @settings(max_examples=200, deadline=None)
+    def test_solved_trees_balance_at_both_nodes(self, instance):
+        # every tree returned balances at A0 and at A0' along the axis phi,
+        # within 1e-8 c (the worst of 10717 default trees was 3.8e-10 c); the
+        # reversed ray raises instead
+        coords, weights, xg = instance
+        quad = Quadrilateral.from_coords(coords)
+        w = GaussWeights(*weights, xg)
+        try:
+            tree = solve_gauss_tree(quad, w)
+        except DegenerateTreeError:
+            return
+        v = quad.vertices
+        wx, wy = rotate(*quad.unit_vectors[0][1], tree.phi)
+        for node, ends, sign in ((tree.node0, ((v[0], w.b1), (v[3], w.b4)), 1.0),
+                                 (tree.node0p, ((v[1], w.b2), (v[2], w.b3)), -1.0)):
+            rx, ry = sign * w.xg * wx, sign * w.xg * wy
+            for vertex, weight in ends:
+                ux, uy = node.unit_toward(vertex)
+                rx += weight * ux
+                ry += weight * uy
+            assert math.hypot(rx, ry) <= 1e-8 * w.total, (node, math.hypot(rx, ry))
 
     def test_beats_coarse_grid_oracle(self, rect):
         # 60^4 candidate pairs, then local refinement of the best cell

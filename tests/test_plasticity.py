@@ -123,23 +123,11 @@ def _reference_report(q, line, samples):
     )
 
 
-def _verdicts(report):
-    """Each sample's verdict by its B4: the exclusion reason, or the drift."""
-    return {**dict(report.excluded), **dict(report.evaluated)}
-
-
-def _absorbing_vertex(verdict):
-    """The vertex a verdict reports absorbing, or 5 for any other verdict."""
-    if isinstance(verdict, str) and verdict.startswith("absorbed at vertex "):
-        return int(verdict.split()[-1])
-    return 5
-
-
 def _barely_floating_line(rng, vertex, margins):
     """(quad, plasticity line) of a random quadrilateral whose weight at
     `vertex` is (1 - s) times the others' pull on it, its slack s * pull
     `margins` times the CASE_BOUNDARY_TOL margin, the recipe of
-    `test_whole_interval_verdicts_equal_the_per_sample_reference`."""
+    `test_verdicts_equal_the_per_sample_reference`."""
     quad = Quadrilateral.from_coords(random_convex_quad(rng))
     w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
     others = [j for j in range(4) if j != vertex]
@@ -151,15 +139,16 @@ def _barely_floating_line(rng, vertex, margins):
     return quad, plasticity_line(wq, locate_4wft(wq))
 
 
-def _interval_calls(monkeypatch):
-    """The names of the `checks._intervals` and `checks._sublevel` calls from
-    here on, in call order."""
+def _kuhn_calls(monkeypatch):
+    """The arguments of every `checks._kuhn_case` call from here on."""
     calls = []
-    for name in ("_intervals", "_sublevel"):
-        def counted(*args, _name=name, _original=getattr(checks, name)):
-            calls.append(_name)
-            return _original(*args)
-        monkeypatch.setattr(checks, name, counted)
+    kuhn_case = checks._kuhn_case
+
+    def counted(*args):
+        calls.append(args)
+        return kuhn_case(*args)
+
+    monkeypatch.setattr(checks, "_kuhn_case", counted)
     return calls
 
 
@@ -178,7 +167,7 @@ def _certificates(monkeypatch):
 
 def _declined_report(monkeypatch, quad, line, samples):
     """`verify_plasticity` with its certificate forced to decline: every run
-    is decided on the line's intervals."""
+    is decided sample by sample."""
     with monkeypatch.context() as patch:
         patch.setattr(checks, "_certified", lambda *args: False)
         return verify_plasticity(quad, line, samples)
@@ -625,24 +614,46 @@ class TestSquaredBalanceSystem:
             assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
-coordinate = st.floats(-3.0, 3.0)
-
-
-@given(px=coordinate, py=coordinate, qx=coordinate, qy=coordinate, x=coordinate,
-       y=coordinate, ts=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16))
-@example(px=0.0, py=0.0, qx=1.0, qy=0.0, x=1.0, y=0.0, ts=[-1.0, 1.0])   # |t| <= t
-@example(px=0.0, py=1.0, qx=1.0, qy=0.0, x=1.0, y=0.0, ts=[-1.0, 9.0])   # never
-@example(px=1.0, py=0.0, qx=0.0, qy=0.0, x=0.0, y=-1.0, ts=[0.0])        # y < 0 = x
-@example(px=2.0, py=0.0, qx=0.5, qy=0.0, x=-1.0, y=1.0, ts=[-9.0, 0.0])  # a < 0
+@given(seed=st.integers(0, 2**32 - 1), barely=st.booleans(), log_s=st.floats(-12.0, -1.0),
+       m_at=st.floats(0.0, 1.0), b4_at=st.floats(0.0, 1.0))
+@example(seed=0, barely=True, log_s=-12.0, m_at=0.0, b4_at=1.0)
+@example(seed=3, barely=True, log_s=-9.0, m_at=1.0, b4_at=0.0)
 @settings(max_examples=300, deadline=None)
-def test_sublevel_is_where_the_norm_stays_below_the_line(px, py, qx, qy, x, y, ts):
-    # the interval agrees with |p + t q| <= x t + y wherever the two sides
-    # differ by more than rounding
-    lo, hi = checks._sublevel(px, py, qx, qy, x, y)
-    for t in ts:
-        excess = math.hypot(px + t * qx, py + t * qy) - (x * t + y)
-        if abs(excess) > 1e-9:
-            assert (lo <= t <= hi) == (excess < 0.0), (t, excess, lo, hi)
+def test_tangent_bounds_the_kuhn_slack(seed, barely, log_s, m_at, b4_at):
+    # |p_j + B4 q_j| is convex in B4, so its supporting line at the midpoint
+    # m lies below it: Kuhn's slack at each vertex, as `_kuhn_case` reads it
+    # on a sample's weights, is at least the tangent bound `checks._certified`
+    # reads, less that bound's allowance 32 eps S, with m and B4 anywhere on
+    # the sampled range, so mostly far apart; lines on random
+    # quadrilaterals, one vertex barely floating in half the draws
+    rng = np.random.default_rng(seed)
+    quad = Quadrilateral.from_coords(random_convex_quad(rng))
+    a = quad.vertices
+    w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+    if barely:  # A_k floats by 10^log_s of its pull
+        k = int(rng.integers(4))
+        w[k] = (1.0 - 10.0 ** log_s) * pull_at([a[i] for i in range(4) if i != k],
+                                                [w[i] for i in range(4) if i != k], a[k])
+    wq = WeightedQuadrilateral(quad, tuple(w))
+    try:
+        line = plasticity_line(wq, locate_4wft(wq))
+    except (AbsorbedWeightsError, ConvergenceError):
+        assume(False)  # absorbed: no line; or a median that stalls near a vertex (item 1)
+    lo, hi = plasticity._sampled_range(line)
+    m, b4 = lo + m_at * (hi - lo), lo + b4_at * (hi - lo)
+    try:
+        weights = line.weights_at(b4)
+    except InfeasibleWeightsError:
+        assume(False)  # a weight rounds to 0 at an end of the range
+    family = plasticity._Family(quad, line)
+    xs = [x for x, _ in line.coefficients] + [1.0]
+    ys = [y for _, y in line.coefficients] + [0.0]
+    allowance = 32.0 * sys.float_info.epsilon * sum(
+        abs(x) * b4 + abs(y) for x, y in zip(xs, ys))
+    for j in range(4):
+        slack = math.hypot(*fermat._weighted_sum(weights, quad.unit_vectors[j])) - weights[j]
+        alpha, beta = checks._tangent(family, j, m)
+        assert slack >= alpha + beta * b4 - allowance, (j, slack, alpha + beta * b4)
 
 
 @given(seed=st.integers(0, 2**32 - 1), barely=st.booleans(), log_s=st.floats(-12.0, -1.0),
@@ -695,34 +706,51 @@ def test_kuhn_slack_bounds_the_descent_from_each_vertex(seed, barely, log_s, ver
 
 
 class TestVerify:
-    def test_certified_run_skips_the_interval_solves(self, monkeypatch, rect_mod, line_ex2):
+    def test_only_declined_runs_test_each_sample(self, monkeypatch, rect_mod, line_ex2):
         # a clearly floating line at its true anchor is certified at its run's
-        # two ends: no vertex-pull sums and no `_sublevel` solve
-        calls = _interval_calls(monkeypatch)
+        # two ends, and no sample runs Kuhn's test
+        verdicts = _certificates(monkeypatch)
+        kuhn = _kuhn_calls(monkeypatch)
         for quad, line in [(rect_mod, line_ex2)] + _random_lines(47, 20):
             for samples in (1, 2, 16, 64):
-                calls.clear()
+                verdicts.clear()
+                kuhn.clear()
                 report = verify_plasticity(quad, line, samples)
                 assert report.passed and report.evaluated == tuple(
                     (b4, 0.0) for b4 in plasticity._b4_grid(line, samples))
-                assert calls == []
-        # a barely floating line, its slack at A1 within ten margins of Kuhn's
-        # test, whose bound misses the margin and its allowance at a run end,
-        # though no sample absorbs; and an anchor moved by 1e-3 of the
-        # diameter, which misses the balance gate
-        barely_quad, barely = _barely_floating_line(np.random.default_rng(2), 0, 10.0)
+                assert verdicts == [True] and kuhn == []
+        # barely floating lines, the slack at A1 ten margins: the distance
+        # bound misses the margin at a run end, and the tangent bound
+        # certifies each of the ten lines on which no sample absorbs
+        certified = 0
+        for seed in range(12):
+            quad, line = _barely_floating_line(np.random.default_rng(seed), 0, 10.0)
+            verdicts.clear()
+            kuhn.clear()
+            report = verify_plasticity(quad, line, 16)
+            if not report.excluded:
+                assert verdicts == [True] and kuhn == []
+                certified += 1
+        assert certified == 10
+        # a line with absorbed samples, and an anchor moved by 1e-3 of the
+        # diameter, which misses the balance gate: one Kuhn test per sample
+        unit_square = Quadrilateral.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        absorbing = PlasticityLine(c=4.0, coefficients=((-1.0, 3.0), (0.0, 0.5), (0.0, 0.5)),
+                                   b4_interval=(0.0, 3.0), point=Point(0.5, 0.5))
         shift = 1e-3 * rect_mod.diameter()
         moved = line_ex2._replace(point=Point(line_ex2.point.x + shift, line_ex2.point.y))
-        for quad, line in ((barely_quad, barely), (rect_mod, moved)):
-            calls.clear()
+        for quad, line in ((unit_square, absorbing), (rect_mod, moved)):
+            verdicts.clear()
+            kuhn.clear()
             report = verify_plasticity(quad, line, 16)
-            assert not report.excluded
-            assert calls[0] == "_intervals" and calls.count("_sublevel") == 5
+            assert verdicts == [False]
+            assert len(kuhn) == len(report.evaluated) + len(report.excluded) == 16
+            assert bool(report.excluded) == (line is absorbing)
 
     def test_certificate_changes_no_verdict(self, monkeypatch):
         # 220 default and 220 barely floating lines (slack 1 to 1e4 margins),
         # true anchors and anchors moved by 1e-3 and 5e-2 of the diameter, 1 to
-        # 64 samples: each report equals the one decided on the intervals alone
+        # 64 samples: each report equals the one decided sample by sample
         rng = np.random.default_rng(61)
         lines = [("default", quad, line) for quad, line in _random_lines(67, 220)]
         while len(lines) < 440:
@@ -755,7 +783,8 @@ class TestVerify:
         # the line whose coefficients reach 3.4e4 while c is 10.8, A4 weighted
         # at (1 - 2.18e-9) times its pull: its top samples absorb at A4, so the
         # certificate declines at the true anchor and at anchors moved by 1e-3
-        # of the diameter in 16 directions, and the intervals decide each report
+        # of the diameter in 16 directions, and each report equals the
+        # per-sample reference
         quad = Quadrilateral.from_coords([
             (1.6603510129518928, 0.3836727595803164), (1.8040383832611195, 1.6451933383977264),
             (1.1669663925965816, 2.6394669419758947), (1.1613889177561427, -3.338153338054645)])
@@ -772,8 +801,7 @@ class TestVerify:
                 verdicts.clear()
                 report = verify_plasticity(quad, line._replace(point=point), samples)
                 assert verdicts == [False]
-                assert report == _declined_report(monkeypatch, quad, line._replace(point=point),
-                                                  samples)
+                assert report == _reference_report(quad, line._replace(point=point), samples)
         reference = verify_plasticity(quad, line, 14)
         assert reference.passed and len(reference.evaluated) == 11
         assert [why for _, why in reference.excluded] == ["absorbed at vertex 4"] * 3
@@ -952,7 +980,7 @@ class TestVerify:
            log_margins=st.floats(0.0, 2.0), moved=st.booleans(),
            theta=st.floats(0.0, 2.0 * math.pi), samples=st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
-    def test_whole_interval_verdicts_equal_the_per_sample_reference(
+    def test_verdicts_equal_the_per_sample_reference(
             self, seed, vertex, log_margins, moved, theta, samples):
         # one weight at (1 - s) times the others' pull on its vertex, its
         # slack s * pull 1 to 100 times the CASE_BOUNDARY_TOL margin: the
@@ -984,28 +1012,7 @@ class TestVerify:
             with pytest.raises(AssertionError):
                 _reference_report(quad, line, samples)
             return
-        reference = _reference_report(quad, line, samples)
-        if report == reference:
-            return
-        # Kuhn's test reads the pulls as p_j + B4 q_j, the reference as
-        # sum B_i u_ji: a verdict may differ only where the slack is within
-        # the rounding of those sums, whose terms grow with the coefficients
-        got, want = _verdicts(report), _verdicts(reference)
-        assert got.keys() == want.keys()
-        for b4, verdict in got.items():
-            if verdict == want[b4]:
-                continue
-            j = min(_absorbing_vertex(verdict), _absorbing_vertex(want[b4]))
-            assert j <= 4, (b4, verdict, want[b4])
-            weights = line.weights_at(b4)
-            slack = pull_at([quad.vertices[i] for i in range(4) if i != j - 1],
-                            [weights[i] for i in range(4) if i != j - 1],
-                            quad.vertices[j - 1]) - weights[j - 1]
-            xs = [x for x, _ in line.coefficients] + [1.0]
-            ys = [y for _, y in line.coefficients] + [0.0]
-            rounding = 16.0 * sys.float_info.epsilon * sum(
-                abs(x) * b4 + abs(y) for x, y in zip(xs, ys))
-            assert abs(slack - fermat.CASE_BOUNDARY_TOL * line.c) <= rounding, (b4, slack)
+        assert report == _reference_report(quad, line, samples)
 
     def test_anchor_inside_the_gate_is_certified(self, monkeypatch):
         # the 127th seeded line: its anchor pulls above the 1e-14 Newton target
