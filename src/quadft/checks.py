@@ -67,7 +67,8 @@ def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
     The one solve is `locate_4wft`'s.  An absorbed tree raises
     InconsistentCaseError naming the absorbing vertex; any other carries
     its frame (`FermatTree._frame`), and relative to A1 its median is
-    (A_k - A1) + offset, bit for bit the iterate `locate_4wft` certified.
+    (A_k - A1) + offset: the iterate `locate_4wft` certified, rounded twice
+    where k is not 0.
     `system(v, weights, median)` reads the system there, v the vertices
     relative to A1: a residual above `_EQUILIBRIUM_RTOL`, or a rebuilt point
     more than `_REBUILD_RTOL` times the diameter from the median, raises
@@ -355,11 +356,11 @@ def _certified(family: _Family, first: float, last: float) -> bool:
       and the subtraction within an ulp each: about 4 eps S, granted four
       times over;
     - for the distance bound, 8 eps S (D + R) / r_j, D the diameter and R
-      the largest r_i: each distance is within 2 eps of its value (the
-      coordinate differences round, then hypot), so the sums
-      sum y_i |A_j A_i| and sum y_i r_i, and their x twins, are each within
-      about 3 eps of the sum of their terms' sizes, and alpha_j + beta_j B4
-      within about 6 eps S (D + R);
+      the largest r_i: each |A_j A_i| is within 2 eps of its value, and
+      each r_i, read in P's frame, within 2 eps of it plus 1.5 eps D
+      (A_i - A_k rounds first), so the sums sum y_i |A_j A_i| and
+      sum y_i r_i, and their x twins, are within about 3 eps and 4.5 eps of
+      their terms' sizes, and alpha_j + beta_j B4 within about 7.5 eps S (D + R);
     - for the tangent bound, 16 eps S, twice its rounding: the computed n
       is a unit vector to within 2 eps, so n . v <= |v| + 2 eps S; the
       sums p_j and q_j are each within 2 eps of their terms' sizes, so

@@ -25,7 +25,10 @@ from the weighted centroid, and from Kuhn's ray after all when that loop
 stalls.  Frame and weights are scaled by powers of two
 (`geometry._exponent`), so no Hessian entry over- or underflows.  The one
 verdict is the residual gate: the median is unique, and a point is accepted
-only when its pull is below `RESIDUAL_TOL` times the total weight.
+only when its pull is below `RESIDUAL_TOL` times the total weight.  The
+tree, its plasticity line and the line's family read the star in the
+frame the median was solved in (`FermatTree._frame`), at the certified
+iterate, wherever the quadrilateral sits.
 """
 
 from __future__ import annotations
@@ -135,12 +138,13 @@ class FermatTree(_Record):
     `angles` holds (a102, a203, a304, a401) in radians; entries involving an
     absorbing vertex are NaN.  `equilibrium_residual` is the norm of the weighted
     unit-vector sum at the optimum (floating case), or the amount by which the
-    absorption inequality fails (absorbed case, zero when it holds), at
-    `point` as stored (`_settle`); a floating median that rounds onto a
-    vertex reads as an absorbed one does, with its case floating.  Outside
+    absorption inequality fails (absorbed case, zero when it holds).  Outside
     the fields, `_frame` is the frame the median was solved in (`_descend`):
     (k, offset) from vertex index k, or (0, offset) of the intersection on a
-    diagonal tree; None on an absorbed tree.
+    diagonal tree, `point` being A_k + offset rounded; None on an absorbed
+    tree.  Angles, objective and residual are read in it (`measure_star`):
+    the residual is the frame's pull, which the gate passed, though
+    `point`'s own pull can miss the gate next to a vertex or far out.
     """
 
     __slots__ = ("point", "case", "angles", "objective", "equilibrium_residual", "iterations",
@@ -257,9 +261,8 @@ def weiszfeld(points, weights) -> Point:
     the sum of their weights.  Absorbed instances return the absorbing
     vertex (Kuhn's test of `classify_case`), collinear points among them:
     their weighted median lies at one of them, which the test absorbs.
-    Otherwise the median of `locate_4wft`, stored as `_settle` stores it,
-    and a pull not below RESIDUAL_TOL * sum(weights) raises
-    ConvergenceError.
+    Otherwise the median of `locate_4wft` (`_certified_median`), and a pull
+    not below RESIDUAL_TOL * sum(weights) raises ConvergenceError.
     """
     points, weights = list(points), tuple(weights)
     if len(points) < 3 or len(points) != len(weights):
@@ -273,9 +276,7 @@ def weiszfeld(points, weights) -> Point:
     tag = _kuhn_case(measure_pairs(points)[1], weights)
     if tag.kind is CaseKind.ABSORBED:
         return points[tag.vertex - 1]
-    point = _certified_median(points, weights, tag._anchor)[0]
-    pull = _pull(weights, *measure_star(point, points))
-    return _settle(points, weights, tag._anchor, point, pull)
+    return _certified_median(points, weights, tag._anchor)[0]
 
 
 def _median(points, weights, anchor=None):
@@ -308,25 +309,24 @@ def _median(points, weights, anchor=None):
 
 
 def _descend(points, weights, anchor, near: bool):
-    """`_median`'s damped Newton loop for the anchor (k, slack, pull): next
-    to point k, where its own term carries no rounding, from Kuhn's descent
-    ray (`_ray_start`) when `near`, else relative to the first point from
-    the weighted centroid.  Frame and weights are scaled exactly by powers
-    of two (`geometry._exponent`), so no Hessian entry, of order w / r,
-    over- or underflows.  Each step is the longest of 1, 1/2, ... of the
-    Newton step that lowers the pull; at most `NEWTON_MAX_ITER` steps end at
-    a pull below `_POLISH_TOL` times the total, or where none lowers it.
-    Returns (point, pull, steps, frame), frame the iterate's exact offset
-    from point k when `near`, else from the first point, as (k or 0, offset).
+    """`_median`'s damped Newton loop for the anchor (k, slack, pull):
+    relative to point k, where its own term carries no rounding, from Kuhn's
+    descent ray (`_ray_start`) when `near`, else relative to the first point
+    from the weighted centroid.  Frame and weights are scaled exactly by
+    powers of two (`geometry._exponent`), so no Hessian entry, of order
+    w / r, over- or underflows.  Each step is the longest of 1, 1/2, ... of
+    the Newton step that lowers the pull; at most `NEWTON_MAX_ITER` steps
+    end at a pull below `_POLISH_TOL` times the total, or where none lowers
+    it.  Returns (point, pull, steps, frame), frame (k or 0, offset) with
+    the iterate's exact offset from that point, and point the two's sum.
     """
     k, slack, (px, py) = anchor
     share = slack / sum(weights)
-    a1 = points[0]
-    moved = [(q.x - a1.x, q.y - a1.y) for q in points]
-    ox, oy = moved[k] if near else (0.0, 0.0)
-    e = _exponent(max(max(abs(qx - ox), abs(qy - oy)) for qx, qy in moved))
+    base = points[k if near else 0]
+    moved = [(q.x - base.x, q.y - base.y) for q in points]
+    e = _exponent(max(max(abs(qx), abs(qy)) for qx, qy in moved))
     scale, unscale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    relative = [((qx - ox) * scale, (qy - oy) * scale) for qx, qy in moved]
+    relative = [(qx * scale, qy * scale) for qx, qy in moved]
     f = _exponent(max(weights))
     weights = [math.ldexp(w, -f) for w in weights]
     total = sum(weights)
@@ -372,7 +372,7 @@ def _descend(points, weights, anchor, near: bool):
         x, y, state, norm = x + t * sx, y + t * sy, trial, trial[0]
         steps += 1
     dx, dy = x * unscale, y * unscale
-    point = Point(a1.x + (ox + dx), a1.y + (oy + dy))
+    point = Point(base.x + dx, base.y + dy)
     return point, math.ldexp(norm, f), steps, (k if near else 0, (dx, dy))
 
 
@@ -421,14 +421,13 @@ def _certified_median(points, weights, anchor=None):
 
 def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
           iterations: int = 0, frame=None) -> FermatTree:
-    """The tree at p, on its star measured once (`measure_star`): the
-    distances to the vertices for the objective, which raises QuadFTError
-    if it overflows, and the unit vectors toward every vertex but one that p
-    sits on for the angles (NaN where they would meet that vertex) and for
-    the residual (`_pull`).  p sits on a vertex when the case absorbs, and
-    when a floating median rounds onto one; `frame` is its `_frame`."""
+    """The tree at p, on its star measured once in its `frame`
+    (`measure_star`): the distances for the objective, which raises
+    QuadFTError if it overflows, and the unit vectors toward every vertex
+    but one that p sits on, as when the case absorbs, for the angles (NaN
+    where they would meet that vertex) and for the residual (`_pull`)."""
     w = wq.weights
-    distances, units = measure_star(p, wq.quad.vertices)  # no unit toward p itself
+    distances, units = measure_star(p, wq.quad.vertices, frame)  # no unit toward p itself
     objective = 0.0
     for wj, d in zip(w, distances):
         objective += wj * d  # the order and rounding of `weighted_distance_sum`
@@ -444,20 +443,6 @@ def _tree(wq: WeightedQuadrilateral, p: Point, case: CaseTag = _FLOATING,
         iterations=iterations,
         _frame=frame,
     )
-
-
-def _settle(points, weights, anchor, point: Point, pull: float) -> Point:
-    """The median as stored: `point`, unless `_median` anchored it next to a
-    point at distance r, where rounding moves the pull by about w ulp / r,
-    and its `pull`, as `_tree` measures it, misses RESIDUAL_TOL times the
-    total; then the float point within 3 ulps whose pull is least."""
-    total = sum(weights)
-    if anchor[1] >= _ANCHOR_SLACK * total or pull < RESIDUAL_TOL * total:
-        return point
-    ux, uy = math.ulp(point.x), math.ulp(point.y)
-    return min((Point(point.x + i * ux, point.y + j * uy)
-                for i in range(-3, 4) for j in range(-3, 4)),
-               key=lambda q: _pull(weights, *measure_star(q, points)))
 
 
 def _pull(weights, distances, units) -> float:
@@ -481,11 +466,10 @@ def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
     Kuhn's test anchors its median (`_median`); `iterations` counts its
     steps, those along Kuhn's ray included.  A pull that misses
     `RESIDUAL_TOL` times the total weight raises ConvergenceError, and an
-    objective that overflows QuadFTError.  That gate reads the iterate in
-    the median's frame; the tree is measured at the point as stored
-    (`_settle`), whose pull can exceed it: moved by (1e7, 1e7), where the
-    coordinate ulp is 1.9e-9, a barely floating instance reports 1.2e-8 of
-    the total, and no float point next to it pulls below 1e-10 of it.
+    objective that overflows QuadFTError.  The gate and the tree read the
+    iterate in the median's frame: moved by (1e7, 1e7), a barely floating
+    instance stores a point whose own pull is 1.2e-8 of the total, and no
+    float point next to it pulls below 1e-10 of it.
     """
     tag = classify_case(wq)
     v, w = wq.quad.vertices, wq.weights
@@ -496,6 +480,4 @@ def locate_4wft(wq: WeightedQuadrilateral) -> FermatTree:
         return _tree(wq, Point(v[0].x + dx, v[0].y + dy), CaseTag(CaseKind.DIAGONAL),
                      frame=(0, (dx, dy)))
     point, iterations, frame = _certified_median(v, w, tag._anchor)
-    tree = _tree(wq, point, iterations=iterations, frame=frame)
-    stored = _settle(v, w, tag._anchor, point, tree.equilibrium_residual)
-    return tree if stored is point else _tree(wq, stored, iterations=iterations, frame=frame)
+    return _tree(wq, point, iterations=iterations, frame=frame)

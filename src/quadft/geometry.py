@@ -104,15 +104,23 @@ def measure_pairs(points, limit: float = sys.float_info.max):
     return tuple(map(tuple, d)), tuple(map(tuple, u)), diameter
 
 
-def measure_star(p: Point, points):
+def measure_star(p: Point, points, frame=None):
     """The star of p measured once, one hypot per point: (d, u), lists with
     d[i] the distance from p to points[i] and u[i] the unit vector from p
-    toward it, the values of `Point.distance_to` and `Point.unit_toward`
-    bit for bit; u[i] is None where the two coincide."""
-    px, py = p.x, p.y
+    toward it, None where the two coincide.  The frame p was solved in,
+    (k, offset) (`fermat._descend`), is read only where points[k] + offset
+    rounds to p bit for bit: the differences are (points[i] - points[k]) -
+    offset, past p's rounding.  Otherwise the offset is zero at p, and d and
+    u are `Point.distance_to` and `Point.unit_toward` bit for bit."""
+    bx, by, ox, oy = p.x, p.y, 0.0, 0.0
+    if frame is not None:
+        k, (fx, fy) = frame
+        base = points[k]
+        if base.x + fx == p.x and base.y + fy == p.y:
+            bx, by, ox, oy = base.x, base.y, fx, fy
     d, u = [], []
     for q in points:
-        dx, dy = q.x - px, q.y - py
+        dx, dy = (q.x - bx) - ox, (q.y - by) - oy
         r = math.hypot(dx, dy)
         d.append(r)
         u.append((dx / r, dy / r) if r else None)

@@ -5,11 +5,12 @@ At a fixed optimum P the balance sum B_i u_i = 0, with u_i the unit vector
 from P toward A_i, and the total sum B_i = c are linear in (B1, B2, B3) at a
 given B4.  `plasticity_line` solves that system once for the affine family
 B_i = x_i B4 + y_i; it holds wherever P is interior, on a diagonal too.
-`_Family` measures a line's anchor once, and `universal._samples` reads
-the absorbing samples along the line from it in one loop.  A line has one
-B4 grid, `_b4_grid`, which the universal sweep and the verification of a
-line both sample.  The paper's squared-balance route to the family and the
-verification of a line live in `quadft.checks`.
+The u_i are read in the frame P was solved in, handed from the tree to the
+line and on to `_Family`, which measures a line's anchor once, and
+`universal._samples` reads the absorbing samples along the line from it in
+one loop.  A line has one B4 grid, `_b4_grid`, which the universal sweep
+and the verification of a line both sample.  The paper's squared-balance
+route to the family and the verification of a line live in `quadft.checks`.
 """
 
 from __future__ import annotations
@@ -31,19 +32,23 @@ class PlasticityLine(_Record):
     """Affine family B_i = x_i * B4 + y_i (i = 1, 2, 3) at fixed total c.
 
     `point` is the anchor optimum the family preserves.  `b4_interval` is the
-    open interval on which all four weights stay positive.
+    open interval on which all four weights stay positive.  Outside the
+    fields, `_frame` is the tree's `FermatTree._frame`, or None; `_replace`
+    and pickle drop it.
     """
 
-    __slots__ = _fields = ("c", "coefficients", "b4_interval", "point")
+    __slots__ = ("c", "coefficients", "b4_interval", "point", "_frame")
+    _fields = __slots__[:-1]
 
     def __init__(self, c: float,
                  coefficients: tuple[tuple[float, float], tuple[float, float],
                                      tuple[float, float]],
-                 b4_interval: tuple[float, float], point: Point):
+                 b4_interval: tuple[float, float], point: Point, _frame=None):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "b4_interval", b4_interval)
         object.__setattr__(self, "point", point)
+        object.__setattr__(self, "_frame", _frame)
         (x1, y1), (x2, y2), (x3, y3) = coefficients
         lo, hi = b4_interval
         for name, values in (("c", (self.c,)), ("coefficients", (x1, y1, x2, y2, x3, y3)),
@@ -91,22 +96,22 @@ def _b4_grid(line: PlasticityLine, n: int) -> list[float]:
 
 class _Family:
     """The line's anchor P measured once on the quadrilateral, with the
-    line's constants there.  `measure_star` gives the distances |P A_i| and
-    the unit vectors u_i from P toward A_i, one hypot per vertex.  Along the
-    line only the weights move, and every per-sample quantity at P is affine
-    in B4: the imbalance sum B_i u_i, the absorbing profile B1 u1 + B4 u4
-    and Kuhn's pulls on the vertices.  Construction computes the first two
-    as affine pairs, so `imbalance` and `profile` are reads.  Verification
-    certifies a whole run at its two ends from these measurements
-    (`checks._certified`); a run it declines reads the imbalance at each
-    sample."""
+    line's constants there.  `measure_star`, in the line's `_frame`, gives
+    the distances |P A_i| and the unit vectors u_i from P toward A_i, one
+    hypot per vertex.  Along the line only the weights move, and every
+    per-sample quantity at P is affine in B4: the imbalance sum B_i u_i, the
+    absorbing profile B1 u1 + B4 u4 and Kuhn's pulls on the vertices.
+    Construction computes the first two as affine pairs, so `imbalance` and
+    `profile` are reads.  Verification certifies a whole run at its two ends
+    from these measurements (`checks._certified`); a run it declines reads
+    the imbalance at each sample."""
 
     __slots__ = ("quad", "line", "distances", "units", "_imbalance", "_profile")
 
     def __init__(self, q: Quadrilateral, line: PlasticityLine):
         self.quad = q
         self.line = line
-        self.distances, units = measure_star(line.point, q.vertices)
+        self.distances, units = measure_star(line.point, q.vertices, line._frame)
         if None in units:  # P on a vertex: no balance can be measured
             self.units, self._imbalance = None, (math.inf, math.inf, 0.0, 0.0)
             return
@@ -148,8 +153,9 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
     times those of the origin, each a signed area (`cross2`) over twice the
     triangle's area, which is nonzero for every P inside the quadrilateral,
     on a diagonal too.  The u_i come from one measurement of P's star,
-    `geometry.measure_star`, one hypot per vertex, as in `_Family`.  An
-    absorbed optimum sits on a vertex and has no family.
+    `geometry.measure_star`, one hypot per vertex, in the tree's frame,
+    which the line hands on to `_Family`.  An absorbed optimum sits on a
+    vertex and has no family.
     """
     if tree.case.kind is CaseKind.ABSORBED:
         raise AbsorbedWeightsError(
@@ -157,7 +163,7 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
             "a plasticity line needs an interior optimum"
         )
     p = tree.point
-    _, units = measure_star(p, wq.quad.vertices)
+    _, units = measure_star(p, wq.quad.vertices, tree._frame)
     if None in units:  # P on a vertex: `unit_toward` raises why
         p.unit_toward(wq.quad.vertices[units.index(None)])
     u1, u2, u3, (x4, y4) = units
@@ -181,7 +187,8 @@ def plasticity_line(wq: WeightedQuadrilateral, tree: FermatTree) -> PlasticityLi
             lo = max(lo, -y / x)
     if not lo < hi:
         raise InfeasibleWeightsError(f"no positive-weight interval: ({lo}, {hi})")
-    line = PlasticityLine(c=c, coefficients=coefficients, b4_interval=(lo, hi), point=p)
+    line = PlasticityLine(c=c, coefficients=coefficients, b4_interval=(lo, hi), point=p,
+                          _frame=tree._frame)
     recovered = line.weights_at(wq.weights[3])
     if any(abs(a - b) > 1e-5 * c for a, b in zip(recovered, wq.weights)):
         raise InconsistentCaseError(

@@ -21,9 +21,12 @@ from quadft import (
     angle_at,
     classify_case,
     locate_4wft,
+    plasticity_line,
     solve_4wft_general,
     solve_4wft_square,
     triangle_wft_angles,
+    universal_minimum,
+    verify_plasticity,
     weighted_distance_sum,
     weiszfeld,
 )
@@ -72,6 +75,26 @@ def _pull(points, weights, i):
 def _slack(points, weights, i):
     """Kuhn's slack at point i: the pull of the others minus its own weight."""
     return _pull(points, weights, i) - weights[i]
+
+
+def _exact_pull(wq, px, py):
+    """The pull of the vertices at the exact point (px, py), Fractions: each
+    difference rounded once, the sums by `math.fsum`."""
+    sx, sy = [], []
+    for w, v in zip(wq.weights, wq.quad.vertices):
+        dx = float(Fraction(v.x) - px)
+        dy = float(Fraction(v.y) - py)
+        d = math.hypot(dx, dy)
+        sx.append(w * dx / d)
+        sy.append(w * dy / d)
+    return math.hypot(math.fsum(sx), math.fsum(sy))
+
+
+def _frame_point(tree, quad):
+    """The exact point the tree's frame names, A_k + offset, as Fractions."""
+    k, (ox, oy) = tree._frame
+    a = quad.vertices[k]
+    return Fraction(a.x) + Fraction(ox), Fraction(a.y) + Fraction(oy)
 
 
 def _system_tolerance(wq, p):
@@ -765,7 +788,10 @@ class TestLocate:
         # barely floating at A1, 1e-6 wide and moved to (131073, 16385), where
         # the coordinate ulp is 1.5e-5 of the diameter: the certified median
         # maps back onto A1, and the tree raised "unit vector undefined
-        # between coincident points"; it is read at A1 as an absorbed tree is
+        # between coincident points"; it is read in its frame, at A1 plus
+        # the iterate's offset, where every angle is defined and the pull is
+        # the one the gate passed, and the line, its minimum and its
+        # verification follow
         xy = [(131072.99999808084, 16384.999998179672), (131072.999999603, 16384.999996096576),
               (131073.00000148, 16384.999996837876), (131073.00000078036, 16384.999999443666)]
         quad = Quadrilateral.from_coords(xy)
@@ -773,11 +799,19 @@ class TestLocate:
         wq = WeightedQuadrilateral(quad, w)
         tree = locate_4wft(wq)
         assert tree.case.kind is CaseKind.FLOATING and tree.point == quad.vertices[0]
-        assert [math.isnan(a) for a in tree.angles] == [True, False, False, True]
-        assert tree.equilibrium_residual == max(0.0, _slack(quad.vertices, w, 0))
-        assert 0.0 < tree.equilibrium_residual < 1e-5 * wq.total
-        assert tree.objective == weighted_distance_sum(quad.vertices, w, tree.point)
+        assert tree._frame[0] == 0 and tree._frame[1] != (0.0, 0.0)
+        assert not any(math.isnan(a) for a in tree.angles)
+        assert tree.equilibrium_residual < fermat.RESIDUAL_TOL * wq.total
+        px, py = _frame_point(tree, quad)
+        assert _exact_pull(wq, px, py) < fermat.RESIDUAL_TOL * wq.total
+        exact = math.fsum(wi * math.hypot(float(Fraction(v.x) - px), float(Fraction(v.y) - py))
+                          for wi, v in zip(w, quad.vertices))
+        assert tree.objective == pytest.approx(exact, rel=1e-13)
         assert solve_4wft_general(wq) == tree
+        line = plasticity_line(wq, tree)
+        assert universal_minimum(quad, line).u_ft == pytest.approx(2.3823168, rel=1e-7)
+        report = verify_plasticity(quad, line, 16)
+        assert report.passed and len(report.evaluated) == 16
 
     @pytest.mark.parametrize("k", [-2, -3])
     def test_objective_that_overflows_raises(self, k):
@@ -835,32 +869,28 @@ class TestLocate:
         diam = moved.quad.diameter()
         assert math.hypot(tree.point.x - ex, tree.point.y - ey) <= 1e-9 * diam
 
-    def test_far_translation_residual_is_the_pull_at_the_point(self):
-        # the solve gates its relative-frame iterate at 1e-10 * total; moved
-        # by (1e7, 1e7) the stored point sits on a grid of 1.9e-9, and the
-        # reported residual is the true pull there, which no neighbouring
-        # float point brings below that gate
+    def test_far_translation_residual_is_the_pull_in_the_frame(self):
+        # the solve gates its iterate, A_k + offset in the anchor's frame, at
+        # 1e-10 * total, and the tree reports the pull there; moved by
+        # (1e7, 1e7) the stored point sits on a grid of 1.9e-9, and its own
+        # pull, which no neighbouring float point brings below that gate, is
+        # what a position bound on the stored point must answer
         quad = Quadrilateral.from_coords(
             [(x + 1e7, y + 1e7) for x, y in BARELY_FLOATING_COORDS])
         wq = WeightedQuadrilateral(quad, BARELY_FLOATING_WEIGHTS)
         tree = locate_4wft(wq)
+        gate = fermat.RESIDUAL_TOL * wq.total
+        assert tree.equilibrium_residual < gate
+        assert _exact_pull(wq, *_frame_point(tree, quad)) < gate
 
         def exact_pull(px, py):
-            sx, sy = [], []
-            for w, v in zip(wq.weights, quad.vertices):
-                dx = float(Fraction(v.x) - Fraction(px))
-                dy = float(Fraction(v.y) - Fraction(py))
-                d = math.hypot(dx, dy)
-                sx.append(w * dx / d)
-                sy.append(w * dy / d)
-            return math.hypot(math.fsum(sx), math.fsum(sy))
+            return _exact_pull(wq, Fraction(px), Fraction(py))
 
         p = tree.point
-        assert tree.equilibrium_residual == pytest.approx(exact_pull(p.x, p.y), rel=1e-3)
-        assert tree.equilibrium_residual > 1e-9 * wq.total
+        assert exact_pull(p.x, p.y) > 1e-9 * wq.total
         nearby = [exact_pull(math.nextafter(p.x, p.x + sx), math.nextafter(p.y, p.y + sy))
                   for sx in (-1.0, 0.0, 1.0) for sy in (-1.0, 0.0, 1.0)]
-        assert min(nearby) > fermat.RESIDUAL_TOL * wq.total
+        assert min(nearby) > gate
 
     @pytest.mark.parametrize("instance", ["ex2", "random"])
     def test_one_classification_and_one_median_run(self, monkeypatch, wq_ex2, instance):

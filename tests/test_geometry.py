@@ -19,6 +19,7 @@ from quadft.geometry import (
     clamped_acos,
     linspace,
     measure_pairs,
+    measure_star,
 )
 from oracles import random_convex_quad, rigid_transform
 
@@ -100,6 +101,48 @@ class TestUnitMatrix:
         d, u, diameter = measure_pairs([Point(1.0, 2.0), Point(1.0, 2.0), Point(4.0, 6.0)])
         assert d[0][1] == 0.0 and u[0][1] is None and u[1][0] is None
         assert diameter == 5.0 and u[0][2] == (0.6, 0.8)
+
+
+def plain_star(p, points):
+    """The star of p by `Point.distance_to` and `Point.unit_toward`."""
+    return ([p.distance_to(q) for q in points],
+            [None if p == q else p.unit_toward(q) for q in points])
+
+
+class TestMeasureStar:
+    """A frame (k, offset) is read only where points[k] + offset rounds to p;
+    elsewhere the star is p's own, bit for bit."""
+
+    FAR = [Point(1e7 + 0.3, 1e7 - 1.1), Point(1e7 + 2.9, 1e7 + 0.2),
+           Point(1e7 - 0.7, 1e7 + 3.3), Point(1e7 - 1.8, 1e7 - 0.4)]
+    OFFSET = (0.123456789, -0.987654321)  # rounded to the 1.9e-9 grid when added
+
+    def test_frame_that_names_p_is_read(self):
+        k, (ox, oy) = 1, self.OFFSET
+        a = self.FAR[k]
+        p = Point(a.x + ox, a.y + oy)
+        d, u = measure_star(p, self.FAR, (k, self.OFFSET))
+        diffs = [((q.x - a.x) - ox, (q.y - a.y) - oy) for q in self.FAR]
+        assert d == [math.hypot(dx, dy) for dx, dy in diffs]
+        assert u == [(dx / r, dy / r) for (dx, dy), r in zip(diffs, d)]
+        assert d[k] == math.hypot(ox, oy)
+        assert (d, u) != plain_star(p, self.FAR)  # p's rounding would enter
+
+    def test_star_without_a_frame_is_the_points_own(self):
+        for p in self.FAR[:1] + [Point(1e7, 1e7), Point(3.5, -2.0)]:
+            assert measure_star(p, self.FAR) == plain_star(p, self.FAR)
+            assert measure_star(p, self.FAR, None) == plain_star(p, self.FAR)
+
+    def test_stale_frame_is_not_read(self):
+        k, (ox, oy) = 1, self.OFFSET
+        a = self.FAR[k]
+        p = Point(a.x + ox, a.y + oy)
+        moved = Point(math.nextafter(p.x, math.inf), p.y)
+        foreign = [Point(q.x + 1.0, q.y) for q in self.FAR]
+        assert measure_star(moved, self.FAR, (k, self.OFFSET)) == plain_star(moved, self.FAR)
+        assert measure_star(p, foreign, (k, self.OFFSET)) == plain_star(p, foreign)
+        on_a_vertex = measure_star(a, self.FAR, (k, (0.0, 0.0)))
+        assert on_a_vertex == plain_star(a, self.FAR) and on_a_vertex[1][k] is None
 
 
 class TestCoordinateRange:

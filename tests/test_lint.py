@@ -104,6 +104,35 @@ def test_one_power_of_two_frame():
         "geometry.py"]
 
 
+def frameless_star_calls(source: str) -> list[int]:
+    """Lines of the `measure_star` calls that pass no frame, neither a third
+    argument nor `frame=`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "measure_star" and len(node.args) < 3 and not any(
+                    k.arg == "frame" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_star_is_read_in_a_frame():
+    # a median's star is measured in the frame it was solved in, the tree's
+    # or the line's `_frame` (None where there is none), never at its
+    # rounded point alone
+    assert {p.name: frameless_star_calls(p.read_text(encoding="utf-8"))
+            for p in PACKAGE} == {p.name: [] for p in PACKAGE}
+
+
+def test_detects_frameless_star_calls():
+    assert frameless_star_calls("d, u = measure_star(p, points)\n") == [1]
+    assert frameless_star_calls("x = geometry.measure_star(\n    p, q)\n") == [1]
+    assert frameless_star_calls("measure_star(p, q, tree._frame)\n"
+                                "measure_star(p, q, frame=None)\n") == []
+
+
 def test_detects_module_imports():
     assert imports_module("from dataclasses import dataclass\n", "dataclasses")
     assert imports_module("def f():\n    import dataclasses as dc\n", "dataclasses")

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -30,7 +31,7 @@ from quadft import (
 import quadft.checks as checks
 import quadft.fermat as fermat
 import quadft.plasticity as plasticity
-from quadft.geometry import cross2
+from quadft.geometry import cross2, measure_star
 from oracles import pull_at, random_convex_quad
 
 # frozen affine coefficients (B_i = x_i * B4 + y_i)
@@ -186,9 +187,20 @@ def _triangle_weights(p, tri):
 
 
 def _balance(line, quad, b4):
-    """|sum B_i u_i| at the line's anchor for the weights at b4."""
-    units = np.array([line.point.unit_toward(v) for v in quad.vertices])
-    return float(np.linalg.norm(np.array(line.weights_at(b4)) @ units))
+    """|sum B_i u_i| at the line's anchor for the weights at b4, the u_i
+    read in the line's frame (k, offset), from A_k + offset, which rounds
+    to the anchor; from the anchor itself on a line without one."""
+    if line._frame is None:
+        units = [line.point.unit_toward(v) for v in quad.vertices]
+    else:
+        k, (ox, oy) = line._frame
+        a = quad.vertices[k]
+        assert Point(a.x + ox, a.y + oy) == line.point
+        units = []
+        for v in quad.vertices:
+            dx, dy = (v.x - a.x) - ox, (v.y - a.y) - oy
+            units.append((dx / math.hypot(dx, dy), dy / math.hypot(dx, dy)))
+    return float(np.linalg.norm(np.array(line.weights_at(b4)) @ np.array(units)))
 
 
 def _boundary_line(quad, point):
@@ -378,6 +390,32 @@ class TestPlasticityLine:
         tree = locate_4wft(wq)._replace(point=Point(-1.0, 0.0))
         with pytest.raises(InconsistentCaseError, match="not inside the quadrilateral"):
             plasticity_line(wq, tree)
+
+    def test_line_hands_its_frame_to_the_family(self):
+        # a barely floating instance moved to (1e7, 1e7): the family reads the
+        # tree's frame, which names the anchor; a line rebuilt by `_replace`
+        # or pickle has none, and a frame on another quadrilateral is not
+        # read, so the anchor is measured as stored, by the Point methods
+        quad = Quadrilateral.from_coords([(x + 1e7, y + 1e7) for x, y in (
+            (-0.2207, 0.9828), (-1.3356, 0.7854), (-1.0813, -0.2759), (-0.1229, -2.2068))])
+        wq = WeightedQuadrilateral(quad, (0.5959, 0.9887, 0.9059, 2.4538))
+        tree = locate_4wft(wq)
+        line = plasticity_line(wq, tree)
+        p = line.point
+        assert line._frame == tree._frame is not None
+        family = plasticity._Family(quad, line)
+        assert (family.distances, family.units) == measure_star(p, quad.vertices, tree._frame)
+
+        def plain(q):
+            return [p.distance_to(v) for v in q.vertices], [p.unit_toward(v) for v in q.vertices]
+
+        assert (family.distances, family.units) != plain(quad)
+        foreign = Quadrilateral.from_coords([(v.x + 1.0, v.y) for v in quad.vertices])
+        for stale, q in ((line._replace(point=p), quad), (pickle.loads(pickle.dumps(line)), quad),
+                         (line, foreign)):
+            assert stale == line and repr(stale) == repr(line)
+            family = plasticity._Family(q, stale)
+            assert (family.distances, family.units) == plain(q)
 
     def test_line_balances_at_its_point(self, rect_mod):
         # the line's weights balance the unit vectors at its anchor, also

@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_convex_quad
+from oracles import pull_at, random_convex_quad
 from quadft import (
+    AbsorbedWeightsError,
     CaseKind,
     GaussWeights,
     InconsistentCaseError,
@@ -28,6 +29,7 @@ from quadft import (
     tree_span,
     universal_minimum,
     universal_set,
+    verify_plasticity,
     weights_for_storage,
 )
 from quadft.geometry import linspace
@@ -322,6 +324,47 @@ class TestScaleInvariance:
         result, _ = _paper_pipeline([(s * x, s * y) for x, y in RECT], EX2_WEIGHTS, 3.82)
         assert result.u_ft == pytest.approx(base.u_ft, rel=1e-9)
         assert result.b4_star == pytest.approx(base.b4_star, rel=1e-9)
+
+
+def _verified_u_ft(wq):
+    """u_FT of the instance's plasticity line, which verification passes."""
+    line = plasticity_line(wq, locate_4wft(wq))
+    assert verify_plasticity(wq.quad, line, 16).passed
+    return universal_minimum(wq.quad, line).u_ft
+
+
+class TestTranslation:
+    @given(seed=st.integers(0, 2**32 - 1), vertex=st.integers(0, 3), s=st.floats(-12.0, -1.0),
+           t=st.sampled_from([1e4, 1e7]))
+    @settings(max_examples=60, deadline=None)
+    # u_FT moved by 6.6e2 of the tolerance below when the star was measured
+    # at the stored point
+    @example(seed=0, vertex=1, s=-6.0, t=1e4)
+    def test_translation_keeps_u_ft(self, seed, vertex, s, t):
+        # a barely floating draw, one weight at (1 - 10^s) times the others'
+        # pull on its vertex, moved by (t, -t): u_FT stays within 64
+        # coordinate ulps at t over the diameter, times c, of the unmoved
+        # draw's (the worst of 3322 such draws moved 0.57 of one), and the
+        # moved draw may fail only where Kuhn's test absorbs it
+        rng = np.random.default_rng(seed)
+        xy = random_convex_quad(rng)
+        quad = Quadrilateral.from_coords(xy)
+        w = [float(v) for v in rng.uniform(0.6, 3.0, 4)]
+        assume(classify_case(WeightedQuadrilateral(quad, tuple(w))).kind is CaseKind.FLOATING)
+        others = [j for j in range(4) if j != vertex]
+        w[vertex] = (1.0 - 10.0 ** s) * pull_at([quad.vertices[j] for j in others],
+                                                [w[j] for j in others], quad.vertices[vertex])
+        wq = WeightedQuadrilateral(quad, tuple(w))
+        assume(classify_case(wq).kind is CaseKind.FLOATING)
+        u_ft = _verified_u_ft(wq)
+        moved = WeightedQuadrilateral(
+            Quadrilateral.from_coords([(x + t, y - t) for x, y in xy]), wq.weights)
+        try:
+            moved_u_ft = _verified_u_ft(moved)
+        except AbsorbedWeightsError:
+            assert classify_case(moved).kind is CaseKind.ABSORBED
+            return
+        assert abs(moved_u_ft - u_ft) <= 64.0 * math.ulp(t) / quad.diameter() * wq.total
 
 
 def _similar(quad, angle, scale, shift):
