@@ -68,7 +68,8 @@ def _system_tree(wq: WeightedQuadrilateral, system, name: str) -> FermatTree:
     InconsistentCaseError naming the absorbing vertex; any other carries
     its frame (`FermatTree._frame`), and relative to A1 its median is
     (A_k - A1) + offset: the iterate `locate_4wft` certified, rounded twice
-    where k is not 0.
+    where k is not 0.  Every floating median is solved relative to its
+    anchor A_k; only a diagonal tree's frame is A1's.
     `system(v, weights, median)` reads the system there, v the vertices
     relative to A1: a residual above `_EQUILIBRIUM_RTOL`, or a rebuilt point
     more than `_REBUILD_RTOL` times the diameter from the median, raises
@@ -370,22 +371,23 @@ def _certified(family: _Family, first: float, last: float) -> bool:
 
     The imbalance |a + B4 b| is convex, so it stays within RESIDUAL_TOL c
     less 16 eps S, the rounding of its affine read, on the run when it does
-    at the two ends; its squares are compared scaled by the power of two
-    nearest 1 / c (`_exponent`), so they neither overflow nor underflow.
+    at the two ends; its squares are compared with each term scaled by the
+    power of two nearest 1 / c (`_exponent`), so they neither overflow nor
+    underflow.
     """
     if family.units is None:
         return False
     line = family.line
     c = line.c
-    s = math.ldexp(1.0, -_exponent(c))
+    e = -_exponent(c)
     (x1, y1), (x2, y2), (x3, y3) = line.coefficients
     sx = abs(x1) + abs(x2) + abs(x3) + 1.0
     sy = abs(y1) + abs(y2) + abs(y3)
     eps = sys.float_info.epsilon
     ax, ay, bx, by = family.imbalance()
     for b4 in (first, last):
-        gate = s * (RESIDUAL_TOL * c - 16.0 * eps * (sx * b4 + sy))
-        gx, gy = s * (ax + b4 * bx), s * (ay + b4 * by)
+        gate = math.ldexp(RESIDUAL_TOL * c - 16.0 * eps * (sx * b4 + sy), e)
+        gx, gy = math.ldexp(ax + b4 * bx, e), math.ldexp(ay + b4 * by, e)
         if not (gate > 0.0 and gx * gx + gy * gy <= gate * gate):
             return False
     r1, r2, r3, r4 = r = family.distances

@@ -18,23 +18,23 @@ Collinear points need no path of their own: their weighted median lies at
 one of them, which Kuhn's test absorbs.  A floating median, of a triangle
 (`weiszfeld`) or of a quadrilateral (`locate_4wft`), has one path,
 `_median`: one damped Newton loop on the gradient and Hessian of the
-weighted distance sum.  Kuhn's test gives its
-frame and start: next to the vertex of least slack, on Kuhn's descent ray,
-when that slack is below `_ANCHOR_SLACK` of the total, else relative to A1
-from the weighted centroid, and from Kuhn's ray after all when that loop
-stalls.  Frame and weights are scaled by powers of two
-(`geometry._exponent`), so no Hessian entry over- or underflows.  The one
-verdict is the residual gate: the median is unique, and a point is accepted
-only when its pull is below `RESIDUAL_TOL` times the total weight.  The
-tree, its plasticity line and the line's family read the star in the
-frame the median was solved in (`FermatTree._frame`), at the certified
-iterate, wherever the quadrilateral sits.
+weighted distance sum.  Kuhn's test gives its frame and its one start:
+relative to the vertex of least slack, at the least of the sum along
+Kuhn's descent ray from it (`_ray_start`).  Coordinates and weights are
+each scaled by a power of two (`geometry._exponent`), so no Hessian entry
+over- or underflows.  The one verdict is the residual gate: the median is
+unique, and a point is accepted only when its pull is below
+`RESIDUAL_TOL` times the total weight.  The tree, its plasticity line and
+the line's family read the star in the frame the median was solved in
+(`FermatTree._frame`), at the certified iterate, wherever the
+quadrilateral sits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import AbsorbedWeightsError, ConvergenceError, QuadFTError, _Record
 from .geometry import (
@@ -51,9 +51,8 @@ RESIDUAL_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 CASE_BOUNDARY_TOL = 1e-9
 EQUAL_WEIGHT_RTOL = 1e-12
-_ANCHOR_SLACK = 0.05      # Kuhn slack, over the total weight, below which _median anchors
-_RAY_MAX_ITER = 8         # gradient evaluations along Kuhn's descent ray
-_RAY_TOL = 0.1            # the ray's slope, over the anchor's slack, that ends its search
+_RAY_MAX_ITER = 40        # evaluations along Kuhn's ray: 30 double a slack of 1e-9 to 1
+_RAY_TOL = 0.5            # the ray's slope, over the anchor's slack, that ends its search
 _POLISH_TOL = 1e-14       # Newton polish target, relative to the total weight
 
 
@@ -99,12 +98,16 @@ def _positive_weights(weights) -> tuple[float, ...]:
 
 
 def _finite_total(weights) -> None:
-    """QuadFTError unless the weights' sum is finite: Kuhn's margin and the
-    objective scale with it, and an infinite margin absorbs every point."""
+    """QuadFTError unless the weights' sum is finite and normal: Kuhn's
+    margin, the residual gate and the objective scale with it; an infinite
+    margin absorbs every point, and a subnormal one rounds to 0."""
     total = sum(weights)
     if total == math.inf:
         raise QuadFTError(f"the weights sum to {total}: their total overflows the "
                           "largest float; divide them by a common factor")
+    if total < sys.float_info.min:
+        raise QuadFTError(f"the weights sum to {total}: their total is below the "
+                          "smallest normal float; multiply them by a common factor")
 
 
 class WeightedQuadrilateral(_Record):
@@ -139,12 +142,13 @@ class FermatTree(_Record):
     absorbing vertex are NaN.  `equilibrium_residual` is the norm of the weighted
     unit-vector sum at the optimum (floating case), or the amount by which the
     absorption inequality fails (absorbed case, zero when it holds).  Outside
-    the fields, `_frame` is the frame the median was solved in (`_descend`):
-    (k, offset) from vertex index k, or (0, offset) of the intersection on a
-    diagonal tree, `point` being A_k + offset rounded; None on an absorbed
-    tree.  Angles, objective and residual are read in it (`measure_star`):
-    the residual is the frame's pull, which the gate passed, though
-    `point`'s own pull can miss the gate next to a vertex or far out.
+    the fields, `_frame` is the frame the median was solved in (`_median`):
+    (k, offset) from the anchor's vertex index k, or (0, offset) of the
+    intersection on a diagonal tree, `point` being A_k + offset rounded;
+    None on an absorbed tree.  Angles, objective and residual are read in
+    it (`measure_star`): the residual is the frame's pull, which the gate
+    passed, though `point`'s own pull can miss the gate next to a vertex or
+    far out.
     """
 
     __slots__ = ("point", "case", "angles", "objective", "equilibrium_residual", "iterations",
@@ -280,53 +284,34 @@ def weiszfeld(points, weights) -> Point:
 
 
 def _median(points, weights, anchor=None):
-    """The weighted median of `points` by one damped Newton loop
-    (`_descend`), whose frame and start come from Kuhn's test: `anchor` is
-    a tag's `_anchor` (i, slack, pull); the test runs here when it is None.
+    """The weighted median of `points` by one damped Newton loop, whose
+    frame and start come from Kuhn's test: `anchor` is a tag's `_anchor`
+    (k, slack, pull), the point of least slack, and the test runs here when
+    it is None.
 
-    The loop runs next to point i, from Kuhn's descent ray, when its slack
-    is below `_ANCHOR_SLACK` times the total, else from the weighted
-    centroid; a centroid start that ends at a pull not below RESIDUAL_TOL
-    times the total, as where the loop walks onto a vertex and stops there,
-    runs the loop once more from Kuhn's ray, and the lower pull of the two
-    wins.  Returns (point, pull, steps, frame) for the caller to judge,
-    steps counting both runs (`_descend`); an absorbing point is its own
+    The loop runs relative to point k, where its own term carries no
+    rounding, from the least of the sum on Kuhn's descent ray
+    (`_ray_start`), every median alike: next to a vertex, and far along
+    the ray where the points lie nearly on a line.  Each coordinate and
+    weight is scaled exactly by a power of two (`geometry._exponent`), so
+    no Hessian entry, of order w / r, over- or underflows.  Each step is
+    the longest of 1, 1/2, ... of the Newton step that lowers the pull; at
+    most `NEWTON_MAX_ITER` steps end at a pull below `_POLISH_TOL` times the
+    total, or where none lowers it.  Returns (point, pull, steps, frame) for
+    the caller to judge, frame (k, offset) with the iterate's exact offset
+    from point k, and point the two's sum; an absorbing point is its own
     median, with pull inf.
     """
     if anchor is None:
         anchor = _kuhn_case(measure_pairs(points)[1], weights)._anchor
-    if anchor[1] <= 0.0:
-        return points[anchor[0]], math.inf, 0, (anchor[0], (0.0, 0.0))
-    total = sum(weights)
-    near = anchor[1] / total < _ANCHOR_SLACK
-    point, norm, steps, frame = _descend(points, weights, anchor, near)
-    if not near and not norm < RESIDUAL_TOL * total:
-        again, pull, more, other = _descend(points, weights, anchor, True)
-        steps += more
-        if pull < norm:
-            point, norm, frame = again, pull, other
-    return point, norm, steps, frame
-
-
-def _descend(points, weights, anchor, near: bool):
-    """`_median`'s damped Newton loop for the anchor (k, slack, pull):
-    relative to point k, where its own term carries no rounding, from Kuhn's
-    descent ray (`_ray_start`) when `near`, else relative to the first point
-    from the weighted centroid.  Frame and weights are scaled exactly by
-    powers of two (`geometry._exponent`), so no Hessian entry, of order
-    w / r, over- or underflows.  Each step is the longest of 1, 1/2, ... of
-    the Newton step that lowers the pull; at most `NEWTON_MAX_ITER` steps
-    end at a pull below `_POLISH_TOL` times the total, or where none lowers
-    it.  Returns (point, pull, steps, frame), frame (k or 0, offset) with
-    the iterate's exact offset from that point, and point the two's sum.
-    """
     k, slack, (px, py) = anchor
+    base = points[k]
+    if slack <= 0.0:
+        return base, math.inf, 0, (k, (0.0, 0.0))
     share = slack / sum(weights)
-    base = points[k if near else 0]
     moved = [(q.x - base.x, q.y - base.y) for q in points]
     e = _exponent(max(max(abs(qx), abs(qy)) for qx, qy in moved))
-    scale, unscale = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    relative = [(qx * scale, qy * scale) for qx, qy in moved]
+    relative = [(math.ldexp(qx, -e), math.ldexp(qy, -e)) for qx, qy in moved]
     f = _exponent(max(weights))
     weights = [math.ldexp(w, -f) for w in weights]
     total = sum(weights)
@@ -347,12 +332,7 @@ def _descend(points, weights, anchor, near: bool):
             hyy += c * (1.0 - uy * uy)
         return math.hypot(gx, gy), gx, gy, hxx, hxy, hyy
 
-    if near:
-        x, y, state, steps = _ray_start(gradient, relative, k, share, total, px, py)
-    else:
-        x = sum(w * qx for w, (qx, _) in zip(weights, relative)) / total
-        y = sum(w * qy for w, (_, qy) in zip(weights, relative)) / total
-        state, steps = gradient(x, y), 0
+    x, y, state, steps = _ray_start(gradient, relative, share, total, px, py)
     norm = math.inf if state is None else state[0]
     while steps < NEWTON_MAX_ITER and _POLISH_TOL * total <= norm < math.inf:
         _, gx, gy, hxx, hxy, hyy = state
@@ -371,21 +351,22 @@ def _descend(points, weights, anchor, near: bool):
             break
         x, y, state, norm = x + t * sx, y + t * sy, trial, trial[0]
         steps += 1
-    dx, dy = x * unscale, y * unscale
-    point = Point(base.x + dx, base.y + dy)
-    return point, math.ldexp(norm, f), steps, (k if near else 0, (dx, dy))
+    dx, dy = math.ldexp(x, e), math.ldexp(y, e)
+    return Point(base.x + dx, base.y + dy), math.ldexp(norm, f), steps, (k, (dx, dy))
 
 
-def _ray_start(gradient, relative, k, share, total, px, py):
-    """Where `_median` anchored at point k starts: the least of the sum on
-    Kuhn's descent ray t (dx, dy) along the others' pull (px, py), where the
-    slope rises from -slack (`share` of `total`).  Newton steps on the slope
-    start below the first step from 0, at `share` times the nearest point's
-    reach, keep inside the root's bracket, and end at a slope within
-    `_RAY_TOL` of the slack or after `_RAY_MAX_ITER` evaluations."""
+def _ray_start(gradient, relative, share, total, px, py):
+    """Where `_median` starts: the least of the sum on Kuhn's descent ray
+    t (dx, dy) along the others' pull (px, py), where the slope rises from
+    -slack (`share` of `total`).  Newton steps on the slope start below the
+    first step from 0, at `share` times the reach of the nearest point apart
+    from the anchor (a copy of the anchor starts no search), keep inside
+    the root's bracket, doubling t until there is one, and end at a slope
+    within `_RAY_TOL` of the slack or after `_RAY_MAX_ITER` evaluations,
+    which count among the median's steps."""
     n = math.hypot(px, py)
     dx, dy = px / n, py / n
-    t = share * min(max(abs(qx), abs(qy)) for i, (qx, qy) in enumerate(relative) if i != k)
+    t = share * min(max(abs(qx), abs(qy)) for qx, qy in relative if qx or qy)
     lo, hi = 0.0, math.inf
     for steps in range(1, _RAY_MAX_ITER + 1):
         x, y = t * dx, t * dy
@@ -411,7 +392,7 @@ def _certified_median(points, weights, anchor=None):
     """`_median`, raising ConvergenceError unless its pull is below
     RESIDUAL_TOL * sum(weights): the one verdict of `weiszfeld`,
     `locate_4wft` and `verify_plasticity`.  Returns (point, steps, frame),
-    frame as `_descend` returns it."""
+    frame as `_median` returns it."""
     point, norm, steps, frame = _median(points, weights, anchor)
     if not norm < RESIDUAL_TOL * sum(weights):
         raise ConvergenceError(f"median iteration stalled at residual {norm:.3e}",

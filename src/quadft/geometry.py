@@ -108,7 +108,7 @@ def measure_star(p: Point, points, frame=None):
     """The star of p measured once, one hypot per point: (d, u), lists with
     d[i] the distance from p to points[i] and u[i] the unit vector from p
     toward it, None where the two coincide.  The frame p was solved in,
-    (k, offset) (`fermat._descend`), is read only where points[k] + offset
+    (k, offset) (`fermat._median`), is read only where points[k] + offset
     rounds to p bit for bit: the differences are (points[i] - points[k]) -
     offset, past p's rounding.  Otherwise the offset is zero at p, and d and
     u are `Point.distance_to` and `Point.unit_toward` bit for bit."""

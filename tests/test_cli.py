@@ -223,6 +223,31 @@ class TestCommands:
         assert captured.err.startswith("error: the weights sum to inf")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-315])
+    def test_weights_whose_sum_is_subnormal_exit_2(self, tmp_path, capsys, scale):
+        # at 1e-315, "median iteration stalled at residual 0.000e+00", exit 3
+        path = tmp_path / "light.doc"
+        path.write_text(json.dumps({"vertices": [[0, 0], [7, 0], [7, 4], [0, 4]],
+                                    "weights": [scale * w for w in (3.0, 2.5, 1.7, 1.5)]}))
+        for command in ("wft-quad", "plasticity"):
+            assert main([command, "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: the weights sum to ")
+            assert "multiply them by a common factor" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("vertices, code", [
+        ([[0, 0], [0, 1], [8.98846567431158e307, 0]], 3),
+        ([[0, 0], [3e-310, 0], [1e-310, 4e-310]], 0),
+    ], ids=["span-2^1023", "subnormal-span"])
+    def test_extreme_spans_exit_cleanly(self, tmp_path, capsys, vertices, code):
+        # the frame's factor 2^e overflowed: a traceback and exit 1
+        path = tmp_path / "span.doc"
+        path.write_text(json.dumps({"vertices": vertices, "weights": [1, 1, 1]}))
+        assert main(["wft-triangle", "--input", str(path)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: solver did not converge")
+
     @pytest.mark.parametrize("k", [-2, -3])
     def test_objective_that_overflows_exits_2(self, tmp_path, capsys, k):
         # "objective: inf", and exit 0
@@ -683,6 +708,17 @@ class TestLevelCurves:
             for x, y in loops[0]:
                 f = weighted_distance_sum(rect.vertices, weights, Point(x, y))
                 assert abs(f - level) <= 1e-12 * level
+
+    def test_a_repeated_point_traces_the_merged_curves(self, rect):
+        # A1 given twice pulls as one point of the two weights; the median
+        # starts off A1 even though A1's copy is the nearest point, so the
+        # level 19.05, between f at the median (19.0427) and at A1
+        # (19.0623), has its loop
+        v = rect.vertices
+        merged = level_curve_loops(v, (2.3, 1.0, 1.0, 1.0), [19.05, 22.0])
+        repeated = level_curve_loops(v[:1] + v, (1.15, 1.15, 1.0, 1.0, 1.0), [19.05, 22.0])
+        for (_, (loop,)), (_, (other,)) in zip(merged, repeated):
+            assert np.allclose(loop, other, rtol=0.0, atol=1e-12)
 
     def test_levels_at_or_below_the_minimum_have_no_loop(self, wq_ex2):
         base = locate_4wft(wq_ex2).objective

@@ -104,6 +104,33 @@ def test_one_power_of_two_frame():
         "geometry.py"]
 
 
+def power_of_two_factors(source: str) -> list[int]:
+    """Lines of the `ldexp(1.0, e)` or `ldexp(1, e)` calls: a power of two
+    made as a factor, which overflows where the value it scales would not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            func, first = node.func, node.args[0]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (name == "ldexp" and isinstance(first, ast.Constant)
+                    and not isinstance(first.value, bool) and first.value == 1):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_powers_of_two_scale_each_value():
+    # `ldexp(value, e)` scales a value exactly where it stays a float;
+    # 2^e alone overflowed for spans past 2^1023 and for subnormal totals
+    assert {p.name: power_of_two_factors(p.read_text(encoding="utf-8"))
+            for p in PACKAGE} == {p.name: [] for p in PACKAGE}
+
+
+def test_detects_power_of_two_factors():
+    assert power_of_two_factors("s = math.ldexp(1.0, -e)\n") == [1]
+    assert power_of_two_factors("x = 0\ns = ldexp(\n    1, e)\n") == [2]
+    assert power_of_two_factors("math.ldexp(x, e)\nldexp(0.5, e)\nldexp(True, e)\n") == []
+
+
 def frameless_star_calls(source: str) -> list[int]:
     """Lines of the `measure_star` calls that pass no frame, neither a third
     argument nor `frame=`."""

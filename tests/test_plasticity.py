@@ -571,10 +571,8 @@ class TestSquaredBalanceSystem:
 
     def test_returns_the_positive_roots_of_the_cubic(self):
         # every positive solution numpy finds among the cubic's roots, and no
-        # other; the seeded set holds NEAR_POLE
-        calls = _probe_calls(100)
-        assert NEAR_POLE in calls
-        for angles, c, b4 in calls:
+        # other, on the seeded set and next to the pole
+        for angles, c, b4 in _probe_calls(100) + [NEAR_POLE]:
             expected = _cubic_solutions(angles, c, b4)
             if not expected:
                 with pytest.raises(InfeasibleWeightsError):
@@ -744,6 +742,18 @@ def test_kuhn_slack_bounds_the_descent_from_each_vertex(seed, barely, log_s, ver
 
 
 class TestVerify:
+    def test_subnormal_total_is_certified(self, monkeypatch, rect_mod, line_ex2):
+        # the paper's line scaled by 2^-1030: the certificate's factor 2^1030
+        # overflowed (OverflowError); each term is scaled by itself
+        s = math.ldexp(1.0, -1030)
+        small = line_ex2._replace(
+            c=line_ex2.c * s, coefficients=tuple((x, y * s) for x, y in line_ex2.coefficients),
+            b4_interval=tuple(b * s for b in line_ex2.b4_interval))
+        verdicts = _certificates(monkeypatch)
+        report = verify_plasticity(rect_mod, small, 16)
+        assert verdicts == [True]
+        assert report.passed and len(report.evaluated) == 16
+
     def test_only_declined_runs_test_each_sample(self, monkeypatch, rect_mod, line_ex2):
         # a clearly floating line at its true anchor is certified at its run's
         # two ends, and no sample runs Kuhn's test
